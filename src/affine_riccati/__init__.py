@@ -1,7 +1,7 @@
 """Affine Markov processes on R_+^m x R^n: generalized Riccati systems,
 conservativeness diagnostics, Esscher tilting and Monte Carlo validation."""
 
-from .errors import AffineRiccatiError, ConfigError, DomainError, SolverError, StepFailure
+from .errors import AffineRiccatiError, ConfigError, DomainError, SolverError
 from .model import (
     AffineModel,
     CompoundPoissonExp,

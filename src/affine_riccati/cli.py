@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arg(p)
     p.add_argument("--tilt", default=None,
                    help="check the model tilted by this direction instead")
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
 
     p = sub.add_parser("martingale", help="classify the discounted exponential functional")
     _add_model_arg(p)

@@ -26,16 +26,16 @@ materializes there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as _sint
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, StateShape, eval_F, in_domain_Y, reduced_R, validate_model
-from .riccati import SolveOptions, _integrate, solve_reduced
+from .riccati import SolveOptions, _integrate, _richardson, _try_eval, _write_csv, solve_reduced
 
 __all__ = [
     "leq_order",
@@ -83,6 +83,11 @@ class DiagnosticsOptions:
     rtol: float = 1e-10
     atol: float = 1e-13
 
+    def __post_init__(self):
+        # the ladder limit is a three-point Richardson extrapolation
+        if len(self.eps_ladder) != 3:
+            raise ConfigError("eps_ladder must have exactly three entries")
+
     def solve_options(self, T: float) -> SolveOptions:
         # step cap keeps the interpolation error of witness grids below the
         # 1e-6 residual budget
@@ -90,16 +95,7 @@ class DiagnosticsOptions:
 
     def refined(self, factor: float = 0.1) -> "DiagnosticsOptions":
         """The same options with the probe ladder refined by one decade."""
-        return DiagnosticsOptions(
-            checkpoint_time=self.checkpoint_time,
-            eps_ladder=tuple(e * factor for e in self.eps_ladder),
-            radius_ladder=self.radius_ladder,
-            osgood_delta=self.osgood_delta,
-            witness_horizon=self.witness_horizon,
-            witness_points=self.witness_points,
-            rtol=self.rtol,
-            atol=self.atol,
-        )
+        return replace(self, eps_ladder=tuple(e * factor for e in self.eps_ladder))
 
 
 @dataclass(frozen=True)
@@ -135,21 +131,10 @@ class WitnessTrajectory:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self, fh) -> None:
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w")
-            close = True
-        try:
-            m = self.values.shape[1]
-            cols = ",".join(f"psi_{k + 1}" for k in range(m))
-            fh.write(f"t,{cols},phi\n")
-            for k, t in enumerate(self.ts):
-                row = [f"{t:.17g}"] + [f"{x:.17g}" for x in self.values[k]] + ["0"]
-                fh.write(",".join(row) + "\n")
-            fh.write(f"# status=Witness residual={self.residual:.3e} source={self.source}\n")
-        finally:
-            if close:
-                fh.close()
+        """Trajectory CSV in the solver's format, with phi written as zeros."""
+        columns = ["t", *(f"psi_{k + 1}" for k in range(self.values.shape[1])), "phi"]
+        _write_csv(fh, columns, np.column_stack([self.ts, self.values, np.zeros(len(self.ts))]),
+                   footer=f"status=Witness residual={self.residual:.3e} source={self.source}")
 
 
 @dataclass(frozen=True)
@@ -196,16 +181,6 @@ class ReducedField:
 
     def __call__(self, v):
         return np.atleast_1d(np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float))
-
-    def eval_or_none(self, v):
-        try:
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                out = self(v)
-        except (DomainError, ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
-            return None
-        if not np.all(np.isfinite(out)):
-            return None
-        return out
 
     @staticmethod
     def from_model(model: AffineModel) -> "ReducedField":
@@ -270,8 +245,8 @@ def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0
         for k in range(m):
             e = np.zeros(m)
             e[k] = h
-            fp = field.eval_or_none(p + e)
-            fm = field.eval_or_none(p - e)
+            fp = _try_eval(field, p + e)
+            fm = _try_eval(field, p - e)
             if fp is None or fm is None:
                 return None
             rows[:, k] = (fp - fm) / (2 * h)
@@ -327,7 +302,7 @@ def _osgood_scan_side(field: ReducedField, sign: int, delta: float):
         ws = np.geomspace(1e-7, math.sqrt(dl), 40)
         vals = []
         for w in ws:
-            f = field.eval_or_none(np.array([sign * w * w]))
+            f = _try_eval(field, np.array([sign * w * w]))
             if f is None:
                 vals = None
                 break
@@ -354,7 +329,7 @@ def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
     cuts = [w_hi] + [w_hi * 10.0 ** (-k) for k in range(1, 8)]
 
     def integrand(w):
-        f = field.eval_or_none(np.array([sign * w * w]))
+        f = _try_eval(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -388,7 +363,7 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
     npts = opts.witness_points
 
     def speed(w):
-        f = field.eval_or_none(np.array([sign * w * w]))
+        f = _try_eval(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -413,12 +388,11 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
     sopts = SolveOptions(T=tail_T, rtol=opts.rtol, atol=opts.atol,
                          max_step=tail_T / 300.0, blowup_threshold=1e10)
     try:
-        ts_tail, ys_tail, fs_tail, status = _integrate(
-            lambda v: field(v), np.array([g_switch]), sopts)
+        tail = _integrate(field, np.array([g_switch]), sopts)
     except DomainError:
         return None
 
-    grid = _witness_grid(min(horizon, t_switch + ts_tail[-1]), npts)
+    grid = _witness_grid(min(horizon, t_switch + tail.t_end), npts)
     vals = np.empty((npts, 1))
     layer = grid <= t_switch
     if np.any(layer):
@@ -426,8 +400,7 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
         w_of_t = PchipInterpolator(t_cum, mesh)
         vals[layer, 0] = sign * w_of_t(grid[layer]) ** 2
     if np.any(~layer):
-        from .riccati import _hermite_eval
-        vals[~layer] = _hermite_eval(ts_tail, ys_tail, fs_tail, grid[~layer] - t_switch)
+        vals[~layer] = tail.eval(grid[~layer] - t_switch)
     residual = ode_residual(grid, vals, field)
     return WitnessTrajectory(ts=grid, values=vals, residual=residual,
                              source="osgood-inversion")
@@ -469,19 +442,14 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
     # the unbounded field derivative
     grid = np.linspace(0.0, T, opts.witness_points)
     runs = []
-    raw = []
-    from .riccati import _hermite_eval
     for eps in opts.eps_ladder:
-        g0 = np.full(m, -eps)
-        sopts = opts.solve_options(T)
         try:
-            ts, ys, fs, status = _integrate(lambda v: field(v), g0, sopts)
+            sol = _integrate(field, np.full(m, -eps), opts.solve_options(T))
         except DomainError:
             return "failed", f"probe at eps={eps:g} started outside the field domain"
-        if not status.reached_horizon:
-            return "failed", f"probe at eps={eps:g} terminated with {status.label()}"
-        raw.append((ts, ys, fs))
-        runs.append(_hermite_eval(ts, ys, fs, grid).reshape(len(grid), m))
+        if not sol.status.reached_horizon:
+            return "failed", f"probe at eps={eps:g} terminated with {sol.status.label()}"
+        runs.append(sol.eval(grid))
 
     terminal = [float(np.max(np.abs(r[-1]))) for r in runs]
     if terminal[-1] < 1e-3:
@@ -496,18 +464,16 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
     times = [_crossing_time(grid, np.max(np.abs(r), axis=1), level) for r in runs]
     shift = 0.0
     if all(t is not None for t in times) and times[0] < times[1] < times[2]:
-        dt21 = times[1] - times[0]
-        dt32 = times[2] - times[1]
-        r = min(dt32 / dt21, 0.9) if dt21 > 0 else 0.0
-        shift = dt32 * r / (1.0 - r) if r > 0 else 0.0
+        # the lag is the extrapolated crossing time minus the finest run's
+        shift = _richardson(*times) - times[2]
 
-    ts3, ys3, fs3 = raw[-1]
+    # sol is the finest run
     limit = np.zeros((len(grid), m))
     past = grid >= shift
-    inside = past & (grid - shift <= ts3[-1])
-    limit[inside] = _hermite_eval(ts3, ys3, fs3, grid[inside] - shift).reshape(-1, m)
+    inside = past & (grid - shift <= sol.t_end)
+    limit[inside] = sol.eval(grid[inside] - shift)
     if np.any(past & ~inside):
-        limit[past & ~inside] = ys3[-1]
+        limit[past & ~inside] = sol.psi_end
     residual = ode_residual(grid, limit, field)
     witness = WitnessTrajectory(ts=grid, values=limit, residual=residual,
                                 source="probe-extrapolation")
@@ -530,7 +496,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
     if abs(F0) > 1e-12:
         return ConservativenessVerdict(kind=NON_CONSERVATIVE, f0_witness=F0,
                                        reason="constant killing rate (F(0) != 0)")
-    R0 = field.eval_or_none(np.zeros(m))
+    R0 = _try_eval(field, np.zeros(m))
     if R0 is None:
         return ConservativenessVerdict(kind=INCONCLUSIVE,
                                        reason="reduced field undefined at the origin")
@@ -607,14 +573,12 @@ def _scalar_osgood(field: ReducedField, opts: DiagnosticsOptions):
 
 def _forward_witness(field: ReducedField, opts: DiagnosticsOptions):
     """Forward trajectory from 0 (used when 0 is not an equilibrium)."""
-    sopts = opts.solve_options(opts.checkpoint_time)
     try:
-        ts, ys, fs, status = _integrate(lambda v: field(v), np.zeros(field.m), sopts)
+        sol = _integrate(field, np.zeros(field.m), opts.solve_options(opts.checkpoint_time))
     except DomainError:
         return None
-    grid = _witness_grid(ts[-1], opts.witness_points)
-    from .riccati import _hermite_eval
-    vals = _hermite_eval(ts, ys, fs, grid).reshape(len(grid), field.m)
+    grid = _witness_grid(sol.t_end, opts.witness_points)
+    vals = sol.eval(grid)
     return WitnessTrajectory(ts=grid, values=vals,
                              residual=ode_residual(grid, vals, field),
                              source="forward-solve")
@@ -660,14 +624,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts,
         if not sol.status.reached_horizon:
             raise SolverError(f"minimal-branch probe terminated with {sol.status.label()}")
         runs.append(sol.eval(ts))
-    d21 = float(np.max(np.abs(runs[1] - runs[0])))
-    d32 = float(np.max(np.abs(runs[2] - runs[1])))
-    if d32 < 1e-14 or d21 < 1e-14:
-        out = runs[2]
-    else:
-        r = min(d32 / d21, 0.9)
-        out = runs[2] + (runs[2] - runs[1]) * (r / (1.0 - r))
-    out = np.array(out)
+    out = np.array(_richardson(*runs))
     if ts[0] == 0.0:
         out[0] = uI  # the ladder limit at t = 0 is exact
     return out

@@ -9,10 +9,6 @@ class DomainError(AffineRiccatiError):
     """Argument lies outside the effective domain of the characteristics."""
 
 
-class StepFailure(AffineRiccatiError):
-    """The adaptive stepper could not satisfy its tolerances above min_step."""
-
-
 class SolverError(AffineRiccatiError):
     """A solve required by a diagnostic could not be completed."""
 

@@ -60,7 +60,7 @@ from scipy.special import ndtri
 from .errors import ConfigError, SolverError
 from .esscher import IDENTITY_TOL, TiltSpec, tilt_model
 from .model import AffineModel, TemperedStableHalf, eval_F, eval_R, validate_model
-from .riccati import SolveOptions, solve_minimal, solve_riccati
+from .riccati import SolveOptions, _write_csv, solve_minimal, solve_riccati
 
 __all__ = [
     "SimOptions",
@@ -156,24 +156,11 @@ class PathEnsemble:
         return self.states[:, -1, :]
 
     def summary_csv(self, fh) -> None:
-        """Ensemble summary: path,T,X_1..X_d,survived."""
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w")
-            close = True
-        try:
-            d = self.states.shape[2]
-            cols = ",".join(f"X_{k + 1}" for k in range(d))
-            fh.write(f"path,T,{cols},survived\n")
-            T = self.times[-1]
-            for p in range(self.npaths):
-                row = [str(p), f"{T:.17g}"]
-                row += [f"{x:.17g}" for x in self.states[p, -1]]
-                row.append("1" if self.survived[p] else "0")
-                fh.write(",".join(row) + "\n")
-        finally:
-            if close:
-                fh.close()
+        """Ensemble summary: path,T,X_1..X_d,survived (survived is 1 or 0)."""
+        columns = ["path", "T", *(f"X_{k + 1}" for k in range(self.states.shape[2])), "survived"]
+        n = self.npaths
+        _write_csv(fh, columns, np.column_stack(
+            [np.arange(n), np.full(n, self.times[-1]), self.terminal, self.survived]))
 
 
 def _uniforms(seed: int, step: int, purpose: int, shape, extra=()):

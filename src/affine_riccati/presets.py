@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import ConfigError
 from .model import (
     AffineModel,
     CompoundPoissonExp,
@@ -75,4 +76,4 @@ def builtin_model(name: str) -> AffineModel:
     try:
         return BUILTIN_MODELS[name]()
     except KeyError:
-        raise KeyError(f"unknown built-in model {name!r}; choose from {sorted(BUILTIN_MODELS)}")
+        raise ConfigError(f"unknown built-in model {name!r}; choose from {sorted(BUILTIN_MODELS)}")

@@ -28,7 +28,8 @@ Termination statuses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,7 +63,6 @@ class SolveOptions:
     max_step: Optional[float] = None
     min_step: Optional[float] = None
     blowup_threshold: float = 1e8
-    domain_margin: float = 1e-9
 
     def __post_init__(self):
         if self.T <= 0:
@@ -139,7 +139,10 @@ class RiccatiSolution:
 
     @property
     def phi_end(self):
-        return None if self.phi is None else float(self.phi[-1])
+        """phi(T): a complex for complex solves, a float for real ones."""
+        if self.phi is None:
+            return None
+        return complex(self.phi[-1]) if np.iscomplexobj(self.phi) else float(self.phi[-1])
 
     def eval(self, t) -> np.ndarray:
         """Cubic Hermite interpolation of psi at times t (scalar or array)."""
@@ -153,25 +156,24 @@ class RiccatiSolution:
     def to_csv(self, fh) -> None:
         """Trajectory CSV: header t,psi_1..psi_d,phi and a status footer.
 
-        Floats carry 17 significant digits.
+        Floats carry 17 significant digits; phi is written as zeros when the
+        solution carries none.
         """
-        dim = self.psi.shape[1]
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w")
-            close = True
-        try:
-            cols = ",".join(f"psi_{k + 1}" for k in range(dim))
-            fh.write(f"t,{cols},phi\n")
-            phi = self.phi if self.phi is not None else np.zeros(len(self.ts))
-            for k, t in enumerate(self.ts):
-                row = [f"{t:.17g}"] + [f"{float(np.real(x)):.17g}" for x in self.psi[k]]
-                row.append(f"{float(np.real(phi[k])):.17g}")
-                fh.write(",".join(row) + "\n")
-            fh.write(f"# status={self.status.label()}\n")
-        finally:
-            if close:
-                fh.close()
+        phi = np.zeros(len(self.ts)) if self.phi is None else np.real(self.phi)
+        columns = ["t", *(f"psi_{k + 1}" for k in range(self.psi.shape[1])), "phi"]
+        _write_csv(fh, columns, np.column_stack([self.ts, np.real(self.psi), phi]),
+                   footer=f"status={self.status.label()}")
+
+
+def _write_csv(fh, columns, table, footer=None) -> None:
+    """Write a header line, one line per row of ``table`` with 17 significant
+    digits, and an optional ``# footer`` line to a path or an open handle."""
+    with (open(fh, "w") if isinstance(fh, (str, bytes)) else nullcontext(fh)) as out:
+        out.write(",".join(columns) + "\n")
+        for row in table.tolist():
+            out.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        if footer is not None:
+            out.write(f"# {footer}\n")
 
 
 def _hermite_eval(ts, ys, fs, t):
@@ -226,11 +228,12 @@ def _try_eval(field, y):
 
 
 def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
-               rate_dim: Optional[int] = None):
+               rate_dim: Optional[int] = None) -> RiccatiSolution:
     """Adaptive DP5(4) loop shared by all solvers.
 
     ``rate_dim``: number of leading components whose rate decides
     equilibrium (and blow-up magnitude); defaults to all components.
+    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
     """
     y = np.array(y0)
     dim = y.shape[0]
@@ -257,7 +260,7 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     while t < T - 1e-14 * max(1.0, T):
         h = min(h, T - t, hmax)
         if h < hmin:
-            status = _classify_collapse(field, t, y, f, opts, nr, ts, ys)
+            status = _classify_collapse(t, y, f, opts, nr, ts, ys)
             break
 
         k = [f]
@@ -319,21 +322,16 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     if status is None:
         status = SolveStatus(SolveStatus.COMPLETED)
 
-    return np.array(ts), np.array(ys), np.array(fs), status
+    return RiccatiSolution(ts=np.array(ts), psi=np.array(ys), phi=None, dpsi=np.array(fs),
+                           dphi=None, status=status, u0=y0, T=opts.T)
 
 
-def _classify_collapse(field, t, y, f, opts, nr, ts, ys):
+def _classify_collapse(t, y, f, opts, nr, ts, ys):
     """Step collapse: blow-up when large and growing, domain exit otherwise."""
     mag = float(np.max(np.abs(y[:nr]))) if nr else 0.0
     radial = float(np.real(np.vdot(y[:nr], f[:nr])))
     if mag > 0.01 * opts.blowup_threshold and radial > 0.0:
         return SolveStatus(SolveStatus.BLOWUP, t_event=_extrapolate_blowup(ts, ys, nr))
-    # probe one domain_margin ahead along the current motion
-    if opts.domain_margin > 0:
-        fn = float(np.max(np.abs(f))) or 1.0
-        probe = _try_eval(field, y + opts.domain_margin * f / fn)
-        if probe is None:
-            return SolveStatus(SolveStatus.LEFT_DOMAIN, t_event=t)
     return SolveStatus(SolveStatus.LEFT_DOMAIN, t_event=t)
 
 
@@ -392,17 +390,9 @@ def _solve_full(model, u0, opts, l, lam):
 
     z0 = np.zeros(d + 1, dtype=dtype)
     z0[:d] = u0
-    ts, zs, fz, status = _integrate(field, z0, opts, rate_dim=d)
-    return RiccatiSolution(
-        ts=ts,
-        psi=zs[:, :d],
-        phi=np.real(zs[:, d]) if dtype is float else zs[:, d],
-        dpsi=fz[:, :d],
-        dphi=np.real(fz[:, d]) if dtype is float else fz[:, d],
-        status=status,
-        u0=u0,
-        T=opts.T,
-    )
+    sol = _integrate(field, z0, opts, rate_dim=d)
+    return replace(sol, psi=sol.psi[:, :d], phi=sol.psi[:, d],
+                   dpsi=sol.dpsi[:, :d], dphi=sol.dpsi[:, d], u0=u0)
 
 
 def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution:
@@ -417,9 +407,7 @@ def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution
     def field(v):
         return reduced_R(model, v, check_domain=False)
 
-    ts, ys, fs, status = _integrate(field, g0, opts)
-    return RiccatiSolution(ts=ts, psi=ys, phi=None, dpsi=fs, dphi=None,
-                           status=status, u0=g0, T=opts.T)
+    return _integrate(field, g0, opts)
 
 
 def psi_J_flow(model: AffineModel, t: float, uJ) -> np.ndarray:
@@ -435,13 +423,7 @@ def psi_J_flow(model: AffineModel, t: float, uJ) -> np.ndarray:
 
 def blowup_time(model: AffineModel, u0, Tmax: float, opts: Optional[SolveOptions] = None):
     """Estimated explosion time on [0, Tmax], or None if none is detected."""
-    if opts is None:
-        opts = SolveOptions(T=Tmax)
-    elif opts.T != Tmax:
-        opts = SolveOptions(T=Tmax, rtol=opts.rtol, atol=opts.atol,
-                            max_step=opts.max_step, min_step=opts.min_step,
-                            blowup_threshold=opts.blowup_threshold,
-                            domain_margin=opts.domain_margin)
+    opts = SolveOptions(T=Tmax) if opts is None else replace(opts, T=Tmax)
     sol = solve_riccati(model, u0, opts)
     if sol.status.kind == SolveStatus.BLOWUP:
         return sol.status.t_event
@@ -470,8 +452,7 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     # as time shifts of the escaping branch and accumulate
     ladder_opts = SolveOptions(T=opts.T, rtol=1e-12, atol=1e-15,
                                max_step=opts.effective_max_step,
-                               blowup_threshold=opts.blowup_threshold,
-                               domain_margin=opts.domain_margin)
+                               blowup_threshold=opts.blowup_threshold)
     runs = []
     status = None
     for eps in eps_ladder:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,10 +82,17 @@ class TestConservative:
     def test_tilted_kr2014_non_conservative_with_witness(self, tmp_path):
         assert run(tmp_path, "conservative", "--model", "kr2014", "--tilt", "1") == 3
         assert "kind: NonConservative" in (tmp_path / "verdict.txt").read_text()
-        header, rows, _ = read_csv_rows(tmp_path / "witness.csv")
+        header, rows, footer = read_csv_rows(tmp_path / "witness.csv")
         assert header == "t,psi_1,phi"
         exact = -((np.exp(-rows[:, 0] / 2) - 1) ** 2)
         assert np.max(np.abs(rows[:, 1] - exact)) < 1e-6
+        assert re.fullmatch(r"# status=Witness residual=\d\.\d{3}e-\d+ source=osgood-inversion",
+                            footer)
+        lines = (tmp_path / "witness.csv").read_text().splitlines()[1:-1]
+        assert all(line.rsplit(",", 1)[1] == "0" for line in lines)
+
+    def test_ignored_tolerance_flags_are_rejected(self, tmp_path):
+        assert run(tmp_path, "conservative", "--model", "kr2014", "--rtol", "1e-6") == 1
 
 
 class TestMartingale:

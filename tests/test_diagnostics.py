@@ -159,6 +159,12 @@ class TestProbeRoute:
         assert check_reduced_uniqueness(tilted_2d_field(), opts=refined).kind == \
             "NonConservative"
 
+    def test_ladder_must_have_three_rungs(self):
+        from affine_riccati import ConfigError
+        for ladder in ((1e-5, 1e-7), (1e-5, 1e-7, 1e-9, 1e-11)):
+            with pytest.raises(ConfigError):
+                DiagnosticsOptions(eps_ladder=ladder)
+
     def test_2d_lipschitz_field_conservative(self):
         def fun(v):
             return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])

@@ -36,6 +36,13 @@ class TestStateShape:
             StateShape(0, 0)
 
 
+def test_unknown_builtin_model_is_a_config_error():
+    from affine_riccati import AffineRiccatiError, ConfigError, builtin_model
+    with pytest.raises(ConfigError, match="unknown built-in model 'nope'") as info:
+        builtin_model("nope")
+    assert isinstance(info.value, AffineRiccatiError)
+
+
 class TestTruncation:
     def test_componentwise_example(self):
         # m=2, n=1, own coordinate first: cap at 1, zero the other I coordinate

@@ -130,6 +130,16 @@ class TestSolveRiccati:
         exact = 1 - ((1 - w0) * np.exp(-0.5) - 1) ** 2
         assert abs(sol.psi_end[0] - exact) < 1e-9
 
+    def test_complex_phi_end_keeps_imaginary_part(self, feller_model):
+        u0 = 3j
+        sol = solve_riccati(feller_model, np.array([u0]), SolveOptions(T=1.0))
+        phi = sol.phi_end
+        assert isinstance(phi, complex)
+        exact = -0.5 * np.log(1 - u0 * (1 - math.exp(-1.0)))  # -0.3813+0.5428j
+        assert abs(phi - exact) < 1e-9
+        assert isinstance(solve_riccati(feller_model, [-1.0], SolveOptions(T=1.0)).phi_end,
+                          float)
+
 
 class TestPsiJFlow:
     def test_time_zero_is_identity(self, mixed_model):
@@ -296,7 +306,7 @@ class TestSolveMinimal:
 
 
 class TestTrajectoryExport:
-    def test_csv_format_and_precision(self, feller_model):
+    def test_csv_format_and_precision(self, feller_model, kr_model):
         sol = solve_riccati(feller_model, [-1.0], SolveOptions(T=1.0))
         buf = io.StringIO()
         sol.to_csv(buf)
@@ -308,3 +318,13 @@ class TestTrajectoryExport:
         assert t1 == sol.ts[1]
         assert p1 == sol.psi[1, 0]
         assert f1 == sol.phi[1]
+        # a reduced solution carries no phi; its column is written as zeros
+        sol = solve_reduced(kr_model, [-1.0], SolveOptions(T=1.0))
+        buf = io.StringIO()
+        sol.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
+        assert lines[0] == "t,psi_1,phi"
+        assert lines[-1] == "# status=Completed"
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [float(row[1]) for row in rows] == list(sol.psi[:, 0])
+        assert all(row[2] == "0" for row in rows)
