@@ -34,8 +34,10 @@ from scipy import integrate as _sint
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, SolverError
-from .model import AffineModel, StateShape, eval_F, in_domain_Y, reduced_R, validate_model
-from .riccati import SolveOptions, _integrate, _richardson, _try_eval, _write_csv, solve_reduced
+from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
+                    validate_model)
+from .riccati import (SolveOptions, _eval_or_none, _integrate, _richardson, _write_csv,
+                      solve_reduced)
 
 __all__ = [
     "leq_order",
@@ -240,17 +242,18 @@ def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0
     for _ in range(4 * m):
         pts.append(rng.uniform(-rho, rho, size=m))
     worst = 0.0
-    for p in pts:
-        rows = np.zeros((m, m))
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = h
-            fp = _try_eval(field, p + e)
-            fm = _try_eval(field, p - e)
-            if fp is None or fm is None:
-                return None
-            rows[:, k] = (fp - fm) / (2 * h)
-        worst = max(worst, float(np.max(np.sum(np.abs(rows), axis=1))))
+    with quiet_fp():
+        for p in pts:
+            rows = np.zeros((m, m))
+            for k in range(m):
+                e = np.zeros(m)
+                e[k] = h
+                fp = _eval_or_none(field, p + e)
+                fm = _eval_or_none(field, p - e)
+                if fp is None or fm is None:
+                    return None
+                rows[:, k] = (fp - fm) / (2 * h)
+            worst = max(worst, float(np.max(np.sum(np.abs(rows), axis=1))))
     return safety * worst
 
 
@@ -271,12 +274,12 @@ def ode_residual(ts, values, fun) -> float:
     if vals.shape[0] != len(ts):
         vals = vals.T
     fs = np.empty_like(vals)
-    for k in range(len(ts)):
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+    with quiet_fp():
+        for k in range(len(ts)):
             f = np.atleast_1d(np.asarray(fun(vals[k]), dtype=float))
-        if not np.all(np.isfinite(f)):
-            return math.inf
-        fs[k] = f
+            if not np.all(np.isfinite(f)):
+                return math.inf
+            fs[k] = f
     worst = 0.0
     for k in range(len(ts) - 1):
         h = ts[k + 1] - ts[k]
@@ -301,12 +304,13 @@ def _osgood_scan_side(field: ReducedField, sign: int, delta: float):
     for dl in (delta, delta / 4.0, delta / 16.0):
         ws = np.geomspace(1e-7, math.sqrt(dl), 40)
         vals = []
-        for w in ws:
-            f = _try_eval(field, np.array([sign * w * w]))
-            if f is None:
-                vals = None
-                break
-            vals.append(f[0])
+        with quiet_fp():
+            for w in ws:
+                f = _eval_or_none(field, np.array([sign * w * w]))
+                if f is None:
+                    vals = None
+                    break
+                vals.append(f[0])
         if vals is None:
             return "undefined", dl
         vals = np.asarray(vals)
@@ -329,17 +333,18 @@ def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
     cuts = [w_hi] + [w_hi * 10.0 ** (-k) for k in range(1, 8)]
 
     def integrand(w):
-        f = _try_eval(field, np.array([sign * w * w]))
+        f = _eval_or_none(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
 
     incs = []
-    for lo, hi in zip(cuts[1:], cuts[:-1]):
-        val, _ = _sint.quad(integrand, lo, hi, limit=200)
-        incs.append(val)
-        if not math.isfinite(val):
-            return False, incs, math.inf
+    with quiet_fp():
+        for lo, hi in zip(cuts[1:], cuts[:-1]):
+            val, _ = _sint.quad(integrand, lo, hi, limit=200)
+            incs.append(val)
+            if not math.isfinite(val):
+                return False, incs, math.inf
     ratios = [incs[k + 1] / incs[k] for k in range(len(incs) - 1) if incs[k] > 0]
     tail = ratios[-3:]
     if all(r < 0.9 for r in tail):
@@ -363,7 +368,7 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
     npts = opts.witness_points
 
     def speed(w):
-        f = _try_eval(field, np.array([sign * w * w]))
+        f = _eval_or_none(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -372,11 +377,12 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
     w_switch = 1e-4   # |g| = 1e-8 at the layer boundary
     mesh = np.concatenate([[0.0], np.geomspace(1e-9, w_switch, 60)])
     t_cum = [0.0]
-    for lo, hi in zip(mesh[:-1], mesh[1:]):
-        seg, _ = _sint.quad(speed, lo, hi, limit=200)
-        t_cum.append(t_cum[-1] + seg)
-        if not math.isfinite(t_cum[-1]):
-            return None
+    with quiet_fp():
+        for lo, hi in zip(mesh[:-1], mesh[1:]):
+            seg, _ = _sint.quad(speed, lo, hi, limit=200)
+            t_cum.append(t_cum[-1] + seg)
+            if not math.isfinite(t_cum[-1]):
+                return None
     t_cum = np.asarray(t_cum)
     t_switch = float(t_cum[-1])
     g_switch = sign * w_switch ** 2
@@ -496,7 +502,8 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
     if abs(F0) > 1e-12:
         return ConservativenessVerdict(kind=NON_CONSERVATIVE, f0_witness=F0,
                                        reason="constant killing rate (F(0) != 0)")
-    R0 = _try_eval(field, np.zeros(m))
+    with quiet_fp():
+        R0 = _eval_or_none(field, np.zeros(m))
     if R0 is None:
         return ConservativenessVerdict(kind=INCONCLUSIVE,
                                        reason="reduced field undefined at the origin")

@@ -30,8 +30,10 @@ only through the measures supported there.
 
 from __future__ import annotations
 
+import contextvars
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,6 +69,34 @@ _INF = math.inf
 # whose magnitude exceeds the cap are reported as infinite.
 QUAD_ABS_TOL = 1e-10
 QUAD_MAGNITUDE_CAP = 1e12
+
+# True while a run of field evaluations holds one np.errstate (see
+# quiet_fp); eval_F and eval_R then skip entering their own.
+_FP_QUIET = contextvars.ContextVar("affine_riccati_fp_quiet", default=False)
+
+
+@contextmanager
+def quiet_fp():
+    """Silence floating-point warnings for a whole run of field evaluations.
+
+    The Riccati stepper holds this for a whole solve, so that eval_F, eval_R
+    and reduced_R do not enter an np.errstate of their own per call.  The
+    flag is a context variable, so other threads keep their own state.
+    """
+    token = _FP_QUIET.set(True)
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            yield
+    finally:
+        _FP_QUIET.reset(token)
+
+
+def _is_complex(x) -> bool:
+    """np.iscomplexobj for arrays, numpy scalars and Python numbers, by dtype."""
+    try:
+        return x.dtype.kind == "c"
+    except AttributeError:
+        return isinstance(x, complex)
 
 
 @dataclass(frozen=True)
@@ -125,6 +155,10 @@ class LevyMeasure:
     class lifts them to d-vector arguments and provides shared identities
     such as CHI = int (xi ^ 1) mu(dxi) = mean_below(1) + tail_mass(1) for
     positive-support families.
+
+    Measures are immutable after construction: derived constants such as
+    CHI are computed once and kept on the instance, so a subclass must not
+    change its parameters after it is built.
     """
 
     axis: Optional[int] = None
@@ -190,7 +224,14 @@ class LevyMeasure:
     # -- shared identities ---------------------------------------------------
 
     def chi_integral(self) -> float:
-        """CHI = int sign(xi)(|xi| ^ 1) mu(dxi)."""
+        """CHI = int sign(xi)(|xi| ^ 1) mu(dxi), computed once per instance."""
+        chi = self.__dict__.get("_chi")
+        if chi is None:
+            chi = self._chi_integral()
+            object.__setattr__(self, "_chi", chi)  # families are frozen dataclasses
+        return chi
+
+    def _chi_integral(self) -> float:
         return self.mean_below(1.0) + self.tail_mass(1.0)
 
     def chi_mass_above(self, eps: float) -> float:
@@ -233,11 +274,11 @@ class LevyMeasure:
         if self.is_zero:
             return 0.0
         s = self._axis_value(u)
-        if np.iscomplexobj(s):
-            if self._exp_moment_tail(float(np.real(s))) == _INF:
+        if _is_complex(s):
+            if self._exp_moment_tail(float(s.real)) == _INF:
                 raise DomainError("real part of u outside the effective domain")
         val = self._mgf_integral(s)
-        if np.isreal(val) and np.isinf(np.real(val)):
+        if val.imag == 0 and math.isinf(val.real):
             raise DomainError("u outside the effective domain of the jump measure")
         if compensated:
             val = val - s * self.chi_integral()
@@ -317,7 +358,7 @@ class CompoundPoissonExp(LevyMeasure):
         return False
 
     def _mgf_integral(self, s):
-        if not np.iscomplexobj(s) and np.real(s) >= self.jump_rate:
+        if not _is_complex(s) and np.real(s) >= self.jump_rate:
             return _INF
         return self.rate * s / (self.jump_rate - s)
 
@@ -380,7 +421,7 @@ class CompoundPoissonPoint(LevyMeasure):
             return self.rate * math.exp(y * self.size)
         return 0.0
 
-    def chi_integral(self) -> float:
+    def _chi_integral(self) -> float:
         return self.rate * float(np.clip(self.size, -1.0, 1.0))
 
     def tail_mass(self, eps: float) -> float:
@@ -435,7 +476,7 @@ class GammaLevy(LevyMeasure):
 
     def _mgf_integral(self, s):
         # Frullani: int (e^{s xi} - 1) e^{-rho xi} xi^{-1} dxi = log(rho / (rho - s))
-        if not np.iscomplexobj(s) and np.real(s) >= self.rho:
+        if not _is_complex(s) and np.real(s) >= self.rho:
             return _INF
         return -self.c * np.log1p(-s / self.rho)
 
@@ -512,7 +553,7 @@ class TemperedStableHalf(LevyMeasure):
     def _mgf_integral(self, s):
         # int (e^{s xi} - 1) e^{-rho xi} xi^{-3/2} dxi = 2 sqrt(pi) (sqrt(rho) - sqrt(rho - s))
         rho = self.tempering
-        if np.iscomplexobj(s):
+        if _is_complex(s):
             root = np.sqrt(rho - s + 0.0j)
         else:
             if s > rho:
@@ -522,7 +563,7 @@ class TemperedStableHalf(LevyMeasure):
 
     def _mgf_derivative(self, s):
         rho = self.tempering
-        if np.iscomplexobj(s):
+        if _is_complex(s):
             return math.sqrt(math.pi) * self.scale / np.sqrt(rho - s + 0.0j)
         if s > rho:
             return _INF
@@ -717,7 +758,7 @@ class DomainY:
 
     def contains(self, y) -> bool:
         y = np.asarray(y)
-        if np.iscomplexobj(y):
+        if y.dtype.kind == "c":
             y = y.real
         for mu in self.measures:
             if mu.exp_moment(y) == _INF:
@@ -750,7 +791,8 @@ class AffineModel:
     """Parametric affine model on D = R_+^m x R^n.
 
     Immutable after construction; evaluation is pure and reentrant, so
-    instances are safe to share across concurrent tasks.
+    instances are safe to share across concurrent tasks.  Derived constants
+    (the compensation flags, each measure's CHI) are computed once.
     """
 
     shape: StateShape
@@ -763,6 +805,7 @@ class AffineModel:
     gamma: np.ndarray = None
     mus: tuple = None
     beta_JJ: np.ndarray = None
+    _compensated: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n, d = self.shape.m, self.shape.n, self.shape.d
@@ -783,6 +826,8 @@ class AffineModel:
         if len(mus) != m:
             raise ConfigError(f"expected {m} state-linear jump measures, got {len(mus)}")
         object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "_compensated", tuple(
+            mu.is_zero or mu.axis == i or mu.axis in self.shape.J for i, mu in enumerate(mus)))
 
     @property
     def domain(self) -> DomainY:
@@ -790,10 +835,7 @@ class AffineModel:
 
     def measure_compensated(self, i: int) -> bool:
         """Whether chi_i acts on the axis of mu_i (axis in J u {i})."""
-        mu = self.mus[i]
-        if mu.is_zero:
-            return True
-        return mu.axis == i or mu.axis in self.shape.J
+        return self._compensated[i]
 
 
 @dataclass(frozen=True)
@@ -864,15 +906,20 @@ def in_domain_Y(model: AffineModel, y) -> bool:
     return model.domain.contains(y)
 
 
+def _own_errstate():
+    """The np.errstate of a direct evaluation; none inside ``quiet_fp``."""
+    return nullcontext() if _FP_QUIET.get() else np.errstate(invalid="ignore", over="ignore")
+
+
 def eval_F(model: AffineModel, u, check_domain: bool = True):
     """The constant functional characteristic F(u)."""
     u = np.asarray(u)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    with np.errstate(invalid="ignore", over="ignore"):
+    with _own_errstate():
         val = u @ (model.a @ u) + model.b @ u - model.c
         val = val + model.mu0.lk_integral(u, compensated=True)
-    if not np.iscomplexobj(u):
+    if u.dtype.kind != "c":
         return float(val)
     return complex(val)
 
@@ -884,12 +931,12 @@ def eval_R(model: AffineModel, u, check_domain: bool = True):
         raise DomainError("u outside the effective domain Y")
     shape = model.shape
     m, n = shape.m, shape.n
-    dtype = complex if np.iscomplexobj(u) else float
+    dtype = complex if u.dtype.kind == "c" else float
     out = np.zeros(shape.d, dtype=dtype)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in shape.I:
+    with _own_errstate():
+        for i, compensated in enumerate(model._compensated):
             val = model.alpha[i] * u[i] ** 2 + model.beta_I[i] @ u - model.gamma[i]
-            val = val + model.mus[i].lk_integral(u, compensated=model.measure_compensated(i))
+            val = val + model.mus[i].lk_integral(u, compensated=compensated)
             out[i] = val
         if n:
             out[m:] = model.beta_JJ.T @ u[m:]

@@ -23,6 +23,14 @@ Termination statuses:
 * Equilibrium  - ||R(psi)|| stayed below atol for 10 consecutive accepted
                  steps; the trajectory is continued to T as an exact constant
                  (phi continues linearly at its frozen rate).
+
+Cost of a step: one ``model.quiet_fp`` (an np.errstate plus a flag that
+tells ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the
+whole solve.  The seven stage derivatives of a step are rows of one array,
+and the stage and error combinations reduce it along the stage axis in the
+order of the tableau, so the trajectories are the same bits as a term-by-term
+sum.  Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
+globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
-from .model import AffineModel, eval_F, eval_R, in_domain_Y, reduced_R
+from .model import AffineModel, eval_F, eval_R, in_domain_Y, quiet_fp, reduced_R
 
 __all__ = [
     "SolveOptions",
@@ -142,7 +150,7 @@ class RiccatiSolution:
         """phi(T): a complex for complex solves, a float for real ones."""
         if self.phi is None:
             return None
-        return complex(self.phi[-1]) if np.iscomplexobj(self.phi) else float(self.phi[-1])
+        return complex(self.phi[-1]) if self.phi.dtype.kind == "c" else float(self.phi[-1])
 
     def eval(self, t) -> np.ndarray:
         """Cubic Hermite interpolation of psi at times t (scalar or array)."""
@@ -200,7 +208,6 @@ def _hermite_eval(ts, ys, fs, t):
 
 
 # Dormand-Prince 5(4) tableau (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -213,20 +220,38 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+# The same rows as columns, to weight a stacked (stages, dim) array.
+_A_COLS = [row[:, None] for row in _A]
+_E_COL = _E[:, None]
 
 
-def _try_eval(field, y):
-    """Evaluate the field; None signals a rejected (non-finite) evaluation."""
+def _combine(weights, k):
+    """sum_j weights[j] * k[j] over the leading stages of the stacked array.
+
+    Adds the terms in stage order, starting from 0, as a Python sum would.
+    Complex stages are reduced as (re, im) pairs of floats: numpy's complex
+    reduction regroups four or more terms, the real one keeps the order.
+    """
+    stages = len(weights)
+    terms = weights * k[:stages].view(float)
+    return np.add.reduce(terms, axis=0, initial=0.0).view(k.dtype)
+
+
+def _eval_or_none(field, y):
+    """The field at y, or None when it raises or is non-finite.
+
+    The caller holds ``quiet_fp`` (or its own np.errstate).
+    """
     try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            f = np.asarray(field(y))
+        f = np.asarray(field(y))
     except (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
         return None
-    if not np.all(np.isfinite(f.view(float) if np.iscomplexobj(f) else f)):
+    if not np.isfinite(f).all():
         return None
     return f
 
 
+@quiet_fp()
 def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
                rate_dim: Optional[int] = None) -> RiccatiSolution:
     """Adaptive DP5(4) loop shared by all solvers.
@@ -234,51 +259,55 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     ``rate_dim``: number of leading components whose rate decides
     equilibrium (and blow-up magnitude); defaults to all components.
     The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
+    One ``quiet_fp`` covers the whole solve.
     """
     y = np.array(y0)
     dim = y.shape[0]
     nr = rate_dim if rate_dim is not None else dim
-    f = _try_eval(field, y)
+    f = _eval_or_none(field, y)
     if f is None:
         raise DomainError("vector field undefined at the initial condition")
+    dtype = np.result_type(y, f, float)
 
     T = opts.T
+    t_stop = T - 1e-14 * max(1.0, T)
+    atol, rtol = opts.atol, opts.rtol
     hmax, hmin = opts.effective_max_step, opts.effective_min_step
     ts = [0.0]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ys = [y]
+    fs = [f]
     t = 0.0
     h = min(hmax, T / 100.0)
     eq_run = 0
     status = None
     safety, order_exp = 0.9, 0.2
 
-    def err_norm(y_old, y_new, err):
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-        return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-
-    while t < T - 1e-14 * max(1.0, T):
+    while t < t_stop:
         h = min(h, T - t, hmax)
         if h < hmin:
             status = _classify_collapse(t, y, f, opts, nr, ts, ys)
             break
 
-        k = [f]
+        # stage derivatives, stacked; a fresh array per step, so accepted
+        # rows can be kept without copies
+        k = np.empty((7, dim), dtype)
+        k[0] = f
         failed = False
         for stage in range(1, 7):
-            ystage = y + h * sum(aij * kj for aij, kj in zip(_A[stage], k))
-            fstage = _try_eval(field, ystage)
+            ystage = y + h * _combine(_A_COLS[stage], k)
+            fstage = _eval_or_none(field, ystage)
             if fstage is None:
                 failed = True
                 break
-            k.append(fstage)
+            k[stage] = fstage
         if failed:
             h *= 0.3
             continue
 
         y_new = ystage  # stage 6 uses the b-row: FSAL
-        err = h * sum(e * kj for e, kj in zip(_E, k))
-        en = err_norm(y, y_new, err)
+        err = h * _combine(_E_COL, k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        en = math.sqrt((np.abs(err / scale) ** 2).sum() / dim)
         if not math.isfinite(en):
             h *= 0.3
             continue
@@ -291,11 +320,11 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
         y = y_new
         f = k[6]
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f.copy())
+        ys.append(y)
+        fs.append(f)
 
-        rate = float(np.max(np.abs(f[:nr]))) if nr else 0.0
-        eq_run = eq_run + 1 if rate < opts.atol else 0
+        rate = float(np.abs(f[:nr]).max()) if nr else 0.0
+        eq_run = eq_run + 1 if rate < atol else 0
         if eq_run >= _EQUILIBRIUM_RUN and t < T:
             status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=t)
             # analytic continuation: psi constant, phi linear at frozen rate
@@ -306,7 +335,7 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
             fs.append(f_cont)
             break
 
-        mag = float(np.max(np.abs(y[:nr]))) if nr else 0.0
+        mag = float(np.abs(y[:nr]).max()) if nr else 0.0
         if mag > opts.blowup_threshold:
             radial = float(np.real(np.vdot(y[:nr], f[:nr])))
             if radial > 0.0:
@@ -328,7 +357,7 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
 
 def _classify_collapse(t, y, f, opts, nr, ts, ys):
     """Step collapse: blow-up when large and growing, domain exit otherwise."""
-    mag = float(np.max(np.abs(y[:nr]))) if nr else 0.0
+    mag = float(np.abs(y[:nr]).max()) if nr else 0.0
     radial = float(np.real(np.vdot(y[:nr], f[:nr])))
     if mag > 0.01 * opts.blowup_threshold and radial > 0.0:
         return SolveStatus(SolveStatus.BLOWUP, t_event=_extrapolate_blowup(ts, ys, nr))
@@ -339,7 +368,7 @@ def _extrapolate_blowup(ts, ys, nr):
     """Root of a linear fit to w = 1 / ||psi|| over the last accepted steps."""
     pts = min(5, len(ts))
     tt = np.asarray(ts[-pts:], dtype=float)
-    ww = np.array([1.0 / max(np.max(np.abs(y[:nr])), 1e-300) for y in ys[-pts:]])
+    ww = np.array([1.0 / max(np.abs(y[:nr]).max(), 1e-300) for y in ys[-pts:]])
     if pts >= 2:
         des = np.vstack([np.ones_like(tt), tt]).T
         coef, *_ = np.linalg.lstsq(des, ww, rcond=None)
@@ -353,7 +382,7 @@ def _as_initial(u0, d, name="u0"):
     u0 = np.atleast_1d(np.asarray(u0))
     if u0.shape != (d,):
         raise ConfigError(f"{name} must have length {d}")
-    return u0.astype(complex) if np.iscomplexobj(u0) else u0.astype(float)
+    return u0.astype(complex) if u0.dtype.kind == "c" else u0.astype(float)
 
 
 def solve_riccati(model: AffineModel, u0, opts: SolveOptions) -> RiccatiSolution:
@@ -377,15 +406,13 @@ def solve_tilted(model: AffineModel, l: float, lam, u0, opts: SolveOptions) -> R
 
 def _solve_full(model, u0, opts, l, lam):
     d = model.shape.d
-    dtype = complex if np.iscomplexobj(u0) else float
+    dtype = u0.dtype
 
     def field(z):
         psi = z[:d]
-        dpsi = eval_R(model, psi, check_domain=False) - lam
-        dphi = eval_F(model, psi, check_domain=False) - l
         out = np.empty(d + 1, dtype=dtype)
-        out[:d] = dpsi
-        out[d] = dphi
+        out[:d] = eval_R(model, psi, check_domain=False) - lam
+        out[d] = eval_F(model, psi, check_domain=False) - l
         return out
 
     z0 = np.zeros(d + 1, dtype=dtype)
@@ -443,7 +470,11 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     ordinary solution.
 
     Returns (ts, psi (k,d), phi (k,), status of the finest member).
+    ``eps_ladder`` must have exactly three entries (a three-point
+    Richardson extrapolation); anything else is a ``ConfigError``.
     """
+    if len(eps_ladder) != 3:
+        raise ConfigError("eps_ladder must have exactly three entries")
     d, m = model.shape.d, model.shape.m
     u0 = np.asarray(u0, dtype=float).reshape(d)
     lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float).reshape(d)
@@ -472,8 +503,8 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
 
 
 def _richardson(g1, g2, g3):
-    d21 = float(np.max(np.abs(g2 - g1)))
-    d32 = float(np.max(np.abs(g3 - g2)))
+    d21 = float(np.abs(g2 - g1).max())
+    d32 = float(np.abs(g3 - g2).max())
     if d32 < 1e-14 or d21 < 1e-14:
         return g3
     r = min(d32 / d21, 0.9)

@@ -234,20 +234,28 @@ class TestCriterion7TransformFormula:
                                 f"runtime {elapsed:.0f}s")
 
 
+@pytest.fixture(scope="module")
+def kr2014_gap():
+    """The one martingale_gap run that 8a and 8b both read: the same model,
+    spec and options would give the same report twice."""
+    return martingale_gap(kr2014(), TestCriterion8MartingaleGap.SPEC,
+                          TestCriterion8MartingaleGap.OPTS)
+
+
 class TestCriterion8MartingaleGap:
     OPTS = SimOptions(x0=[1.0], T=2.0, dt=2e-3, npaths=100_000, seed=7, jump_trunc=1e-4)
     SPEC = TiltSpec(theta=[1.0], l=0.0, lam=[0.0])
 
-    def test_interval_excludes_martingale_value(self):
-        gap = martingale_gap(kr2014(), self.SPEC, self.OPTS)
+    def test_interval_excludes_martingale_value(self, kr2014_gap):
+        gap = kr2014_gap
         z = (gap.mean - gap.martingale_value) / gap.stderr
         ok = gap.excludes_martingale and gap.mean + 4 * gap.stderr < math.e
         assert report("8a", ok, f"mean={gap.mean:.4f}, 4se-interval upper "
                                 f"{gap.mean + 4 * gap.stderr:.4f} < e={math.e:.4f} "
                                 f"(z={z:+.0f})")
 
-    def test_interval_contains_minimal_prediction(self):
-        gap = martingale_gap(kr2014(), self.SPEC, self.OPTS)
+    def test_interval_contains_minimal_prediction(self, kr2014_gap):
+        gap = kr2014_gap
         z = abs(gap.survival_mean - gap.predicted) / gap.survival_stderr
         z_plain = (gap.mean - gap.predicted) / gap.stderr
         ok = z <= 4.0

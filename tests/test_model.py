@@ -259,3 +259,67 @@ class TestImmutability:
     def test_exp_moment_at_zero_finite(self, analytic_measures):
         for name, mu in analytic_measures.items():
             assert mu.exp_moment(np.zeros(1)) < math.inf, name
+
+
+class TestDerivedConstants:
+    """Constants derived once per measure or model, and the warning contract
+    of the public field evaluations."""
+
+    def test_cached_chi_equals_fresh_computation(self, analytic_measures):
+        for name, mu in analytic_measures.items():
+            thetas = [-0.5] + ([0.5] if mu.exp_bound > 0.5 else [])
+            for measure in [mu] + [mu.tilted(t) for t in thetas]:
+                fresh = measure.mean_below(1.0) + measure.tail_mass(1.0)
+                assert measure.chi_integral() == fresh, name
+                assert measure.chi_integral() == fresh, name  # the kept value
+
+    def test_exp_tilted_chi_quadratures_run_once(self, monkeypatch):
+        import affine_riccati.model as model_module
+        from affine_riccati.model import ExpTiltedMeasure, TemperedStableHalf
+
+        mu = ExpTiltedMeasure(TemperedStableHalf(scale=0.3, tempering=1.2, axis=0), 0.4)
+        model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], alpha=[0.0],
+                            beta_I=[[-1.0]], mus=(mu,))
+        calls = []
+        quad = model_module._quad_interval
+        monkeypatch.setattr(model_module, "_quad_interval",
+                            lambda *args, **kw: calls.append(args[1:3]) or quad(*args, **kw))
+        first = eval_R(model, [-0.5])
+        n_first = len(calls)
+        second = eval_R(model, [-0.5])
+        n_second = len(calls) - n_first
+        assert np.array_equal(first, second)
+        # the second evaluation skips the two chi quadratures, mean_below(1)
+        # on (0, 1) and tail_mass(1) on (1, oo), and keeps the others
+        assert n_second > 0
+        assert n_first - n_second == 2
+
+    def test_compensation_flags(self, mixed_model, exp_jump_model):
+        assert mixed_model.measure_compensated(0)
+        pair = AffineModel(shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
+                           alpha=[0.0, 0.0], beta_I=np.zeros((2, 2)),
+                           mus=(exp_jump_model.mus[0], exp_jump_model.mus[0]))
+        # mu_2 sits on axis 0, in I \ {2}: its jumps enter uncompensated
+        assert pair.measure_compensated(0) and not pair.measure_compensated(1)
+
+    def test_direct_evaluations_raise_no_warnings(self, feller_model, mixed_model):
+        import warnings
+
+        from affine_riccati import SolveOptions, solve_riccati
+
+        def check():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert eval_R(feller_model, [1e200])[0] == math.inf
+                assert not np.isfinite(eval_R(feller_model, [1e200 + 1e200j])[0])
+                assert reduced_R(feller_model, [1e200])[0] == math.inf
+                assert eval_F(mixed_model, [0.0, 1e200, 1e200]) == math.inf
+
+        check()
+        # a solve silences warnings for its own evaluations only
+        solve_riccati(feller_model, [0.5], SolveOptions(T=0.1))
+        check()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                np.array([1e200]) ** 2

@@ -9,6 +9,7 @@ import pytest
 from affine_riccati import (
     AffineModel,
     CompoundPoissonExp,
+    ConfigError,
     DomainError,
     SolveOptions,
     StateShape,
@@ -74,6 +75,42 @@ class TestOracleValidity:
                 v += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
                 t += h
             assert v == pytest.approx(kr_psi(2.0, u0), abs=1e-10)
+
+
+class TestStepper:
+    def test_stage_combination_is_the_term_by_term_sum(self):
+        # the stacked reduction must give the bits of a Python sum over the
+        # stages, for real and complex states of dimension 1 to 3 (complex
+        # dimension 1 is where numpy's own complex reduction regroups terms)
+        from affine_riccati.riccati import _A, _A_COLS, _E, _E_COL, _combine
+
+        rng = np.random.default_rng(5)
+        specials = np.array([0.0, -0.0, 1e-300, -1e300, 5e-324])
+        for _ in range(400):
+            dim = int(rng.integers(1, 4))
+            parts = [rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-20, 20, size=(7, dim))
+                     for _ in range(2)]
+            for part in parts:
+                mask = rng.random(part.shape) < 0.2
+                part[mask] = rng.choice(specials, size=int(mask.sum()))
+            for k in (parts[0], parts[0] + 1j * parts[1]):
+                for weights, col in [*zip(_A[1:], _A_COLS[1:]), (_E, _E_COL)]:
+                    ref = sum(w * kj for w, kj in zip(weights, k))
+                    assert _combine(col, k).tobytes() == ref.tobytes()
+
+    def test_quiet_flag_is_per_thread(self):
+        import threading
+
+        from affine_riccati.model import _FP_QUIET, quiet_fp
+
+        seen = []
+        with quiet_fp():
+            worker = threading.Thread(target=lambda: seen.append(_FP_QUIET.get()))
+            worker.start()
+            worker.join(timeout=10)
+            inside = _FP_QUIET.get()
+        assert not worker.is_alive()
+        assert seen == [False] and inside and not _FP_QUIET.get()
 
 
 class TestSolveRiccati:
@@ -303,6 +340,12 @@ class TestSolveMinimal:
         exact = 1.0 - (np.exp(-ts / 2) - 1) ** 2
         assert np.max(np.abs(psi[:, 0] - exact)) < 1e-5
         assert np.allclose(phi, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ladder", [(1e-5, 1e-7, 1e-9, 1e-11), (1e-5, 1e-7)])
+    def test_ladder_must_have_three_rungs(self, kr_model, ladder):
+        # the limit is a three-point Richardson extrapolation
+        with pytest.raises(ConfigError, match="exactly three"):
+            solve_minimal(kr_model, [1.0], SolveOptions(T=1.0), eps_ladder=ladder)
 
 
 class TestTrajectoryExport:
