@@ -50,10 +50,27 @@ def _resolve_model(name: str):
                       f"or a model file path, got {name!r}")
 
 
-def _write_report(path: str, lines) -> None:
+def _report(path: str, lines) -> None:
+    """Write the report lines to path and print them."""
     with open(path, "w") as fh:
         for line in lines:
             fh.write(line + "\n")
+    for line in lines:
+        print(line)
+
+
+# exit code of each conservativeness and martingale verdict kind
+_VERDICT_EXIT = {"Conservative": 0, "TrueMartingale": 0, "NonConservative": 3,
+                 "StrictLocalMartingale": 3, "Inconclusive": 4, "NotApplicable": 5}
+
+
+def _report_verdict(args, verdict, lines) -> int:
+    """Write verdict.txt and, with a witness, witness.csv; print; exit code."""
+    _report(os.path.join(args.out, "verdict.txt"), lines)
+    if verdict.witness is not None:
+        verdict.witness.to_csv(os.path.join(args.out, "witness.csv"))
+        print("witness_csv: witness.csv")
+    return _VERDICT_EXIT[verdict.kind]
 
 
 def _add_model_arg(p):
@@ -150,14 +167,7 @@ def _cmd_conservative(args) -> int:
     if args.tilt is not None:
         model = esscher.tilt_model(model, _vector(args.tilt))
     verdict = diagnostics.check_conservative(model)
-    lines = verdict.report_lines()
-    _write_report(os.path.join(args.out, "verdict.txt"), lines)
-    if verdict.witness is not None:
-        verdict.witness.to_csv(os.path.join(args.out, "witness.csv"))
-        lines.append("witness_csv: witness.csv")
-    for line in lines:
-        print(line)
-    return {"Conservative": 0, "NonConservative": 3, "Inconclusive": 4}[verdict.kind]
+    return _report_verdict(args, verdict, verdict.report_lines())
 
 
 def _cmd_martingale(args) -> int:
@@ -171,15 +181,7 @@ def _cmd_martingale(args) -> int:
         lam = _vector(args.lam) if args.lam is not None else np.zeros(model.shape.d)
     spec = esscher.TiltSpec(theta=theta, l=l, lam=lam)
     verdict = esscher.martingale_check(model, spec)
-    lines = verdict.report_lines(spec)
-    _write_report(os.path.join(args.out, "verdict.txt"), lines)
-    if verdict.witness is not None:
-        verdict.witness.to_csv(os.path.join(args.out, "witness.csv"))
-        lines.append("witness_csv: witness.csv")
-    for line in lines:
-        print(line)
-    return {"TrueMartingale": 0, "StrictLocalMartingale": 3,
-            "Inconclusive": 4, "NotApplicable": 5}[verdict.kind]
+    return _report_verdict(args, verdict, verdict.report_lines(spec))
 
 
 def _cmd_simulate(args) -> int:
@@ -195,10 +197,7 @@ def _cmd_simulate(args) -> int:
         lam = _vector(args.lam) if args.lam is not None else eval_R(model, theta)
         spec = esscher.TiltSpec(theta=theta, l=l, lam=lam)
         report = montecarlo.martingale_gap(model, spec, opts)
-        lines = report.report_lines()
-        _write_report(os.path.join(args.out, "report.txt"), lines)
-        for line in lines:
-            print(line)
+        _report(os.path.join(args.out, "report.txt"), report.report_lines())
         return 0
     ens = montecarlo.simulate_paths(model, opts)
     path = os.path.join(args.out, "ensemble.csv")
@@ -214,10 +213,7 @@ def _cmd_check_formula(args) -> int:
                                  npaths=args.npaths, seed=args.seed,
                                  jump_trunc=args.jump_trunc)
     report = montecarlo.affine_formula_check(model, opts, _vector(args.u))
-    lines = report.report_lines()
-    _write_report(os.path.join(args.out, "report.txt"), lines)
-    for line in lines:
-        print(line)
+    _report(os.path.join(args.out, "report.txt"), report.report_lines())
     if not report.applicable:
         return 2
     return 5 if report.flagged else 0

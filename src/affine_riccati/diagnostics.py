@@ -10,8 +10,8 @@ backed by a machine-checkable artifact:
                       around the origin (unique by Picard-Lindelof), or an
                       exact Osgood divergence statement in the scalar case.
 * NonConservative   - the killing value F(0) != 0, or a non-trivial witness
-                      trajectory from g(0) = 0 whose ODE defect is below
-                      1e-6 and whose sup norm exceeds 1e-4.
+                      trajectory from g(0) = 0 whose ODE defect is strictly
+                      below 1e-6 and whose sup norm exceeds 1e-4.
 * Inconclusive      - with the reason recorded.
 
 The decision pipeline: killing fast paths, then the Lipschitz certificate,
@@ -21,6 +21,22 @@ probe ladder started at -eps * 1 and Richardson-extrapolated toward the
 minimal branch.  Probes run on the negative side because non-trivial
 solutions from 0 are bounded below by the minimal solution, so non-uniqueness
 materializes there.
+
+Fixed constants of the pipeline:
+
+* Lipschitz radii 0.5, 0.25, 0.1, 0.03, 0.01, tried in turn.  A field
+  without an analytic bound (``ReducedField.jacobian_bound``) gets the
+  ``numeric-sampled`` bound: central difference quotients at the cube
+  corners, the origin and 4m seeded interior points, times 2.  It is a
+  refined sampled check, not a proof: the quotients are also taken at a
+  step 100 times smaller, and a row sum that more than doubles there
+  (a root- or cusp-type point) withholds the bound.
+* Osgood side scans start at |v| <= 0.25; the witness grid has 1201 points,
+  graded quadratically over the horizon 3.
+* The probe ladder and the forward witness run to the checkpoint time 1 on
+  1201 points.  Their solves use rtol 1e-10, atol 1e-13 and a step cap of
+  1/200 of the horizon; the Osgood witness tail caps steps at 1/300 of its
+  span.
 """
 
 from __future__ import annotations
@@ -36,8 +52,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, SolverError
 from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
                     validate_model)
-from .riccati import (SolveOptions, _eval_or_none, _integrate, _richardson, _write_csv,
-                      solve_reduced)
+from .riccati import (SolveOptions, _eps_ladder, _eval_or_none, _integrate, _richardson,
+                      _write_csv, solve_reduced)
 
 __all__ = [
     "leq_order",
@@ -63,6 +79,14 @@ _WITNESS_RESIDUAL_TOL = 1e-6
 _WITNESS_NONTRIVIAL = 1e-4
 _COMPARISON_TOL = 1e-7
 
+_RADIUS_LADDER = (0.5, 0.25, 0.1, 0.03, 0.01)
+_OSGOOD_DELTA = 0.25
+_CHECKPOINT_TIME = 1.0    # horizon of the probe ladder and the forward witness
+_WITNESS_HORIZON = 3.0    # horizon of the Osgood witness
+_WITNESS_POINTS = 1201
+_RTOL = 1e-10
+_ATOL = 1e-13
+
 
 def leq_order(shape: StateShape, u, v, tol: float = 0.0) -> bool:
     """The cone partial order: u_i <= v_i on I and u_J = v_J (within tol)."""
@@ -76,28 +100,24 @@ def leq_order(shape: StateShape, u, v, tol: float = 0.0) -> bool:
 
 @dataclass(frozen=True)
 class DiagnosticsOptions:
-    checkpoint_time: float = 1.0
+    """The probe ladder; every other setting of the pipeline is fixed."""
+
     eps_ladder: tuple = (1e-5, 1e-7, 1e-9)
-    radius_ladder: tuple = (0.5, 0.25, 0.1, 0.03, 0.01)
-    osgood_delta: float = 0.25
-    witness_horizon: float = 3.0
-    witness_points: int = 1201
-    rtol: float = 1e-10
-    atol: float = 1e-13
 
     def __post_init__(self):
         # the ladder limit is a three-point Richardson extrapolation
         if len(self.eps_ladder) != 3:
             raise ConfigError("eps_ladder must have exactly three entries")
 
-    def solve_options(self, T: float) -> SolveOptions:
-        # step cap keeps the interpolation error of witness grids below the
-        # 1e-6 residual budget
-        return SolveOptions(T=T, rtol=self.rtol, atol=self.atol, max_step=T / 200.0)
-
     def refined(self, factor: float = 0.1) -> "DiagnosticsOptions":
         """The same options with the probe ladder refined by one decade."""
         return replace(self, eps_ladder=tuple(e * factor for e in self.eps_ladder))
+
+
+def _solve_options(T: float) -> SolveOptions:
+    # step cap keeps the interpolation error of witness grids below the
+    # 1e-6 residual budget
+    return SolveOptions(T=T, rtol=_RTOL, atol=_ATOL, max_step=T / 200.0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +199,6 @@ class ReducedField:
     fun: Callable
     m: int
     jacobian_bound: Optional[Callable] = None
-    label: str = "reduced field"
 
     def __call__(self, v):
         return np.atleast_1d(np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float))
@@ -194,7 +213,7 @@ class ReducedField:
         def jac_bound(rho):
             return _model_jacobian_bound(model, rho)
 
-        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, label="model reduced field")
+        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound)
 
 
 def _model_jacobian_bound(model: AffineModel, rho: float):
@@ -234,7 +253,8 @@ def _model_jacobian_bound(model: AffineModel, rho: float):
 
 
 def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0):
-    """FD Jacobian bound at the cube corners plus interior samples, x safety."""
+    """FD Jacobian bound at the cube corners plus interior samples, x safety;
+    None when a row sum more than doubles from step h to h / 100."""
     m = field.m
     h = max(1e-7, 1e-7 * rho)
     pts = [np.full(m, rho), np.full(m, -rho), np.zeros(m)]
@@ -244,23 +264,25 @@ def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0
     worst = 0.0
     with quiet_fp():
         for p in pts:
-            rows = np.zeros((m, m))
-            for k in range(m):
-                e = np.zeros(m)
-                e[k] = h
-                fp = _eval_or_none(field, p + e)
-                fm = _eval_or_none(field, p - e)
-                if fp is None or fm is None:
-                    return None
-                rows[:, k] = (fp - fm) / (2 * h)
-            worst = max(worst, float(np.max(np.sum(np.abs(rows), axis=1))))
+            row_sums = []
+            for step in (h, h / 100.0):
+                rows = np.zeros((m, m))
+                for k, e in enumerate(np.eye(m) * step):
+                    fp, fm = _eval_or_none(field, p + e), _eval_or_none(field, p - e)
+                    if fp is None or fm is None:
+                        return None
+                    rows[:, k] = (fp - fm) / (2 * step)
+                row_sums.append(np.sum(np.abs(rows), axis=1))
+            if np.any(row_sums[1] > 2.0 * row_sums[0]):
+                return None
+            worst = max(worst, float(np.max(row_sums[0])))
     return safety * worst
 
 
-def _witness_grid(horizon: float, points: int) -> np.ndarray:
+def _witness_grid(horizon: float) -> np.ndarray:
     """Quadratically graded grid: witnesses behave like fractional powers of
     t at the origin, where uniform spacing leaves a visible trapezoid defect."""
-    return horizon * np.linspace(0.0, 1.0, points) ** 2
+    return horizon * np.linspace(0.0, 1.0, _WITNESS_POINTS) ** 2
 
 
 def ode_residual(ts, values, fun) -> float:
@@ -268,6 +290,7 @@ def ode_residual(ts, values, fun) -> float:
 
     The field is evaluated only at the grid values themselves, so the defect
     stays meaningful for fields whose derivative blows up at the origin.
+    Intervals with h <= 0 and intervals whose defect is NaN are skipped.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
@@ -280,14 +303,26 @@ def ode_residual(ts, values, fun) -> float:
             if not np.all(np.isfinite(f)):
                 return math.inf
             fs[k] = f
-    worst = 0.0
-    for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        if h <= 0:
-            continue
-        defect = np.max(np.abs((vals[k + 1] - vals[k]) / h - 0.5 * (fs[k] + fs[k + 1])))
-        worst = max(worst, float(defect))
-    return worst
+    h = np.diff(ts)
+    step = h > 0
+    defect = np.abs((vals[1:][step] - vals[:-1][step]) / h[step, None]
+                    - 0.5 * (fs[:-1][step] + fs[1:][step])).max(axis=1)
+    defect = defect[~np.isnan(defect)]
+    return float(defect.max(initial=0.0))
+
+
+def _verified(residual: float) -> bool:
+    return residual < _WITNESS_RESIDUAL_TOL  # strictly below the 1e-6 budget
+
+
+def _accepted(witness: Optional[WitnessTrajectory]) -> bool:
+    """A verified witness with sup norm above 1e-4 certifies non-uniqueness."""
+    return witness is not None and _verified(witness.residual) \
+        and witness.max_norm > _WITNESS_NONTRIVIAL
+
+
+def _inconclusive(reason: str) -> ConservativenessVerdict:
+    return ConservativenessVerdict(kind=INCONCLUSIVE, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +330,13 @@ def ode_residual(ts, values, fun) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _osgood_scan_side(field: ReducedField, sign: int, delta: float):
+def _osgood_scan_side(field: ReducedField, sign: int):
     """Classify one side of the origin for a scalar field.
 
     Returns (status, delta_used): status in {"escape", "inward", "undefined",
     "mixed"}.  Escape means the field points away from 0 on the whole side.
     """
-    for dl in (delta, delta / 4.0, delta / 16.0):
+    for dl in (_OSGOOD_DELTA, _OSGOOD_DELTA / 4.0, _OSGOOD_DELTA / 16.0):
         ws = np.geomspace(1e-7, math.sqrt(dl), 40)
         vals = []
         with quiet_fp():
@@ -320,28 +355,36 @@ def _osgood_scan_side(field: ReducedField, sign: int, delta: float):
             return "inward", dl
         if np.all(sign * vals >= 0) or np.all(sign * vals <= 0):
             continue  # zeros among samples: shrink and retry
-    return "mixed", delta
+    return "mixed", _OSGOOD_DELTA
 
 
-def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
-    """Increments of int 2w dw / |f(sign w^2)| over a shrinking lower cutoff.
+def _time_density(field: ReducedField, sign: int) -> Callable:
+    """w -> 2w / |f(sign w^2)|, the Osgood time density in w = sqrt|v|.
 
     The substitution v = sign * w^2 removes square-root-type endpoint
-    singularities.  Returns (convergent: bool | None, increments, total).
+    singularities; a zero or undefined field value gives +inf.
     """
-    w_hi = math.sqrt(delta)
-    cuts = [w_hi] + [w_hi * 10.0 ** (-k) for k in range(1, 8)]
-
-    def integrand(w):
+    def density(w):
         f = _eval_or_none(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
 
+    return density
+
+
+def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
+    """Increments of the Osgood time integral over a shrinking lower cutoff.
+
+    Returns (convergent: bool | None, increments, total).
+    """
+    w_hi = math.sqrt(delta)
+    cuts = [w_hi] + [w_hi * 10.0 ** (-k) for k in range(1, 8)]
+    density = _time_density(field, sign)
     incs = []
     with quiet_fp():
         for lo, hi in zip(cuts[1:], cuts[:-1]):
-            val, _ = _sint.quad(integrand, lo, hi, limit=200)
+            val, _ = _sint.quad(density, lo, hi, limit=200)
             incs.append(val)
             if not math.isfinite(val):
                 return False, incs, math.inf
@@ -356,30 +399,21 @@ def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
     return None, incs, math.nan
 
 
-def _osgood_witness(field: ReducedField, sign: int, delta: float,
-                    opts: DiagnosticsOptions) -> Optional[WitnessTrajectory]:
+def _osgood_witness(field: ReducedField, sign: int) -> Optional[WitnessTrajectory]:
     """Minimal escaping solution from 0 via time-map inversion plus an RK tail.
 
     The layer near the origin inverts t(g) = int dv / f(v) in the w = sqrt|v|
     variable; once |g| clears the singular layer the trajectory is continued
     by the adaptive stepper, which carries the accuracy burden.
     """
-    horizon = opts.witness_horizon
-    npts = opts.witness_points
-
-    def speed(w):
-        f = _eval_or_none(field, np.array([sign * w * w]))
-        if f is None or f[0] == 0.0:
-            return math.inf
-        return 2.0 * w / abs(f[0])
-
     # cumulative time map on a graded w-mesh
     w_switch = 1e-4   # |g| = 1e-8 at the layer boundary
     mesh = np.concatenate([[0.0], np.geomspace(1e-9, w_switch, 60)])
+    density = _time_density(field, sign)
     t_cum = [0.0]
     with quiet_fp():
         for lo, hi in zip(mesh[:-1], mesh[1:]):
-            seg, _ = _sint.quad(speed, lo, hi, limit=200)
+            seg, _ = _sint.quad(density, lo, hi, limit=200)
             t_cum.append(t_cum[-1] + seg)
             if not math.isfinite(t_cum[-1]):
                 return None
@@ -388,18 +422,18 @@ def _osgood_witness(field: ReducedField, sign: int, delta: float,
     g_switch = sign * w_switch ** 2
 
     # RK tail from the layer boundary
-    tail_T = horizon - t_switch
+    tail_T = _WITNESS_HORIZON - t_switch
     if tail_T <= 0:
         return None
-    sopts = SolveOptions(T=tail_T, rtol=opts.rtol, atol=opts.atol,
+    sopts = SolveOptions(T=tail_T, rtol=_RTOL, atol=_ATOL,
                          max_step=tail_T / 300.0, blowup_threshold=1e10)
     try:
         tail = _integrate(field, np.array([g_switch]), sopts)
     except DomainError:
         return None
 
-    grid = _witness_grid(min(horizon, t_switch + tail.t_end), npts)
-    vals = np.empty((npts, 1))
+    grid = _witness_grid(min(_WITNESS_HORIZON, t_switch + tail.t_end))
+    vals = np.empty((_WITNESS_POINTS, 1))
     layer = grid <= t_switch
     if np.any(layer):
         # invert the time map: w(t) is smooth through the origin
@@ -430,7 +464,7 @@ def _crossing_time(grid, norms, level):
     return float(t0 + (level - y0) / (y1 - y0) * (t1 - t0))
 
 
-def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
+def _probe_field(field: ReducedField, opts: DiagnosticsOptions) -> ConservativenessVerdict:
     """Integrate from -eps * 1 over the ladder; detect a non-trivial limit.
 
     Probe runs track the minimal solution ahead of schedule: run k equals the
@@ -438,32 +472,38 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
     the finest run shifted right by its extrapolated lag; a time-shifted
     solution of an autonomous system carries no extra ODE defect, which a
     pointwise value extrapolation would near a non-Lipschitz origin.
-
-    Returns ("nontrivial", witness) | ("collapsed", None) | ("failed", reason).
     """
     m = field.m
-    T = opts.checkpoint_time
+    T = _CHECKPOINT_TIME
+    sopts = _solve_options(T)
+
+    def probe(start):  # start = -eps * 1
+        try:
+            return _integrate(field, start, sopts)
+        except DomainError:
+            raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
+
+    try:
+        sols = _eps_ladder(probe, np.zeros(m), m, opts.eps_ladder)
+    except DomainError as exc:
+        return _inconclusive(str(exc))
+    sol = sols[-1]   # the finest run, or the one that missed the horizon
+    if not sol.status.reached_horizon:
+        eps = opts.eps_ladder[len(sols) - 1]
+        return _inconclusive(f"probe at eps={eps:g} terminated with {sol.status.label()}")
+
     # uniform grid: the shifted-run construction is extrapolation-limited
     # near the origin, where a graded grid would amplify value error through
     # the unbounded field derivative
-    grid = np.linspace(0.0, T, opts.witness_points)
-    runs = []
-    for eps in opts.eps_ladder:
-        try:
-            sol = _integrate(field, np.full(m, -eps), opts.solve_options(T))
-        except DomainError:
-            return "failed", f"probe at eps={eps:g} started outside the field domain"
-        if not sol.status.reached_horizon:
-            return "failed", f"probe at eps={eps:g} terminated with {sol.status.label()}"
-        runs.append(sol.eval(grid))
-
+    grid = np.linspace(0.0, T, _WITNESS_POINTS)
+    runs = [s.eval(grid) for s in sols]
     terminal = [float(np.max(np.abs(r[-1]))) for r in runs]
     if terminal[-1] < 1e-3:
-        return "collapsed", None
+        return _inconclusive("probe trajectories collapse to 0 but no Lipschitz certificate exists")
     d21 = float(np.max(np.abs(runs[1] - runs[0])))
     d32 = float(np.max(np.abs(runs[2] - runs[1])))
     if d21 > 0 and d32 / max(d21, 1e-300) > 1.0:
-        return "failed", "probe trajectories do not converge along the ladder"
+        return _inconclusive("probe trajectories do not converge along the ladder")
 
     # lag extrapolation from a shared level crossing
     level = 0.1 * terminal[-1]
@@ -473,7 +513,6 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
         # the lag is the extrapolated crossing time minus the finest run's
         shift = _richardson(*times) - times[2]
 
-    # sol is the finest run
     limit = np.zeros((len(grid), m))
     past = grid >= shift
     inside = past & (grid - shift <= sol.t_end)
@@ -483,7 +522,10 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions):
     residual = ode_residual(grid, limit, field)
     witness = WitnessTrajectory(ts=grid, values=limit, residual=residual,
                                 source="probe-extrapolation")
-    return "nontrivial", witness
+    if _accepted(witness):
+        return ConservativenessVerdict(kind=NON_CONSERVATIVE, witness=witness)
+    return _inconclusive(f"probe limit failed witness validation "
+                         f"(residual {witness.residual:.2e}, sup {witness.max_norm:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +547,14 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
     with quiet_fp():
         R0 = _eval_or_none(field, np.zeros(m))
     if R0 is None:
-        return ConservativenessVerdict(kind=INCONCLUSIVE,
-                                       reason="reduced field undefined at the origin")
+        return _inconclusive("reduced field undefined at the origin")
     if float(np.max(np.abs(R0))) > 1e-12:
-        witness = _forward_witness(field, opts)
-        return ConservativenessVerdict(kind=NON_CONSERVATIVE, witness=witness,
+        return ConservativenessVerdict(kind=NON_CONSERVATIVE, witness=_forward_witness(field),
                                        reason="origin is not an equilibrium of the "
                                               "reduced field (linear killing)")
 
     # Lipschitz certificate on a shrinking ball
-    for rho in opts.radius_ladder:
+    for rho in _RADIUS_LADDER:
         bound = None
         if field.jacobian_bound is not None:
             bound = field.jacobian_bound(rho)
@@ -527,64 +567,41 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
                 kind=CONSERVATIVE,
                 certificate=LipschitzCertificate(radius=rho, bound=bound, method=method))
 
-    # exact scalar route
+    # exact scalar route, else the multi-dimensional probe ladder
     if m == 1:
-        verdict = _scalar_osgood(field, opts)
-        if verdict is not None:
-            return verdict
-
-    # multi-dimensional probe ladder
-    outcome, witness = _probe_field(field, opts)
-    if outcome == "nontrivial":
-        if witness.residual < _WITNESS_RESIDUAL_TOL and witness.max_norm > _WITNESS_NONTRIVIAL:
-            return ConservativenessVerdict(kind=NON_CONSERVATIVE, witness=witness)
-        return ConservativenessVerdict(
-            kind=INCONCLUSIVE,
-            reason=f"probe limit failed witness validation "
-                   f"(residual {witness.residual:.2e}, sup {witness.max_norm:.2e})")
-    if outcome == "collapsed":
-        return ConservativenessVerdict(
-            kind=INCONCLUSIVE,
-            reason="probe trajectories collapse to 0 but no Lipschitz certificate exists")
-    return ConservativenessVerdict(kind=INCONCLUSIVE, reason=witness if isinstance(witness, str)
-                                   else "probe failed")
+        return _scalar_osgood(field)
+    return _probe_field(field, opts)
 
 
-def _scalar_osgood(field: ReducedField, opts: DiagnosticsOptions):
+def _scalar_osgood(field: ReducedField) -> ConservativenessVerdict:
     sides = []
     for sign, label in ((-1, "negative side"), (1, "positive side")):
-        status, delta = _osgood_scan_side(field, sign, opts.osgood_delta)
+        status, delta = _osgood_scan_side(field, sign)
         if status == "mixed":
-            return ConservativenessVerdict(
-                kind=INCONCLUSIVE,
-                reason=f"reduced field changes sign arbitrarily close to 0 ({label})")
+            return _inconclusive(f"reduced field changes sign arbitrarily close to 0 ({label})")
         if status in ("undefined", "inward"):
             sides.append((label, status))
             continue
         convergent, incs, total = _osgood_integral_ladder(field, sign, delta)
         if convergent is True:
-            witness = _osgood_witness(field, sign, delta, opts)
-            if witness is None or witness.residual > _WITNESS_RESIDUAL_TOL \
-                    or witness.max_norm <= _WITNESS_NONTRIVIAL:
-                return ConservativenessVerdict(
-                    kind=INCONCLUSIVE,
-                    reason="Osgood integral converges but witness construction failed")
+            witness = _osgood_witness(field, sign)
+            if not _accepted(witness):
+                return _inconclusive("Osgood integral converges but witness construction failed")
             return ConservativenessVerdict(kind=NON_CONSERVATIVE, witness=witness)
         if convergent is False:
             sides.append((label, "divergent"))
         else:
-            return ConservativenessVerdict(
-                kind=INCONCLUSIVE, reason=f"Osgood integral classification ambiguous ({label})")
+            return _inconclusive(f"Osgood integral classification ambiguous ({label})")
     return ConservativenessVerdict(kind=CONSERVATIVE, certificate=OsgoodCertificate(tuple(sides)))
 
 
-def _forward_witness(field: ReducedField, opts: DiagnosticsOptions):
+def _forward_witness(field: ReducedField):
     """Forward trajectory from 0 (used when 0 is not an equilibrium)."""
     try:
-        sol = _integrate(field, np.zeros(field.m), opts.solve_options(opts.checkpoint_time))
+        sol = _integrate(field, np.zeros(field.m), _solve_options(_CHECKPOINT_TIME))
     except DomainError:
         return None
-    grid = _witness_grid(sol.t_end, opts.witness_points)
+    grid = _witness_grid(sol.t_end)
     vals = sol.eval(grid)
     return WitnessTrajectory(ts=grid, values=vals,
                              residual=ode_residual(grid, vals, field),
@@ -602,7 +619,7 @@ def check_conservative(model: AffineModel,
     try:
         return check_reduced_uniqueness(field, F0=F0, opts=opts)
     except SolverError as exc:
-        return ConservativenessVerdict(kind=INCONCLUSIVE, reason=f"solver failure: {exc}")
+        return _inconclusive(f"solver failure: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +641,11 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts,
     ts = np.asarray(ts, dtype=float)
     m = model.shape.m
     uI = np.asarray(uI, dtype=float).reshape(m)
-    T = float(ts[-1])
-    runs = []
-    for eps in opts.eps_ladder:
-        sol = solve_reduced(model, uI - eps, opts.solve_options(T))
-        if not sol.status.reached_horizon:
-            raise SolverError(f"minimal-branch probe terminated with {sol.status.label()}")
-        runs.append(sol.eval(ts))
-    out = np.array(_richardson(*runs))
+    sopts = _solve_options(float(ts[-1]))
+    sols = _eps_ladder(lambda start: solve_reduced(model, start, sopts), uI, m, opts.eps_ladder)
+    if not sols[-1].status.reached_horizon:
+        raise SolverError(f"minimal-branch probe terminated with {sols[-1].status.label()}")
+    out = np.array(_richardson(*[sol.eval(ts) for sol in sols]))
     if ts[0] == 0.0:
         out[0] = uI  # the ladder limit at t = 0 is exact
     return out
@@ -642,17 +656,15 @@ def comparison_check(model: AffineModel, uI, g_ts, g_values,
     """Check the comparison property g(t) >= psi_I(t, (uI, 0)) on the grid.
 
     ``g_values`` must be a verified solution of the reduced system from uI
-    (ODE residual below 1e-6).  Returns (ok, max_violation).
+    (ODE residual strictly below 1e-6).  Returns (ok, max_violation).
     """
-    if opts is None:
-        opts = DiagnosticsOptions()
     g_ts = np.asarray(g_ts, dtype=float)
     g_values = np.atleast_2d(np.asarray(g_values, dtype=float))
     if g_values.shape[0] != len(g_ts):
         g_values = g_values.T
     field = ReducedField.from_model(model)
     res = ode_residual(g_ts, g_values, field)
-    if res > _WITNESS_RESIDUAL_TOL:
+    if not _verified(res):
         raise SolverError(f"trajectory is not a verified solution (residual {res:.2e})")
     psi = minimal_reduced_trajectory(model, uI, g_ts, opts)
     violation = float(np.max(psi - g_values))

@@ -151,6 +151,20 @@ def tilt_model(model: AffineModel, theta) -> AffineModel:
     )
 
 
+def _identity_failure(model: AffineModel, spec: TiltSpec):
+    """(condition, reason) of the first of F(theta) = l, R(theta) = lambda
+    that fails at the relative tolerance IDENTITY_TOL, or None."""
+    theta = spec.theta.reshape(model.shape.d)
+    lam = spec.lam.reshape(model.shape.d)
+    F_theta = eval_F(model, theta)
+    R_theta = eval_R(model, theta)
+    if abs(F_theta - spec.l) > IDENTITY_TOL * (1.0 + abs(spec.l)):
+        return "F(theta) = l", f"F(theta)={F_theta:.12g} differs from l={spec.l:.12g}"
+    if float(np.linalg.norm(R_theta - lam)) > IDENTITY_TOL * (1.0 + float(np.linalg.norm(lam))):
+        return "R(theta) = lambda", "R(theta) differs from lambda"
+    return None
+
+
 def martingale_check(model: AffineModel, spec: TiltSpec,
                      opts: Optional[DiagnosticsOptions] = None) -> MartingaleVerdict:
     """Classify the discounted exponential functional for (theta, l, lambda).
@@ -163,7 +177,6 @@ def martingale_check(model: AffineModel, spec: TiltSpec,
         opts = DiagnosticsOptions()
     d = model.shape.d
     theta = spec.theta.reshape(d)
-    lam = spec.lam.reshape(d)
 
     base = check_conservative(model, opts)
     if not base.conservative:
@@ -174,17 +187,10 @@ def martingale_check(model: AffineModel, spec: TiltSpec,
     if not in_domain_Y(model, theta):
         return MartingaleVerdict(kind=NOT_APPLICABLE, failed_condition="theta in Y")
 
-    F_theta = eval_F(model, theta)
-    R_theta = eval_R(model, theta)
-    if abs(F_theta - spec.l) > IDENTITY_TOL * (1.0 + abs(spec.l)):
-        return MartingaleVerdict(
-            kind=NOT_APPLICABLE, failed_condition="F(theta) = l",
-            reason=f"F(theta)={F_theta:.12g} differs from l={spec.l:.12g}")
-    lam_norm = float(np.linalg.norm(lam))
-    if float(np.linalg.norm(R_theta - lam)) > IDENTITY_TOL * (1.0 + lam_norm):
-        return MartingaleVerdict(
-            kind=NOT_APPLICABLE, failed_condition="R(theta) = lambda",
-            reason="R(theta) differs from lambda")
+    failed = _identity_failure(model, spec)
+    if failed is not None:
+        condition, reason = failed
+        return MartingaleVerdict(kind=NOT_APPLICABLE, failed_condition=condition, reason=reason)
 
     try:
         tilted = tilt_model(model, theta)

@@ -205,6 +205,10 @@ class LevyMeasure:
         """[(location, mass)] for purely atomic families, else None."""
         return None
 
+    def validate(self):
+        """Violations of the family's parameter constraints; none by default."""
+        return []
+
     # -- admissible exponential range --------------------------------------
 
     @property
@@ -260,8 +264,6 @@ class LevyMeasure:
 
     def exp_moment(self, y) -> float:
         """int_{||xi|| >= 1} e^{<y, xi>} mu(dxi) for a real vector y."""
-        if self.is_zero:
-            return 0.0
         s = self._axis_value(y)
         return self._exp_moment_tail(float(np.real(s)))
 
@@ -271,8 +273,6 @@ class LevyMeasure:
         ``compensated`` states whether the truncation acts on this measure's
         axis (true for mu_0 and for coordinates in J u {i} of mu_i).
         """
-        if self.is_zero:
-            return 0.0
         s = self._axis_value(u)
         if _is_complex(s):
             if self._exp_moment_tail(float(s.real)) == _INF:
@@ -286,8 +286,6 @@ class LevyMeasure:
 
     def lk_derivative(self, u, compensated: bool = True):
         """d/du_axis of lk_integral (other partials vanish)."""
-        if self.is_zero:
-            return 0.0
         s = self._axis_value(u)
         val = self._mgf_derivative(s)
         if compensated:
@@ -314,23 +312,14 @@ class ZeroJumps(LevyMeasure):
     def lk_derivative(self, u, compensated: bool = True):
         return 0.0
 
-    def chi_integral(self) -> float:
-        return 0.0
-
     def tail_mass(self, eps: float) -> float:
         return 0.0
 
     def mean_below(self, eps: float) -> float:
         return 0.0
 
-    def chi_mass_above(self, eps: float) -> float:
-        return 0.0
-
     def tilted(self, theta: float) -> "ZeroJumps":
         return self
-
-    def validate(self):
-        return []
 
 
 @dataclass(frozen=True)
@@ -682,9 +671,6 @@ class ExpTiltedMeasure(LevyMeasure):
 
     def tail_proposal(self, eps, u):
         raise ConfigError("quadrature-tilted measures do not support path sampling")
-
-    def validate(self):
-        return []
 
 
 def _quad_interval(f, lo, hi, abs_tol):

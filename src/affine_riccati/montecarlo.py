@@ -58,8 +58,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, SolverError
-from .esscher import IDENTITY_TOL, TiltSpec, tilt_model
-from .model import AffineModel, TemperedStableHalf, eval_F, eval_R, validate_model
+from .esscher import TiltSpec, _identity_failure, tilt_model
+from .model import AffineModel, TemperedStableHalf, validate_model
 from .riccati import SolveOptions, _write_csv, solve_minimal, solve_riccati
 
 __all__ = [
@@ -91,7 +91,7 @@ CASCADE_ROUND_CAP = 10_000
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Euler scheme configuration."""
+    """Euler scheme configuration; states are recorded every ``stride`` steps."""
 
     x0: np.ndarray
     T: float
@@ -99,11 +99,13 @@ class SimOptions:
     npaths: int = 10_000
     seed: int = 0
     jump_trunc: float = 1e-3
-    record_stride: Optional[int] = None
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x0", x0)
+        for name, value in (("x0", x0), ("T", self.T), ("dt", self.dt)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"SimOptions.{name} must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be > 0")
         if self.T <= 0:
@@ -112,8 +114,6 @@ class SimOptions:
             raise ConfigError("npaths must be >= 1")
         if not (0.0 < self.jump_trunc <= 1.0):
             raise ConfigError("jump_trunc must lie in (0, 1]")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
 
     @property
     def nsteps(self) -> int:
@@ -121,8 +121,6 @@ class SimOptions:
 
     @property
     def stride(self) -> int:
-        if self.record_stride is not None:
-            return self.record_stride
         return max(1, self.nsteps // 100)
 
 
@@ -488,8 +486,7 @@ class GapReport:
         ]
 
 
-def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions,
-                   ci_width: float = 3.0) -> GapReport:
+def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapReport:
     """Estimate E[S~_T] and compare against the martingale value e^{<theta,x0>}.
 
     The predicted mean comes from the minimal Riccati solution:
@@ -502,8 +499,8 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions,
     tilted model is simulated with the same options, its tempered
     1/2-stable jumps by exact frozen-intensity subordinator increments, and
     the surviving fraction gives a bounded-variance estimate of E[S~_T].
-    That estimate decides ``excludes_martingale`` (at ``ci_width`` standard
-    errors) and ``z_vs_predicted``; where its Bernoulli standard error is
+    That estimate decides ``excludes_martingale`` (at 3 standard errors)
+    and ``z_vs_predicted``; where its Bernoulli standard error is
     zero, the resolution floor e^{<theta,x0>} / npaths takes its place (see
     GapReport).  The plain mean of S~_T over the base model's paths is
     reported alongside.  Raises SolverError when a tilted path runs out of
@@ -514,14 +511,10 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions,
     sampler, and the call raises ConfigError for it, plain estimate
     included; the built-in measure families are all closed under tilting.
     """
-    d = model.shape.d
-    theta = spec.theta.reshape(d)
-    F_theta = eval_F(model, theta)
-    R_theta = eval_R(model, theta)
-    if abs(F_theta - spec.l) > IDENTITY_TOL * (1.0 + abs(spec.l)):
-        raise ConfigError("spec fails the algebraic condition F(theta) = l")
-    if np.linalg.norm(R_theta - spec.lam) > IDENTITY_TOL * (1.0 + np.linalg.norm(spec.lam)):
-        raise ConfigError("spec fails the algebraic condition R(theta) = lambda")
+    theta = spec.theta.reshape(model.shape.d)
+    failed = _identity_failure(model, spec)
+    if failed is not None:
+        raise ConfigError(f"spec fails the algebraic condition {failed[0]}")
 
     ts, psi_min, phi_min, _ = solve_minimal(model, theta, SolveOptions(T=opts.T),
                                             l=spec.l, lam=spec.lam)
@@ -539,7 +532,7 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions,
     # when all tilted paths survive (or none does) the Bernoulli standard
     # error vanishes; the estimate still cannot resolve less than one path
     se = survival_stderr if survival_stderr > 0 else martingale_value / tilted.npaths
-    excludes = abs(survival_mean - martingale_value) > ci_width * se
+    excludes = abs(survival_mean - martingale_value) > 3.0 * se
     z_pred = (survival_mean - predicted) / se
 
     ens = simulate_paths(model, opts)

@@ -61,38 +61,39 @@ __all__ = [
 _EQUILIBRIUM_RUN = 10  # consecutive accepted steps with ||R(psi)|| < atol
 
 
+def _step_floor(T: float) -> float:
+    return 1e-13 * max(1.0, T)  # shorter steps count as a step collapse
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Stepper configuration for one solve."""
+    """Stepper configuration for one solve; the step floor is 1e-13 * max(1, T)."""
 
     T: float
     rtol: float = 1e-9
     atol: float = 1e-12
     max_step: Optional[float] = None
-    min_step: Optional[float] = None
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
+        for name in ("T", "rtol", "atol", "max_step", "blowup_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"SolveOptions.{name} must be finite")
         if self.T <= 0:
             raise ConfigError("SolveOptions.T must be > 0")
         if self.rtol <= 0 or self.atol <= 0:
             raise ConfigError("tolerances must be > 0")
         if self.blowup_threshold <= 0:
             raise ConfigError("blowup_threshold must be > 0")
-        if self.effective_min_step >= self.effective_max_step:
-            raise ConfigError("min_step must be smaller than max_step")
+        if _step_floor(self.T) >= self.effective_max_step:
+            raise ConfigError("max_step must exceed the step floor 1e-13 * max(1, T)")
 
     @property
     def effective_max_step(self) -> float:
         if self.max_step is not None:
             return self.max_step
         return min(0.1, self.T / 20.0) if self.T > 2e-12 else self.T
-
-    @property
-    def effective_min_step(self) -> float:
-        if self.min_step is not None:
-            return self.min_step
-        return 1e-13 * max(1.0, self.T)
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     T = opts.T
     t_stop = T - 1e-14 * max(1.0, T)
     atol, rtol = opts.atol, opts.rtol
-    hmax, hmin = opts.effective_max_step, opts.effective_min_step
+    hmax, hmin = opts.effective_max_step, _step_floor(T)
     ts = [0.0]
     ys = [y]
     fs = [f]
@@ -387,25 +388,20 @@ def _as_initial(u0, d, name="u0"):
 
 def solve_riccati(model: AffineModel, u0, opts: SolveOptions) -> RiccatiSolution:
     """Integrate d psi = R(psi), d phi = F(psi) from psi(0) = u0, phi(0) = 0."""
-    d = model.shape.d
-    u0 = _as_initial(u0, d)
-    if not in_domain_Y(model, u0):
-        raise DomainError("u0 outside the effective domain Y")
-    return _solve_full(model, u0, opts, l=0.0, lam=np.zeros(d))
+    return _solve_full(model, u0, opts, 0.0, np.zeros(model.shape.d))
 
 
 def solve_tilted(model: AffineModel, l: float, lam, u0, opts: SolveOptions) -> RiccatiSolution:
     """Integrate the discounted system d psi = R(psi) - lambda, d phi = F(psi) - l."""
+    return _solve_full(model, u0, opts, float(l), lam)
+
+
+def _solve_full(model, u0, opts, l, lam):
     d = model.shape.d
     u0 = _as_initial(u0, d)
     lam = np.asarray(lam, dtype=float).reshape(d)
     if not in_domain_Y(model, u0):
         raise DomainError("u0 outside the effective domain Y")
-    return _solve_full(model, u0, opts, l=float(l), lam=lam)
-
-
-def _solve_full(model, u0, opts, l, lam):
-    d = model.shape.d
     dtype = u0.dtype
 
     def field(z):
@@ -458,8 +454,7 @@ def blowup_time(model: AffineModel, u0, Tmax: float, opts: Optional[SolveOptions
 
 
 def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
-                  l: float = 0.0, lam=None,
-                  eps_ladder=(1e-5, 1e-7, 1e-9), grid_points: int = 201):
+                  l: float = 0.0, lam=None, eps_ladder=(1e-5, 1e-7, 1e-9)):
     """Minimal-branch solve of the (optionally discounted) system from u0.
 
     At boundary points of Y where the field is not Lipschitz the flow started
@@ -469,37 +464,48 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     At interior points all ladder members agree and the limit is the
     ordinary solution.
 
-    Returns (ts, psi (k,d), phi (k,), status of the finest member).
-    ``eps_ladder`` must have exactly three entries (a three-point
-    Richardson extrapolation); anything else is a ``ConfigError``.
+    Returns (ts, psi (k,d), phi (k,), status of the finest member) on 201
+    uniform times.  ``eps_ladder`` must have exactly three entries (a
+    three-point Richardson extrapolation); anything else is a ``ConfigError``.
     """
     if len(eps_ladder) != 3:
         raise ConfigError("eps_ladder must have exactly three entries")
     d, m = model.shape.d, model.shape.m
     u0 = np.asarray(u0, dtype=float).reshape(d)
     lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float).reshape(d)
-    ts = np.linspace(0.0, opts.T, grid_points)
+    ts = np.linspace(0.0, opts.T, 201)
     # tight per-step tolerances: near a square-root boundary step errors act
     # as time shifts of the escaping branch and accumulate
     ladder_opts = SolveOptions(T=opts.T, rtol=1e-12, atol=1e-15,
                                max_step=opts.effective_max_step,
                                blowup_threshold=opts.blowup_threshold)
-    runs = []
-    status = None
-    for eps in eps_ladder:
-        shift = u0.copy()
-        shift[:m] -= eps
-        sol = solve_tilted(model, l, lam, shift, ladder_opts)
-        status = sol.status
-        if not sol.status.reached_horizon:
-            # explosion/domain exit: the minimal solution diverges as well
-            return sol.ts, sol.psi, sol.phi, sol.status
-        runs.append((sol.eval(ts), sol.eval_phi(ts)))
-    psi = _richardson(*[r[0] for r in runs])
-    phi = _richardson(*[r[1][:, None] for r in runs])[:, 0]
+    sols = _eps_ladder(lambda start: solve_tilted(model, l, lam, start, ladder_opts),
+                       u0, m, eps_ladder)
+    finest = sols[-1]
+    if not finest.status.reached_horizon:
+        # explosion/domain exit: the minimal solution diverges as well
+        return finest.ts, finest.psi, finest.phi, finest.status
+    psi = _richardson(*[sol.eval(ts) for sol in sols])
+    phi = _richardson(*[sol.eval_phi(ts)[:, None] for sol in sols])[:, 0]
     psi[0] = u0  # the ladder limit at t = 0 is exact
     phi[0] = 0.0
-    return ts, psi, phi, status
+    return ts, psi, phi, finest.status
+
+
+def _eps_ladder(solve: Callable, u0: np.ndarray, m: int, eps_ladder) -> list:
+    """``solve(start)`` at u0 - eps on the first m coordinates, for each eps.
+
+    Stops at the first solution that misses the horizon, which is then the
+    last one returned; exceptions of ``solve`` propagate.
+    """
+    sols = []
+    for eps in eps_ladder:
+        start = u0.copy()
+        start[:m] -= eps
+        sols.append(solve(start))
+        if not sols[-1].status.reached_horizon:
+            break
+    return sols
 
 
 def _richardson(g1, g2, g3):

@@ -68,6 +68,11 @@ class TestSolve:
     def test_unknown_model_is_usage_error(self, tmp_path):
         assert run(tmp_path, "solve", "--model", "nope", "--u0", "0", "--T", "1") == 1
 
+    def test_non_finite_horizon_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "solve", "--model", "feller", "--u0", "0.5", "--T", "nan") == 1
+        assert "SolveOptions.T must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestConservative:
     def test_kr2014_conservative(self, tmp_path):
@@ -155,6 +160,16 @@ class TestSimulateAndFormula:
         values = dict(line.split(": ") for line in text.splitlines())
         assert 0.0 < float(values["survival_mean"]) < math.e
         assert float(values["survival_stderr"]) > 0.0
+
+
+class TestNonFiniteSimulation:
+    @pytest.mark.parametrize("flag, name", [("--T", "T"), ("--dt", "dt")])
+    def test_nan_is_usage_error(self, tmp_path, capsys, flag, name):
+        args = {"--T": "0.1", "--dt": "0.01", flag: "nan"}
+        code = run(tmp_path, "simulate", "--model", "feller", "--x0", "1", "--npaths", "10",
+                   *[tok for item in args.items() for tok in item])
+        assert code == 1
+        assert f"SimOptions.{name} must be finite" in capsys.readouterr().err
 
 
 class TestExportAndRoundTrip:

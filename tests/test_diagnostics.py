@@ -19,7 +19,8 @@ from affine_riccati import (
     order_preservation_test,
     tilt_model,
 )
-from affine_riccati.diagnostics import minimal_reduced_trajectory, ode_residual
+from affine_riccati.diagnostics import (WitnessTrajectory, _accepted, minimal_reduced_trajectory,
+                                        ode_residual)
 
 WITNESS_RESIDUAL_TOL = 1e-6
 WITNESS_NONTRIVIAL = 1e-4
@@ -32,7 +33,7 @@ def power_field(p):
         with np.errstate(invalid="ignore"):
             return -((-v) ** p)
 
-    return ReducedField(fun=fun, m=1, label=f"power p={p}")
+    return ReducedField(fun=fun, m=1)
 
 
 def tilted_2d_field():
@@ -42,7 +43,7 @@ def tilted_2d_field():
         with np.errstate(invalid="ignore"):
             return np.array([-v[0] - np.sqrt(-v[0]), -v[1] - np.sqrt(-v[1])])
 
-    return ReducedField(fun=fun, m=2, label="decoupled 2d")
+    return ReducedField(fun=fun, m=2)
 
 
 class TestOrder:
@@ -170,6 +171,165 @@ class TestProbeRoute:
             return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])
         verdict = check_reduced_uniqueness(ReducedField(fun=fun, m=2))
         assert verdict.kind == "Conservative"
+
+
+def scaled_2d_field(k):
+    """tilted_2d_field sped up k-fold: its witness is too steep for the grid."""
+
+    def fun(v):
+        with np.errstate(invalid="ignore"):
+            return k * np.array([-v[0] - np.sqrt(-v[0]), -v[1] - np.sqrt(-v[1])])
+
+    return ReducedField(fun=fun, m=2)
+
+
+class TestRoutes:
+    """Which stage of the pipeline decides, on small closed-form fields."""
+
+    def test_field_undefined_at_origin(self):
+        verdict = check_reduced_uniqueness(ReducedField(fun=np.log, m=1))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason == "reduced field undefined at the origin"
+
+    def test_osgood_sign_change(self):
+        # sqrt(-v) sin(log(-v)) changes sign on every decade toward 0 and is
+        # undefined for v > 0, so no Lipschitz bound exists
+        def fun(v):
+            a = -v
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(a) * np.sin(np.log(np.where(a > 0, a, 1.0)))
+
+        verdict = check_reduced_uniqueness(ReducedField(fun=fun, m=1))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason == "reduced field changes sign arbitrarily close to 0 (negative side)"
+
+    def test_osgood_witness_below_sup_norm_floor_rejected(self):
+        # g = -(c t / 2)^2 escapes, but only to sup 2.25e-6 by the horizon 3
+        slow = power_field(0.5).fun
+        verdict = check_reduced_uniqueness(ReducedField(fun=lambda v: 1e-3 * slow(v), m=1))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason == "Osgood integral converges but witness construction failed"
+        assert verdict.witness is None
+
+    def test_probe_witness_above_residual_budget_rejected(self):
+        verdict = check_reduced_uniqueness(scaled_2d_field(10.0))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason.startswith("probe limit failed witness validation (residual ")
+        residual = float(verdict.reason.split("residual ")[1].split(",")[0])
+        assert residual >= WITNESS_RESIDUAL_TOL
+
+    def test_numeric_sampled_method(self):
+        def fun(v):
+            return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])
+
+        cert = check_reduced_uniqueness(ReducedField(fun=fun, m=2)).certificate
+        assert (cert.method, cert.radius) == ("numeric-sampled", 0.5)
+        assert cert.bound == pytest.approx(3.0, rel=1e-8)  # 2 x the row sum 1.5
+
+    def test_analytic_corner_method(self, kr_model):
+        field = ReducedField(fun=lambda v: -v, m=1, jacobian_bound=lambda rho: 1.0)
+        cert = check_reduced_uniqueness(field).certificate
+        assert (cert.method, cert.radius, cert.bound) == ("analytic-corner", 0.5, 1.0)
+        assert check_conservative(kr_model).certificate.method == "analytic-corner"
+
+    def test_forward_solve_witness_source(self):
+        verdict = check_reduced_uniqueness(ReducedField(fun=lambda v: 1.0 + v, m=1))
+        assert verdict.kind == "NonConservative"
+        assert verdict.reason == "origin is not an equilibrium of the reduced field (linear killing)"
+        w = verdict.witness
+        assert w.source == "forward-solve"
+        assert w.residual < WITNESS_RESIDUAL_TOL
+        # g' = 1 + g from 0: g = e^t - 1 up to the checkpoint time 1
+        assert w.ts[-1] == 1.0
+        assert np.max(np.abs(w.values[:, 0] - np.expm1(w.ts))) < 1e-8
+
+
+class TestNumericLipschitzRefinement:
+    """The sampled bound is withheld where the difference quotients grow
+    as the step shrinks, so root-type fields reach the Osgood test."""
+
+    def test_sign_sqrt_is_non_conservative(self):
+        # g = -(t/2)^2 solves g' = sign(g) sqrt|g| from 0
+        field = ReducedField(fun=lambda v: np.sign(v) * np.sqrt(np.abs(v)), m=1)
+        verdict = check_reduced_uniqueness(field)
+        assert verdict.kind == "NonConservative"
+        w = verdict.witness
+        assert w.source == "osgood-inversion"
+        assert w.residual < WITNESS_RESIDUAL_TOL
+        assert np.max(np.abs(w.values[:, 0] + (w.ts / 2.0) ** 2)) < 1e-6
+
+    def test_cube_root_is_not_certified(self):
+        verdict = check_reduced_uniqueness(ReducedField(fun=np.cbrt, m=1))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.certificate is None
+
+    def test_inward_sign_sqrt_is_conservative_by_osgood(self):
+        field = ReducedField(fun=lambda v: -np.sign(v) * np.sqrt(np.abs(v)), m=1)
+        verdict = check_reduced_uniqueness(field)
+        assert verdict.kind == "Conservative"
+        assert verdict.certificate.sides == (("negative side", "inward"),
+                                             ("positive side", "inward"))
+
+    @pytest.mark.parametrize("fun, m, bound", [
+        (lambda v: np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]]), 2, 3.0000000006413785),
+        (power_field(1.0).fun, 1, 2.0000000000575113),
+        (power_field(2.0).fun, 1, 1.9999999995023998),
+        (lambda v: np.sin(3 * v) - v ** 3, 1, 5.99999999999989),
+    ])
+    def test_lipschitz_fields_keep_their_constants(self, fun, m, bound):
+        cert = check_reduced_uniqueness(ReducedField(fun=fun, m=m)).certificate
+        assert (cert.method, cert.radius, cert.bound) == ("numeric-sampled", 0.5, bound)
+
+
+class TestWitnessAcceptance:
+    def witness(self, residual, sup):
+        ts = np.linspace(0.0, 1.0, 3)
+        return WitnessTrajectory(ts=ts, values=np.full((3, 1), -sup), residual=residual,
+                                 source="probe-extrapolation")
+
+    def test_residual_bound_is_strict(self):
+        assert _accepted(self.witness(np.nextafter(WITNESS_RESIDUAL_TOL, 0.0), 0.1))
+        assert not _accepted(self.witness(WITNESS_RESIDUAL_TOL, 0.1))
+
+    def test_sup_norm_floor_is_strict(self):
+        assert _accepted(self.witness(1e-9, np.nextafter(WITNESS_NONTRIVIAL, 1.0)))
+        assert not _accepted(self.witness(1e-9, WITNESS_NONTRIVIAL))
+        assert not _accepted(None)
+
+
+class TestOdeResidual:
+    @staticmethod
+    def loop_residual(ts, vals, fun):
+        """The defect interval by interval, as a plain loop."""
+        fs = [np.atleast_1d(fun(v)) for v in vals]
+        worst = 0.0
+        for k in range(len(ts) - 1):
+            h = ts[k + 1] - ts[k]
+            if h <= 0:
+                continue
+            defect = np.max(np.abs((vals[k + 1] - vals[k]) / h - 0.5 * (fs[k] + fs[k + 1])))
+            worst = max(worst, float(defect))
+        return worst
+
+    def test_matches_the_interval_loop(self):
+        rng = np.random.default_rng(5)
+        ts = np.sort(rng.uniform(0.0, 2.0, 300))
+        ts[[40, 41]] = ts[40]            # h = 0
+        ts[100], ts[101] = ts[101], ts[100]  # h < 0
+        vals = rng.normal(size=(300, 2))
+
+        def fun(v):
+            return np.array([np.sin(v[0]) - v[1], v[0] * v[1]])
+
+        assert ode_residual(ts, vals, fun) == self.loop_residual(ts, vals, fun)
+
+    def test_nan_intervals_are_skipped(self):
+        # a NaN value makes the first interval's defect NaN; the others count
+        ts = np.array([0.0, 0.1, 0.2, 0.4])
+        vals = np.array([[np.nan, 0.0], [1.0, 0.1], [1.0, 0.2], [1.0, 0.7]])
+        fun = lambda v: np.zeros(2)  # noqa: E731
+        assert ode_residual(ts, vals, fun) == pytest.approx(2.5)
+        assert ode_residual(ts, vals, fun) == self.loop_residual(ts, vals, fun)
 
 
 class TestWitnessValidity:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affine_riccati import (
     AffineModel,
     DomainError,
+    LevyMeasure,
     StateShape,
     eval_F,
     eval_R,
@@ -105,6 +106,53 @@ class TestValidation:
         m = AffineModel(shape=StateShape(1, 1), a=[[0.1, 0.0], [0.0, 0.2]],
                         b=[0.0, 0.0])
         assert any("cannot load on" in v for v in validate_model(m))
+
+
+class BareExpJumps(LevyMeasure):
+    """Exponential jumps written with the scalar primitives only: no validate()."""
+
+    def __init__(self, rate, jump_rate, axis=0):
+        self.rate, self.jump_rate, self.axis = rate, jump_rate, axis
+
+    @property
+    def exp_bound(self):
+        return self.jump_rate
+
+    @property
+    def bound_closed(self):
+        return False
+
+    def _mgf_integral(self, s):
+        return math.inf if s >= self.jump_rate else self.rate * s / (self.jump_rate - s)
+
+    def _mgf_derivative(self, s):
+        return self.rate * self.jump_rate / (self.jump_rate - s) ** 2
+
+    def _exp_moment_tail(self, y):
+        g = self.jump_rate - y
+        return math.inf if g <= 0 else self.rate * self.jump_rate * math.exp(-g) / g
+
+    def tail_mass(self, eps):
+        return self.rate * math.exp(-self.jump_rate * eps)
+
+    def mean_below(self, eps):
+        e = self.jump_rate
+        return self.rate * ((1.0 - math.exp(-e * eps)) / e - eps * math.exp(-e * eps))
+
+    def tail_proposal(self, eps, u):
+        prop = eps - np.log1p(-u[:, 0]) / self.jump_rate
+        return prop, np.ones_like(prop)
+
+
+class TestCustomMeasure:
+    def test_subclass_without_validate_is_usable(self):
+        from affine_riccati import SimOptions, check_conservative, simulate_paths
+        m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                        beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
+        assert validate_model(m).ok
+        assert check_conservative(m).kind == "Conservative"
+        ens = simulate_paths(m, SimOptions(x0=[1.0], T=0.1, dt=0.01, npaths=20, seed=0))
+        assert ens.survived.all()
 
 
 class TestEvalF:

@@ -30,6 +30,15 @@ from affine_riccati import (
 from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _simulate
 
 
+class TestSimOptions:
+    @pytest.mark.parametrize("kw, name", [({"T": math.nan}, "T"), ({"T": math.inf}, "T"),
+                                          ({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"),
+                                          ({"x0": [math.nan]}, "x0"), ({"x0": [math.inf]}, "x0")])
+    def test_non_finite_setting_is_a_config_error(self, kw, name):
+        with pytest.raises(ConfigError, match=f"SimOptions.{name} must be finite"):
+            SimOptions(**{"x0": [1.0], "T": 1.0, **kw})
+
+
 class TestDeterminism:
     def test_bit_identical_regeneration(self, cir_jump_model):
         opts = SimOptions(x0=[1.0], T=0.5, dt=5e-3, npaths=500, seed=123)

@@ -259,6 +259,24 @@ class TestDomainExit:
         assert sol.status.label().startswith("LeftDomain")
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("name", ["T", "rtol", "atol", "max_step", "blowup_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_is_a_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"SolveOptions.{name} must be finite"):
+            SolveOptions(**{"T": 1.0, name: value})
+
+    def test_nan_horizon_makes_no_trajectory(self, feller_model):
+        with pytest.raises(ConfigError):
+            solve_riccati(feller_model, [0.5], SolveOptions(T=math.nan))
+
+    def test_max_step_must_exceed_the_step_floor(self):
+        for opts in ({"T": 1e-14}, {"T": 1.0, "max_step": 1e-13}):
+            with pytest.raises(ConfigError):
+                SolveOptions(**opts)
+        assert SolveOptions(T=1.0, max_step=2e-13).effective_max_step == 2e-13
+
+
 class TestSolveTilted:
     def test_constant_solution_at_matched_discounts(self, feller_model):
         theta = np.array([0.5])
