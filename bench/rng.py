@@ -1,0 +1,217 @@
+"""Costs of the Philox tables and the jump cascade, parent against change.
+
+    python3 bench/rng.py --parent ../parent/src --commit <sha> [--pairs 5]
+
+Measures two source trees, ``--src`` (the change, default ``src``) and
+``--parent`` (a ``git archive`` copy of the parent commit), in fresh
+interpreters that alternate: pair k runs the parent first when k is even and
+the change first when k is odd.  Each pair runs, for each side:
+
+* a measuring process that records
+  - ``table_us``: microseconds per ``montecarlo._uniforms`` table of 1 row
+    and of 1,000 rows (the stream set-up and the draw);
+  - ``call_ms``: milliseconds of each call of one ``mc-jumps`` job of
+    ``perfbench/workloads.py`` at seed ``SEED`` (kr2014 simulation,
+    cir-jump simulation, ``martingale_gap``), median over ``JOBS`` jobs
+    after one warm-up job;
+  - ``thread_ms``: the kr2014 simulation of that job with
+    ``AFFINE_RICCATI_THREADS`` 1 and 2, and ``thread_speedup``, their ratio;
+  - ``sha256``: the ensembles of ``HASHED`` at 1 and 2 threads;
+* a process that runs only the untempered stall case (``STALL``) and
+  records its seconds, its peak RSS, its exhausted paths and its sha256.
+
+The records go to ``--out`` with each side's medians, the change/parent
+ratios of those medians, the pairs the change won, and whether every sha256
+agrees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 1       # seed of the mc-jumps job
+JOBS = 3       # timed jobs per measuring process
+TABLES = 2000  # tables per table_us round
+# (model, jump_trunc) ensembles at seed 99, T 0.5, dt 2e-3, 2,000 paths
+HASHED = [("cir-jump", 1e-3), ("kr2014", 1e-3), ("kr2014", 1e-4), ("two-source", 1e-3)]
+# tilted kr2014 with untempered linear jumps and the default cascade
+STALL = dict(x0=[1.0], T=0.3, dt=2e-3, npaths=200)
+
+
+def _sha(ens):
+    return hashlib.sha256(ens.states.tobytes() + ens.survived.tobytes()).hexdigest()
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _model(ar, name):
+    if name != "two-source":
+        return ar.builtin_model(name)
+    return ar.AffineModel(shape=ar.StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                          beta_I=[[-1.0]],
+                          mu0=ar.CompoundPoissonExp(rate=0.3, jump_rate=2.0, axis=0),
+                          mus=(ar.TemperedStableHalf(scale=0.2, tempering=1.0, axis=0),))
+
+
+def measure(ar):
+    from affine_riccati import montecarlo
+
+    sys.path.insert(1, str(REPO / "perfbench"))
+    import workloads
+
+    table_us = {}
+    for rows in (1, 1000):
+        def tables():
+            for k in range(TABLES):
+                montecarlo._uniforms(123456, k, 3, rows, extra=(5,))
+        tables()
+        table_us[f"{rows} rows"] = 1e6 * min(_seconds(tables) for _ in range(5)) / TABLES
+
+    w = workloads.McJumps(SEED)
+    calls = {
+        "kr2014 simulate": lambda: ar.simulate_paths(w.kr, w.kr_opts),
+        "cir-jump simulate": lambda: ar.simulate_paths(w.cj, w.cj_opts),
+        "martingale_gap": lambda: ar.martingale_gap(w.kr, w.spec, w.gap_opts),
+    }
+    os.environ["AFFINE_RICCATI_THREADS"] = "1"
+    for fn in calls.values():
+        fn()
+    call_ms = {name: 1e3 * statistics.median(_seconds(fn) for _ in range(JOBS))
+               for name, fn in calls.items()}
+
+    thread_ms = {}
+    for threads in ("1", "2"):
+        os.environ["AFFINE_RICCATI_THREADS"] = threads
+        thread_ms[threads] = 1e3 * statistics.median(
+            _seconds(calls["kr2014 simulate"]) for _ in range(JOBS))
+
+    sha = {}
+    for threads in ("1", "2"):
+        os.environ["AFFINE_RICCATI_THREADS"] = threads
+        for name, trunc in HASHED:
+            opts = ar.SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99,
+                                 jump_trunc=trunc)
+            sha[f"{name} {trunc:g} threads={threads}"] = _sha(
+                ar.simulate_paths(_model(ar, name), opts))
+    return {"table_us": table_us, "call_ms": call_ms, "job_ms": sum(call_ms.values()),
+            "thread_ms": thread_ms, "thread_speedup": thread_ms["1"] / thread_ms["2"],
+            "sha256": sha}
+
+
+def stall(ar):
+    os.environ["AFFINE_RICCATI_THREADS"] = "1"
+    model = ar.tilt_model(ar.kr2014(), [1.0])
+    ens = None
+
+    def run():
+        nonlocal ens
+        ens = ar.simulate_paths(model, ar.SimOptions(**STALL))
+
+    seconds = _seconds(run)
+    return {"seconds": seconds, "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "exhausted": int(ens.exhausted.sum()), "sha256": _sha(ens)}
+
+
+def _child(src, mode):
+    cmd = [sys.executable, __file__, "--child", mode, "--src", str(src)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{mode} run of {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _flat(record, prefix=""):
+    """Numeric leaves of a record, keyed by their path."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def summarize(runs):
+    flat = {side: [_flat(r) for r in recs] for side, recs in runs.items()}
+    medians = {side: {k: statistics.median(r[k] for r in recs) for k in recs[0]}
+               for side, recs in flat.items()}
+    parent, change = medians["parent"], medians["change"]
+    # thread_speedup is the one figure where higher is better
+    won = {k: sum((c[k] > p[k]) if k == "thread_speedup" else (c[k] < p[k])
+                  for p, c in zip(flat["parent"], flat["change"]))
+           for k in parent}
+    q = {k: statistics.quantiles([r[k] for r in flat["parent"]], n=4) for k in parent} \
+        if len(flat["parent"]) > 1 else {}
+    digests = [(r["sha256"], r["stall"]["sha256"], r["stall"]["exhausted"])
+               for side in runs for r in runs[side]]
+    return {
+        "pairs": len(flat["parent"]),
+        "median": medians,
+        "parent_quartiles": {k: [v[0], v[2]] for k, v in q.items()},
+        "change_over_parent": {k: change[k] / parent[k] for k in parent if parent[k]},
+        "pairs_won_by_change": won,
+        "identical": all(d == digests[0] for d in digests),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
+    ap.add_argument("--parent", help="src/ of the parent commit")
+    ap.add_argument("--commit", default=None, help="parent commit, recorded as given")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--out", default=str(REPO / "BENCH_rng.json"))
+    ap.add_argument("--child", choices=("measure", "stall"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+
+    if args.child:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        import affine_riccati as ar
+        print(json.dumps(measure(ar) if args.child == "measure" else stall(ar)))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.src).resolve()}
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            record = _child(sides[side], "measure")
+            record["stall"] = _child(sides[side], "stall")
+            runs[side].append(record)
+            print(f"rng: pair {k + 1} {side}: job_ms {record['job_ms']:.0f}, "
+                  f"stall {record['stall']['seconds']:.1f} s", file=sys.stderr, flush=True)
+    import numpy as np
+    import scipy
+
+    doc = {
+        "machine": {"cpu": platform.machine(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__},
+        "settings": {"seed": SEED, "jobs": JOBS, "tables": TABLES, "pairs": args.pairs,
+                     "hashed": HASHED, "stall": STALL, "parent_commit": args.commit},
+        "runs": runs,
+        "summary": summarize(runs),
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc["summary"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,11 +49,11 @@ import numpy as np
 from scipy import integrate as _sint
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
                     validate_model)
-from .riccati import (SolveOptions, _eps_ladder, _eval_or_none, _integrate, _richardson,
-                      _write_csv, solve_reduced)
+from .riccati import (SolveOptions, _check_ladder, _eps_ladder, _eval_or_none, _integrate,
+                      _richardson, _write_csv, solve_reduced)
 
 __all__ = [
     "leq_order",
@@ -105,9 +105,7 @@ class DiagnosticsOptions:
     eps_ladder: tuple = (1e-5, 1e-7, 1e-9)
 
     def __post_init__(self):
-        # the ladder limit is a three-point Richardson extrapolation
-        if len(self.eps_ladder) != 3:
-            raise ConfigError("eps_ladder must have exactly three entries")
+        _check_ladder(self.eps_ladder)
 
     def refined(self, factor: float = 0.1) -> "DiagnosticsOptions":
         """The same options with the probe ladder refined by one decade."""
@@ -305,8 +303,9 @@ def ode_residual(ts, values, fun) -> float:
             fs[k] = f
     h = np.diff(ts)
     step = h > 0
-    defect = np.abs((vals[1:][step] - vals[:-1][step]) / h[step, None]
-                    - 0.5 * (fs[:-1][step] + fs[1:][step])).max(axis=1)
+    with quiet_fp():    # infinite grid values give NaN defects, skipped below
+        defect = np.abs((vals[1:][step] - vals[:-1][step]) / h[step, None]
+                        - 0.5 * (fs[:-1][step] + fs[1:][step])).max(axis=1)
     defect = defect[~np.isnan(defect)]
     return float(defect.max(initial=0.0))
 

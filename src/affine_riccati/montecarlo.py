@@ -24,9 +24,13 @@ All draws derive from counter-based Philox streams keyed by
 (seed, step, purpose, round).  Each stream yields one uniform per path (row
 p always belongs to path p), and every variate is produced from uniforms by
 inverse CDF or by per-path rejection rounds, so a path's noise depends only
-on its own rows.  Parallel workers replay the same tables and slice their
-rows; reductions run in fixed path order, so parallel and serial runs are
-bit-identical, as are reruns with identical options.
+on its own rows.  Because Philox is counter-based, any row range of a table
+can be generated on its own: a parallel worker draws only the rows of its
+block, and a cascade round or rejection attempt only the span of the rows
+still waiting.  A stream with one jump source draws no pick table.  Each
+thread keeps one Philox generator and re-keys it per table.  Reductions run
+in fixed path order, so parallel and serial runs are bit-identical, as are
+reruns with identical options.
 
 Paths whose state magnitude passes 1e12 are flagged exploded and frozen, not
 errored, also in the middle of a jump cascade; exponential-moment estimates
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -114,6 +119,9 @@ class SimOptions:
             raise ConfigError("npaths must be >= 1")
         if not (0.0 < self.jump_trunc <= 1.0):
             raise ConfigError("jump_trunc must lie in (0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ConfigError("SimOptions.seed must be a nonnegative integer")
 
     @property
     def nsteps(self) -> int:
@@ -161,29 +169,75 @@ class PathEnsemble:
             [np.arange(n), np.full(n, self.times[-1]), self.terminal, self.survived]))
 
 
-def _uniforms(seed: int, step: int, purpose: int, shape, extra=()):
-    """Uniforms from the Philox stream keyed by (seed, step, purpose, *extra)."""
-    ss = np.random.SeedSequence((seed, step, purpose) + tuple(extra))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.random(shape)
+def _words(x) -> tuple:
+    """The uint32 words (least significant first) that numpy's SeedSequence
+    makes of a nonnegative integer; 0 is one word."""
+    x = int(x)
+    if x < 1 << 32:
+        return (x,)
+    words = []
+    while x:
+        words.append(x & 0xFFFFFFFF)
+        x >>= 32
+    return tuple(words)
 
 
-def _sample_tail_values(measure, eps, rows, seed, step, purpose, jump_round, npaths):
-    """One tail jump size for each flagged path, by per-path rejection rounds."""
-    out = np.zeros(npaths)
-    need = rows.copy()
+_thread = threading.local()
+
+
+def _uniforms(seed, step: int, purpose: int, shape, extra=(), start: int = 0):
+    """Rows ``start:start + shape[0]`` of the table of uniforms that the
+    Philox stream keyed by (seed, step, purpose, *extra) fills row by row.
+
+    The result is bit-identical to that slice of
+    ``Generator(Philox(SeedSequence((seed, step, purpose, *extra)))).random``
+    of a table that has ``shape[1:]`` per row.  ``seed`` is an integer or
+    its ``_words``.  Each thread re-keys one generator: the key is the
+    SeedSequence hash of the same uint32 entropy words, and the counter
+    skips the 4-double Philox blocks before the first row.
+    """
+    words = list(seed if isinstance(seed, tuple) else _words(seed))
+    for x in (step, purpose, *extra):
+        words.extend(_words(x))
+    try:
+        gen, state = _thread.stream
+    except AttributeError:
+        gen = np.random.Generator(np.random.Philox(0))
+        state = gen.bit_generator.state      # counter 0, empty buffer
+        _thread.stream = gen, state
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    skip, drop = divmod(start * math.prod(shape[1:]), 4)
+    state["state"]["key"] = np.random.SeedSequence(
+        np.array(words, dtype=np.uint32)).generate_state(2, np.uint64)
+    state["state"]["counter"][0] = skip
+    gen.bit_generator.state = state
+    if not drop:
+        return gen.random(shape)
+    return gen.random(math.prod(shape) + drop)[drop:].reshape(shape)
+
+
+def _row_span(seed, step, purpose, rows, cols=None, extra=()):
+    """The uniforms of table rows ``rows`` (ascending), drawn over their span."""
+    first = int(rows[0])
+    n = int(rows[-1]) - first + 1
+    u = _uniforms(seed, step, purpose, n if cols is None else (n, cols), extra, first)
+    return u[rows - first]
+
+
+def _sample_tail_values(measure, eps, rows, seed, step, purpose, jump_round):
+    """One tail jump size for each of the paths ``rows`` (ascending), by
+    per-path rejection rounds."""
+    out = np.empty(rows.size)
+    need = np.arange(rows.size)     # positions in rows still waiting for a value
     attempt = 0
-    while np.any(need):
+    while need.size:
         if attempt >= 500:
             raise ConfigError("tail jump sampling exceeded the rejection round cap")
-        # full tables keep row p owned by path p; the transform only runs on
-        # the rows still waiting for a value
-        u = _uniforms(seed, step, purpose, (npaths, 2), extra=(jump_round, attempt))
-        idx = np.nonzero(need)[0]
-        prop, acc = measure.tail_proposal(eps, u[idx])
-        take = u[idx, 1] <= acc
-        out[idx[take]] = prop[take]
-        need[idx[take]] = False
+        u = _row_span(seed, step, purpose, rows[need], 2, extra=(jump_round, attempt))
+        prop, acc = measure.tail_proposal(eps, u)
+        take = u[:, 1] <= acc
+        out[need[take]] = prop[take]
+        need = need[~take]
         attempt += 1
     return out
 
@@ -266,78 +320,81 @@ def _simulate(model: AffineModel, opts: SimOptions, exact_increments: bool) -> P
     exhausted = np.zeros(npaths, dtype=bool)
     states[:, 0, :] = opts.x0
     nsrc = len(sources)
+    seed = _words(opts.seed)
 
     def run_block(lo: int, hi: int):
-        X = np.tile(opts.x0, (hi - lo, 1))
-        alive = np.ones(hi - lo, dtype=bool)
+        nb = hi - lo
+        X = np.tile(opts.x0, (nb, 1))
+        alive = np.ones(nb, dtype=bool)
         for step in range(nsteps):
             Xp = X.copy()
             Xp[:, :m] = np.maximum(Xp[:, :m], 0.0)
             drift = drift_const + Xp[:, :m] @ beta_sim
             if shape.n:
                 if drift.ndim == 1:
-                    drift = np.tile(drift, (hi - lo, 1))
+                    drift = np.tile(drift, (nb, 1))
                 drift[:, m:] += X[:, m:] @ model.beta_JJ.T
             X_new = X + h * np.atleast_2d(drift)
 
             if L is not None:
-                Z = ndtri(_uniforms(opts.seed, step, _P_GAUSS_CONST, (npaths, d))[lo:hi])
+                Z = ndtri(_uniforms(seed, step, _P_GAUSS_CONST, (nb, d), start=lo))
                 X_new += sqrt_h * (Z @ L.T)
             if has_alpha:
-                Z2 = ndtri(_uniforms(opts.seed, step, _P_GAUSS_LIN, (npaths, m))[lo:hi])
+                Z2 = ndtri(_uniforms(seed, step, _P_GAUSS_LIN, (nb, m), start=lo))
                 X_new[:, :m] += np.sqrt(2.0 * alpha * h * Xp[:, :m]) * Z2
 
             for s_idx, (mu, coord) in enumerate(increment_sources):
-                t = np.full(hi - lo, h) if coord is None else h * Xp[:, coord]
-                u_inc = _uniforms(opts.seed, step, _P_INCREMENT, (npaths, 2),
-                                  extra=(s_idx,))[lo:hi]
+                t = np.full(nb, h) if coord is None else h * Xp[:, coord]
+                u_inc = _uniforms(seed, step, _P_INCREMENT, (nb, 2), extra=(s_idx,), start=lo)
                 X_new[:, mu.axis] += mu.increment(t, u_inc)
 
-            blown = np.zeros(hi - lo, dtype=bool)
+            blown = np.zeros(nb, dtype=bool)
             if nsrc:
                 # exact within-step jump cascade: waiting times at the current
                 # thinning intensity, re-frozen at each jump's left limit so
-                # self-excitation inside the step is not lost
+                # self-excitation inside the step is not lost.  A round works
+                # on the rows still waiting (idx, ascending, and their
+                # clocks tau) and draws the table rows lo + idx only.
                 Xj = Xp.copy()
-                tau = np.zeros(hi - lo)
-                waiting = alive.copy()
+                idx = np.flatnonzero(alive)
+                tau = np.zeros(idx.size)
                 rnd = 0
-                while np.any(waiting):
+                while idx.size:
                     if rnd >= CASCADE_ROUND_CAP:
-                        exhausted[lo:hi] |= waiting
-                        alive &= ~waiting
+                        exhausted[lo + idx] = True
+                        alive[idx] = False
                         break
-                    inten = np.zeros((hi - lo, nsrc))
+                    inten = np.empty((idx.size, nsrc))
                     for s_idx, (mu, coord, lam) in enumerate(sources):
                         inten[:, s_idx] = lam if coord is None else \
-                            np.maximum(Xj[:, coord], 0.0) * lam
-                    itot = inten.sum(axis=1)
-                    u_wait = _uniforms(opts.seed, step, _P_CASCADE_WAIT, npaths,
-                                       extra=(rnd,))[lo:hi]
-                    with np.errstate(divide="ignore"):
-                        dtau = np.where(itot > 0.0, -np.log1p(-u_wait) / itot, math.inf)
-                    tau = tau + dtau
-                    jumping = waiting & (tau < h)
-                    waiting = jumping
-                    if not np.any(jumping):
+                            np.maximum(Xj[idx, coord], 0.0) * lam
+                    itot = inten[:, 0] if nsrc == 1 else inten.sum(axis=1)
+                    u_wait = _row_span(seed, step, _P_CASCADE_WAIT, lo + idx, extra=(rnd,))
+                    dtau = np.full(idx.size, math.inf)
+                    np.divide(-np.log1p(-u_wait), itot, out=dtau, where=itot > 0.0)
+                    tau += dtau
+                    jumping = tau < h
+                    idx, tau = idx[jumping], tau[jumping]
+                    if not idx.size:
                         break
-                    u_pick = _uniforms(opts.seed, step, _P_CASCADE_PICK, npaths,
-                                       extra=(rnd,))[lo:hi]
-                    cdf = np.cumsum(inten, axis=1) / np.maximum(itot, 1e-300)[:, None]
-                    pick = np.sum(u_pick[:, None] > cdf, axis=1)
-                    for s_idx, (mu, coord, lam) in enumerate(sources):
-                        rows_full = np.zeros(npaths, dtype=bool)
-                        rows_full[lo:hi] = jumping & (pick == s_idx)
-                        if not np.any(rows_full):
-                            continue
-                        sizes = _sample_tail_values(mu, eps, rows_full, opts.seed, step,
-                                                    _P_SIZE + s_idx, rnd, npaths)[lo:hi]
-                        sel = rows_full[lo:hi]
-                        Xj[sel, mu.axis] += sizes[sel]
+                    if nsrc == 1:
+                        # the only source takes every jump: no pick table
+                        picked = [idx]
+                    else:
+                        u_pick = _row_span(seed, step, _P_CASCADE_PICK, lo + idx, extra=(rnd,))
+                        cdf = np.cumsum(inten[jumping], axis=1) \
+                            / np.maximum(itot[jumping], 1e-300)[:, None]
+                        pick = np.sum(u_pick[:, None] > cdf, axis=1)
+                        picked = [idx[pick == s_idx] for s_idx in range(nsrc)]
+                    for s_idx, ((mu, coord, lam), rows) in enumerate(zip(sources, picked)):
+                        if rows.size:
+                            Xj[rows, mu.axis] += _sample_tail_values(
+                                mu, eps, lo + rows, seed, step, _P_SIZE + s_idx, rnd)
                     # a path past the explosion cap leaves the cascade at once
-                    over = waiting & (np.max(np.abs(Xj), axis=1) > EXPLOSION_CAP)
-                    blown |= over
-                    waiting &= ~over
+                    over = np.max(np.abs(Xj[idx]), axis=1) > EXPLOSION_CAP
+                    if over.any():
+                        blown[idx[over]] = True
+                        idx, tau = idx[~over], tau[~over]
                     rnd += 1
                 X_new += Xj - Xp
 

@@ -468,8 +468,7 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     uniform times.  ``eps_ladder`` must have exactly three entries (a
     three-point Richardson extrapolation); anything else is a ``ConfigError``.
     """
-    if len(eps_ladder) != 3:
-        raise ConfigError("eps_ladder must have exactly three entries")
+    _check_ladder(eps_ladder)
     d, m = model.shape.d, model.shape.m
     u0 = np.asarray(u0, dtype=float).reshape(d)
     lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float).reshape(d)
@@ -490,6 +489,12 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     psi[0] = u0  # the ladder limit at t = 0 is exact
     phi[0] = 0.0
     return ts, psi, phi, finest.status
+
+
+def _check_ladder(eps_ladder) -> None:
+    """The ladder limit is a three-point Richardson extrapolation."""
+    if len(eps_ladder) != 3:
+        raise ConfigError("eps_ladder must have exactly three entries")
 
 
 def _eps_ladder(solve: Callable, u0: np.ndarray, m: int, eps_ladder) -> list:

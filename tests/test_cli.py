@@ -171,6 +171,13 @@ class TestNonFiniteSimulation:
         assert code == 1
         assert f"SimOptions.{name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "-4294967296"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        code = run(tmp_path, "simulate", "--model", "feller", "--x0", "1", "--npaths", "10",
+                   "--T", "0.1", "--dt", "0.01", "--seed", seed)
+        assert code == 1
+        assert "SimOptions.seed must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestExportAndRoundTrip:
     def test_export_reparses_identically(self, tmp_path):

@@ -1,6 +1,7 @@
 """Conservativeness verdicts, witnesses, comparison and order utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestProbeRoute:
     def test_ladder_must_have_three_rungs(self):
         from affine_riccati import ConfigError
         for ladder in ((1e-5, 1e-7), (1e-5, 1e-7, 1e-9, 1e-11)):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="eps_ladder must have exactly three entries"):
                 DiagnosticsOptions(eps_ladder=ladder)
 
     def test_2d_lipschitz_field_conservative(self):
@@ -330,6 +331,14 @@ class TestOdeResidual:
         fun = lambda v: np.zeros(2)  # noqa: E731
         assert ode_residual(ts, vals, fun) == pytest.approx(2.5)
         assert ode_residual(ts, vals, fun) == self.loop_residual(ts, vals, fun)
+
+    def test_infinite_rows_raise_no_warning(self):
+        # inf - inf makes the middle defect NaN; it is skipped without a warning
+        ts = np.array([0.0, 0.1, 0.2, 0.3])
+        vals = np.array([[0.0], [np.inf], [np.inf], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ode_residual(ts, vals, lambda v: np.zeros(1)) == math.inf
 
 
 class TestWitnessValidity:

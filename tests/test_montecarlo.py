@@ -1,7 +1,9 @@
 """Path simulation: determinism, moment matching, estimator reports."""
 
 import dataclasses
+import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from affine_riccati import (
     solve_riccati,
     tilt_model,
 )
-from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _simulate
+from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _simulate, _uniforms, _words
 
 
 class TestSimOptions:
@@ -37,6 +39,76 @@ class TestSimOptions:
     def test_non_finite_setting_is_a_config_error(self, kw, name):
         with pytest.raises(ConfigError, match=f"SimOptions.{name} must be finite"):
             SimOptions(**{"x0": [1.0], "T": 1.0, **kw})
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 2.0, "3", None, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="SimOptions.seed must be a nonnegative integer"):
+            SimOptions(x0=[1.0], T=1.0, seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self, cir_jump_model):
+        opts = SimOptions(x0=[1.0], T=0.1, dt=1e-2, npaths=50, seed=2**40 + 5)
+        a = simulate_paths(cir_jump_model, opts)
+        b = simulate_paths(cir_jump_model, dataclasses.replace(opts, seed=np.uint64(2**40 + 5)))
+        assert np.array_equal(a.states, b.states)
+
+
+def _sha(ens):
+    return hashlib.sha256(ens.states.tobytes() + ens.survived.tobytes()).hexdigest()
+
+
+def _two_source_model():
+    """cir-jump plus a linear tempered 1/2-stable source: the cascade picks
+    the jumping source from a table of its own."""
+    return AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                       beta_I=[[-1.0]], mu0=CompoundPoissonExp(rate=0.3, jump_rate=2.0, axis=0),
+                       mus=(TemperedStableHalf(scale=0.2, tempering=1.0, axis=0),))
+
+
+class TestStreamIdentity:
+    """The Philox streams are part of the output: every seeded ensemble keeps
+    its bits, with any thread count."""
+
+    # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths
+    PINNED = {
+        ("cir-jump", 1e-3): "c3057b35353fdc6d6fcdf38c9974a62df072a967c423652cc8e1abc5b4511d9d",
+        ("kr2014", 1e-3): "10b357aafef4c34f6d6b19f12e705057776ac91fc17966bc08b17e958719eb01",
+        ("kr2014", 1e-4): "0d0b331e70d9ebfc63146c9c8c4451f9f6e8063dd83be4432be96fd898b487b2",
+        ("two-source", 1e-3): "0b8664334952c0e54f852ba4744b19d1756a9ed8a5a7349e632f356a0c0df634",
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name, trunc", sorted(PINNED))
+    def test_pinned_ensemble(self, acceptance_models, monkeypatch, threads, name, trunc):
+        model = _two_source_model() if name == "two-source" else acceptance_models[name]
+        monkeypatch.setenv("AFFINE_RICCATI_THREADS", threads)
+        opts = SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
+        assert _sha(simulate_paths(model, opts)) == self.PINNED[name, trunc]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    @pytest.mark.parametrize("cols", [None, 1, 2])
+    def test_row_range_equals_slice_of_full_table(self, seed, cols):
+        n = 23
+        shape = (n,) if cols is None else (n, cols)
+        for step, extra in ((5, (7,)), (2**33 + 1, (0, 499))):
+            full = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                (seed, step, 3, *extra)))).random(shape)
+            assert np.array_equal(_uniforms(seed, step, 3, shape, extra), full)
+            for start in range(n):
+                for rows in {1, 2, 5, n - start}:
+                    if start + rows > n:
+                        continue
+                    part = _uniforms(seed, step, 3, (rows, *shape[1:]), extra, start)
+                    assert np.array_equal(part, full[start:start + rows]), (start, rows)
+                    words = _uniforms(_words(seed), step, 3, (rows, *shape[1:]), extra, start)
+                    assert np.array_equal(words, part)
+
+    def test_each_thread_draws_the_same_rows(self):
+        want = [_uniforms(2**40 + 5, 9, 3, (40, 2), (k,), start=k) for k in range(8)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda k: _uniforms(2**40 + 5, 9, 3, (40, 2), (k,), start=k),
+                                range(8)))
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 class TestDeterminism:

@@ -362,7 +362,7 @@ class TestSolveMinimal:
     @pytest.mark.parametrize("ladder", [(1e-5, 1e-7, 1e-9, 1e-11), (1e-5, 1e-7)])
     def test_ladder_must_have_three_rungs(self, kr_model, ladder):
         # the limit is a three-point Richardson extrapolation
-        with pytest.raises(ConfigError, match="exactly three"):
+        with pytest.raises(ConfigError, match="eps_ladder must have exactly three entries"):
             solve_minimal(kr_model, [1.0], SolveOptions(T=1.0), eps_ladder=ladder)
 
 
