@@ -1,4 +1,5 @@
-"""Costs of the Philox tables and the jump cascade, parent against change.
+"""Costs of the Philox tables, the jump cascade and default-size ensembles,
+parent against change.
 
     python3 bench/rng.py --parent ../parent/src --commit <sha> [--pairs 5]
 
@@ -14,9 +15,11 @@ the change first when k is odd.  Each pair runs, for each side:
     ``perfbench/workloads.py`` at seed ``SEED`` (kr2014 simulation,
     cir-jump simulation, ``martingale_gap``), median over ``JOBS`` jobs
     after one warm-up job;
-  - ``thread_ms``: the kr2014 simulation of that job with
-    ``AFFINE_RICCATI_THREADS`` 1 and 2, and ``thread_speedup``, their ratio;
-  - ``sha256``: the ensembles of ``HASHED`` at 1 and 2 threads;
+  - ``default_ms``: milliseconds of each ensemble of ``DEFAULT`` with each
+    side's default worker count (one thread at the parent; one per 10,000
+    paths, at most one per CPU, in the change), median over ``JOBS`` runs
+    after one hashed run;
+  - ``sha256``: the ensembles of ``HASHED`` and of ``DEFAULT``;
 * a process that runs only the untempered stall case (``STALL``) and
   records its seconds, its peak RSS, its exhausted paths and its sha256.
 
@@ -45,6 +48,10 @@ JOBS = 3       # timed jobs per measuring process
 TABLES = 2000  # tables per table_us round
 # (model, jump_trunc) ensembles at seed 99, T 0.5, dt 2e-3, 2,000 paths
 HASHED = [("cir-jump", 1e-3), ("kr2014", 1e-3), ("kr2014", 1e-4), ("two-source", 1e-3)]
+# (model, jump_trunc, npaths) ensembles at seed 7, T 0.5, dt 5e-3: the sizes
+# at which the default worker count is 1 and 2 on a two-CPU machine
+DEFAULT = [("feller", 1e-3, 20_000), ("feller", 1e-3, 100_000),
+           ("kr2014", 1e-4, 20_000), ("kr2014", 1e-4, 100_000)]
 # tilted kr2014 with untempered linear jumps and the default cascade
 STALL = dict(x0=[1.0], T=0.3, dt=2e-3, npaths=200)
 
@@ -88,33 +95,29 @@ def measure(ar):
         "cir-jump simulate": lambda: ar.simulate_paths(w.cj, w.cj_opts),
         "martingale_gap": lambda: ar.martingale_gap(w.kr, w.spec, w.gap_opts),
     }
-    os.environ["AFFINE_RICCATI_THREADS"] = "1"
     for fn in calls.values():
         fn()
     call_ms = {name: 1e3 * statistics.median(_seconds(fn) for _ in range(JOBS))
                for name, fn in calls.items()}
 
-    thread_ms = {}
-    for threads in ("1", "2"):
-        os.environ["AFFINE_RICCATI_THREADS"] = threads
-        thread_ms[threads] = 1e3 * statistics.median(
-            _seconds(calls["kr2014 simulate"]) for _ in range(JOBS))
-
     sha = {}
-    for threads in ("1", "2"):
-        os.environ["AFFINE_RICCATI_THREADS"] = threads
-        for name, trunc in HASHED:
-            opts = ar.SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99,
-                                 jump_trunc=trunc)
-            sha[f"{name} {trunc:g} threads={threads}"] = _sha(
-                ar.simulate_paths(_model(ar, name), opts))
+    for name, trunc in HASHED:
+        opts = ar.SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
+        sha[f"{name} {trunc:g}"] = _sha(ar.simulate_paths(_model(ar, name), opts))
+
+    default_ms = {}
+    for name, trunc, npaths in DEFAULT:
+        model = ar.builtin_model(name)
+        opts = ar.SimOptions(x0=[1.0], T=0.5, dt=5e-3, npaths=npaths, seed=7, jump_trunc=trunc)
+        key = f"{name} {trunc:g} {npaths}"
+        sha[key] = _sha(ar.simulate_paths(model, opts))
+        default_ms[key] = 1e3 * statistics.median(
+            _seconds(lambda: ar.simulate_paths(model, opts)) for _ in range(JOBS))
     return {"table_us": table_us, "call_ms": call_ms, "job_ms": sum(call_ms.values()),
-            "thread_ms": thread_ms, "thread_speedup": thread_ms["1"] / thread_ms["2"],
-            "sha256": sha}
+            "default_ms": default_ms, "sha256": sha}
 
 
 def stall(ar):
-    os.environ["AFFINE_RICCATI_THREADS"] = "1"
     model = ar.tilt_model(ar.kr2014(), [1.0])
     ens = None
 
@@ -152,10 +155,7 @@ def summarize(runs):
     medians = {side: {k: statistics.median(r[k] for r in recs) for k in recs[0]}
                for side, recs in flat.items()}
     parent, change = medians["parent"], medians["change"]
-    # thread_speedup is the one figure where higher is better
-    won = {k: sum((c[k] > p[k]) if k == "thread_speedup" else (c[k] < p[k])
-                  for p, c in zip(flat["parent"], flat["change"]))
-           for k in parent}
+    won = {k: sum(c[k] < p[k] for p, c in zip(flat["parent"], flat["change"])) for k in parent}
     q = {k: statistics.quantiles([r[k] for r in flat["parent"]], n=4) for k in parent} \
         if len(flat["parent"]) > 1 else {}
     digests = [(r["sha256"], r["stall"]["sha256"], r["stall"]["exhausted"])
@@ -200,11 +200,12 @@ def main(argv=None):
     import scipy
 
     doc = {
-        "machine": {"cpu": platform.machine(), "cpus": os.cpu_count(),
+        "machine": {"cpu": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
         "settings": {"seed": SEED, "jobs": JOBS, "tables": TABLES, "pairs": args.pairs,
-                     "hashed": HASHED, "stall": STALL, "parent_commit": args.commit},
+                     "hashed": HASHED, "default": DEFAULT, "stall": STALL,
+                     "parent_commit": args.commit},
         "runs": runs,
         "summary": summarize(runs),
     }

@@ -177,7 +177,6 @@ def main(argv=None):
         print(f"stepper: no affine_riccati package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    os.environ["AFFINE_RICCATI_THREADS"] = "1"
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import affine_riccati as ar
 

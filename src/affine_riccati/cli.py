@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics, esscher, montecarlo
 from .errors import AffineRiccatiError, ConfigError, DomainError
 from .model import eval_F, eval_R
-from .modelfile import load_model_file, write_model
+from .modelfile import _floats, load_model_file, write_model
 from .presets import BUILTIN_MODELS, builtin_model
 from .riccati import SolveOptions, solve_riccati
 
@@ -35,10 +35,7 @@ __all__ = ["main", "entrypoint"]
 
 
 def _vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse vector {text!r}") from exc
+    return _floats(text, "vector")
 
 
 def _resolve_model(name: str):
@@ -77,6 +74,22 @@ def _add_model_arg(p):
     p.add_argument("--model", required=True,
                    help="built-in model name or model file path")
     p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_ensemble_args(p, npaths: int):
+    """The ensemble flags of simulate and check-formula (see _sim_opts)."""
+    p.add_argument("--x0", required=True)
+    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--npaths", type=int, default=npaths)
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jump-trunc", type=float, default=1e-3)
+
+
+def _sim_opts(args):
+    return montecarlo.SimOptions(x0=_vector(args.x0), T=args.T, dt=args.dt,
+                                 npaths=args.npaths, seed=args.seed,
+                                 jump_trunc=args.jump_trunc)
 
 
 def _solver_opts(args, T):
@@ -119,12 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate paths")
     _add_model_arg(p)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--npaths", type=int, default=10_000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jump-trunc", type=float, default=1e-3)
+    _add_ensemble_args(p, npaths=10_000)
     p.add_argument("--report", choices=["summary", "martingale-gap"], default="summary")
     p.add_argument("--theta", default=None, help="tilt direction for martingale-gap")
     p.add_argument("--l", type=float, default=None)
@@ -133,12 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-formula", help="Monte Carlo check of the transform formula")
     _add_model_arg(p)
     p.add_argument("--u", required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--npaths", type=int, default=100_000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jump-trunc", type=float, default=1e-3)
+    _add_ensemble_args(p, npaths=100_000)
 
     p = sub.add_parser("export-model", help="write the model back to a model file")
     _add_model_arg(p)
@@ -186,9 +189,7 @@ def _cmd_martingale(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _resolve_model(args.model)
-    opts = montecarlo.SimOptions(x0=_vector(args.x0), T=args.T, dt=args.dt,
-                                 npaths=args.npaths, seed=args.seed,
-                                 jump_trunc=args.jump_trunc)
+    opts = _sim_opts(args)
     if args.report == "martingale-gap":
         if args.theta is None:
             raise ConfigError("--report martingale-gap requires --theta")
@@ -209,9 +210,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check_formula(args) -> int:
     model = _resolve_model(args.model)
-    opts = montecarlo.SimOptions(x0=_vector(args.x0), T=args.T, dt=args.dt,
-                                 npaths=args.npaths, seed=args.seed,
-                                 jump_trunc=args.jump_trunc)
+    opts = _sim_opts(args)
     report = montecarlo.affine_formula_check(model, opts, _vector(args.u))
     _report(os.path.join(args.out, "report.txt"), report.report_lines())
     if not report.applicable:

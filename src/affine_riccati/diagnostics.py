@@ -250,8 +250,8 @@ def _model_jacobian_bound(model: AffineModel, rho: float):
     return float(np.max(np.sum(bound_rows, axis=1)))
 
 
-def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0):
-    """FD Jacobian bound at the cube corners plus interior samples, x safety;
+def _numeric_jacobian_bound(field: ReducedField, rho: float):
+    """FD Jacobian bound at the cube corners plus interior samples, times 2;
     None when a row sum more than doubles from step h to h / 100."""
     m = field.m
     h = max(1e-7, 1e-7 * rho)
@@ -274,7 +274,7 @@ def _numeric_jacobian_bound(field: ReducedField, rho: float, safety: float = 2.0
             if np.any(row_sums[1] > 2.0 * row_sums[0]):
                 return None
             worst = max(worst, float(np.max(row_sums[0])))
-    return safety * worst
+    return 2.0 * worst
 
 
 def _witness_grid(horizon: float) -> np.ndarray:

@@ -630,12 +630,11 @@ class ExpTiltedMeasure(LevyMeasure):
     Path sampling is not provided.
     """
 
-    def __init__(self, base: LevyMeasure, theta: float, abs_tol: float = QUAD_ABS_TOL):
+    def __init__(self, base: LevyMeasure, theta: float):
         if base.exp_moment(np.full(max(base.axis or 0, 0) + 1, theta)) == _INF:
             raise DomainError("tilt parameter outside the effective domain of the base measure")
         self.base = base
         self.theta = float(theta)
-        self.abs_tol = abs_tol
         self.axis = base.axis
 
     def _weighted(self, xi, w):
@@ -651,56 +650,54 @@ class ExpTiltedMeasure(LevyMeasure):
         return self._weighted(xi, 0.0)
 
     def _mgf_integral(self, s):
-        return _quad_split(lambda x: self._weighted(x, s) - self._weighted(x, 0.0),
-                           self.abs_tol)
+        return _quad_split(lambda x: self._weighted(x, s) - self._weighted(x, 0.0))
 
     def _mgf_derivative(self, s):
-        return _quad_split(lambda x: x * self._weighted(x, s), self.abs_tol)
+        return _quad_split(lambda x: x * self._weighted(x, s))
 
     def _exp_moment_tail(self, y: float) -> float:
-        return _quad_tail(lambda x: self._weighted(x, y), self.abs_tol)
+        return _quad_tail(lambda x: self._weighted(x, y))
 
     def tail_mass(self, eps: float) -> float:
-        return _quad_interval(self.density, eps, _INF, self.abs_tol)
+        return _quad_interval(self.density, eps, _INF)
 
     def mean_below(self, eps: float) -> float:
-        return _quad_interval(lambda x: x * self.density(x), 0.0, eps, self.abs_tol)
+        return _quad_interval(lambda x: x * self.density(x), 0.0, eps)
 
     def tilted(self, theta: float) -> "ExpTiltedMeasure":
-        return ExpTiltedMeasure(self.base, self.theta + theta, self.abs_tol)
+        return ExpTiltedMeasure(self.base, self.theta + theta)
 
     def tail_proposal(self, eps, u):
         raise ConfigError("quadrature-tilted measures do not support path sampling")
 
 
-def _quad_interval(f, lo, hi, abs_tol):
+def _quad_interval(f, lo, hi):
     import warnings
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", _sint.IntegrationWarning)
         if math.isinf(hi):
-            val, _ = _sint.quad(f, lo, np.inf, epsabs=abs_tol, limit=200)
+            val, _ = _sint.quad(f, lo, np.inf, epsabs=QUAD_ABS_TOL, limit=200)
         else:
-            val, _ = _sint.quad(f, lo, hi, epsabs=abs_tol, limit=200)
+            val, _ = _sint.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
     if not np.isfinite(val) or abs(val) > QUAD_MAGNITUDE_CAP:
         return _INF
     return val
 
 
-def _quad_split(f, abs_tol):
+def _quad_split(f):
     """Integral over (0, oo) split at 1 (mirrors the domain definition)."""
-    inner = _quad_interval(f, 0.0, 1.0, abs_tol)
-    outer = _quad_interval(f, 1.0, _INF, abs_tol)
+    inner = _quad_interval(f, 0.0, 1.0)
+    outer = _quad_interval(f, 1.0, _INF)
     if inner == _INF or outer == _INF:
         return _INF
     return inner + outer
 
 
-def _quad_tail(f, abs_tol):
-    return _quad_interval(f, 1.0, _INF, abs_tol)
+def _quad_tail(f):
+    return _quad_interval(f, 1.0, _INF)
 
 
-def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True,
-                           abs_tol: float = QUAD_ABS_TOL):
+def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True):
     """Adaptive quadrature of the defining Levy-Khintchine integrand.
 
     Independent of the analytic branch; used as the agreement oracle.
@@ -718,16 +715,16 @@ def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True,
         comp = np.clip(x, -1.0, 1.0) * s if compensated else 0.0
         return (np.exp(s * x) - 1.0 - comp) * measure.density(x)
 
-    return _quad_split(integrand, abs_tol)
+    return _quad_split(integrand)
 
 
-def exp_moment_quadrature(measure: LevyMeasure, y, abs_tol: float = QUAD_ABS_TOL):
+def exp_moment_quadrature(measure: LevyMeasure, y):
     """Adaptive quadrature of the tail exponential moment (oracle)."""
     s = float(np.real(measure._axis_value(y)))
     at = measure.atoms()
     if at is not None:
         return sum(mass * math.exp(s * loc) for loc, mass in at if abs(loc) >= 1.0)
-    return _quad_tail(lambda x: np.exp(s * x) * measure.density(x), abs_tol)
+    return _quad_tail(lambda x: np.exp(s * x) * measure.density(x))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ INI-style sections parsed with :mod:`configparser`:
                        and the family parameters
     [jumps.linear.i]   same grammar, for i = 1..m
 
-Numbers may be separated by whitespace or commas.  Omitted sections and keys
+Numbers may be separated by whitespace or commas.  ``m``, ``n`` and the
+parameters of each jump family are required; other omitted sections and keys
 default to zero.  ``write_model`` emits every float with 17 significant
 digits so a written file re-parses to an identical model.
 """
@@ -38,26 +39,51 @@ from .model import (
 __all__ = ["parse_model", "write_model", "load_model_file"]
 
 
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+def _floats(text: str, where: str) -> np.ndarray:
+    """The numbers in ``text``, separated by whitespace or commas; ``where``
+    names the entry in the ConfigError raised when a token is not a number."""
+    try:
+        return np.array([float(tok) for tok in text.replace(",", " ").split()])
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {where} {text!r}") from exc
+
+
+def _scalar(sec, key, default=None) -> float:
+    """The one number under ``key`` in section ``sec``; ``default`` when the
+    key is absent, which is an error when there is no default."""
+    if key not in sec:
+        if default is None:
+            raise ConfigError(f"[{sec.name}] {key} is required")
+        return default
+    arr = _floats(sec[key], f"[{sec.name}] {key}")
+    if arr.size != 1:
+        raise ConfigError(f"[{sec.name}] {key} expects 1 entry, got {arr.size}")
+    return float(arr[0])
+
+
+def _integer(sec, key, default=None) -> int:
+    value = _scalar(sec, key, default)
+    if not value.is_integer():
+        raise ConfigError(f"[{sec.name}] {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _measure_from_section(sec) -> LevyMeasure:
     family = sec.get("family", "zero").strip().lower()
     if family == "zero":
         return ZeroJumps()
-    axis = int(sec.get("axis", "1")) - 1
+    axis = _integer(sec, "axis", 1.0) - 1
     if family == "exp":
-        return CompoundPoissonExp(rate=float(sec["rate"]),
-                                  jump_rate=float(sec["jump_rate"]), axis=axis)
+        return CompoundPoissonExp(rate=_scalar(sec, "rate"),
+                                  jump_rate=_scalar(sec, "jump_rate"), axis=axis)
     if family == "point":
-        return CompoundPoissonPoint(rate=float(sec["rate"]),
-                                    size=float(sec["size"]), axis=axis)
+        return CompoundPoissonPoint(rate=_scalar(sec, "rate"),
+                                    size=_scalar(sec, "size"), axis=axis)
     if family == "gamma":
-        return GammaLevy(c=float(sec["c"]), rho=float(sec["rho"]), axis=axis)
+        return GammaLevy(c=_scalar(sec, "c"), rho=_scalar(sec, "rho"), axis=axis)
     if family == "stable":
-        return TemperedStableHalf(scale=float(sec["scale"]),
-                                  tempering=float(sec["tempering"]), axis=axis)
+        return TemperedStableHalf(scale=_scalar(sec, "scale"),
+                                  tempering=_scalar(sec, "tempering"), axis=axis)
     raise ConfigError(f"unknown jump family {family!r}")
 
 
@@ -92,14 +118,13 @@ def parse_model(text: str) -> AffineModel:
         raise ConfigError(f"malformed model file: {exc}") from exc
     if "shape" not in cp:
         raise ConfigError("model file must contain a [shape] section")
-    m = cp["shape"].getint("m")
-    n = cp["shape"].getint("n")
-    shape = StateShape(m, n)
+    shape = StateShape(_integer(cp["shape"], "m"), _integer(cp["shape"], "n"))
+    m, n = shape.m, shape.n
     d = shape.d
 
     def grab(section, key, size, default=0.0):
         if section in cp and key in cp[section]:
-            arr = _floats(cp[section][key])
+            arr = _floats(cp[section][key], f"[{section}] {key}")
             if arr.size != size:
                 raise ConfigError(f"[{section}] {key} expects {size} entries, got {arr.size}")
             return arr
@@ -112,7 +137,7 @@ def parse_model(text: str) -> AffineModel:
     for i in range(m):
         beta_I[i] = grab("drift", f"beta_{i + 1}", d)
     beta_JJ = grab("drift", "beta_JJ", n * n).reshape(n, n)
-    c = float(cp["killing"].get("c", "0")) if "killing" in cp else 0.0
+    c = _scalar(cp["killing"], "c", 0.0) if "killing" in cp else 0.0
     gamma = grab("killing", "gamma", m)
 
     mu0 = _measure_from_section(cp["jumps.constant"]) if "jumps.constant" in cp else ZeroJumps()

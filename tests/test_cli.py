@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from affine_riccati import ConfigError
 from affine_riccati.cli import build_parser, main
+from affine_riccati.modelfile import parse_model
 
 
 def run(tmp_path, *argv):
@@ -206,6 +208,34 @@ class TestExportAndRoundTrip:
         code = main(["solve", "--model", str(tmp_path / "model.ini"),
                      "--u0", "-1", "--T", "1", "--out", str(tmp_path)])
         assert code == 0
+
+
+# model files with one malformed entry each, and the section and key named
+MALFORMED = {
+    "non-numeric value": ("[shape]\nm = 1\nn = 0\n[drift]\nb = abc\n", "[drift] b"),
+    "non-numeric axis": ("[shape]\nm = 1\nn = 0\n[jumps.constant]\nfamily = exp\n"
+                         "axis = x\nrate = 1\njump_rate = 2\n", "[jumps.constant] axis"),
+    "missing n": ("[shape]\nm = 1\n", "[shape] n"),
+    "missing family parameter": ("[shape]\nm = 1\nn = 0\n[jumps.constant]\nfamily = exp\n"
+                                 "rate = 1\n", "[jumps.constant] jump_rate"),
+}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_parse_model_raises_config_error(self, case):
+        text, where = MALFORMED[case]
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_model(text)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_reports_usage_error(self, tmp_path, capsys, case):
+        path = tmp_path / "model.ini"
+        path.write_text(MALFORMED[case][0])
+        assert run(tmp_path, "solve", "--model", str(path), "--u0", "0", "--T", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and MALFORMED[case][1] in err
+        assert "Traceback" not in err
 
 
 class TestCLIContract:

@@ -29,6 +29,7 @@ from affine_riccati import (
     solve_riccati,
     tilt_model,
 )
+from affine_riccati import montecarlo
 from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _simulate, _uniforms, _words
 
 
@@ -66,7 +67,7 @@ def _two_source_model():
 
 class TestStreamIdentity:
     """The Philox streams are part of the output: every seeded ensemble keeps
-    its bits, with any thread count."""
+    its bits (TestDeterminism shows that worker counts do not change them)."""
 
     # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths
     PINNED = {
@@ -76,11 +77,9 @@ class TestStreamIdentity:
         ("two-source", 1e-3): "0b8664334952c0e54f852ba4744b19d1756a9ed8a5a7349e632f356a0c0df634",
     }
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name, trunc", sorted(PINNED))
-    def test_pinned_ensemble(self, acceptance_models, monkeypatch, threads, name, trunc):
+    def test_pinned_ensemble(self, acceptance_models, name, trunc):
         model = _two_source_model() if name == "two-source" else acceptance_models[name]
-        monkeypatch.setenv("AFFINE_RICCATI_THREADS", threads)
         opts = SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
         assert _sha(simulate_paths(model, opts)) == self.PINNED[name, trunc]
 
@@ -127,22 +126,44 @@ class TestDeterminism:
         assert not np.array_equal(a.states, b.states)
 
     def test_thread_count_does_not_change_results(self, kr_model, monkeypatch):
+        # the kr2014 cascade, and the pick table of two jump sources
         opts = SimOptions(x0=[1.0], T=0.5, dt=5e-3, npaths=400, seed=9, jump_trunc=1e-3)
-        serial = simulate_paths(kr_model, opts)
-        monkeypatch.setenv("AFFINE_RICCATI_THREADS", "4")
-        parallel = simulate_paths(kr_model, opts)
-        assert np.array_equal(serial.states, parallel.states)
+        for model in (kr_model, _two_source_model()):
+            monkeypatch.setattr(montecarlo, "_workers", lambda npaths: 1)
+            serial = simulate_paths(model, opts)
+            for workers in (2, 3):
+                monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
+                parallel = simulate_paths(model, opts)
+                assert np.array_equal(serial.states, parallel.states), workers
+                assert np.array_equal(serial.survived, parallel.survived), workers
 
     def test_thread_count_does_not_change_increment_stream(self, kr_model, monkeypatch):
         tilted = tilt_model(kr_model, [1.0])
         opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=400, seed=9, jump_trunc=1e-4)
-        monkeypatch.setenv("AFFINE_RICCATI_THREADS", "1")
+        monkeypatch.setattr(montecarlo, "_workers", lambda npaths: 1)
         serial = _simulate(tilted, opts, exact_increments=True)
-        monkeypatch.setenv("AFFINE_RICCATI_THREADS", "2")
-        parallel = _simulate(tilted, opts, exact_increments=True)
         assert serial.exploded.any() and serial.survived.any()
-        assert np.array_equal(serial.states, parallel.states)
-        assert np.array_equal(serial.survived, parallel.survived)
+        for workers in (2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
+            parallel = _simulate(tilted, opts, exact_increments=True)
+            assert np.array_equal(serial.states, parallel.states), workers
+            assert np.array_equal(serial.survived, parallel.survived), workers
+
+    @pytest.mark.parametrize("cpus, npaths, workers", [
+        (1, 1, 1), (1, 19_999, 1), (1, 20_000, 1), (1, 10**6, 1),
+        (2, 1, 1), (2, 19_999, 1), (2, 20_000, 2), (2, 10**6, 2),
+        (3, 29_999, 2), (3, 30_000, 3), (3, 10**6, 3),
+    ])
+    def test_worker_count_follows_paths_and_affinity(self, monkeypatch, cpus, npaths, workers):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert montecarlo._workers(npaths) == workers
+
+    def test_worker_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert montecarlo._workers(19_999) == 1
+        assert montecarlo._workers(20_000) == 2
 
 
 class TestSchemeAgainstFlows:
