@@ -67,7 +67,7 @@ def _two_source_model():
 
 class TestStreamIdentity:
     """The Philox streams are part of the output: every seeded ensemble keeps
-    its bits (TestDeterminism shows that worker counts do not change them)."""
+    its bits, with any worker count."""
 
     # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths
     PINNED = {
@@ -77,9 +77,11 @@ class TestStreamIdentity:
         ("two-source", 1e-3): "0b8664334952c0e54f852ba4744b19d1756a9ed8a5a7349e632f356a0c0df634",
     }
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name, trunc", sorted(PINNED))
-    def test_pinned_ensemble(self, acceptance_models, name, trunc):
+    def test_pinned_ensemble(self, acceptance_models, monkeypatch, workers, name, trunc):
         model = _two_source_model() if name == "two-source" else acceptance_models[name]
+        monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
         opts = SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
         assert _sha(simulate_paths(model, opts)) == self.PINNED[name, trunc]
 
