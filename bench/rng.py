@@ -5,8 +5,8 @@ parent against change.
 
 Measures two source trees, ``--src`` (the change, default ``src``) and
 ``--parent`` (a ``git archive`` copy of the parent commit), in fresh
-interpreters that alternate: pair k runs the parent first when k is even and
-the change first when k is odd.  Each pair runs, for each side:
+interpreters that alternate as ``bench/pairs.py`` sets out.  Each pair runs,
+for each side:
 
 * a measuring process that records
   - ``table_us``: microseconds per ``montecarlo._uniforms`` table of 1 row
@@ -37,10 +37,11 @@ import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pairs
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 1       # seed of the mc-jumps job
@@ -131,45 +132,6 @@ def stall(ar):
             "exhausted": int(ens.exhausted.sum()), "sha256": _sha(ens)}
 
 
-def _child(src, mode):
-    cmd = [sys.executable, __file__, "--child", mode, "--src", str(src)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{mode} run of {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def _flat(record, prefix=""):
-    """Numeric leaves of a record, keyed by their path."""
-    out = {}
-    for key, value in record.items():
-        if isinstance(value, dict):
-            out.update(_flat(value, f"{prefix}{key}."))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[f"{prefix}{key}"] = value
-    return out
-
-
-def summarize(runs):
-    flat = {side: [_flat(r) for r in recs] for side, recs in runs.items()}
-    medians = {side: {k: statistics.median(r[k] for r in recs) for k in recs[0]}
-               for side, recs in flat.items()}
-    parent, change = medians["parent"], medians["change"]
-    won = {k: sum(c[k] < p[k] for p, c in zip(flat["parent"], flat["change"])) for k in parent}
-    q = {k: statistics.quantiles([r[k] for r in flat["parent"]], n=4) for k in parent} \
-        if len(flat["parent"]) > 1 else {}
-    digests = [(r["sha256"], r["stall"]["sha256"], r["stall"]["exhausted"])
-               for side in runs for r in runs[side]]
-    return {
-        "pairs": len(flat["parent"]),
-        "median": medians,
-        "parent_quartiles": {k: [v[0], v[2]] for k, v in q.items()},
-        "change_over_parent": {k: change[k] / parent[k] for k in parent if parent[k]},
-        "pairs_won_by_change": won,
-        "identical": all(d == digests[0] for d in digests),
-    }
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
@@ -187,15 +149,7 @@ def main(argv=None):
         return 0
     if not args.parent:
         ap.error("--parent is required")
-    sides = {"parent": Path(args.parent).resolve(), "change": Path(args.src).resolve()}
-    runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
-        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            record = _child(sides[side], "measure")
-            record["stall"] = _child(sides[side], "stall")
-            runs[side].append(record)
-            print(f"rng: pair {k + 1} {side}: job_ms {record['job_ms']:.0f}, "
-                  f"stall {record['stall']['seconds']:.1f} s", file=sys.stderr, flush=True)
+    runs = pairs.run_pairs(__file__, args.parent, args.src, args.pairs, ("measure", "stall"))
     import numpy as np
     import scipy
 
@@ -207,7 +161,8 @@ def main(argv=None):
                      "hashed": HASHED, "default": DEFAULT, "stall": STALL,
                      "parent_commit": args.commit},
         "runs": runs,
-        "summary": summarize(runs),
+        "summary": pairs.summarize(runs, lambda r: (r["sha256"], r["stall"]["sha256"],
+                                                    r["stall"]["exhausted"])),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["summary"], indent=2))

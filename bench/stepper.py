@@ -1,11 +1,12 @@
-"""Costs of the Riccati stepper, layer by layer, and a digest of its outputs.
+"""Costs of the Riccati stepper, layer by layer, and a digest of its outputs,
+parent against change.
 
-    python3 bench/stepper.py --src src --label change
-    python3 bench/stepper.py --src ../parent/src --label parent --commit <sha>
+    python3 bench/stepper.py --parent ../parent/src --commit <sha> [--pairs 5]
 
-Imports ``affine_riccati`` from ``--src``, so that a checkout of another
-commit (a ``git worktree`` or a ``git archive`` copy) is measured by the same
-script, and records on one CPU:
+Measures two source trees, ``--src`` (the change, default ``src``) and
+``--parent`` (a ``git archive`` copy of the parent commit), in fresh
+interpreters that alternate as ``bench/pairs.py`` sets out.  Each run is
+pinned to one CPU and records:
 
 * ``eval_us``: microseconds per ``eval_R`` + ``eval_F`` pair, called as the
   stepper calls them (``check_domain=False``), for each built-in jump family
@@ -16,12 +17,12 @@ script, and records on one CPU:
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
   workload of ``perfbench/workloads.py`` at seed ``SEED``, in total and by kind;
 * ``sha256``: a digest of every array and value those solves return, the
-  proof that two labels compute the same trajectories.
+  proof that the two trees compute the same trajectories.
 
-Every time is the minimum over ``ROUNDS`` rounds (four times as many,
-shorter ones for ``eval_us``).  The figures are merged
-into ``--out`` under ``--label``; when the file holds both ``parent`` and
-``change``, it also gets their ratios and whether the digests agree.
+Within one run every time is the minimum over ``ROUNDS`` rounds (four
+times as many, shorter ones for ``eval_us``).  The records go to ``--out``
+with each side's medians over the pairs, the change/parent ratios of those
+medians, the pairs the change won, and whether every digest agrees.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+import pairs
+
 REPO = Path(__file__).resolve().parent.parent
 SEED = 1      # seed of the transforms cases
-ROUNDS = 15   # timing rounds per figure
+ROUNDS = 5    # timing rounds per figure within one run
 
 
 def _best(fn, rounds):
@@ -146,59 +149,42 @@ def solve_costs(ar, seed, rounds):
     }, _digest(outputs)
 
 
-def _summary(runs):
-    parent, change = runs.get("parent"), runs.get("change")
-    if parent is None or change is None:
-        return None
-
-    def ratios(a, b):
-        return {k: b[k] / a[k] for k in a if k in b}
-
-    return {
-        "identical": parent["sha256"] == change["sha256"],
-        "change_over_parent": {
-            "eval_us": ratios(parent["eval_us"], change["eval_us"]),
-            "step_us": ratios(parent["step_us"], change["step_us"]),
-            "solve_ms": change["solve_ms"]["mean"] / parent["solve_ms"]["mean"],
-        },
-    }
+def measure(ar):
+    solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
+    return {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
+            "solve_ms": solve_ms, "sha256": sha}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="the src/ directory to import affine_riccati from")
-    ap.add_argument("--label", required=True, help="key of these figures in the output file")
-    ap.add_argument("--commit", default=None, help="commit of --src, recorded as given")
+    ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
+    ap.add_argument("--parent", help="src/ of the parent commit")
+    ap.add_argument("--commit", default=None, help="parent commit, recorded as given")
+    ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--out", default=str(REPO / "BENCH_stepper.json"))
+    ap.add_argument("--child", choices=("measure",), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    src = Path(args.src).resolve()
-    if not (src / "affine_riccati" / "__init__.py").is_file():
-        print(f"stepper: no affine_riccati package under {src}", file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(src))
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    import affine_riccati as ar
-
-    solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
-    record = {
-        "commit": args.commit,
-        "eval_us": eval_costs(ar, ROUNDS),
-        "step_us": step_costs(ar, ROUNDS),
-        "solve_ms": solve_ms,
-        "sha256": sha,
+    if args.child:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        import affine_riccati as ar
+        print(json.dumps(measure(ar)))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    runs = pairs.run_pairs(__file__, args.parent, args.src, args.pairs)
+    doc = {
+        "machine": {"cpu": platform.machine(), "cpus": os.cpu_count(), "pinned_cpus": 1,
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__},
+        "settings": {"seed": SEED, "rounds": ROUNDS, "pairs": args.pairs,
+                     "parent_commit": args.commit},
+        "runs": runs,
+        "summary": pairs.summarize(runs, lambda r: r["sha256"]),
     }
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.is_file() else {}
-    doc["machine"] = {
-        "cpu": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__, "pinned_cpus": 1,
-    }
-    doc["settings"] = {"seed": SEED, "rounds": ROUNDS}
-    doc.setdefault("runs", {})[args.label] = record
-    doc["summary"] = _summary(doc["runs"])
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({args.label: record, "summary": doc["summary"]}, indent=2))
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc["summary"], indent=2))
     return 0
 
 

@@ -26,6 +26,11 @@ The effective domain
 is order preserving for the cone order of R_+^m x R^n: membership is
 monotone decreasing in the I-coordinates and depends on the J-coordinates
 only through the measures supported there.
+
+Each family states its exponential range once, as ``exp_bound`` and
+``bound_closed`` (a custom subclass must state both).  Membership of Y, the
+domain errors of the Levy-Khintchine integral and tilt admissibility all
+follow from that range through ``LevyMeasure.admits``, not from integrals.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import contextvars
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,6 +95,11 @@ def quiet_fp():
             yield
     finally:
         _FP_QUIET.reset(token)
+
+
+def _admitted(s, bound, closed) -> bool:
+    """Whether s lies in the exponential range (bound, closed)."""
+    return s < bound or (closed and s == bound)
 
 
 def _is_complex(x) -> bool:
@@ -156,6 +167,11 @@ class LevyMeasure:
     such as CHI = int (xi ^ 1) mu(dxi) = mean_below(1) + tail_mass(1) for
     positive-support families.
 
+    A subclass must state its exponential range, ``exp_bound`` and
+    ``bound_closed``.  Membership of Y, the DomainError of ``lk_integral``
+    and ``lk_derivative`` and the admissibility of ``tilted`` all follow
+    from it through ``admits``; the scalar primitives see only admitted s.
+
     Measures are immutable after construction: derived constants such as
     CHI are computed once and kept on the instance, so a subclass must not
     change its parameters after it is built.
@@ -163,10 +179,10 @@ class LevyMeasure:
 
     axis: Optional[int] = None
 
-    # -- scalar primitives (axis variable) ---------------------------------
+    # -- scalar primitives (axis variable), called inside the range ---------
 
     def _mgf_integral(self, s):
-        """int (e^{s xi} - 1) mu(dxi); +inf outside the domain."""
+        """int (e^{s xi} - 1) mu(dxi)."""
         raise NotImplementedError
 
     def _mgf_derivative(self, s):
@@ -174,7 +190,7 @@ class LevyMeasure:
         raise NotImplementedError
 
     def _exp_moment_tail(self, y: float) -> float:
-        """int_{|xi| >= 1} e^{y xi} mu(dxi); +inf when divergent."""
+        """int_{|xi| >= 1} e^{y xi} mu(dxi)."""
         raise NotImplementedError
 
     def tail_mass(self, eps: float) -> float:
@@ -195,6 +211,12 @@ class LevyMeasure:
 
     def tilted(self, theta: float) -> "LevyMeasure":
         """The exponentially tilted measure e^{theta xi} mu(dxi)."""
+        if not self.admits(theta):
+            raise DomainError("tilt parameter outside the exponential range of the measure")
+        return self._tilted(theta)
+
+    def _tilted(self, theta: float) -> "LevyMeasure":
+        """The family's closed form of the tilt, for an admitted theta."""
         raise NotImplementedError
 
     def density(self, xi: np.ndarray) -> np.ndarray:
@@ -214,12 +236,16 @@ class LevyMeasure:
     @property
     def exp_bound(self) -> float:
         """Supremum of s with int_{|xi|>=1} e^{s xi} mu < oo along the axis."""
-        return _INF
+        raise NotImplementedError
 
     @property
     def bound_closed(self) -> bool:
         """Whether the supremum itself is admissible."""
-        return True
+        raise NotImplementedError
+
+    def admits(self, s) -> bool:
+        """Whether the real exponent s lies in the exponential range."""
+        return _admitted(s, self.exp_bound, self.bound_closed)
 
     @property
     def is_zero(self) -> bool:
@@ -262,10 +288,17 @@ class LevyMeasure:
             return u[()]
         return u[self.axis]
 
+    def _admitted_axis_value(self, u):
+        """The axis coordinate of u; DomainError when its real part is not admitted."""
+        s = self._axis_value(u)
+        if not self.admits(s.real):
+            raise DomainError("u outside the effective domain of the jump measure")
+        return s
+
     def exp_moment(self, y) -> float:
-        """int_{||xi|| >= 1} e^{<y, xi>} mu(dxi) for a real vector y."""
-        s = self._axis_value(y)
-        return self._exp_moment_tail(float(np.real(s)))
+        """int_{||xi|| >= 1} e^{<y, xi>} mu(dxi) for a real vector y; +inf if not admitted."""
+        s = float(np.real(self._axis_value(y)))
+        return self._exp_moment_tail(s) if self.admits(s) else _INF
 
     def lk_integral(self, u, compensated: bool = True):
         """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi).
@@ -273,20 +306,17 @@ class LevyMeasure:
         ``compensated`` states whether the truncation acts on this measure's
         axis (true for mu_0 and for coordinates in J u {i} of mu_i).
         """
-        s = self._axis_value(u)
-        if _is_complex(s):
-            if self._exp_moment_tail(float(s.real)) == _INF:
-                raise DomainError("real part of u outside the effective domain")
+        s = self._admitted_axis_value(u)
         val = self._mgf_integral(s)
-        if val.imag == 0 and math.isinf(val.real):
-            raise DomainError("u outside the effective domain of the jump measure")
+        if val.imag == 0 and math.isinf(val.real):  # overflow inside the range
+            raise DomainError("jump integral not finite at u")
         if compensated:
             val = val - s * self.chi_integral()
         return val
 
     def lk_derivative(self, u, compensated: bool = True):
         """d/du_axis of lk_integral (other partials vanish)."""
-        s = self._axis_value(u)
+        s = self._admitted_axis_value(u)
         val = self._mgf_derivative(s)
         if compensated:
             val = val - self.chi_integral()
@@ -298,6 +328,8 @@ class ZeroJumps(LevyMeasure):
     """The null measure."""
 
     axis: Optional[int] = None
+    exp_bound = _INF
+    bound_closed = True
 
     @property
     def is_zero(self) -> bool:
@@ -318,7 +350,7 @@ class ZeroJumps(LevyMeasure):
     def mean_below(self, eps: float) -> float:
         return 0.0
 
-    def tilted(self, theta: float) -> "ZeroJumps":
+    def _tilted(self, theta: float) -> "ZeroJumps":
         return self
 
 
@@ -329,6 +361,7 @@ class CompoundPoissonExp(LevyMeasure):
     rate: float
     jump_rate: float
     axis: int = 0
+    bound_closed = False
 
     def validate(self):
         out = []
@@ -342,13 +375,7 @@ class CompoundPoissonExp(LevyMeasure):
     def exp_bound(self) -> float:
         return self.jump_rate
 
-    @property
-    def bound_closed(self) -> bool:
-        return False
-
     def _mgf_integral(self, s):
-        if not _is_complex(s) and np.real(s) >= self.jump_rate:
-            return _INF
         return self.rate * s / (self.jump_rate - s)
 
     def _mgf_derivative(self, s):
@@ -356,8 +383,6 @@ class CompoundPoissonExp(LevyMeasure):
 
     def _exp_moment_tail(self, y: float) -> float:
         g = self.jump_rate - y
-        if g <= 0:
-            return _INF
         return self.rate * self.jump_rate * math.exp(-g) / g
 
     def tail_mass(self, eps: float) -> float:
@@ -372,9 +397,7 @@ class CompoundPoissonExp(LevyMeasure):
         prop = eps - np.log1p(-u[:, 0]) / self.jump_rate
         return prop, np.ones_like(prop)
 
-    def tilted(self, theta: float) -> "CompoundPoissonExp":
-        if theta >= self.jump_rate:
-            raise DomainError("tilt parameter reaches the exponential jump rate")
+    def _tilted(self, theta: float) -> "CompoundPoissonExp":
         new_rate = self.rate * self.jump_rate / (self.jump_rate - theta)
         return CompoundPoissonExp(new_rate, self.jump_rate - theta, self.axis)
 
@@ -390,6 +413,8 @@ class CompoundPoissonPoint(LevyMeasure):
     rate: float
     size: float
     axis: int = 0
+    exp_bound = _INF  # finitely many jumps of one size: every exponent
+    bound_closed = True
 
     def validate(self):
         out = []
@@ -428,7 +453,7 @@ class CompoundPoissonPoint(LevyMeasure):
         prop = np.full(u.shape[0], self.size)
         return prop, np.ones(u.shape[0])
 
-    def tilted(self, theta: float) -> "CompoundPoissonPoint":
+    def _tilted(self, theta: float) -> "CompoundPoissonPoint":
         return CompoundPoissonPoint(self.rate * math.exp(theta * self.size), self.size, self.axis)
 
     def atoms(self):
@@ -446,6 +471,7 @@ class GammaLevy(LevyMeasure):
     c: float
     rho: float
     axis: int = 0
+    bound_closed = False
 
     def validate(self):
         out = []
@@ -459,24 +485,15 @@ class GammaLevy(LevyMeasure):
     def exp_bound(self) -> float:
         return self.rho
 
-    @property
-    def bound_closed(self) -> bool:
-        return False
-
     def _mgf_integral(self, s):
         # Frullani: int (e^{s xi} - 1) e^{-rho xi} xi^{-1} dxi = log(rho / (rho - s))
-        if not _is_complex(s) and np.real(s) >= self.rho:
-            return _INF
         return -self.c * np.log1p(-s / self.rho)
 
     def _mgf_derivative(self, s):
         return self.c / (self.rho - s)
 
     def _exp_moment_tail(self, y: float) -> float:
-        g = self.rho - y
-        if g <= 0:
-            return _INF
-        return self.c * float(_sp.exp1(g))
+        return self.c * float(_sp.exp1(self.rho - y))
 
     def tail_mass(self, eps: float) -> float:
         return self.c * float(_sp.exp1(self.rho * eps))
@@ -499,9 +516,7 @@ class GammaLevy(LevyMeasure):
         prop = 0.5 * (lo + hi) / self.rho
         return prop, np.ones_like(prop)
 
-    def tilted(self, theta: float) -> "GammaLevy":
-        if theta >= self.rho:
-            raise DomainError("tilt parameter reaches the gamma tempering rate")
+    def _tilted(self, theta: float) -> "GammaLevy":
         return GammaLevy(self.c, self.rho - theta, self.axis)
 
     def density(self, xi):
@@ -522,6 +537,7 @@ class TemperedStableHalf(LevyMeasure):
     scale: float
     tempering: float
     axis: int = 0
+    bound_closed = True
 
     def validate(self):
         out = []
@@ -535,35 +551,20 @@ class TemperedStableHalf(LevyMeasure):
     def exp_bound(self) -> float:
         return self.tempering
 
-    @property
-    def bound_closed(self) -> bool:
-        return True
-
     def _mgf_integral(self, s):
         # int (e^{s xi} - 1) e^{-rho xi} xi^{-3/2} dxi = 2 sqrt(pi) (sqrt(rho) - sqrt(rho - s))
         rho = self.tempering
-        if _is_complex(s):
-            root = np.sqrt(rho - s + 0.0j)
-        else:
-            if s > rho:
-                return _INF
-            root = math.sqrt(rho - s)
+        root = np.sqrt(rho - s + 0.0j) if _is_complex(s) else math.sqrt(rho - s)
         return 2.0 * math.sqrt(math.pi) * self.scale * (math.sqrt(rho) - root)
 
     def _mgf_derivative(self, s):
         rho = self.tempering
-        if _is_complex(s):
-            return math.sqrt(math.pi) * self.scale / np.sqrt(rho - s + 0.0j)
-        if s > rho:
-            return _INF
-        if s == rho:
-            return _INF
-        return math.sqrt(math.pi) * self.scale / math.sqrt(rho - s)
+        root = np.sqrt(rho - s + 0.0j) if _is_complex(s) else math.sqrt(rho - s)
+        # int xi e^{s xi} mu(dxi) diverges on the closed boundary s = rho
+        return math.sqrt(math.pi) * self.scale / root if root else _INF
 
     def _exp_moment_tail(self, y: float) -> float:
         g = self.tempering - y
-        if g < 0:
-            return _INF
         # int_1^oo e^{-g xi} xi^{-3/2} dxi = 2 (e^{-g} - sqrt(pi g) erfc(sqrt(g)))
         return 2.0 * self.scale * (math.exp(-g) - math.sqrt(math.pi * g) * math.erfc(math.sqrt(g)))
 
@@ -611,9 +612,7 @@ class TemperedStableHalf(LevyMeasure):
                 out = np.where(u[:, 1] <= mean / (mean + x), x, mean * mean / x)
         return np.where(t > 0.0, out, 0.0)
 
-    def tilted(self, theta: float) -> "TemperedStableHalf":
-        if theta > self.tempering:
-            raise DomainError("tilt parameter exceeds the tempering rate")
+    def _tilted(self, theta: float) -> "TemperedStableHalf":
         return TemperedStableHalf(self.scale, self.tempering - theta, self.axis)
 
     def density(self, xi):
@@ -624,18 +623,27 @@ class TemperedStableHalf(LevyMeasure):
 class ExpTiltedMeasure(LevyMeasure):
     """Quadrature-backed fallback for e^{theta xi} mu(dxi).
 
-    Used when a family is not closed under tilting.  Integrals carry the
-    extra exponential factor and are evaluated by adaptive quadrature split
-    at xi = 1; values beyond the magnitude cap are reported as infinite.
-    Path sampling is not provided.
+    Used when a family is not closed under tilting.  Its exponential range
+    is the base range shifted by theta.  Integrals carry the extra
+    exponential factor and are evaluated by adaptive quadrature split at
+    xi = 1; values beyond the magnitude cap are reported as infinite.  Path
+    sampling is not provided.
     """
 
     def __init__(self, base: LevyMeasure, theta: float):
-        if base.exp_moment(np.full(max(base.axis or 0, 0) + 1, theta)) == _INF:
+        if not base.admits(theta):
             raise DomainError("tilt parameter outside the effective domain of the base measure")
         self.base = base
         self.theta = float(theta)
         self.axis = base.axis
+
+    @property
+    def exp_bound(self) -> float:
+        return self.base.exp_bound - self.theta
+
+    @property
+    def bound_closed(self) -> bool:
+        return self.base.bound_closed
 
     def _weighted(self, xi, w):
         # log-space product: e^{(theta + w) xi} overflows long before the
@@ -664,7 +672,7 @@ class ExpTiltedMeasure(LevyMeasure):
     def mean_below(self, eps: float) -> float:
         return _quad_interval(lambda x: x * self.density(x), 0.0, eps)
 
-    def tilted(self, theta: float) -> "ExpTiltedMeasure":
+    def _tilted(self, theta: float) -> "ExpTiltedMeasure":
         return ExpTiltedMeasure(self.base, self.theta + theta)
 
     def tail_proposal(self, eps, u):
@@ -734,34 +742,30 @@ def exp_moment_quadrature(measure: LevyMeasure, y):
 
 @dataclass(frozen=True)
 class DomainY:
-    """Membership predicate of the effective domain, backed by the measures."""
+    """Membership predicate of the effective domain, read off the ranges
+    the measures state."""
 
     shape: StateShape
     measures: tuple
+    _bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # per coordinate, the tightest range of the measures on it; at equal
+        # bounds an open range is tighter, as (b, False) < (b, True)
+        bounds = [(_INF, True)] * self.shape.d
+        for mu in self.measures:
+            if not mu.is_zero:
+                bounds[mu.axis] = min(bounds[mu.axis], (mu.exp_bound, mu.bound_closed))
+        object.__setattr__(self, "_bounds", tuple(bounds))
 
     def contains(self, y) -> bool:
-        y = np.asarray(y)
-        if y.dtype.kind == "c":
-            y = y.real
-        for mu in self.measures:
-            if mu.exp_moment(y) == _INF:
-                return False
-        return True
-
-    def __contains__(self, y) -> bool:
-        return self.contains(y)
+        """Membership of y (its real part for complex input)."""
+        y = np.real(np.atleast_1d(y))
+        return all(_admitted(s, *bound) for s, bound in zip(y, self._bounds))
 
     def axis_bound(self, k: int):
         """(upper bound, closed) for coordinate k, (inf, True) if unconstrained."""
-        bound, closed = _INF, True
-        for mu in self.measures:
-            if mu.is_zero or mu.axis != k:
-                continue
-            if mu.exp_bound < bound:
-                bound, closed = mu.exp_bound, mu.bound_closed
-            elif mu.exp_bound == bound:
-                closed = closed and mu.bound_closed
-        return bound, closed
+        return self._bounds[k]
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +779,8 @@ class AffineModel:
 
     Immutable after construction; evaluation is pure and reentrant, so
     instances are safe to share across concurrent tasks.  Derived constants
-    (the compensation flags, each measure's CHI) are computed once.
+    (the compensation flags, the domain's bounds, each measure's CHI) are
+    computed once.
     """
 
     shape: StateShape
@@ -812,7 +817,7 @@ class AffineModel:
         object.__setattr__(self, "_compensated", tuple(
             mu.is_zero or mu.axis == i or mu.axis in self.shape.J for i, mu in enumerate(mus)))
 
-    @property
+    @cached_property
     def domain(self) -> DomainY:
         return DomainY(self.shape, (self.mu0,) + self.mus)
 
@@ -879,7 +884,7 @@ def validate_model(model: AffineModel) -> ValidationReport:
                 v.append(f"{tag}: support must lie in D (nonnegative axis {mu.axis + 1})")
         for msg in mu.validate():
             v.append(f"{tag}: {msg}")
-        if mu.exp_moment(np.zeros(d)) == _INF:
+        if not mu.admits(0.0):
             v.append(f"{tag}: exp_moment(0) must be finite")
     return ValidationReport(tuple(v))
 

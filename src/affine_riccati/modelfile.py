@@ -20,6 +20,7 @@ digits so a written file re-parses to an identical model.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 
 import numpy as np
@@ -68,46 +69,36 @@ def _integer(sec, key, default=None) -> int:
     return int(value)
 
 
+# family name in a model file -> measure class; the file keys of a family are
+# its dataclass fields other than axis, in field order
+_FAMILIES = {"zero": ZeroJumps, "exp": CompoundPoissonExp, "point": CompoundPoissonPoint,
+             "gamma": GammaLevy, "stable": TemperedStableHalf}
+
+
+def _parameters(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls) if f.name != "axis"]
+
+
 def _measure_from_section(sec) -> LevyMeasure:
     family = sec.get("family", "zero").strip().lower()
-    if family == "zero":
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown jump family {family!r}")
+    cls = _FAMILIES[family]
+    if cls is ZeroJumps:
         return ZeroJumps()
     axis = _integer(sec, "axis", 1.0) - 1
-    if family == "exp":
-        return CompoundPoissonExp(rate=_scalar(sec, "rate"),
-                                  jump_rate=_scalar(sec, "jump_rate"), axis=axis)
-    if family == "point":
-        return CompoundPoissonPoint(rate=_scalar(sec, "rate"),
-                                    size=_scalar(sec, "size"), axis=axis)
-    if family == "gamma":
-        return GammaLevy(c=_scalar(sec, "c"), rho=_scalar(sec, "rho"), axis=axis)
-    if family == "stable":
-        return TemperedStableHalf(scale=_scalar(sec, "scale"),
-                                  tempering=_scalar(sec, "tempering"), axis=axis)
-    raise ConfigError(f"unknown jump family {family!r}")
+    return cls(**{name: _scalar(sec, name) for name in _parameters(cls)}, axis=axis)
 
 
 def _measure_to_lines(tag: str, mu: LevyMeasure):
-    lines = [f"[{tag}]"]
-    if mu.is_zero:
-        lines.append("family = zero")
-        return lines
-    axis = mu.axis + 1
-    if isinstance(mu, CompoundPoissonExp):
-        lines += ["family = exp", f"axis = {axis}",
-                  f"rate = {mu.rate:.17g}", f"jump_rate = {mu.jump_rate:.17g}"]
-    elif isinstance(mu, CompoundPoissonPoint):
-        lines += ["family = point", f"axis = {axis}",
-                  f"rate = {mu.rate:.17g}", f"size = {mu.size:.17g}"]
-    elif isinstance(mu, GammaLevy):
-        lines += ["family = gamma", f"axis = {axis}",
-                  f"c = {mu.c:.17g}", f"rho = {mu.rho:.17g}"]
-    elif isinstance(mu, TemperedStableHalf):
-        lines += ["family = stable", f"axis = {axis}",
-                  f"scale = {mu.scale:.17g}", f"tempering = {mu.tempering:.17g}"]
-    else:
+    family = next((name for name, cls in _FAMILIES.items() if isinstance(mu, cls)), None)
+    if family is None:
         raise ConfigError(f"measure {type(mu).__name__} has no file representation")
-    return lines
+    lines = [f"[{tag}]", f"family = {family}"]
+    if not mu.is_zero:
+        lines.append(f"axis = {mu.axis + 1}")
+    params = _parameters(_FAMILIES[family])
+    return lines + [f"{name} = {getattr(mu, name):.17g}" for name in params]
 
 
 def parse_model(text: str) -> AffineModel:

@@ -7,9 +7,18 @@ import re
 import numpy as np
 import pytest
 
-from affine_riccati import ConfigError
+from affine_riccati import (
+    AffineModel,
+    CompoundPoissonExp,
+    CompoundPoissonPoint,
+    ConfigError,
+    GammaLevy,
+    StateShape,
+    TemperedStableHalf,
+    ZeroJumps,
+)
 from affine_riccati.cli import build_parser, main
-from affine_riccati.modelfile import parse_model
+from affine_riccati.modelfile import parse_model, write_model
 
 
 def run(tmp_path, *argv):
@@ -203,6 +212,23 @@ class TestExportAndRoundTrip:
         assert m1.mus == m2.mus
         assert np.array_equal(m1.beta_I, m2.beta_I)
 
+    @pytest.mark.parametrize("family, mu", [
+        ("zero", ZeroJumps()),
+        ("exp", CompoundPoissonExp(rate=0.7, jump_rate=1 / 3, axis=0)),
+        ("point", CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)),
+        ("gamma", GammaLevy(c=0.1, rho=2.0, axis=0)),
+        ("stable", TemperedStableHalf(scale=0.3, tempering=0.7, axis=0)),
+    ])
+    def test_every_family_round_trips(self, family, mu):
+        model = AffineModel(shape=StateShape(1, 1), a=[[0.0, 0.0], [0.0, 0.2]], b=[0.5, 0.1],
+                            alpha=[1.0], beta_I=[[-1.0, 0.3]], beta_JJ=[[-0.4]],
+                            mu0=mu, mus=(mu,))
+        text = write_model(model)
+        assert f"family = {family}" in text
+        again = parse_model(text)
+        assert again.mu0 == mu and again.mus == (mu,)
+        assert write_model(again) == text
+
     def test_model_file_usable_by_solve(self, tmp_path):
         run(tmp_path, "export-model", "--model", "feller")
         code = main(["solve", "--model", str(tmp_path / "model.ini"),
@@ -236,6 +262,18 @@ class TestMalformedModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and MALFORMED[case][1] in err
         assert "Traceback" not in err
+
+
+def test_overflowing_start_is_usage_error(tmp_path, capsys):
+    # u0 = 500 lies in Y (point jumps admit every exponent), but e^{500 * 1.5}
+    # overflows, so the field is undefined at the start
+    model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], alpha=[0.0],
+                        beta_I=[[-1.0]], mus=(CompoundPoissonPoint(rate=0.4, size=1.5, axis=0),))
+    path = tmp_path / "point.ini"
+    path.write_text(write_model(model))
+    assert run(tmp_path, "solve", "--model", str(path), "--u0", "500", "--T", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCLIContract:

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from affine_riccati import (
     AffineModel,
+    CompoundPoissonExp,
+    CompoundPoissonPoint,
     DomainError,
+    ExpTiltedMeasure,
+    GammaLevy,
     LevyMeasure,
     StateShape,
+    TemperedStableHalf,
+    ZeroJumps,
     eval_F,
     eval_R,
     in_domain_Y,
@@ -22,6 +28,26 @@ from affine_riccati import (
 from affine_riccati.model import exp_moment_quadrature, lk_integral_quadrature
 
 QUAD_AGREEMENT_RTOL = 1e-8
+
+
+def _scalar_model(mu):
+    """m = 1 model whose only jumps are the state-linear measure mu."""
+    return AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], alpha=[0.0],
+                       beta_I=[[-1.0]], mus=(mu,))
+
+
+# each built-in family with its exponential range (bound, closed), read off
+# its parameters
+STATED_RANGES = {
+    "zero": (ZeroJumps(), math.inf, True),
+    "exp": (CompoundPoissonExp(rate=0.7, jump_rate=1.5, axis=0), 1.5, False),
+    "point": (CompoundPoissonPoint(rate=0.4, size=0.6, axis=0), math.inf, True),
+    # at y = 500, e^{y size} overflows a float, but the moment is finite
+    "point-large": (CompoundPoissonPoint(rate=0.4, size=1.5, axis=0), math.inf, True),
+    "gamma": (GammaLevy(c=0.5, rho=2.0, axis=0), 2.0, False),
+    "stable": (TemperedStableHalf(scale=0.3, tempering=1.2, axis=0), 1.2, True),
+    "stable-untempered": (TemperedStableHalf(scale=0.3, tempering=0.0, axis=0), 0.0, True),
+}
 
 
 class TestStateShape:
@@ -217,6 +243,31 @@ class TestDomain:
 
     def test_purely_imaginary_always_admitted(self, exp_jump_model):
         assert in_domain_Y(exp_jump_model, np.array([3.0j]))
+
+    @pytest.mark.parametrize("family", sorted(STATED_RANGES))
+    def test_membership_follows_the_stated_range(self, family):
+        mu, bound, closed = STATED_RANGES[family]
+        model = _scalar_model(mu)
+        centre = bound if math.isfinite(bound) else 0.0
+        ys = {centre + sign * off for sign in (1, -1)
+              for off in (0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 10.0, 500.0)}
+        up = down = centre
+        for _ in range(3):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+            ys |= {float(up), float(down)}
+        for y in sorted(ys):
+            inside = y < bound or (closed and y == bound)
+            assert in_domain_Y(model, [y]) == inside, (family, y)
+            assert in_domain_Y(model, [complex(y, 2.0)]) == inside, (family, y)
+
+    def test_quadrature_tilt_states_the_shifted_range(self):
+        # the tilted integrand 0.3 e^{0.01 xi} xi^{-3/2} at y = 0.81 diverges
+        # too slowly for the quadrature to see
+        mu = ExpTiltedMeasure(TemperedStableHalf(scale=0.3, tempering=1.2, axis=0), 0.4)
+        model = _scalar_model(mu)
+        assert model.domain.axis_bound(0) == (pytest.approx(0.8), True)
+        assert in_domain_Y(model, [0.79])
+        assert not in_domain_Y(model, [0.81])
 
 
 class TestReducedField:
