@@ -5,16 +5,22 @@ Each measurement runs ``python <script> --child <mode> --src <tree>`` in a new
 interpreter, which prints one JSON record.  Pair k runs the parent first when
 k is even and the change first when k is odd, so a drift in the machine's
 speed falls on both sides alike.  ``summarize`` reduces the records to each
-side's medians and the pairs the change won.
+side's medians and the pairs the change won; ``main`` is the command line
+both bench scripts share.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _child(script, src, mode):
@@ -75,3 +81,49 @@ def summarize(runs, digest):
         "pairs_won_by_change": won,
         "identical": all(d == digests[0] for d in digests),
     }
+
+
+def main(script, measures, digest, settings, pairs, pin=False):
+    """Command line of a bench script.
+
+    ``measures`` maps each child mode to a function of the imported
+    ``affine_riccati`` that returns the mode's record; the first mode's
+    record holds the others.  With ``--child`` the script measures one tree
+    (pinned to one CPU when ``pin``); otherwise it runs ``pairs`` pairs of
+    ``--parent`` against ``--src`` and writes the records, ``settings`` and
+    ``summarize(runs, digest)`` to ``--out`` (default ``BENCH_<script>.json``
+    at the root of the repo).
+    """
+    ap = argparse.ArgumentParser(description=sys.modules["__main__"].__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
+    ap.add_argument("--parent", help="src/ of the parent commit")
+    ap.add_argument("--commit", default=None, help="parent commit, recorded as given")
+    ap.add_argument("--out", default=str(REPO / f"BENCH_{Path(script).stem}.json"),
+                    help="output file")
+    ap.add_argument("--child", choices=tuple(measures), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+
+    if args.child:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        if pin:
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        import affine_riccati as ar
+        print(json.dumps(measures[args.child](ar)))
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    runs = run_pairs(script, args.parent, args.src, pairs, tuple(measures))
+    import numpy as np
+    import scipy
+
+    doc = {
+        "machine": {"cpu": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
+                    "pinned_cpus": 1 if pin else None, "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__},
+        "settings": {**settings, "pairs": pairs, "parent_commit": args.commit},
+        "runs": runs,
+        "summary": summarize(runs, digest),
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc["summary"], indent=2))
+    return 0

@@ -1,12 +1,12 @@
 """Costs of the Philox tables, the jump cascade and default-size ensembles,
 parent against change.
 
-    python3 bench/rng.py --parent ../parent/src --commit <sha> [--pairs 5]
+    python3 bench/rng.py --parent ../parent/src --commit <sha>
 
 Measures two source trees, ``--src`` (the change, default ``src``) and
 ``--parent`` (a ``git archive`` copy of the parent commit), in fresh
-interpreters that alternate as ``bench/pairs.py`` sets out.  Each pair runs,
-for each side:
+interpreters that alternate as ``bench/pairs.py`` sets out, ``PAIRS`` pairs.
+Each pair runs, for each side:
 
 * a measuring process that records
   - ``table_us``: microseconds per ``montecarlo._uniforms`` table of 1 row
@@ -30,21 +30,16 @@ agrees.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import resource
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import pairs
 
-REPO = Path(__file__).resolve().parent.parent
 SEED = 1       # seed of the mc-jumps job
+PAIRS = 5      # parent/change pairs
 JOBS = 3       # timed jobs per measuring process
 TABLES = 2000  # tables per table_us round
 # (model, jump_trunc) ensembles at seed 99, T 0.5, dt 2e-3, 2,000 paths
@@ -79,7 +74,7 @@ def _model(ar, name):
 def measure(ar):
     from affine_riccati import montecarlo
 
-    sys.path.insert(1, str(REPO / "perfbench"))
+    sys.path.insert(1, str(pairs.REPO / "perfbench"))
     import workloads
 
     table_us = {}
@@ -132,42 +127,9 @@ def stall(ar):
             "exhausted": int(ens.exhausted.sum()), "sha256": _sha(ens)}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
-    ap.add_argument("--parent", help="src/ of the parent commit")
-    ap.add_argument("--commit", default=None, help="parent commit, recorded as given")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--out", default=str(REPO / "BENCH_rng.json"))
-    ap.add_argument("--child", choices=("measure", "stall"), help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-
-    if args.child:
-        sys.path.insert(0, str(Path(args.src).resolve()))
-        import affine_riccati as ar
-        print(json.dumps(measure(ar) if args.child == "measure" else stall(ar)))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
-    runs = pairs.run_pairs(__file__, args.parent, args.src, args.pairs, ("measure", "stall"))
-    import numpy as np
-    import scipy
-
-    doc = {
-        "machine": {"cpu": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
-        "settings": {"seed": SEED, "jobs": JOBS, "tables": TABLES, "pairs": args.pairs,
-                     "hashed": HASHED, "default": DEFAULT, "stall": STALL,
-                     "parent_commit": args.commit},
-        "runs": runs,
-        "summary": pairs.summarize(runs, lambda r: (r["sha256"], r["stall"]["sha256"],
-                                                    r["stall"]["exhausted"])),
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc["summary"], indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(pairs.main(
+        __file__, {"measure": measure, "stall": stall},
+        lambda r: (r["sha256"], r["stall"]["sha256"], r["stall"]["exhausted"]),
+        {"seed": SEED, "jobs": JOBS, "tables": TABLES, "hashed": HASHED, "default": DEFAULT,
+         "stall": STALL}, PAIRS))

@@ -1,12 +1,12 @@
 """Costs of the Riccati stepper, layer by layer, and a digest of its outputs,
 parent against change.
 
-    python3 bench/stepper.py --parent ../parent/src --commit <sha> [--pairs 5]
+    python3 bench/stepper.py --parent ../parent/src --commit <sha>
 
 Measures two source trees, ``--src`` (the change, default ``src``) and
 ``--parent`` (a ``git archive`` copy of the parent commit), in fresh
-interpreters that alternate as ``bench/pairs.py`` sets out.  Each run is
-pinned to one CPU and records:
+interpreters that alternate as ``bench/pairs.py`` sets out, ``PAIRS`` pairs.
+Each run is pinned to one CPU and records:
 
 * ``eval_us``: microseconds per ``eval_R`` + ``eval_F`` pair, called as the
   stepper calls them (``check_domain=False``), for each built-in jump family
@@ -27,23 +27,17 @@ medians, the pairs the change won, and whether every digest agrees.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 import pairs
 
-REPO = Path(__file__).resolve().parent.parent
 SEED = 1      # seed of the transforms cases
-ROUNDS = 5    # timing rounds per figure within one run
+ROUNDS = 15   # timing rounds per figure within one run
+PAIRS = 10    # parent/change pairs
 
 
 def _best(fn, rounds):
@@ -130,7 +124,7 @@ def _digest(values):
 
 
 def solve_costs(ar, seed, rounds):
-    sys.path.insert(1, str(REPO / "perfbench"))
+    sys.path.insert(1, str(pairs.REPO / "perfbench"))
     import workloads
 
     cases = workloads.Transforms(seed).cases
@@ -155,38 +149,6 @@ def measure(ar):
             "solve_ms": solve_ms, "sha256": sha}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(REPO / "src"), help="src/ of the change")
-    ap.add_argument("--parent", help="src/ of the parent commit")
-    ap.add_argument("--commit", default=None, help="parent commit, recorded as given")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--out", default=str(REPO / "BENCH_stepper.json"))
-    ap.add_argument("--child", choices=("measure",), help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-
-    if args.child:
-        sys.path.insert(0, str(Path(args.src).resolve()))
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        import affine_riccati as ar
-        print(json.dumps(measure(ar)))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
-    runs = pairs.run_pairs(__file__, args.parent, args.src, args.pairs)
-    doc = {
-        "machine": {"cpu": platform.machine(), "cpus": os.cpu_count(), "pinned_cpus": 1,
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
-        "settings": {"seed": SEED, "rounds": ROUNDS, "pairs": args.pairs,
-                     "parent_commit": args.commit},
-        "runs": runs,
-        "summary": pairs.summarize(runs, lambda r: r["sha256"]),
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc["summary"], indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(pairs.main(__file__, {"measure": measure}, lambda r: r["sha256"],
+                        {"seed": SEED, "rounds": ROUNDS}, PAIRS, pin=True))

@@ -97,6 +97,14 @@ def quiet_fp():
         _FP_QUIET.reset(token)
 
 
+def _rate_exp(rate: float, x: float) -> float:
+    """rate * e^x, +inf where it overflows a float (a zero rate stays zero)."""
+    try:
+        return rate * math.exp(x)
+    except OverflowError:
+        return _INF if rate else rate
+
+
 def _admitted(s, bound, closed) -> bool:
     """Whether s lies in the exponential range (bound, closed)."""
     return s < bound or (closed and s == bound)
@@ -361,6 +369,7 @@ class CompoundPoissonExp(LevyMeasure):
     rate: float
     jump_rate: float
     axis: int = 0
+    exp_bound = property(lambda self: self.jump_rate)
     bound_closed = False
 
     def validate(self):
@@ -370,10 +379,6 @@ class CompoundPoissonExp(LevyMeasure):
         if self.jump_rate <= 0:
             out.append("exponential jump law requires jump_rate > 0")
         return out
-
-    @property
-    def exp_bound(self) -> float:
-        return self.jump_rate
 
     def _mgf_integral(self, s):
         return self.rate * s / (self.jump_rate - s)
@@ -432,7 +437,7 @@ class CompoundPoissonPoint(LevyMeasure):
 
     def _exp_moment_tail(self, y: float) -> float:
         if abs(self.size) >= 1.0:
-            return self.rate * math.exp(y * self.size)
+            return _rate_exp(self.rate, y * self.size)
         return 0.0
 
     def _chi_integral(self) -> float:
@@ -454,7 +459,10 @@ class CompoundPoissonPoint(LevyMeasure):
         return prop, np.ones(u.shape[0])
 
     def _tilted(self, theta: float) -> "CompoundPoissonPoint":
-        return CompoundPoissonPoint(self.rate * math.exp(theta * self.size), self.size, self.axis)
+        rate = _rate_exp(self.rate, theta * self.size)
+        if math.isinf(rate):  # overflow inside the range
+            raise DomainError("tilted jump rate not finite at theta")
+        return CompoundPoissonPoint(rate, self.size, self.axis)
 
     def atoms(self):
         return [(self.size, self.rate)]
@@ -471,6 +479,7 @@ class GammaLevy(LevyMeasure):
     c: float
     rho: float
     axis: int = 0
+    exp_bound = property(lambda self: self.rho)
     bound_closed = False
 
     def validate(self):
@@ -480,10 +489,6 @@ class GammaLevy(LevyMeasure):
         if self.rho <= 0:
             out.append("gamma family requires rho > 0 (Levy tail integrability)")
         return out
-
-    @property
-    def exp_bound(self) -> float:
-        return self.rho
 
     def _mgf_integral(self, s):
         # Frullani: int (e^{s xi} - 1) e^{-rho xi} xi^{-1} dxi = log(rho / (rho - s))
@@ -537,6 +542,7 @@ class TemperedStableHalf(LevyMeasure):
     scale: float
     tempering: float
     axis: int = 0
+    exp_bound = property(lambda self: self.tempering)
     bound_closed = True
 
     def validate(self):
@@ -546,10 +552,6 @@ class TemperedStableHalf(LevyMeasure):
         if self.tempering < 0:
             out.append("tempered-stable family requires tempering >= 0")
         return out
-
-    @property
-    def exp_bound(self) -> float:
-        return self.tempering
 
     def _mgf_integral(self, s):
         # int (e^{s xi} - 1) e^{-rho xi} xi^{-3/2} dxi = 2 sqrt(pi) (sqrt(rho) - sqrt(rho - s))
@@ -630,20 +632,15 @@ class ExpTiltedMeasure(LevyMeasure):
     sampling is not provided.
     """
 
+    exp_bound = property(lambda self: self.base.exp_bound - self.theta)
+    bound_closed = property(lambda self: self.base.bound_closed)
+
     def __init__(self, base: LevyMeasure, theta: float):
         if not base.admits(theta):
             raise DomainError("tilt parameter outside the effective domain of the base measure")
         self.base = base
         self.theta = float(theta)
         self.axis = base.axis
-
-    @property
-    def exp_bound(self) -> float:
-        return self.base.exp_bound - self.theta
-
-    @property
-    def bound_closed(self) -> bool:
-        return self.base.bound_closed
 
     def _weighted(self, xi, w):
         # log-space product: e^{(theta + w) xi} overflows long before the
@@ -731,7 +728,7 @@ def exp_moment_quadrature(measure: LevyMeasure, y):
     s = float(np.real(measure._axis_value(y)))
     at = measure.atoms()
     if at is not None:
-        return sum(mass * math.exp(s * loc) for loc, mass in at if abs(loc) >= 1.0)
+        return sum(_rate_exp(mass, s * loc) for loc, mass in at if abs(loc) >= 1.0)
     return _quad_tail(lambda x: np.exp(s * x) * measure.density(x))
 
 

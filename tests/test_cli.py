@@ -276,6 +276,17 @@ def test_overflowing_start_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_overflowing_tilt_is_usage_error(tmp_path, capsys):
+    # theta = 500 lies in Y, but the tilted rate 0.4 e^{500 * 1.5} overflows
+    model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], alpha=[0.0],
+                        beta_I=[[-1.0]], mus=(CompoundPoissonPoint(rate=0.4, size=1.5, axis=0),))
+    path = tmp_path / "point.ini"
+    path.write_text(write_model(model))
+    assert run(tmp_path, "conservative", "--model", str(path), "--tilt", "500") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCLIContract:
     def test_unknown_flag_is_hard_error(self, tmp_path):
         assert run(tmp_path, "solve", "--model", "feller", "--u0", "0",

@@ -269,6 +269,16 @@ class TestDomain:
         assert in_domain_Y(model, [0.79])
         assert not in_domain_Y(model, [0.81])
 
+    def test_point_overflow_is_an_infinite_moment_and_a_refused_tilt(self):
+        # y = 500 lies in Y, but e^{500 * 1.5} overflows a float
+        mu = CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)
+        assert mu.exp_moment(np.array([500.0])) == math.inf
+        assert exp_moment_quadrature(mu, np.array([500.0])) == math.inf
+        assert CompoundPoissonPoint(rate=0.0, size=1.5, axis=0).exp_moment(np.array([500.0])) == 0.0
+        with pytest.raises(DomainError):
+            mu.tilted(500.0)
+        assert mu.tilted(1.0).rate == 0.4 * math.exp(1.5)
+
 
 class TestReducedField:
     def test_zero_at_origin(self, acceptance_models):
