@@ -1,5 +1,5 @@
-"""Costs of the Philox tables, the jump cascade and default-size ensembles,
-parent against change.
+"""Costs of the Philox tables, the simulations of one mc-jumps job and
+default-size ensembles, parent against change.
 
     python3 bench/rng.py --parent ../parent/src --commit <sha>
 
@@ -48,7 +48,8 @@ HASHED = [("cir-jump", 1e-3), ("kr2014", 1e-3), ("kr2014", 1e-4), ("two-source",
 # at which the default worker count is 1 and 2 on a two-CPU machine
 DEFAULT = [("feller", 1e-3, 20_000), ("feller", 1e-3, 100_000),
            ("kr2014", 1e-4, 20_000), ("kr2014", 1e-4, 100_000)]
-# tilted kr2014 with untempered linear jumps and the default cascade
+# tilted kr2014 with untempered linear jumps, sampled by exact increments
+# (a jump cascade over them ran out of rounds on 3 of the 200 paths)
 STALL = dict(x0=[1.0], T=0.3, dt=2e-3, npaths=200)
 
 

@@ -83,7 +83,9 @@ def _add_ensemble_args(p, npaths: int):
     p.add_argument("--npaths", type=int, default=npaths)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jump-trunc", type=float, default=1e-3)
+    p.add_argument("--jump-trunc", type=float, default=1e-3,
+                   help="truncates the jumps of cascade sources (compound Poisson and "
+                        "gamma); tempered 1/2-stable sources are exact and never truncated")
 
 
 def _sim_opts(args):

@@ -210,10 +210,13 @@ class LevyMeasure:
         raise NotImplementedError
 
     def tail_proposal(self, eps: float, u: np.ndarray):
-        """Map uniforms to (proposal, acceptance probability) for the tail law.
+        """Map uniforms to (proposal, acceptance probability) for the tail law
+        that the simulator's jump cascade samples.
 
         Inverse-CDF families return acceptance 1; rejection families return
-        the pointwise acceptance of their dominating proposal.
+        the pointwise acceptance of their dominating proposal.  The tempered
+        1/2-stable family is simulated by its exact ``increment`` instead and
+        has no tail proposal.
         """
         raise NotImplementedError
 
@@ -583,12 +586,6 @@ class TemperedStableHalf(LevyMeasure):
         if rho == 0.0:
             return self.scale * 2.0 * math.sqrt(eps)
         return self.scale * math.sqrt(math.pi / rho) * math.erf(math.sqrt(rho * eps))
-
-    def tail_proposal(self, eps: float, u: np.ndarray):
-        # Dominating proposal: the untempered power tail xi = eps / (1-u)^2,
-        # accepted with the tempering factor e^{-rho (xi - eps)}.
-        prop = eps / (1.0 - u[:, 0]) ** 2
-        return prop, np.exp(-self.tempering * (prop - eps))
 
     def increment(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Sum of all jumps of a subordinator with Levy measure t * mu.

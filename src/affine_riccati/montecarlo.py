@@ -4,19 +4,26 @@ Scheme
 ------
 Full-truncation Euler for the diffusion part: the nonnegative coordinates are
 clamped at zero inside every coefficient evaluation and after every step.
-Jumps with magnitude >= ``jump_trunc`` are sampled exactly - compound-Poisson
-for the constant measure, Poisson thinning with the intensity frozen at the
-left endpoint X_{i,t-} for the state-linear measures.  Smaller jumps are
-replaced by their first-order drift compensation: compensated coordinates
-lose the tail truncation drift, uncompensated coordinates gain the mean of
-the discarded small jumps.  No variance correction is added.
+Each jump source has one scheme, fixed by its family.
 
-The tilted run of ``martingale_gap`` replaces the cascade of every tempered
-1/2-stable source by its exact frozen-intensity subordinator increment over
-the step (inverse Gaussian, or Levy-distributed when untempered), drawn from
-its own stream purpose with one row per path; no jump is truncated and no
-truncation drift is added.  Untempered linear jumps make the cascade
-arbitrarily long, while the increment costs the same at every state.
+Tempered 1/2-stable sources, constant or state-linear, add their exact
+subordinator increment over the step, with the intensity frozen at the left
+endpoint X_{i,t-}: inverse Gaussian, or Levy-distributed when untempered.
+The increment holds every jump, so its compensator enters the drift in full
+and no truncation drift is added.  It costs the same at every state, also
+for untempered linear jumps, on which a cascade would run arbitrarily long.
+Its two uniforms per path come from the increment stream of its source index.
+
+The other sources (compound Poisson and gamma) run the within-step jump
+cascade.  Jumps with magnitude >= ``jump_trunc`` are sampled exactly -
+compound-Poisson for the constant measure, Poisson thinning with the
+intensity frozen at the left limit X_{i,t-} of each jump for the
+state-linear measures.  Smaller jumps are replaced by their first-order
+drift compensation: compensated coordinates lose the tail truncation drift,
+uncompensated coordinates gain the mean of the discarded small jumps.  No
+variance correction is added.  So ``jump_trunc`` truncates the jumps of
+cascade sources (compound Poisson and gamma); tempered 1/2-stable sources
+are exact and never truncated.
 
 Randomness
 ----------
@@ -114,7 +121,11 @@ def _workers(npaths: int) -> int:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Euler scheme configuration; states are recorded every ``stride`` steps."""
+    """Euler scheme configuration; states are recorded every ``stride`` steps.
+
+    ``jump_trunc`` truncates the jumps of cascade sources (compound Poisson
+    and gamma); tempered 1/2-stable sources are exact and never truncated.
+    """
 
     x0: np.ndarray
     T: float
@@ -271,14 +282,12 @@ def _diffusion_factor(a2: np.ndarray) -> Optional[np.ndarray]:
 
 def simulate_paths(model: AffineModel, opts: SimOptions) -> PathEnsemble:
     """Simulate an ensemble of paths of the affine model."""
-    return _simulate(model, opts, exact_increments=False)
+    return _simulate(model, opts)
 
 
-def _simulate(model: AffineModel, opts: SimOptions, exact_increments: bool) -> PathEnsemble:
-    """The Euler scheme; ``exact_increments`` switches the jump part of every
-    tempered 1/2-stable source from the truncated cascade to the exact
-    frozen-intensity subordinator increment (all jump sizes, no truncation
-    drift), which cannot stall on untempered linear jumps."""
+def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
+    """The Euler scheme of the module docstring.  ``simulate_paths`` is its
+    public name; perfbench/tracing.py wraps both names."""
     report = validate_model(model)
     if not report.ok:
         raise ConfigError("model fails validation: " + "; ".join(report))
@@ -301,7 +310,7 @@ def _simulate(model: AffineModel, opts: SimOptions, exact_increments: bool) -> P
     increment_sources = []
 
     def add_source(mu, coord, compensated):
-        if exact_increments and isinstance(mu, TemperedStableHalf):
+        if isinstance(mu, TemperedStableHalf):
             increment_sources.append((mu, coord))
             return mu.sim_drift_correction(0.0, compensated=compensated)
         lam = mu.tail_mass(eps)
@@ -571,9 +580,10 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     Under F(theta) = l and R(theta) = lambda, S~ is the density process of
     the tilted law up to its explosion time tau, so
     E[S~_T] = e^{<theta,x0>} Q~(tau > T) (Kallsen & Muhle-Karbe 2010).  The
-    tilted model is simulated with the same options, its tempered
-    1/2-stable jumps by exact frozen-intensity subordinator increments, and
-    the surviving fraction gives a bounded-variance estimate of E[S~_T].
+    tilted model is simulated with the same options and scheme as the base
+    model (tempered 1/2-stable jumps by their exact increments, the other
+    families by the cascade), and its surviving fraction gives a
+    bounded-variance estimate of E[S~_T].
     That estimate decides ``excludes_martingale`` (at 3 standard errors)
     and ``z_vs_predicted``; where its Bernoulli standard error is
     zero, the resolution floor e^{<theta,x0>} / npaths takes its place (see
@@ -596,7 +606,7 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     predicted = math.exp(float(phi_min[-1]) + float(psi_min[-1] @ opts.x0))
     martingale_value = math.exp(float(theta @ opts.x0))
 
-    tilted = _simulate(tilt_model(model, theta), opts, exact_increments=True)
+    tilted = _simulate(tilt_model(model, theta), opts)
     if np.any(tilted.exhausted):
         raise SolverError(
             f"{int(tilted.exhausted.sum())} tilted paths ran out of jump cascade rounds; "

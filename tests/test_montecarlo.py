@@ -14,6 +14,7 @@ from affine_riccati import (
     CompoundPoissonExp,
     CompoundPoissonPoint,
     ConfigError,
+    GammaLevy,
     SimOptions,
     SolveOptions,
     SolverError,
@@ -30,7 +31,7 @@ from affine_riccati import (
     tilt_model,
 )
 from affine_riccati import montecarlo
-from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _simulate, _uniforms, _words
+from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _uniforms, _words
 
 
 class TestSimOptions:
@@ -58,8 +59,8 @@ def _sha(ens):
 
 
 def _two_source_model():
-    """cir-jump plus a linear tempered 1/2-stable source: the cascade picks
-    the jumping source from a table of its own."""
+    """cir-jump plus a linear tempered 1/2-stable source: one cascade source
+    and one increment source."""
     return AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
                        beta_I=[[-1.0]], mu0=CompoundPoissonExp(rate=0.3, jump_rate=2.0, axis=0),
                        mus=(TemperedStableHalf(scale=0.2, tempering=1.0, axis=0),))
@@ -69,21 +70,26 @@ class TestStreamIdentity:
     """The Philox streams are part of the output: every seeded ensemble keeps
     its bits, with any worker count."""
 
-    # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths
+    # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths,
+    # x0 = 1 (mixed: x0 = (0.8, 0.5, -0.2)).  kr2014 has one tempered
+    # 1/2-stable source, which jump_trunc does not truncate.
     PINNED = {
         ("cir-jump", 1e-3): "c3057b35353fdc6d6fcdf38c9974a62df072a967c423652cc8e1abc5b4511d9d",
-        ("kr2014", 1e-3): "10b357aafef4c34f6d6b19f12e705057776ac91fc17966bc08b17e958719eb01",
-        ("kr2014", 1e-4): "0d0b331e70d9ebfc63146c9c8c4451f9f6e8063dd83be4432be96fd898b487b2",
-        ("two-source", 1e-3): "0b8664334952c0e54f852ba4744b19d1756a9ed8a5a7349e632f356a0c0df634",
+        ("kr2014", 1e-3): "3e6b8dfb9e4de15271c1b96a18e7b57e2385e13069f509e19813523036a62074",
+        ("kr2014", 1e-4): "3e6b8dfb9e4de15271c1b96a18e7b57e2385e13069f509e19813523036a62074",
+        ("two-source", 1e-3): "b32aaa12975ab80c15ce303b2e7d94d380dcfce36065944dc0b1f2ee0c4bd98a",
+        ("mixed", 1e-3): "9ea454a50f644da5e56025218cca43747970c718440425e0b792a61808b85e05",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name, trunc", sorted(PINNED))
-    def test_pinned_ensemble(self, acceptance_models, monkeypatch, workers, name, trunc):
-        model = _two_source_model() if name == "two-source" else acceptance_models[name]
+    def test_pinned_ensemble(self, acceptance_models, mixed_model, monkeypatch, workers,
+                             name, trunc):
+        models = {**acceptance_models, "two-source": _two_source_model(), "mixed": mixed_model}
+        x0 = [0.8, 0.5, -0.2] if name == "mixed" else [1.0]
         monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
-        opts = SimOptions(x0=[1.0], T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
-        assert _sha(simulate_paths(model, opts)) == self.PINNED[name, trunc]
+        opts = SimOptions(x0=x0, T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
+        assert _sha(simulate_paths(models[name], opts)) == self.PINNED[name, trunc]
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
     @pytest.mark.parametrize("cols", [None, 1, 2])
@@ -127,10 +133,12 @@ class TestDeterminism:
                                                       npaths=500, seed=2))
         assert not np.array_equal(a.states, b.states)
 
-    def test_thread_count_does_not_change_results(self, kr_model, monkeypatch):
-        # the kr2014 cascade, and the pick table of two jump sources
-        opts = SimOptions(x0=[1.0], T=0.5, dt=5e-3, npaths=400, seed=9, jump_trunc=1e-3)
-        for model in (kr_model, _two_source_model()):
+    def test_thread_count_does_not_change_results(self, kr_model, mixed_model, monkeypatch):
+        # the kr2014 increments, one cascade source beside an increment
+        # source, and the pick table of the mixed model's two cascade sources
+        for model in (kr_model, _two_source_model(), mixed_model):
+            x0 = [0.8, 0.5, -0.2] if model is mixed_model else [1.0]
+            opts = SimOptions(x0=x0, T=0.5, dt=5e-3, npaths=400, seed=9, jump_trunc=1e-3)
             monkeypatch.setattr(montecarlo, "_workers", lambda npaths: 1)
             serial = simulate_paths(model, opts)
             for workers in (2, 3):
@@ -143,11 +151,11 @@ class TestDeterminism:
         tilted = tilt_model(kr_model, [1.0])
         opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=400, seed=9, jump_trunc=1e-4)
         monkeypatch.setattr(montecarlo, "_workers", lambda npaths: 1)
-        serial = _simulate(tilted, opts, exact_increments=True)
+        serial = simulate_paths(tilted, opts)
         assert serial.exploded.any() and serial.survived.any()
         for workers in (2, 3):
             monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
-            parallel = _simulate(tilted, opts, exact_increments=True)
+            parallel = simulate_paths(tilted, opts)
             assert np.array_equal(serial.states, parallel.states), workers
             assert np.array_equal(serial.survived, parallel.survived), workers
 
@@ -366,7 +374,7 @@ class TestSubordinatorIncrements:
         # g(t) = -(e^{-t/2} - 1)^2 of the tilted reduced system
         T = 2.0
         opts = SimOptions(x0=[1.0], T=T, dt=2e-3, npaths=20_000, seed=3, jump_trunc=1e-4)
-        ens = _simulate(tilt_model(kr_model, [1.0]), opts, exact_increments=True)
+        ens = simulate_paths(tilt_model(kr_model, [1.0]), opts)
         assert not ens.exhausted.any()
         q = float(ens.survived.mean())
         exact = math.exp(-(math.exp(-T / 2) - 1) ** 2)
@@ -388,6 +396,14 @@ class TestPathStatus:
         assert np.all(ens.terminal[ens.exploded] == 1.0)   # frozen at x0
         est = estimate_exp_moment(ens, [0.0])
         assert est.exploded_fraction == pytest.approx(ens.exploded.mean())
+
+    def test_untempered_linear_jumps_do_not_stall(self, kr_model):
+        # tilted kr2014 jumps by untempered linear 1/2-stable jumps; a
+        # cascade over them ran out of rounds on 3 of these 200 paths
+        opts = SimOptions(x0=[1.0], T=0.3, dt=2e-3, npaths=200, seed=0)
+        ens = simulate_paths(tilt_model(kr_model, [1.0]), opts)
+        assert not ens.exhausted.any()
+        assert int(ens.survived.sum()) == 197
 
     def test_exhausted_cascade_is_not_an_explosion(self):
         m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0],
@@ -413,15 +429,32 @@ class TestSchemeInvariants:
             res[dt] = estimate_exp_moment(simulate_paths(feller_model, opts), [-0.5])
         assert abs(res[2e-3].mean - res[1e-3].mean) < res[1e-3].stderr
 
-    def test_jump_truncation_consistency(self, kr_model):
-        res = {}
+    @staticmethod
+    def _means_by_truncation(model):
+        """The ensembles and (mean, stderr) of X_T at jump_trunc 1e-3 and 1e-4."""
+        res, ensembles = {}, {}
         for trunc in (1e-3, 1e-4):
             opts = SimOptions(x0=[1.0], T=1.0, dt=5e-3, npaths=20_000, seed=1,
                               jump_trunc=trunc)
-            ens = simulate_paths(kr_model, opts)
+            ens = ensembles[trunc] = simulate_paths(model, opts)
             XT = ens.terminal[ens.survived, 0]
             res[trunc] = (XT.mean(), XT.std(ddof=1) / math.sqrt(len(XT)))
+        return ensembles, res
+
+    def test_jump_truncation_consistency(self, kr_model):
+        ensembles, res = self._means_by_truncation(kr_model)
         assert abs(res[1e-3][0] - res[1e-4][0]) < res[1e-4][1]
+        # kr2014's tempered 1/2-stable jumps are exact, never truncated
+        assert np.array_equal(ensembles[1e-3].states, ensembles[1e-4].states)
+        assert np.array_equal(ensembles[1e-3].survived, ensembles[1e-4].survived)
+
+    def test_gamma_jump_truncation_consistency(self):
+        # a linear gamma source runs the cascade, so jump_trunc acts on it
+        m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.2], alpha=[0.5],
+                        beta_I=[[-0.7]], mus=(GammaLevy(c=0.3, rho=2.0, axis=0),))
+        ensembles, res = self._means_by_truncation(m)
+        assert abs(res[1e-3][0] - res[1e-4][0]) < res[1e-4][1]
+        assert not np.array_equal(ensembles[1e-3].states, ensembles[1e-4].states)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
