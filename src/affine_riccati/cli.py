@@ -29,7 +29,7 @@ from .errors import AffineRiccatiError, ConfigError, DomainError
 from .model import eval_F, eval_R
 from .modelfile import _floats, load_model_file, write_model
 from .presets import BUILTIN_MODELS, builtin_model
-from .riccati import SolveOptions, solve_riccati
+from .riccati import SolveOptions, solve_tilted
 
 __all__ = ["main", "entrypoint"]
 
@@ -154,13 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     model = _resolve_model(args.model)
     u0 = _vector(args.u0)
-    opts = _solver_opts(args, args.T)
-    if args.l is not None or args.lam is not None:
-        lam = _vector(args.lam) if args.lam is not None else np.zeros(model.shape.d)
-        from .riccati import solve_tilted
-        sol = solve_tilted(model, args.l or 0.0, lam, u0, opts)
-    else:
-        sol = solve_riccati(model, u0, opts)
+    # with neither discount given this is solve_riccati, bit for bit
+    lam = _vector(args.lam) if args.lam is not None else np.zeros(model.shape.d)
+    sol = solve_tilted(model, args.l or 0.0, lam, u0, _solver_opts(args, args.T))
     path = os.path.join(args.out, "trajectory.csv")
     sol.to_csv(path)
     print(f"wrote {path}  status={sol.status.label()}")

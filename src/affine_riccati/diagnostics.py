@@ -49,10 +49,10 @@ import numpy as np
 from scipy import integrate as _sint
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
                     validate_model)
-from .riccati import (SolveOptions, _check_ladder, _eps_ladder, _eval_or_none, _integrate,
+from .riccati import (_LADDER, SolveOptions, _eps_ladder, _eval_or_none, _integrate,
                       _richardson, _write_csv, solve_reduced)
 
 __all__ = [
@@ -102,10 +102,12 @@ def leq_order(shape: StateShape, u, v, tol: float = 0.0) -> bool:
 class DiagnosticsOptions:
     """The probe ladder; every other setting of the pipeline is fixed."""
 
-    eps_ladder: tuple = (1e-5, 1e-7, 1e-9)
+    eps_ladder: tuple = _LADDER
 
     def __post_init__(self):
-        _check_ladder(self.eps_ladder)
+        if len(self.eps_ladder) != 3:
+            # the ladder limit is a three-point Richardson extrapolation
+            raise ConfigError("eps_ladder must have exactly three entries")
 
     def refined(self, factor: float = 0.1) -> "DiagnosticsOptions":
         """The same options with the probe ladder refined by one decade."""

@@ -13,8 +13,8 @@ I \\ {i}; jumps in those coordinates enter uncompensated.
 
 Jump measures are closed scalar families supported on a single coordinate
 axis of D \\ {0}.  Every built-in family carries closed-form expressions for
-its exponential tail moment, its Levy-Khintchine integral and its exponential
-tilt; a quadrature-backed wrapper covers anything else.  The state-linear
+its Levy-Khintchine integral and its exponential tilt; a quadrature-backed
+wrapper covers the tilt of anything else.  The state-linear
 measures are admissible whenever they integrate
 (||xi_{I\\{i}}|| ^ 1)(||xi_{J u {i}}|| ^ 1)^2 near the origin, which every
 family below satisfies.
@@ -170,15 +170,19 @@ def truncation_chi_i(shape: StateShape, i: int, xi) -> np.ndarray:
 class LevyMeasure:
     """A jump measure supported on one coordinate axis of D \\ {0}.
 
-    Subclasses implement scalar primitives in the axis variable; the base
-    class lifts them to d-vector arguments and provides shared identities
-    such as CHI = int (xi ^ 1) mu(dxi) = mean_below(1) + tail_mass(1) for
+    A subclass states its exponential range, ``exp_bound`` and
+    ``bound_closed``, and implements the scalar primitives in the axis
+    variable: ``_mgf_integral``, ``_mgf_derivative``, ``tail_mass`` and
+    ``mean_below``.  Path simulation by the jump cascade also needs
+    ``tail_proposal``; tilting needs ``_tilted``, or ``density`` for the
+    quadrature-backed ExpTiltedMeasure.  The base class lifts the primitives
+    to d-vector arguments and provides shared identities such as
+    CHI = int (xi ^ 1) mu(dxi) = mean_below(1) + tail_mass(1) for
     positive-support families.
 
-    A subclass must state its exponential range, ``exp_bound`` and
-    ``bound_closed``.  Membership of Y, the DomainError of ``lk_integral``
-    and ``lk_derivative`` and the admissibility of ``tilted`` all follow
-    from it through ``admits``; the scalar primitives see only admitted s.
+    Membership of Y, the DomainError of ``lk_integral`` and
+    ``lk_derivative`` and the admissibility of ``tilted`` all follow from the
+    range through ``admits``; the scalar primitives see only admitted s.
 
     Measures are immutable after construction: derived constants such as
     CHI are computed once and kept on the instance, so a subclass must not
@@ -197,10 +201,6 @@ class LevyMeasure:
         """d/ds of _mgf_integral = int xi e^{s xi} mu(dxi)."""
         raise NotImplementedError
 
-    def _exp_moment_tail(self, y: float) -> float:
-        """int_{|xi| >= 1} e^{y xi} mu(dxi)."""
-        raise NotImplementedError
-
     def tail_mass(self, eps: float) -> float:
         """mu({|xi| >= eps})."""
         raise NotImplementedError
@@ -209,14 +209,13 @@ class LevyMeasure:
         """int_{0 < xi < eps} xi mu(dxi) (positive-support families)."""
         raise NotImplementedError
 
-    def tail_proposal(self, eps: float, u: np.ndarray):
-        """Map uniforms to (proposal, acceptance probability) for the tail law
-        that the simulator's jump cascade samples.
+    def tail_proposal(self, eps: float, u: np.ndarray) -> np.ndarray:
+        """Jump sizes of the tail law mu restricted to {|xi| >= eps}, one per
+        row of uniforms, by inverse CDF of the first column.
 
-        Inverse-CDF families return acceptance 1; rejection families return
-        the pointwise acceptance of their dominating proposal.  The tempered
-        1/2-stable family is simulated by its exact ``increment`` instead and
-        has no tail proposal.
+        The simulator's jump cascade samples compound-Poisson and gamma
+        sources with it.  The tempered 1/2-stable family is simulated by its
+        exact ``increment`` instead and has no tail proposal.
         """
         raise NotImplementedError
 
@@ -306,11 +305,6 @@ class LevyMeasure:
             raise DomainError("u outside the effective domain of the jump measure")
         return s
 
-    def exp_moment(self, y) -> float:
-        """int_{||xi|| >= 1} e^{<y, xi>} mu(dxi) for a real vector y; +inf if not admitted."""
-        s = float(np.real(self._axis_value(y)))
-        return self._exp_moment_tail(s) if self.admits(s) else _INF
-
     def lk_integral(self, u, compensated: bool = True):
         """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi).
 
@@ -345,9 +339,6 @@ class ZeroJumps(LevyMeasure):
     @property
     def is_zero(self) -> bool:
         return True
-
-    def exp_moment(self, y) -> float:
-        return 0.0
 
     def lk_integral(self, u, compensated: bool = True):
         return 0.0
@@ -389,10 +380,6 @@ class CompoundPoissonExp(LevyMeasure):
     def _mgf_derivative(self, s):
         return self.rate * self.jump_rate / (self.jump_rate - s) ** 2
 
-    def _exp_moment_tail(self, y: float) -> float:
-        g = self.jump_rate - y
-        return self.rate * self.jump_rate * math.exp(-g) / g
-
     def tail_mass(self, eps: float) -> float:
         return self.rate * math.exp(-self.jump_rate * eps)
 
@@ -401,9 +388,8 @@ class CompoundPoissonExp(LevyMeasure):
         return self.rate * ((1.0 - math.exp(-e * eps)) / e - eps * math.exp(-e * eps))
 
     def tail_proposal(self, eps: float, u: np.ndarray):
-        # Memoryless tail: exact inverse CDF, acceptance 1.
-        prop = eps - np.log1p(-u[:, 0]) / self.jump_rate
-        return prop, np.ones_like(prop)
+        # memoryless tail: eps plus an Exp(jump_rate) variate
+        return eps - np.log1p(-u[:, 0]) / self.jump_rate
 
     def _tilted(self, theta: float) -> "CompoundPoissonExp":
         new_rate = self.rate * self.jump_rate / (self.jump_rate - theta)
@@ -438,11 +424,6 @@ class CompoundPoissonPoint(LevyMeasure):
     def _mgf_derivative(self, s):
         return self.rate * self.size * np.exp(s * self.size)
 
-    def _exp_moment_tail(self, y: float) -> float:
-        if abs(self.size) >= 1.0:
-            return _rate_exp(self.rate, y * self.size)
-        return 0.0
-
     def _chi_integral(self) -> float:
         return self.rate * float(np.clip(self.size, -1.0, 1.0))
 
@@ -458,8 +439,7 @@ class CompoundPoissonPoint(LevyMeasure):
         return self.rate * float(np.clip(self.size, -1.0, 1.0))
 
     def tail_proposal(self, eps: float, u: np.ndarray):
-        prop = np.full(u.shape[0], self.size)
-        return prop, np.ones(u.shape[0])
+        return np.full(u.shape[0], self.size)
 
     def _tilted(self, theta: float) -> "CompoundPoissonPoint":
         rate = _rate_exp(self.rate, theta * self.size)
@@ -500,9 +480,6 @@ class GammaLevy(LevyMeasure):
     def _mgf_derivative(self, s):
         return self.c / (self.rho - s)
 
-    def _exp_moment_tail(self, y: float) -> float:
-        return self.c * float(_sp.exp1(self.rho - y))
-
     def tail_mass(self, eps: float) -> float:
         return self.c * float(_sp.exp1(self.rho * eps))
 
@@ -510,8 +487,7 @@ class GammaLevy(LevyMeasure):
         return self.c * (1.0 - math.exp(-self.rho * eps)) / self.rho
 
     def tail_proposal(self, eps: float, u: np.ndarray):
-        # exact inverse CDF of the tail law by bisection on E1 (the density
-        # ~ 1/xi near eps makes rejection proposals arbitrarily inefficient)
+        # inverse CDF of the tail law by bisection on E1
         total = _sp.exp1(self.rho * eps)
         target = (1.0 - u[:, 0]) * total
         lo = np.full(u.shape[0], self.rho * eps)
@@ -521,8 +497,7 @@ class GammaLevy(LevyMeasure):
             high_side = _sp.exp1(mid) > target
             lo = np.where(high_side, mid, lo)
             hi = np.where(high_side, hi, mid)
-        prop = 0.5 * (lo + hi) / self.rho
-        return prop, np.ones_like(prop)
+        return 0.5 * (lo + hi) / self.rho
 
     def _tilted(self, theta: float) -> "GammaLevy":
         return GammaLevy(self.c, self.rho - theta, self.axis)
@@ -567,11 +542,6 @@ class TemperedStableHalf(LevyMeasure):
         root = np.sqrt(rho - s + 0.0j) if _is_complex(s) else math.sqrt(rho - s)
         # int xi e^{s xi} mu(dxi) diverges on the closed boundary s = rho
         return math.sqrt(math.pi) * self.scale / root if root else _INF
-
-    def _exp_moment_tail(self, y: float) -> float:
-        g = self.tempering - y
-        # int_1^oo e^{-g xi} xi^{-3/2} dxi = 2 (e^{-g} - sqrt(pi g) erfc(sqrt(g)))
-        return 2.0 * self.scale * (math.exp(-g) - math.sqrt(math.pi * g) * math.erfc(math.sqrt(g)))
 
     def tail_mass(self, eps: float) -> float:
         rho = self.tempering
@@ -640,13 +610,8 @@ class ExpTiltedMeasure(LevyMeasure):
         self.axis = base.axis
 
     def _weighted(self, xi, w):
-        # log-space product: e^{(theta + w) xi} overflows long before the
-        # weighted density (integrable for admissible exponents) does
         xi = np.asarray(xi, dtype=float)
-        base = np.asarray(self.base.density(xi), dtype=float)
-        with np.errstate(divide="ignore"):
-            logd = np.where(base > 0.0, np.log(np.where(base > 0.0, base, 1.0)), -np.inf)
-        return np.exp((self.theta + w) * xi + logd)
+        return _exp_weighted(self.theta + w, xi, self.base.density(xi))
 
     def density(self, xi):
         return self._weighted(xi, 0.0)
@@ -656,9 +621,6 @@ class ExpTiltedMeasure(LevyMeasure):
 
     def _mgf_derivative(self, s):
         return _quad_split(lambda x: x * self._weighted(x, s))
-
-    def _exp_moment_tail(self, y: float) -> float:
-        return _quad_tail(lambda x: self._weighted(x, y))
 
     def tail_mass(self, eps: float) -> float:
         return _quad_interval(self.density, eps, _INF)
@@ -671,6 +633,16 @@ class ExpTiltedMeasure(LevyMeasure):
 
     def tail_proposal(self, eps, u):
         raise ConfigError("quadrature-tilted measures do not support path sampling")
+
+
+def _exp_weighted(s, xi, dens):
+    """e^{s xi} dens, as the exponential of a sum: e^{s xi} overflows long
+    before the weighted density (integrable for admitted s) does, and
+    inf * 0 would be nan."""
+    dens = np.asarray(dens, dtype=float)
+    with np.errstate(divide="ignore"):
+        logd = np.where(dens > 0.0, np.log(np.where(dens > 0.0, dens, 1.0)), -np.inf)
+    return np.exp(s * xi + logd)
 
 
 def _quad_interval(f, lo, hi):
@@ -695,10 +667,6 @@ def _quad_split(f):
     return inner + outer
 
 
-def _quad_tail(f):
-    return _quad_interval(f, 1.0, _INF)
-
-
 def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True):
     """Adaptive quadrature of the defining Levy-Khintchine integrand.
 
@@ -715,7 +683,8 @@ def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True):
 
     def integrand(x):
         comp = np.clip(x, -1.0, 1.0) * s if compensated else 0.0
-        return (np.exp(s * x) - 1.0 - comp) * measure.density(x)
+        dens = measure.density(x)
+        return _exp_weighted(s, x, dens) - (1.0 + comp) * dens
 
     return _quad_split(integrand)
 
@@ -726,7 +695,7 @@ def exp_moment_quadrature(measure: LevyMeasure, y):
     at = measure.atoms()
     if at is not None:
         return sum(_rate_exp(mass, s * loc) for loc, mass in at if abs(loc) >= 1.0)
-    return _quad_tail(lambda x: np.exp(s * x) * measure.density(x))
+    return _quad_interval(lambda x: _exp_weighted(s, x, measure.density(x)), 1.0, _INF)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +848,7 @@ def validate_model(model: AffineModel) -> ValidationReport:
         for msg in mu.validate():
             v.append(f"{tag}: {msg}")
         if not mu.admits(0.0):
-            v.append(f"{tag}: exp_moment(0) must be finite")
+            v.append(f"{tag}: the exponential range must admit 0")
     return ValidationReport(tuple(v))
 
 

@@ -30,14 +30,13 @@ Randomness
 All draws derive from counter-based Philox streams keyed by
 (seed, step, purpose, round).  Each stream yields one uniform per path (row
 p always belongs to path p), and every variate is produced from uniforms by
-inverse CDF or by per-path rejection rounds, so a path's noise depends only
-on its own rows.  Because Philox is counter-based, any row range of a table
-can be generated on its own: a parallel worker draws only the rows of its
-block, and a cascade round or rejection attempt only the span of the rows
-still waiting.  A stream with one jump source draws no pick table.  Each
-thread keeps one Philox generator and re-keys it per table.  Reductions run
-in fixed path order, so parallel and serial runs are bit-identical, as are
-reruns with identical options.
+inverse CDF, so a path's noise depends only on its own rows.  Because
+Philox is counter-based, any row range of a table can be generated on its
+own: a parallel worker draws only the rows of its block, and a cascade round
+only the span of the rows still waiting.  A stream with one jump source
+draws no pick table.  Each thread keeps one Philox generator and re-keys it
+per table.  Reductions run in fixed path order, so parallel and serial runs
+are bit-identical, as are reruns with identical options.
 
 An ensemble runs on one worker thread per 10,000 paths, capped at the number
 of CPUs the process may run on: ensembles below 20,000 paths run serially,
@@ -119,6 +118,11 @@ def _workers(npaths: int) -> int:
     return max(1, min(cpus, npaths // _ROWS_PER_WORKER))
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimOptions:
     """Euler scheme configuration; states are recorded every ``stride`` steps.
@@ -144,12 +148,11 @@ class SimOptions:
             raise ConfigError("dt must be > 0")
         if self.T <= 0:
             raise ConfigError("T must be > 0")
-        if self.npaths < 1:
-            raise ConfigError("npaths must be >= 1")
+        if not _is_integer(self.npaths) or self.npaths < 1:
+            raise ConfigError("SimOptions.npaths must be a positive integer")
         if not (0.0 < self.jump_trunc <= 1.0):
             raise ConfigError("jump_trunc must lie in (0, 1]")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError("SimOptions.seed must be a nonnegative integer")
 
     @property
@@ -255,20 +258,14 @@ def _row_span(seed, step, purpose, rows, cols=None, extra=()):
 
 def _sample_tail_values(measure, eps, rows, seed, step, purpose, jump_round):
     """One tail jump size for each of the paths ``rows`` (ascending), by
-    per-path rejection rounds."""
-    out = np.empty(rows.size)
-    need = np.arange(rows.size)     # positions in rows still waiting for a value
-    attempt = 0
-    while need.size:
-        if attempt >= 500:
-            raise ConfigError("tail jump sampling exceeded the rejection round cap")
-        u = _row_span(seed, step, purpose, rows[need], 2, extra=(jump_round, attempt))
-        prop, acc = measure.tail_proposal(eps, u)
-        take = u[:, 1] <= acc
-        out[need[take]] = prop[take]
-        need = need[~take]
-        attempt += 1
-    return out
+    inverse CDF.
+
+    The table has two columns, of which the families read the first, and is
+    keyed by (jump_round, 0): the pinned seeded ensembles were drawn with
+    this layout, and any other changes their bits.
+    """
+    u = _row_span(seed, step, purpose, rows, 2, extra=(jump_round, 0))
+    return measure.tail_proposal(eps, u)
 
 
 def _diffusion_factor(a2: np.ndarray) -> Optional[np.ndarray]:
@@ -358,10 +355,8 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
             Xp[:, :m] = np.maximum(Xp[:, :m], 0.0)
             drift = drift_const + Xp[:, :m] @ beta_sim
             if shape.n:
-                if drift.ndim == 1:
-                    drift = np.tile(drift, (nb, 1))
                 drift[:, m:] += X[:, m:] @ model.beta_JJ.T
-            X_new = X + h * np.atleast_2d(drift)
+            X_new = X + h * drift
 
             if L is not None:
                 Z = ndtri(_uniforms(seed, step, _P_GAUSS_CONST, (nb, d), start=lo))
@@ -524,8 +519,12 @@ def affine_formula_check(model: AffineModel, opts: SimOptions, u) -> FormulaRepo
     analytic = math.exp(sol.phi_end + float(np.real(sol.psi_end) @ opts.x0))
     ens = simulate_paths(model, opts)
     est = estimate_exp_moment(ens, u)
-    z = 0.0 if est.stderr == 0.0 and est.mean == analytic else \
-        (est.mean - analytic) / est.stderr if est.stderr > 0 else math.inf
+    gap = est.mean - analytic
+    if est.stderr > 0:
+        z = gap / est.stderr
+    else:
+        # no spread: any gap is infinitely many standard errors, on its own side
+        z = math.copysign(math.inf, gap) if gap else 0.0
     return FormulaReport(applicable=True, mc_mean=est.mean, mc_stderr=est.stderr,
                          analytic=analytic, z=float(z),
                          exploded_fraction=est.exploded_fraction,

@@ -60,6 +60,10 @@ __all__ = [
 
 _EQUILIBRIUM_RUN = 10  # consecutive accepted steps with ||R(psi)|| < atol
 
+# start shifts of the minimal-branch ladder; three rungs, as its limit is a
+# three-point Richardson extrapolation
+_LADDER = (1e-5, 1e-7, 1e-9)
+
 
 def _step_floor(T: float) -> float:
     return 1e-13 * max(1.0, T)  # shorter steps count as a step collapse
@@ -453,8 +457,7 @@ def blowup_time(model: AffineModel, u0, Tmax: float, opts: Optional[SolveOptions
     return None
 
 
-def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
-                  l: float = 0.0, lam=None, eps_ladder=(1e-5, 1e-7, 1e-9)):
+def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, lam=None):
     """Minimal-branch solve of the (optionally discounted) system from u0.
 
     At boundary points of Y where the field is not Lipschitz the flow started
@@ -465,10 +468,8 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     ordinary solution.
 
     Returns (ts, psi (k,d), phi (k,), status of the finest member) on 201
-    uniform times.  ``eps_ladder`` must have exactly three entries (a
-    three-point Richardson extrapolation); anything else is a ``ConfigError``.
+    uniform times.
     """
-    _check_ladder(eps_ladder)
     d, m = model.shape.d, model.shape.m
     u0 = np.asarray(u0, dtype=float).reshape(d)
     lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float).reshape(d)
@@ -479,7 +480,7 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
                                max_step=opts.effective_max_step,
                                blowup_threshold=opts.blowup_threshold)
     sols = _eps_ladder(lambda start: solve_tilted(model, l, lam, start, ladder_opts),
-                       u0, m, eps_ladder)
+                       u0, m, _LADDER)
     finest = sols[-1]
     if not finest.status.reached_horizon:
         # explosion/domain exit: the minimal solution diverges as well
@@ -489,12 +490,6 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions,
     psi[0] = u0  # the ladder limit at t = 0 is exact
     phi[0] = 0.0
     return ts, psi, phi, finest.status
-
-
-def _check_ladder(eps_ladder) -> None:
-    """The ladder limit is a three-point Richardson extrapolation."""
-    if len(eps_ladder) != 3:
-        raise ConfigError("eps_ladder must have exactly three entries")
 
 
 def _eps_ladder(solve: Callable, u0: np.ndarray, m: int, eps_ladder) -> list:

@@ -95,15 +95,17 @@ class TestTiltModel:
         for u in (np.array([-1.5]), np.array([0.4]), np.array([1.0])):
             assert wrapped.lk_integral(u) == pytest.approx(closed.lk_integral(u),
                                                            rel=1e-8, abs=1e-9)
-        for y in (np.array([-0.5]), np.array([0.8])):
-            assert wrapped.exp_moment(y) == pytest.approx(closed.exp_moment(y), rel=1e-8)
+        assert (wrapped.exp_bound, wrapped.bound_closed) == \
+            (pytest.approx(closed.exp_bound), closed.bound_closed)
         assert wrapped.chi_integral() == pytest.approx(closed.chi_integral(), rel=1e-8)
-        # outside the shifted domain both report divergence
-        assert wrapped.exp_moment(np.array([1.5])) == math.inf
+        # outside the shifted range both refuse
+        assert not wrapped.admits(1.5) and not closed.admits(1.5)
         # composing tilts through the wrapper stays consistent
         rewrapped = wrapped.tilted(0.2)
-        assert rewrapped.exp_moment(np.array([0.0])) == pytest.approx(
-            base.tilted(0.8).exp_moment(np.array([0.0])), rel=1e-8)
+        assert (rewrapped.exp_bound, rewrapped.bound_closed) == \
+            (pytest.approx(base.tilted(0.8).exp_bound), base.tilted(0.8).bound_closed)
+        assert rewrapped.lk_integral(np.array([0.5])) == pytest.approx(
+            base.tilted(0.8).lk_integral(np.array([0.5])), rel=1e-8)
 
 
 class TestTiltIdentities:

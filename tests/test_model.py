@@ -154,10 +154,6 @@ class BareExpJumps(LevyMeasure):
     def _mgf_derivative(self, s):
         return self.rate * self.jump_rate / (self.jump_rate - s) ** 2
 
-    def _exp_moment_tail(self, y):
-        g = self.jump_rate - y
-        return math.inf if g <= 0 else self.rate * self.jump_rate * math.exp(-g) / g
-
     def tail_mass(self, eps):
         return self.rate * math.exp(-self.jump_rate * eps)
 
@@ -166,8 +162,7 @@ class BareExpJumps(LevyMeasure):
         return self.rate * ((1.0 - math.exp(-e * eps)) / e - eps * math.exp(-e * eps))
 
     def tail_proposal(self, eps, u):
-        prop = eps - np.log1p(-u[:, 0]) / self.jump_rate
-        return prop, np.ones_like(prop)
+        return eps - np.log1p(-u[:, 0]) / self.jump_rate
 
 
 class TestCustomMeasure:
@@ -272,9 +267,7 @@ class TestDomain:
     def test_point_overflow_is_an_infinite_moment_and_a_refused_tilt(self):
         # y = 500 lies in Y, but e^{500 * 1.5} overflows a float
         mu = CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)
-        assert mu.exp_moment(np.array([500.0])) == math.inf
         assert exp_moment_quadrature(mu, np.array([500.0])) == math.inf
-        assert CompoundPoissonPoint(rate=0.0, size=1.5, axis=0).exp_moment(np.array([500.0])) == 0.0
         with pytest.raises(DomainError):
             mu.tilted(500.0)
         assert mu.tilted(1.0).rate == 0.4 * math.exp(1.5)
@@ -312,20 +305,22 @@ class TestQuadratureAgreement:
                 for compensated in (True, False):
                     exact = mu.lk_integral(u, compensated=compensated)
                     quad = lk_integral_quadrature(mu, u, compensated=compensated)
+                    # an infinite oracle would make the tolerance infinite too
+                    assert math.isfinite(quad), f"{name}: quadrature not finite at u={u[0]:.4f}"
                     scale = max(1.0, abs(quad))
                     assert abs(exact - quad) <= QUAD_AGREEMENT_RTOL * scale, \
                         f"{name}: lk mismatch at u={u[0]:.4f}"
 
     def test_exp_moments(self, analytic_measures):
-        rng = np.random.default_rng(7)
+        # the stated range against the tail moments themselves: finite up to
+        # 0.05 below the bound, infinite 0.5 above it.  Not at the bound: at
+        # an open bound the quadrature misses the slow divergence.
         for name, mu in analytic_measures.items():
-            hi = min(mu.exp_bound, 3.0)
-            for _ in range(25):
-                y = np.array([rng.uniform(-4.0, hi - 0.05)])
-                exact = mu.exp_moment(y)
-                quad = exp_moment_quadrature(mu, y)
-                assert abs(exact - quad) <= 1e-8 * max(1.0, abs(quad)), \
-                    f"{name}: exp_moment mismatch at y={y[0]:.4f}"
+            bound = mu.exp_bound
+            for y in np.linspace(-4.0, min(bound, 3.0) - 0.05, 60):
+                assert math.isfinite(exp_moment_quadrature(mu, np.array([y]))), (name, y)
+            if math.isfinite(bound):
+                assert exp_moment_quadrature(mu, np.array([bound + 0.5])) == math.inf, name
 
     def test_chi_integral_identity(self, analytic_measures):
         # CHI = mean_below(1) + tail_mass(1) must match direct quadrature
@@ -367,7 +362,7 @@ class TestImmutability:
 
     def test_exp_moment_at_zero_finite(self, analytic_measures):
         for name, mu in analytic_measures.items():
-            assert mu.exp_moment(np.zeros(1)) < math.inf, name
+            assert mu.admits(0.0), name
 
 
 class TestDerivedConstants:

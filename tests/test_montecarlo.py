@@ -274,6 +274,17 @@ class TestEstimators:
         assert report.analytic == pytest.approx(math.exp(F - 0.5), rel=1e-9)
         assert abs(report.z) <= 3.0
 
+    def test_formula_check_zero_stderr_z_keeps_the_sign_of_the_gap(self, feller_model):
+        # one path: the standard error is 0, so z is infinite on the gap's side
+        signs = set()
+        for seed in range(6):
+            opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=1, seed=seed)
+            report = affine_formula_check(feller_model, opts, [-0.5])
+            assert report.mc_stderr == 0.0
+            assert report.z == math.copysign(math.inf, report.mc_mean - report.analytic)
+            signs.add(report.z)
+        assert signs == {math.inf, -math.inf}
+
     def test_formula_check_blowup_not_applicable(self, feller_model):
         opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=10, seed=0)
         report = affine_formula_check(feller_model, opts, [2.0])
@@ -459,8 +470,9 @@ class TestSchemeInvariants:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SimOptions(x0=[1.0], T=1.0, dt=-0.1)
-        with pytest.raises(ConfigError):
-            SimOptions(x0=[1.0], T=1.0, npaths=0)
+        for npaths in (0, 10.5, True):
+            with pytest.raises(ConfigError, match="SimOptions.npaths must be a positive integer"):
+                SimOptions(x0=[1.0], T=1.0, npaths=npaths)
         with pytest.raises(ConfigError):
             SimOptions(x0=[1.0], T=1.0, jump_trunc=2.0)
 

@@ -359,12 +359,6 @@ class TestSolveMinimal:
         assert np.max(np.abs(psi[:, 0] - exact)) < 1e-5
         assert np.allclose(phi, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("ladder", [(1e-5, 1e-7, 1e-9, 1e-11), (1e-5, 1e-7)])
-    def test_ladder_must_have_three_rungs(self, kr_model, ladder):
-        # the limit is a three-point Richardson extrapolation
-        with pytest.raises(ConfigError, match="eps_ladder must have exactly three entries"):
-            solve_minimal(kr_model, [1.0], SolveOptions(T=1.0), eps_ladder=ladder)
-
 
 class TestTrajectoryExport:
     def test_csv_format_and_precision(self, feller_model, kr_model):
