@@ -17,7 +17,15 @@ Each run is pinned to one CPU and records:
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
   workload of ``perfbench/workloads.py`` at seed ``SEED``, in total and by kind;
 * ``sha256``: a digest of every array and value those solves return, the
-  proof that the two trees compute the same trajectories.
+  proof that the two trees compute the same trajectories;
+* ``ladder_ms``: milliseconds per call of the three epsilon-ladder callers
+  of the ``verdicts`` workload, ``solve_minimal`` on kr2014 from 1 to T = 2,
+  ``minimal_reduced_trajectory`` of tilted kr2014 on the comparison grid
+  and ``check_conservative`` on the tilted kr2014 pair (the probe ladder),
+  with ``ladder_sha256``, a digest of what they return;
+* ``lane_us``: microseconds per lane of one run of the DP5(4) lane loop
+  (``riccati._lanes``) over N nearby starts of kr2014, for each N in
+  ``LANES``; only a tree that has the lane loop records it.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
@@ -38,6 +46,7 @@ import pairs
 SEED = 1      # seed of the transforms cases
 ROUNDS = 15   # timing rounds per figure within one run
 PAIRS = 10    # parent/change pairs
+LANES = (1, 3, 10, 100, 1000)   # lane counts of lane_us
 
 
 def _best(fn, rounds):
@@ -123,11 +132,18 @@ def _digest(values):
     return h.hexdigest()
 
 
-def solve_costs(ar, seed, rounds):
-    sys.path.insert(1, str(pairs.REPO / "perfbench"))
+def _workloads():
+    """perfbench/workloads.py, which builds the cases of the transforms and
+    verdicts workloads."""
+    if str(pairs.REPO / "perfbench") not in sys.path:
+        sys.path.insert(1, str(pairs.REPO / "perfbench"))
     import workloads
 
-    cases = workloads.Transforms(seed).cases
+    return workloads
+
+
+def solve_costs(ar, seed, rounds):
+    cases = _workloads().Transforms(seed).cases
     models = {name: ar.builtin_model(name) for name in ("feller", "kr2014", "cir-jump")}
     outputs = []
     for case in cases:
@@ -143,12 +159,68 @@ def solve_costs(ar, seed, rounds):
     }, _digest(outputs)
 
 
+def _ladder_calls(ar):
+    kr = ar.kr2014()
+    tilted = ar.tilt_model(kr, [1.0])
+    pair = ar.tilt_model(_workloads().kr2014_pair(), [1.0, 1.0])
+    grid = 3.0 * np.linspace(0.0, 1.0, 1201) ** 2   # the verdicts comparison grid
+
+    def minimal():
+        ts, psi, phi, status = ar.solve_minimal(kr, [1.0], ar.SolveOptions(T=2.0))
+        return [ts, psi, phi, status.kind, status.t_event]
+
+    def probe():
+        v = ar.check_conservative(pair)
+        w = v.witness
+        return [v.kind, v.reason, w.ts, w.values, w.residual, w.source]
+
+    return {
+        "solve_minimal kr2014": minimal,
+        "minimal_reduced_trajectory tilted kr2014": lambda: [
+            ar.diagnostics.minimal_reduced_trajectory(tilted, [0.0], grid)],
+        "check_conservative tilted pair": probe,
+    }
+
+
+def ladder_costs(ar, rounds):
+    calls = _ladder_calls(ar)
+    outputs = []
+    for call in calls.values():
+        outputs.extend(call())
+    return {name: 1e3 * _best(call, rounds) for name, call in calls.items()}, _digest(outputs)
+
+
+def lane_costs(ar, rounds):
+    """Microseconds per lane of one lane-loop run over N nearby kr2014 starts."""
+    from affine_riccati import riccati
+
+    if not hasattr(riccati, "_lanes"):
+        return None
+    kr = ar.kr2014()
+    field, rows = riccati._full_system(kr, 0.0, np.zeros(1), np.dtype(float))
+    opts = ar.SolveOptions(T=2.0)
+    out = {}
+    for n in LANES:
+        starts = [np.array([u, 0.0]) for u in -0.5 - 1e-3 * np.linspace(0.0, 1.0, n)]
+        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1, rows),
+                        max(3, rounds // max(1, n // 100)))
+        out[str(n)] = 1e6 * seconds / n
+    return out
+
+
 def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
-    return {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
-            "solve_ms": solve_ms, "sha256": sha}
+    ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
+    record = {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
+              "solve_ms": solve_ms, "sha256": sha, "ladder_ms": ladder_ms,
+              "ladder_sha256": ladder_sha}
+    lane_us = lane_costs(ar, ROUNDS)
+    if lane_us is not None:
+        record["lane_us"] = lane_us
+    return record
 
 
 if __name__ == "__main__":
-    sys.exit(pairs.main(__file__, {"measure": measure}, lambda r: r["sha256"],
-                        {"seed": SEED, "rounds": ROUNDS}, PAIRS, pin=True))
+    sys.exit(pairs.main(__file__, {"measure": measure},
+                        lambda r: (r["sha256"], r["ladder_sha256"]),
+                        {"seed": SEED, "rounds": ROUNDS, "lanes": LANES}, PAIRS, pin=True))

@@ -42,7 +42,7 @@ Fixed constants of the pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _dataclass_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,8 +52,9 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, SolverError
 from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
                     validate_model)
-from .riccati import (_LADDER, SolveOptions, _eps_ladder, _eval_or_none, _integrate,
-                      _richardson, _write_csv, solve_reduced)
+from .riccati import (_LADDER, _ROW_ERRORS, SolveOptions, _check_reduced_start, _eps_ladder,
+                      _eval_or_none, _integrate, _ladder_limit, _richardson, _write_csv)
+from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
 __all__ = [
     "leq_order",
@@ -194,11 +195,16 @@ class ReducedField:
     ball of radius rho around 0, or None when no finite bound is available
     there.  Evaluations outside the field's domain may raise or go
     non-finite; both are handled.
+
+    ``_rows``, set by ``from_model``, maps (N, m) rows to their (N, m)
+    values in one call.  A bare callable's (m,) contract says nothing about
+    stacks, so its rows are evaluated one at a time.
     """
 
     fun: Callable
     m: int
     jacobian_bound: Optional[Callable] = None
+    _rows: Optional[Callable] = _dataclass_field(default=None, repr=False, compare=False)
 
     def __call__(self, v):
         return np.atleast_1d(np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float))
@@ -207,13 +213,13 @@ class ReducedField:
     def from_model(model: AffineModel) -> "ReducedField":
         m = model.shape.m
 
-        def fun(v):
+        def fun(v):  # reduced_R takes (m,) and (N, m) rows alike
             return reduced_R(model, v, check_domain=False)
 
         def jac_bound(rho):
             return _model_jacobian_bound(model, rho)
 
-        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound)
+        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, _rows=fun)
 
 
 def _model_jacobian_bound(model: AffineModel, rho: float):
@@ -291,18 +297,29 @@ def ode_residual(ts, values, fun) -> float:
     The field is evaluated only at the grid values themselves, so the defect
     stays meaningful for fields whose derivative blows up at the origin.
     Intervals with h <= 0 and intervals whose defect is NaN are skipped.
+    A model-backed ReducedField evaluates the whole grid in one rows call;
+    when that call raises or meets a non-finite value, the grid is evaluated
+    row by row in order, so the residual is inf, or the field's exception is
+    raised, at the first row where that happens.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if vals.shape[0] != len(ts):
         vals = vals.T
-    fs = np.empty_like(vals)
+    fs = None
     with quiet_fp():
-        for k in range(len(ts)):
-            f = np.atleast_1d(np.asarray(fun(vals[k]), dtype=float))
-            if not np.all(np.isfinite(f)):
-                return math.inf
-            fs[k] = f
+        if getattr(fun, "_rows", None) is not None:
+            try:
+                fs = np.asarray(fun._rows(vals), dtype=float)
+            except _ROW_ERRORS:
+                pass
+        if fs is None or not np.isfinite(fs).all():
+            fs = np.empty_like(vals)
+            for k in range(len(ts)):
+                f = np.atleast_1d(np.asarray(fun(vals[k]), dtype=float))
+                if not np.all(np.isfinite(f)):
+                    return math.inf
+                fs[k] = f
     h = np.diff(ts)
     step = h > 0
     with quiet_fp():    # infinite grid values give NaN defects, skipped below
@@ -478,14 +495,14 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions) -> Conservativen
     T = _CHECKPOINT_TIME
     sopts = _solve_options(T)
 
-    def probe(start):  # start = -eps * 1
-        try:
-            return _integrate(field, start, sopts)
-        except DomainError:
-            raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
+    def defined(start):  # start = -eps * 1
+        with quiet_fp():
+            if _eval_or_none(field, start) is None:
+                raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
-        sols = _eps_ladder(probe, np.zeros(m), m, opts.eps_ladder)
+        sols = _eps_ladder(field, np.zeros(m), m, opts.eps_ladder, sopts, rows=field._rows,
+                           check=defined)
     except DomainError as exc:
         return _inconclusive(str(exc))
     sol = sols[-1]   # the finest run, or the one that missed the horizon
@@ -635,21 +652,24 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts,
     Computed as the Richardson limit of solves started at uI - eps; at
     non-uniqueness boundary points a solve started exactly at uI follows the
     coexisting constant branch, while the minimal solution is the monotone
-    limit from below.
+    limit from below.  The grid ts must be finite and nondecreasing, start
+    at or after 0 and end after 0.
     """
     if opts is None:
         opts = DiagnosticsOptions()
     ts = np.asarray(ts, dtype=float)
+    if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
+            and ts[-1] > 0.0 and (np.diff(ts) >= 0.0).all()):
+        raise ConfigError("the time grid ts must be finite and nondecreasing, "
+                          "start at or after 0 and end after 0")
     m = model.shape.m
     uI = np.asarray(uI, dtype=float).reshape(m)
-    sopts = _solve_options(float(ts[-1]))
-    sols = _eps_ladder(lambda start: solve_reduced(model, start, sopts), uI, m, opts.eps_ladder)
+    field = ReducedField.from_model(model)
+    sols = _eps_ladder(field, uI, m, opts.eps_ladder, _solve_options(float(ts[-1])),
+                       rows=field._rows, check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:
         raise SolverError(f"minimal-branch probe terminated with {sols[-1].status.label()}")
-    out = np.array(_richardson(*[sol.eval(ts) for sol in sols]))
-    if ts[0] == 0.0:
-        out[0] = uI  # the ladder limit at t = 0 is exact
-    return out
+    return _ladder_limit([sol.eval(ts) for sol in sols], ts, uI)
 
 
 def comparison_check(model: AffineModel, uI, g_ts, g_values,

@@ -31,6 +31,12 @@ Each family states its exponential range once, as ``exp_bound`` and
 ``bound_closed`` (a custom subclass must state both).  Membership of Y, the
 domain errors of the Levy-Khintchine integral and tilt admissibility all
 follow from that range through ``LevyMeasure.admits``, not from integrals.
+
+``eval_F``, ``eval_R``, ``reduced_R`` and ``LevyMeasure.lk_integral`` also
+take a stack of rows, an (N, d) array, and return one value per row with
+the bits of N calls on the 1-d rows.  A family's ``_mgf_integral`` then sees
+an array of axis values; one that rejects arrays (by raising) is evaluated
+row by row by the callers that stack rows.
 """
 
 from __future__ import annotations
@@ -108,6 +114,15 @@ def _rate_exp(rate: float, x: float) -> float:
 def _admitted(s, bound, closed) -> bool:
     """Whether s lies in the exponential range (bound, closed)."""
     return s < bound or (closed and s == bound)
+
+
+def _all_admitted(s, bound, closed) -> bool:
+    """Whether every entry of the array s lies in the range (bound, closed).
+
+    A Python loop: on the few rows of a stack it is cheaper than a numpy
+    reduction, and it reads each entry as ``_admitted`` does.
+    """
+    return all([x < bound or (closed and x == bound) for x in s.tolist()])
 
 
 def _is_complex(x) -> bool:
@@ -306,14 +321,31 @@ class LevyMeasure:
         return s
 
     def lk_integral(self, u, compensated: bool = True):
-        """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi).
+        """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi); one value per row
+        for an (N, d) array of rows.
 
         ``compensated`` states whether the truncation acts on this measure's
         axis (true for mu_0 and for coordinates in J u {i} of mu_i).
         """
+        if getattr(u, "ndim", 0) == 2:
+            return self._lk_rows(u, compensated)
         s = self._admitted_axis_value(u)
         val = self._mgf_integral(s)
         if val.imag == 0 and math.isinf(val.real):  # overflow inside the range
+            raise DomainError("jump integral not finite at u")
+        if compensated:
+            val = val - s * self.chi_integral()
+        return val
+
+    def _lk_rows(self, u, compensated):
+        """lk_integral on (N, d) rows: the arithmetic of the 1-d path on the
+        column of axis values, and its range and overflow checks on each row
+        (a DomainError when any row fails them)."""
+        s = u[:, self.axis]
+        if not _all_admitted(s.real, self.exp_bound, self.bound_closed):
+            raise DomainError("u outside the effective domain of the jump measure")
+        val = self._mgf_integral(s)
+        if any([x.imag == 0 and math.isinf(x.real) for x in val.tolist()]):
             raise DomainError("jump integral not finite at u")
         if compensated:
             val = val - s * self.chi_integral()
@@ -341,7 +373,7 @@ class ZeroJumps(LevyMeasure):
         return True
 
     def lk_integral(self, u, compensated: bool = True):
-        return 0.0
+        return 0.0  # for (N, d) rows too: it broadcasts against one value per row
 
     def lk_derivative(self, u, compensated: bool = True):
         return 0.0
@@ -534,7 +566,10 @@ class TemperedStableHalf(LevyMeasure):
     def _mgf_integral(self, s):
         # int (e^{s xi} - 1) e^{-rho xi} xi^{-3/2} dxi = 2 sqrt(pi) (sqrt(rho) - sqrt(rho - s))
         rho = self.tempering
-        root = np.sqrt(rho - s + 0.0j) if _is_complex(s) else math.sqrt(rho - s)
+        if _is_complex(s):
+            root = np.sqrt(rho - s + 0.0j)
+        else:  # np.sqrt and math.sqrt round alike; math.sqrt is the cheaper on scalars
+            root = np.sqrt(rho - s) if isinstance(s, np.ndarray) else math.sqrt(rho - s)
         return 2.0 * math.sqrt(math.pi) * self.scale * (math.sqrt(rho) - root)
 
     def _mgf_derivative(self, s):
@@ -722,8 +757,11 @@ class DomainY:
         object.__setattr__(self, "_bounds", tuple(bounds))
 
     def contains(self, y) -> bool:
-        """Membership of y (its real part for complex input)."""
+        """Membership of y (its real part for complex input); of every row
+        of (N, d) rows."""
         y = np.real(np.atleast_1d(y))
+        if y.ndim == 2:
+            return all(_all_admitted(col, *bound) for col, bound in zip(y.T, self._bounds))
         return all(_admitted(s, *bound) for s, bound in zip(y, self._bounds))
 
     def axis_bound(self, k: int):
@@ -863,10 +901,17 @@ def _own_errstate():
 
 
 def eval_F(model: AffineModel, u, check_domain: bool = True):
-    """The constant functional characteristic F(u)."""
+    """The constant functional characteristic F(u); an (N,) array for (N, d) rows."""
     u = np.asarray(u)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
+    if u.ndim == 2:
+        with _own_errstate():
+            # u @ (a @ u) and b @ u as one gemv and ddots per row (see _eval_R_rows)
+            col = u[:, :, None]
+            quad = np.matmul(u[:, None, :], np.matmul(model.a, col))[:, 0, 0]
+            val = quad + np.matmul(model.b, col)[:, 0] - model.c
+            return val + model.mu0.lk_integral(u, compensated=True)
     with _own_errstate():
         val = u @ (model.a @ u) + model.b @ u - model.c
         val = val + model.mu0.lk_integral(u, compensated=True)
@@ -876,10 +921,13 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
 
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
-    """The state-linear functional characteristic R(u) as a d-vector."""
+    """The state-linear functional characteristic R(u) as a d-vector; an
+    (N, d) array for (N, d) rows."""
     u = np.asarray(u)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
+    if u.ndim == 2:
+        return _eval_R_rows(model, u)
     shape = model.shape
     m, n = shape.m, shape.n
     dtype = complex if u.dtype.kind == "c" else float
@@ -894,10 +942,38 @@ def eval_R(model: AffineModel, u, check_domain: bool = True):
     return out
 
 
+def _eval_R_rows(model, u):
+    """eval_R on (N, d) rows, with the bits of the 1-d path row by row.
+
+    The products go through matmul's stacked loop, which makes the BLAS
+    call of the 1-d product for each row: one ddot per row and I-row for
+    beta_I[i] @ u, one gemv per row for beta_JJ^T u_J.  The square is
+    float_power, as the 1-d path's scalar u[i] ** 2 is pow(); an array's
+    ** 2 is a plain square, which rounds differently.
+    """
+    m = model.shape.m
+    out = np.zeros(u.shape, dtype=complex if u.dtype.kind == "c" else float)
+    with _own_errstate():
+        # the terms of every I-row at once, in the order of the 1-d path
+        linear = np.matmul(model.beta_I[:, None, :], u[:, None, :, None])[..., 0, 0]
+        val = model.alpha * np.float_power(u[:, :m], 2) + linear - model.gamma
+        for i, compensated in enumerate(model._compensated):
+            np.add(val[:, i], model.mus[i].lk_integral(u, compensated=compensated),
+                   out=out[:, i])
+        if model.shape.n:
+            out[:, m:] = np.matmul(model.beta_JJ.T, u[:, m:, None])[:, :, 0]
+    return out
+
+
 def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
-    """The reduced vector field: the I-components of R at (v, 0)."""
+    """The reduced vector field: the I-components of R at (v, 0); (N, m)
+    for (N, m) rows."""
     shape = model.shape
     v = np.asarray(v, dtype=float)
+    if v.ndim == 2:
+        u = np.zeros((len(v), shape.d))
+        u[:, : shape.m] = v
+        return eval_R(model, u, check_domain=check_domain)[:, : shape.m]
     u = np.zeros(shape.d)
     u[: shape.m] = v
     return eval_R(model, u, check_domain=check_domain)[: shape.m]

@@ -493,7 +493,9 @@ class FormulaReport:
 
     @property
     def flagged(self) -> bool:
-        return self.applicable and abs(self.z) > 3.0
+        """Whether z is not a finite number within +-3 (NaN included: when
+        every path explodes the estimate and its standard error are inf)."""
+        return self.applicable and not abs(self.z) <= 3.0
 
     def report_lines(self):
         if not self.applicable:

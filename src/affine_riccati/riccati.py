@@ -24,13 +24,29 @@ Termination statuses:
                  steps; the trajectory is continued to T as an exact constant
                  (phi continues linearly at its frozen rate).
 
-Cost of a step: one ``model.quiet_fp`` (an np.errstate plus a flag that
-tells ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the
-whole solve.  The seven stage derivatives of a step are rows of one array,
-and the stage and error combinations reduce it along the stage axis in the
-order of the tableau, so the trajectories are the same bits as a term-by-term
-sum.  Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
-globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them.
+Cost of a step: one DP5(4) loop, ``_lanes``, advances N solves as lanes,
+and a plain solve (``_integrate``) is its case N = 1.  Each lane keeps its
+own t, step size, error control, equilibrium run and status in Python
+floats, so each lane's steps and bits are those of its lone solve; the
+three rungs of every epsilon ladder (``_eps_ladder``) run as three lanes of
+one call.  The lanes' states lie end to end in one array: a pass of the loop
+does the stage and error arithmetic of all lanes in one numpy call each, and
+evaluates a stage of all lanes in one call of the field's ``rows`` function
+on an (N, dim) stack, which ``eval_R``/``eval_F``/``reduced_R`` accept.  A
+single lane calls the field on its 1-d row, which is cheaper than a stack of
+one.  When a rows call raises (a family whose ``_mgf_integral`` rejects
+arrays, or a lane outside the field's domain), the rows are evaluated one
+at a time, so each lane's stage fails exactly where it would alone, and a
+lane whose stage fails drops out of the pass's remaining stages.
+
+One ``model.quiet_fp`` (an np.errstate plus a flag that tells
+``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
+The seven stage derivatives of a pass are rows of one array, and the stage
+and error combinations reduce it along the stage axis in the order of the
+tableau, so the trajectories are the same bits as a term-by-term sum.
+Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
+globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them; a
+rows call counts once.
 """
 
 from __future__ import annotations
@@ -242,6 +258,13 @@ def _combine(weights, k):
     return np.add.reduce(terms, axis=0, initial=0.0).view(k.dtype)
 
 
+# errors of a field evaluation that reject the stage (the field is undefined
+# there); a stacked rows call that raises these, or TypeError (a family that
+# rejects arrays), is redone row by row
+_FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError)
+_ROW_ERRORS = _FIELD_ERRORS + (TypeError,)
+
+
 def _eval_or_none(field, y):
     """The field at y, or None when it raises or is non-finite.
 
@@ -249,115 +272,231 @@ def _eval_or_none(field, y):
     """
     try:
         f = np.asarray(field(y))
-    except (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
+    except _FIELD_ERRORS:
         return None
     if not np.isfinite(f).all():
         return None
     return f
 
 
-@quiet_fp()
-def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
-               rate_dim: Optional[int] = None) -> RiccatiSolution:
-    """Adaptive DP5(4) loop shared by all solvers.
+def _field_rows(field, rows, ys, lanes):
+    """The field at the rows of ``lanes`` lanes, laid end to end in ys.
 
-    ``rate_dim``: number of leading components whose rate decides
-    equilibrium (and blow-up magnitude); defaults to all components.
-    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
-    One ``quiet_fp`` covers the whole solve.
+    Returns the derivatives laid out the same way when the field is defined
+    and finite at every row.  Otherwise returns a list with, per lane, its
+    row's value, None (the field raised one of ``_FIELD_ERRORS`` or went
+    non-finite: a rejected stage), or the exception of another kind that
+    the field raised there.  A single lane's row is passed to ``field`` as
+    the 1-d row it is.  Several rows go to ``rows`` as one (lanes, dim)
+    stack, or, without ``rows`` or when that call raises ``_ROW_ERRORS``,
+    to ``field`` one at a time, so that each row fails where it would alone.
     """
-    y = np.array(y0)
-    dim = y.shape[0]
-    nr = rate_dim if rate_dim is not None else dim
-    f = _eval_or_none(field, y)
-    if f is None:
-        raise DomainError("vector field undefined at the initial condition")
-    dtype = np.result_type(y, f, float)
+    if lanes == 1:
+        try:
+            f = _eval_or_none(field, ys)
+        except Exception as exc:  # ends this lane only; raised by the caller
+            return [exc]
+        return [None] if f is None else f
+    ys = ys.reshape(lanes, -1)
+    if rows is not None:
+        try:
+            fs = np.asarray(rows(ys))
+        except _ROW_ERRORS:
+            pass
+        else:
+            finite = np.isfinite(fs)
+            if finite.all():
+                return fs.reshape(-1)
+            return [f if ok else None for f, ok in zip(fs, finite.all(axis=1))]
+    out = []
+    for y in ys:
+        try:
+            out.append(_eval_or_none(field, y))
+        except Exception as exc:
+            out.append(exc)
+    if any(f is None or isinstance(f, Exception) for f in out):
+        return out
+    return np.concatenate(out)
 
+
+class _Lane:
+    """The state of one solve in the lane loop."""
+
+    __slots__ = ("u0", "y", "f", "t", "h", "eq_run", "ts", "ys", "fs", "status", "error")
+
+    def __init__(self, u0, y, f, h):
+        self.u0, self.y, self.f = u0, y, f
+        self.t, self.h, self.eq_run = 0.0, h, 0
+        self.ts, self.ys, self.fs = [0.0], [y], [f]
+        self.status = self.error = None
+
+
+@quiet_fp()
+def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] = None,
+           rows: Optional[Callable] = None) -> list:
+    """Adaptive DP5(4) loop shared by all solvers, advancing one lane per start.
+
+    Each lane is the solve that ``_integrate`` would make from its start,
+    with the same steps and bits; a lane keeps its own t, step size, error
+    control, equilibrium run and status, in Python floats.  One pass of the
+    loop tries one step in every running lane.  The lanes' states lie end to
+    end in one array, so the stage and error arithmetic of all lanes is one
+    numpy call each, and ``_field_rows`` evaluates the stage of all lanes at
+    once (``rows`` maps (L, dim) rows to their derivatives).  A lane whose
+    stage fails drops out of the pass's remaining stages.  Returns per start
+    its RiccatiSolution, or the exception that ended it (a DomainError when
+    the field is undefined at the start).  One ``quiet_fp`` covers the run.
+    """
+    Y0 = np.array(starts)
+    dim = Y0.shape[1]
+    nr = rate_dim if rate_dim is not None else dim
     T = opts.T
     t_stop = T - 1e-14 * max(1.0, T)
     atol, rtol = opts.atol, opts.rtol
     hmax, hmin = opts.effective_max_step, _step_floor(T)
-    ts = [0.0]
-    ys = [y]
-    fs = [f]
-    t = 0.0
-    h = min(hmax, T / 100.0)
-    eq_run = 0
-    status = None
     safety, order_exp = 0.9, 0.2
 
-    while t < t_stop:
-        h = min(h, T - t, hmax)
-        if h < hmin:
-            status = _classify_collapse(t, y, f, opts, nr, ts, ys)
+    F0 = _field_rows(field, rows, Y0.reshape(-1), len(Y0))
+    if isinstance(F0, np.ndarray):
+        F0 = F0.reshape(len(Y0), dim)
+    lanes, live = [], []
+    for u0, y, f in zip(starts, Y0, F0):
+        lane = _Lane(u0, y, f, min(hmax, T / 100.0))
+        if f is None or isinstance(f, Exception):
+            lane.error = f if f is not None else \
+                DomainError("vector field undefined at the initial condition")
+        else:
+            live.append(lane)
+        lanes.append(lane)
+    dtype = np.result_type(Y0, *{lane.f.dtype for lane in live}, float)
+
+    while live:
+        running = []
+        for lane in live:
+            if lane.t >= t_stop:
+                lane.status = SolveStatus(SolveStatus.COMPLETED)
+                continue
+            lane.h = min(lane.h, T - lane.t, hmax)
+            if lane.h < hmin:
+                lane.status = _classify_collapse(lane.t, lane.y, lane.f, opts, nr,
+                                                 lane.ts, lane.ys)
+                continue
+            running.append(lane)
+        live = running
+        n = len(running)
+        if not n:
             break
 
-        # stage derivatives, stacked; a fresh array per step, so accepted
-        # rows can be kept without copies
-        k = np.empty((7, dim), dtype)
+        # the lanes' states and derivatives end to end, and each lane's h once
+        # per component (a float for one lane)
+        if n == 1:
+            y, h, f = running[0].y, running[0].h, running[0].f
+        else:
+            y = np.concatenate([lane.y for lane in running])
+            h = np.repeat([lane.h for lane in running], dim)
+            f = np.concatenate([lane.f for lane in running])
+        # stage derivatives, one row per stage; a fresh array per pass, so
+        # accepted rows can be kept without copies
+        k = np.empty((7, n * dim), dtype)
         k[0] = f
-        failed = False
         for stage in range(1, 7):
             ystage = y + h * _combine(_A_COLS[stage], k)
-            fstage = _eval_or_none(field, ystage)
-            if fstage is None:
-                failed = True
+            fstage = _field_rows(field, rows, ystage, n)
+            if fstage.__class__ is not list:
+                k[stage] = fstage
+                continue
+            keep = []
+            for j, value in enumerate(fstage):
+                if value is None:
+                    running[j].h *= 0.3
+                elif isinstance(value, Exception):
+                    running[j].error = value
+                else:
+                    keep.append(j)
+            running = [running[j] for j in keep]
+            if not keep:
                 break
-            k[stage] = fstage
-        if failed:
-            h *= 0.3
-            continue
+            # the remaining lanes go on with the stages done so far
+            k = k.reshape(7, n, dim)[:, keep].reshape(7, -1)
+            y = y.reshape(n, dim)[keep].reshape(-1)
+            ystage = ystage.reshape(n, dim)[keep].reshape(-1)
+            n = len(keep)
+            h = running[0].h if n == 1 else np.repeat([lane.h for lane in running], dim)
+            k[stage] = np.concatenate([fstage[j] for j in keep])
 
-        y_new = ystage  # stage 6 uses the b-row: FSAL
-        err = h * _combine(_E_COL, k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        en = math.sqrt((np.abs(err / scale) ** 2).sum() / dim)
-        if not math.isfinite(en):
-            h *= 0.3
-            continue
-        if en > 1.0:
-            h *= min(1.0, max(0.2, safety * en ** (-order_exp)))
-            continue
+        if running:
+            # stage 6 uses the b-row (FSAL): ystage is the new state
+            err = h * _combine(_E_COL, k)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ystage))
+            sq = np.abs(err / scale) ** 2
+            # one sum of squares per lane, in the order of a 1-d sum
+            sq = [np.add.reduce(sq)] if n == 1 else \
+                np.add.reduce(sq.reshape(n, dim), axis=1).tolist()
+            f_new = k[6]
+            abs_y, abs_f = np.abs(ystage).tolist(), np.abs(f_new).tolist()
+        for j, lane in enumerate(running):
+            en = math.sqrt(sq[j] / dim)
+            if not math.isfinite(en):
+                lane.h *= 0.3
+                continue
+            if en > 1.0:
+                lane.h *= min(1.0, max(0.2, safety * en ** (-order_exp)))
+                continue
 
-        # accepted
-        t += h
-        y = y_new
-        f = k[6]
-        ts.append(t)
-        ys.append(y)
-        fs.append(f)
+            # accepted
+            lane.t += lane.h
+            row = j * dim
+            lane.y = y = ystage[row:row + dim]
+            lane.f = f = f_new[row:row + dim]
+            lane.ts.append(lane.t)
+            lane.ys.append(y)
+            lane.fs.append(f)
 
-        rate = float(np.abs(f[:nr]).max()) if nr else 0.0
-        eq_run = eq_run + 1 if rate < atol else 0
-        if eq_run >= _EQUILIBRIUM_RUN and t < T:
-            status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=t)
-            # analytic continuation: psi constant, phi linear at frozen rate
-            f_cont = f.copy()
-            f_cont[:nr] = 0.0
-            ts.append(T)
-            ys.append(y + (T - t) * f_cont)
-            fs.append(f_cont)
-            break
+            rate = max(abs_f[row:row + nr], default=0.0)
+            lane.eq_run = lane.eq_run + 1 if rate < atol else 0
+            if lane.eq_run >= _EQUILIBRIUM_RUN and lane.t < T:
+                lane.status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=lane.t)
+                # analytic continuation: psi constant, phi linear at frozen rate
+                f_cont = f.copy()
+                f_cont[:nr] = 0.0
+                lane.ts.append(T)
+                lane.ys.append(y + (T - lane.t) * f_cont)
+                lane.fs.append(f_cont)
+                continue
 
-        mag = float(np.abs(y[:nr]).max()) if nr else 0.0
-        if mag > opts.blowup_threshold:
-            radial = float(np.real(np.vdot(y[:nr], f[:nr])))
-            if radial > 0.0:
-                status = SolveStatus(SolveStatus.BLOWUP,
-                                     t_event=_extrapolate_blowup(ts, ys, nr))
-                break
+            if max(abs_y[row:row + nr], default=0.0) > opts.blowup_threshold:
+                radial = float(np.real(np.vdot(y[:nr], f[:nr])))
+                if radial > 0.0:
+                    lane.status = SolveStatus(SolveStatus.BLOWUP,
+                                              t_event=_extrapolate_blowup(lane.ts, lane.ys, nr))
+                    continue
 
-        if en == 0.0:
-            h = hmax
-        else:
-            h *= min(5.0, max(0.2, safety * en ** (-order_exp)))
+            if en == 0.0:
+                lane.h = hmax
+            else:
+                lane.h *= min(5.0, max(0.2, safety * en ** (-order_exp)))
+        live = [lane for lane in live if lane.status is None and lane.error is None]
 
-    if status is None:
-        status = SolveStatus(SolveStatus.COMPLETED)
+    return [lane.error if lane.error is not None else
+            RiccatiSolution(ts=np.array(lane.ts), psi=np.array(lane.ys), phi=None,
+                            dpsi=np.array(lane.fs), dphi=None,
+                            status=lane.status or SolveStatus(SolveStatus.COMPLETED),
+                            u0=lane.u0, T=T)
+            for lane in lanes]
 
-    return RiccatiSolution(ts=np.array(ts), psi=np.array(ys), phi=None, dpsi=np.array(fs),
-                           dphi=None, status=status, u0=y0, T=opts.T)
+
+def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
+               rate_dim: Optional[int] = None) -> RiccatiSolution:
+    """One solve of d y = field(y) from y0: the lane loop with one lane.
+
+    ``rate_dim``: number of leading components whose rate decides
+    equilibrium (and blow-up magnitude); defaults to all components.
+    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
+    """
+    (sol,) = _lanes(field, [y0], opts, rate_dim)
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
 def _classify_collapse(t, y, f, opts, nr, ts, ys):
@@ -404,9 +543,24 @@ def _solve_full(model, u0, opts, l, lam):
     d = model.shape.d
     u0 = _as_initial(u0, d)
     lam = np.asarray(lam, dtype=float).reshape(d)
+    _check_start(model, u0)
+    field, _ = _full_system(model, l, lam, u0.dtype)
+    z0 = np.zeros(d + 1, dtype=u0.dtype)
+    z0[:d] = u0
+    sol = _integrate(field, z0, opts, rate_dim=d)
+    return replace(sol, psi=sol.psi[:, :d], phi=sol.psi[:, d],
+                   dpsi=sol.dpsi[:, :d], dphi=sol.dpsi[:, d], u0=u0)
+
+
+def _check_start(model, u0):
     if not in_domain_Y(model, u0):
         raise DomainError("u0 outside the effective domain Y")
-    dtype = u0.dtype
+
+
+def _full_system(model, l, lam, dtype):
+    """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l),
+    as a field of 1-d rows and of (N, d + 1) rows."""
+    d = model.shape.d
 
     def field(z):
         psi = z[:d]
@@ -415,26 +569,33 @@ def _solve_full(model, u0, opts, l, lam):
         out[d] = eval_F(model, psi, check_domain=False) - l
         return out
 
-    z0 = np.zeros(d + 1, dtype=dtype)
-    z0[:d] = u0
-    sol = _integrate(field, z0, opts, rate_dim=d)
-    return replace(sol, psi=sol.psi[:, :d], phi=sol.psi[:, d],
-                   dpsi=sol.dpsi[:, :d], dphi=sol.dpsi[:, d], u0=u0)
+    def rows(z):
+        psi = z[:, :d]
+        out = np.empty((len(z), d + 1), dtype=dtype)
+        np.subtract(eval_R(model, psi, check_domain=False), lam, out=out[:, :d])
+        np.subtract(eval_F(model, psi, check_domain=False), l, out=out[:, d])
+        return out
+
+    return field, rows
 
 
 def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution:
     """Integrate the reduced I-block system d g = R_I((g, 0)); no phi."""
     m = model.shape.m
     g0 = _as_initial(g0, m, name="g0")
-    probe = np.zeros(model.shape.d)
-    probe[:m] = np.real(g0)
-    if not in_domain_Y(model, probe):
-        raise DomainError("(g0, 0) outside the effective domain Y")
+    _check_reduced_start(model, g0)
 
     def field(v):
         return reduced_R(model, v, check_domain=False)
 
     return _integrate(field, g0, opts)
+
+
+def _check_reduced_start(model, g0):
+    probe = np.zeros(model.shape.d)
+    probe[:model.shape.m] = np.real(g0)
+    if not in_domain_Y(model, probe):
+        raise DomainError("(g0, 0) outside the effective domain Y")
 
 
 def psi_J_flow(model: AffineModel, t: float, uJ) -> np.ndarray:
@@ -468,7 +629,10 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
     ordinary solution.
 
     Returns (ts, psi (k,d), phi (k,), status of the finest member) on 201
-    uniform times.
+    uniform times.  When a rung misses the horizon (explosion or domain
+    exit) the ladder stops there, and the return is that rung's own time
+    grid, trajectory and status instead: the minimal solution diverges as
+    well.
     """
     d, m = model.shape.d, model.shape.m
     u0 = np.asarray(u0, dtype=float).reshape(d)
@@ -479,33 +643,62 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
     ladder_opts = SolveOptions(T=opts.T, rtol=1e-12, atol=1e-15,
                                max_step=opts.effective_max_step,
                                blowup_threshold=opts.blowup_threshold)
-    sols = _eps_ladder(lambda start: solve_tilted(model, l, lam, start, ladder_opts),
-                       u0, m, _LADDER)
+    field, rows = _full_system(model, float(l), lam, u0.dtype)
+    z0 = np.zeros(d + 1)
+    z0[:d] = u0
+    sols = _eps_ladder(field, z0, m, _LADDER, ladder_opts, rate_dim=d, rows=rows,
+                       check=lambda z: _check_start(model, z[:d]))
     finest = sols[-1]
     if not finest.status.reached_horizon:
-        # explosion/domain exit: the minimal solution diverges as well
-        return finest.ts, finest.psi, finest.phi, finest.status
-    psi = _richardson(*[sol.eval(ts) for sol in sols])
-    phi = _richardson(*[sol.eval_phi(ts)[:, None] for sol in sols])[:, 0]
-    psi[0] = u0  # the ladder limit at t = 0 is exact
-    phi[0] = 0.0
+        return finest.ts, finest.psi[:, :d], finest.psi[:, d], finest.status
+    runs = [sol.eval(ts) for sol in sols]
+    psi = _ladder_limit([run[:, :d] for run in runs], ts, u0)
+    phi = _ladder_limit([run[:, d] for run in runs], ts, 0.0)
     return ts, psi, phi, finest.status
 
 
-def _eps_ladder(solve: Callable, u0: np.ndarray, m: int, eps_ladder) -> list:
-    """``solve(start)`` at u0 - eps on the first m coordinates, for each eps.
+def _eps_ladder(field: Callable, u0: np.ndarray, m: int, eps_ladder, opts: SolveOptions,
+                rate_dim: Optional[int] = None, rows: Optional[Callable] = None,
+                check: Optional[Callable] = None) -> list:
+    """Solves of d y = field(y) from u0 - eps on the first m coordinates, one
+    per eps, run as lanes of one ``_lanes`` call.
 
-    Stops at the first solution that misses the horizon, which is then the
-    last one returned; exceptions of ``solve`` propagate.
+    ``check(start)`` may raise to refuse a start.  Returns the solutions in
+    ladder order up to and including the first one that misses the horizon.
+    A rung's exception is raised where a rung-by-rung ladder would raise it:
+    at that rung, once every earlier rung has reached the horizon.
     """
-    sols = []
+    results, starts = [], []
     for eps in eps_ladder:
         start = u0.copy()
         start[:m] -= eps
-        sols.append(solve(start))
-        if not sols[-1].status.reached_horizon:
+        try:
+            if check is not None:
+                check(start)
+        except Exception as exc:
+            results.append(exc)
+        else:
+            results.append(len(starts))
+            starts.append(start)
+    solved = _lanes(field, starts, opts, rate_dim, rows) if starts else []
+    sols = []
+    for result in results:
+        result = solved[result] if isinstance(result, int) else result
+        if isinstance(result, Exception):
+            raise result
+        sols.append(result)
+        if not result.status.reached_horizon:
             break
     return sols
+
+
+def _ladder_limit(runs, ts, start) -> np.ndarray:
+    """Richardson limit of the ladder's three runs sampled on ts, with the
+    exact value ``start`` at t = 0, where the ladder's limit is its start."""
+    out = np.array(_richardson(*runs))
+    if ts[0] == 0.0:
+        out[0] = start
+    return out
 
 
 def _richardson(g1, g2, g3):

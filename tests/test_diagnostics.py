@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from affine_riccati import (
     AffineModel,
+    CompoundPoissonExp,
+    ConfigError,
     DiagnosticsOptions,
+    DomainError,
     ReducedField,
     StateShape,
     check_conservative,
@@ -340,6 +343,40 @@ class TestOdeResidual:
             warnings.simplefilter("error")
             assert ode_residual(ts, vals, lambda v: np.zeros(1)) == math.inf
 
+    @staticmethod
+    def one_at_a_time(field):
+        """The same field without its rows call: evaluated row by row."""
+        return ReducedField(fun=field.fun, m=field.m)
+
+    def test_rows_call_equals_the_row_loop(self, kr_model):
+        # a model-backed field evaluates the grid in one reduced_R call
+        w = check_conservative(tilt_model(kr_model, [1.0])).witness
+        fld = ReducedField.from_model(tilt_model(kr_model, [1.0]))
+        assert fld._rows is not None
+        got = ode_residual(w.ts, w.values, fld)
+        assert got == ode_residual(w.ts, w.values, self.one_at_a_time(fld))
+        assert got == self.loop_residual(w.ts, w.values, fld)
+
+    def test_rows_call_meets_inf_or_a_raise_where_the_loop_does(self, exp_jump_model):
+        # alpha v^2 overflows to inf at v = -1e200; v >= 1 leaves the jump
+        # measure's range (DomainError); the first of the two in grid order wins
+        fld = ReducedField.from_model(exp_jump_model)
+        ts = np.linspace(0.0, 0.4, 5)
+        overflow_first = np.array([[0.0], [-0.1], [-1e200], [2.0], [0.1]])
+        raise_first = np.array([[0.0], [2.0], [-0.1], [-1e200], [0.1]])
+        for field in (fld, self.one_at_a_time(fld)):
+            assert ode_residual(ts, overflow_first, field) == math.inf
+            with pytest.raises(DomainError):
+                ode_residual(ts, raise_first, field)
+
+    def test_rows_call_skips_nan_intervals(self):
+        # a field with a rows call: the NaN defects are skipped as in the loop
+        ts = np.array([0.0, 0.1, 0.2, 0.4])
+        vals = np.array([[np.nan, 0.0], [1.0, 0.1], [1.0, 0.2], [1.0, 0.7]])
+        fld = ReducedField(fun=lambda v: np.zeros(2), m=2, _rows=lambda v: np.zeros(v.shape))
+        assert ode_residual(ts, vals, fld) == pytest.approx(2.5)
+        assert ode_residual(ts, vals, fld) == self.loop_residual(ts, vals, fld)
+
 
 class TestWitnessValidity:
     def collect_witnesses(self, kr_model):
@@ -396,6 +433,36 @@ class TestWitnessValidity:
 
 
 class TestMinimalTrajectory:
+    @pytest.mark.parametrize("ts", [[-0.1, 0.5, 1.0], [0.0, 1.0, 0.5], [0.0, math.nan, 1.0],
+                                    [0.0, 0.5, math.inf], [], [0.0, 0.0]])
+    def test_time_grid_must_be_finite_nondecreasing_from_zero(self, kr_model, ts):
+        tilted = tilt_model(kr_model, [1.0])
+        with pytest.raises(ConfigError, match="time grid ts"):
+            minimal_reduced_trajectory(tilted, [0.0], ts)
+        with pytest.raises(ConfigError, match="time grid ts"):
+            comparison_check(tilted, [0.0], ts, np.zeros((len(ts), 1)))
+
+    def test_grid_may_start_after_zero(self, kr_model):
+        tilted = tilt_model(kr_model, [1.0])
+        ts = np.linspace(0.0, 1.0, 11)
+        assert minimal_reduced_trajectory(tilted, [0.0], ts[3:]).tobytes() == \
+            minimal_reduced_trajectory(tilted, [0.0], ts)[3:].tobytes()
+
+    def test_family_without_rows_gives_the_same_bits(self):
+        # BareExpJumps rejects arrays, so its ladder is evaluated row by row;
+        # the closed-form family with the same formulas takes the rows call
+        from test_model import BareExpJumps
+
+        def model(mu):
+            return AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.1], alpha=[0.2],
+                               beta_I=[[-0.5]], mus=(mu,))
+
+        ts = np.linspace(0.0, 1.5, 31)
+        for u in (-0.7, 0.2):
+            bare = minimal_reduced_trajectory(model(BareExpJumps(1.0, 1.0)), [u], ts)
+            closed = minimal_reduced_trajectory(model(CompoundPoissonExp(1.0, 1.0)), [u], ts)
+            assert bare.tobytes() == closed.tobytes()
+
     def test_matches_closed_form_at_boundary(self, kr_model):
         tilted = tilt_model(kr_model, [1.0])
         ts = np.linspace(0.0, 2.0, 101)

@@ -292,6 +292,64 @@ class TestReducedField:
         assert np.allclose(reduced_R(mixed_model, v), full[:1], atol=1e-15)
 
 
+class TestRows:
+    """(N, d) rows give the bits of N calls on the 1-d rows, or raise when one would."""
+
+    @staticmethod
+    def models(analytic_measures, acceptance_models, mixed_model):
+        out = dict(acceptance_models, mixed=mixed_model)
+        out["pair"] = AffineModel(
+            shape=StateShape(2, 1), a=[[0, 0, 0], [0, 0, 0], [0, 0, 0.3]], b=[0.1, 0.2, -0.1],
+            alpha=[0.3, 0.0], beta_I=[[-0.5, 0.2, 0.4], [0.1, -0.7, -0.3]], beta_JJ=[[-0.2]],
+            mu0=GammaLevy(c=0.2, rho=1.5, axis=2),
+            mus=(TemperedStableHalf(0.3, 0.8, axis=0), CompoundPoissonExp(0.5, 2.0, axis=1)))
+        for name, mu in analytic_measures.items():
+            out[name] = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                                    beta_I=[[-1.0]], mu0=mu, mus=(mu,))
+        return out
+
+    @staticmethod
+    def one_by_one(fun, rows):
+        try:
+            return np.array([fun(row) for row in rows])
+        except DomainError:
+            return DomainError
+
+    def test_rows_equal_the_one_row_calls(self, analytic_measures, acceptance_models,
+                                          mixed_model):
+        rng = np.random.default_rng(11)
+        for name, model in self.models(analytic_measures, acceptance_models,
+                                       mixed_model).items():
+            d, m = model.shape.d, model.shape.m
+            for _ in range(60):
+                rows = rng.normal(size=(3, d)) * 10.0 ** rng.integers(-6, 1, size=(3, d))
+                for u in (rows, rows + 1j * rng.normal(size=(3, d))):
+                    calls = {"eval_R": lambda x: eval_R(model, x, check_domain=False),
+                             "eval_F": lambda x: eval_F(model, x, check_domain=False)}
+                    if u.dtype.kind != "c":
+                        calls["reduced_R"] = lambda x: reduced_R(model, x[..., :m], check_domain=False)
+                    for mu in (model.mu0, *model.mus):
+                        if not mu.is_zero:  # the null measure's 0.0 broadcasts
+                            calls[f"lk {mu!r}"] = mu.lk_integral
+                    for call, fun in calls.items():
+                        want = self.one_by_one(fun, u)
+                        if want is DomainError:
+                            with pytest.raises(DomainError):
+                                fun(u)
+                            continue
+                        got = np.asarray(fun(u))
+                        assert got.tobytes() == want.astype(got.dtype).tobytes(), (name, call)
+                    assert in_domain_Y(model, u) == all(in_domain_Y(model, x) for x in u)
+
+    def test_rows_outside_the_domain_raise(self, kr_model):
+        rows = np.array([[0.5], [1.5], [-1.0]])
+        assert not in_domain_Y(kr_model, rows)
+        with pytest.raises(DomainError):
+            eval_R(kr_model, rows)
+        with pytest.raises(DomainError):
+            kr_model.mus[0].lk_integral(rows)
+
+
 class TestQuadratureAgreement:
     """Analytic Levy-Khintchine branches against adaptive quadrature."""
 

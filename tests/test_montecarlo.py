@@ -285,6 +285,17 @@ class TestEstimators:
             signs.add(report.z)
         assert signs == {math.inf, -math.inf}
 
+    def test_formula_check_flags_a_z_that_is_not_a_number(self):
+        # every path explodes: mean and standard error are inf, z = inf/inf
+        m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], beta_I=[[-1.0]],
+                        mus=(CompoundPoissonPoint(rate=50.0, size=1e13, axis=0),))
+        opts = SimOptions(x0=[1.0], T=0.5, dt=1e-2, npaths=3, seed=2)
+        report = affine_formula_check(m, opts, [-1.0])
+        assert report.exploded_fraction == 1.0
+        assert math.isnan(report.z)
+        assert report.flagged
+        assert "flagged: yes" in report.report_lines()
+
     def test_formula_check_blowup_not_applicable(self, feller_model):
         opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=10, seed=0)
         report = affine_formula_check(feller_model, opts, [2.0])

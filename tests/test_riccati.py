@@ -11,16 +11,21 @@ from affine_riccati import (
     CompoundPoissonExp,
     ConfigError,
     DomainError,
+    GammaLevy,
     SolveOptions,
     StateShape,
+    TemperedStableHalf,
     blowup_time,
     eval_F,
+    kr2014,
     psi_J_flow,
     solve_minimal,
     solve_reduced,
     solve_riccati,
     solve_tilted,
+    tilt_model,
 )
+from affine_riccati.riccati import _LADDER, _eps_ladder, _full_system, _integrate, _lanes
 
 # Closed forms used as oracles below.  Both are verified symbolically in
 # TestOracleValidity before anything is asserted against them.
@@ -383,3 +388,182 @@ class TestTrajectoryExport:
         rows = [line.split(",") for line in lines[1:-1]]
         assert [float(row[1]) for row in rows] == list(sol.psi[:, 0])
         assert all(row[2] == "0" for row in rows)
+
+
+def kr2014_pair():
+    """Two independent kr2014 coordinates on R_+^2."""
+    mu = kr2014().mus[0]
+    mus = tuple(TemperedStableHalf(scale=mu.scale, tempering=1.0, axis=k) for k in range(2))
+    beta = kr2014().beta_I[0, 0]
+    return AffineModel(shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
+                       alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)
+
+
+def gamma_ou_model():
+    """OU-type coordinate that reaches the gamma measure's open boundary at 1."""
+    return AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0], beta_JJ=[[0.5]],
+                       mu0=GammaLevy(c=1.0, rho=1.0, axis=0))
+
+
+def full_starts(model, us):
+    """(psi, phi) starts of the full system, one row per u."""
+    d = model.shape.d
+    us = np.asarray(us).reshape(len(us), d)
+    starts = np.zeros((len(us), d + 1), dtype=us.dtype if us.dtype.kind == "c" else float)
+    starts[:, :d] = us
+    return starts
+
+
+def assert_same_solution(got, want):
+    for name in ("ts", "psi", "dpsi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.status == want.status
+
+
+class TestLanes:
+    """Every lane of a stacked run is the lone solve from its start, bit for bit."""
+
+    def lanes_match_lone_solves(self, model, us, opts=SolveOptions(T=2.0), l=0.0, lam=None):
+        d = model.shape.d
+        lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float)
+        starts = full_starts(model, us)
+        field, rows = _full_system(model, l, lam, starts.dtype)
+        got = _lanes(field, list(starts), opts, d, rows)
+        want = [_integrate(field, start, opts, rate_dim=d) for start in starts]
+        for g, w in zip(got, want):
+            assert_same_solution(g, w)
+        return [g.status.kind for g in got]
+
+    @pytest.mark.parametrize("us", [[-1.0, 0.5, -2.0], [1j, -1 + 0.5j, 3j]])
+    def test_feller(self, feller_model, us):
+        self.lanes_match_lone_solves(feller_model, us)
+
+    @pytest.mark.parametrize("us", [[-1.0, 0.99, 1.0 - 1e-9], [0.4j, -1 + 1j]])
+    def test_kr2014(self, kr_model, us):
+        self.lanes_match_lone_solves(kr_model, us)
+
+    @pytest.mark.parametrize("us", [[-0.4, 0.3, -1.5], [2j, -0.5 - 1j, 0.1 + 0.1j]])
+    def test_cir_jump(self, cir_jump_model, us):
+        self.lanes_match_lone_solves(cir_jump_model, us)
+
+    def test_tilted_kr2014_pair(self):
+        pair = tilt_model(kr2014_pair(), [1.0, 1.0])
+        us = [[-1e-5, -1e-5], [-1e-7, -0.3], [-0.5, -1e-9], [0.0, -0.2]]
+        self.lanes_match_lone_solves(pair, us, SolveOptions(T=1.0, rtol=1e-12, atol=1e-15))
+
+    @pytest.mark.parametrize("us", [[[-0.4, 0.3, -0.2], [0.1, -0.5, 0.4], [-1.0, 0.0, 0.0]],
+                                    [[-0.4 + 0.2j, 0.3, 1j], [0.1j, -0.5, 0.4 - 0.3j]]])
+    def test_mixed_model(self, mixed_model, us):
+        self.lanes_match_lone_solves(mixed_model, us)
+
+    def test_every_terminal_status(self, feller_model):
+        # feller: u = 2 explodes at log 2, u = 0 sits at the equilibrium;
+        # the gamma OU coordinate leaves the domain while its neighbours step on
+        kinds = self.lanes_match_lone_solves(feller_model, [-1.0, 2.0, 0.0])
+        assert kinds == ["completed", "blowup", "equilibrium"]
+        kinds = self.lanes_match_lone_solves(gamma_ou_model(), [-0.5, 0.5, 0.0, 0.3],
+                                             SolveOptions(T=3.0))
+        assert kinds == ["completed", "left_domain", "equilibrium", "left_domain"]
+
+    def test_failed_stage_drops_only_its_lane(self):
+        # near the open boundary the gamma lane's stacked rows call raises, the
+        # rows are redone one at a time, and the lane alone shrinks its step
+        model = gamma_ou_model()
+        starts = full_starts(model, [0.9, -0.5])
+        field, rows = _full_system(model, 0.0, np.zeros(1), float)
+        with pytest.raises(DomainError):
+            rows(np.array([[1.2, 0.0], [-0.5, 0.0]]))
+        self.lanes_match_lone_solves(model, [0.9, -0.5], SolveOptions(T=1.0))
+        calm = _integrate(field, starts[1], SolveOptions(T=1.0), rate_dim=1)
+        assert calm.status.kind == "completed"
+
+    def test_lane_undefined_at_its_start(self, kr_model):
+        field, rows = _full_system(kr_model, 0.0, np.zeros(1), float)
+        starts = full_starts(kr_model, [-1.0, 1.5, 0.5])
+        got = _lanes(field, list(starts), SolveOptions(T=1.0), 1, rows)
+        assert isinstance(got[1], DomainError)
+        assert "undefined at the initial condition" in str(got[1])
+        for k in (0, 2):
+            assert_same_solution(got[k], _integrate(field, starts[k], SolveOptions(T=1.0), 1))
+        with pytest.raises(DomainError, match="initial condition"):
+            _integrate(field, starts[1], SolveOptions(T=1.0), 1)
+
+    def test_ladder_on_a_family_without_rows(self):
+        # BareExpJumps rejects arrays, so the ladder's rows are evaluated one
+        # at a time; the rungs are still the lone solves
+        from test_model import BareExpJumps
+
+        model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                            beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
+        field, rows = _full_system(model, 0.0, np.zeros(1), float)
+        with pytest.raises(ValueError):
+            rows(np.array([[-0.1, 0.0], [-0.2, 0.0]]))
+        opts = SolveOptions(T=2.0, rtol=1e-12, atol=1e-15)
+        u0 = np.array([0.5, 0.0])
+        sols = _eps_ladder(field, u0, 1, _LADDER, opts, rate_dim=1, rows=rows)
+        assert len(sols) == 3
+        for eps, sol in zip(_LADDER, sols):
+            assert_same_solution(sol, _integrate(field, u0 - [eps, 0.0], opts, rate_dim=1))
+        # the same measure in closed form takes the rows path, with the same bits
+        closed = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                             beta_I=[[-1.0]], mus=(CompoundPoissonExp(0.5, 2.0),))
+        got = solve_minimal(model, [0.5], SolveOptions(T=2.0))
+        want = solve_minimal(closed, [0.5], SolveOptions(T=2.0))
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+
+
+class TestEpsLadder:
+    """The ladder returns and raises as a rung-by-rung ladder would."""
+
+    @staticmethod
+    def logistic(v):
+        return v * v - v  # explodes from v > 1 at log(v / (v - 1))
+
+    def test_stops_at_the_first_rung_that_misses_the_horizon(self):
+        opts = SolveOptions(T=1.0)
+        # starts 1.5 (explodes after T), 1.9 and 2.0 (explode before T)
+        sols = _eps_ladder(self.logistic, np.array([2.0]), 1, (0.5, 0.1, 0.0), opts)
+        assert [s.status.kind for s in sols] == ["completed", "blowup"]
+        sols = _eps_ladder(self.logistic, np.array([0.9]), 1, (0.5, 0.1, 0.0), opts)
+        assert [s.status.kind for s in sols] == ["completed"] * 3
+
+    def test_raises_in_rung_order(self):
+        opts = SolveOptions(T=1.0)
+
+        def refuse(*bad):
+            def check(start):
+                if float(start[0]) in bad:
+                    raise KeyError(float(start[0]))
+            return check
+
+        ladder = (0.5, 0.1, 0.0)
+        # the second rung's refusal surfaces once the first rung has completed
+        with pytest.raises(KeyError, match="1.9"):
+            _eps_ladder(self.logistic, np.array([2.0]), 1, ladder, opts, check=refuse(1.9))
+        # the first of two refused rungs surfaces
+        with pytest.raises(KeyError, match="1.5"):
+            _eps_ladder(self.logistic, np.array([2.0]), 1, ladder, opts,
+                        check=refuse(2.0, 1.5))
+        # a rung after one that misses the horizon never raises
+        sols = _eps_ladder(self.logistic, np.array([2.0]), 1, ladder, opts, check=refuse(2.0))
+        assert [s.status.kind for s in sols] == ["completed", "blowup"]
+
+    def test_field_exceptions_end_only_their_lane(self):
+        # a field that raises an error outside the stage-rejecting ones below
+        # v = -0.25: the lone solve raises it, and so does its rung, in order
+        def field(v):
+            if v[0] < -0.25:
+                raise KeyError("below")
+            return -v * v
+
+        opts = SolveOptions(T=1.0)
+        with pytest.raises(KeyError):
+            _integrate(field, np.array([-0.3]), opts)
+        sols = _eps_ladder(field, np.array([-0.1]), 1, (0.0, 0.01, 0.05), opts)
+        assert [s.status.kind for s in sols] == ["completed"] * 3
+        with pytest.raises(KeyError):
+            _eps_ladder(field, np.array([-0.1]), 1, (0.0, 0.01, 0.2), opts)
