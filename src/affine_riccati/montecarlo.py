@@ -38,6 +38,18 @@ draws no pick table.  Each thread keeps one Philox generator and re-keys it
 per table.  Reductions run in fixed path order, so parallel and serial runs
 are bit-identical, as are reruns with identical options.
 
+Layout
+------
+The Euler loop keeps its working state coordinate-major: row j holds
+coordinate j of every path of a worker's block, so each step is a few
+in-place passes over contiguous rows, on buffers allocated once per block.
+The matrix products (drift, J-block drift, diffusion factor) are the
+path-major BLAS calls on transposed views, and a drift product with one
+term (m = 1) is its single exact product, so the bits do not depend on the
+layout.  Recorded states wait in a buffer of ``_REC_BLOCK`` records and are
+written to the ensemble a block at a time.  ``PathEnsemble.states`` keeps
+its layout: a C-contiguous ``(npaths, k, d)`` array.
+
 An ensemble runs on one worker thread per 10,000 paths, capped at the number
 of CPUs the process may run on: ensembles below 20,000 paths run serially,
 and so does a process pinned to one CPU (for example with ``taskset -c 0``).
@@ -98,6 +110,13 @@ _P_CASCADE_WAIT = 3
 _P_CASCADE_PICK = 4
 _P_INCREMENT = 5     # exact subordinator increments, keyed by source index
 _P_SIZE = 200        # + jump source index
+
+# recorded states a worker buffers before it writes them to the ensemble, so
+# that a flush writes a run of records of each path at once.  At 100,000
+# paths (d = 1, one x86_64 CPU) a flush cost about 0.4 ms per record with
+# 16, against about 1 ms for one record at a time, 1.1 ms with 4 and 0.3 ms
+# with 32, which doubles the 12.8 MB buffer
+_REC_BLOCK = 16
 
 # rounds of the within-step jump cascade before a path is frozen as
 # budget-exhausted (never as exploded)
@@ -335,7 +354,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
     rec_idx = list(range(0, nsteps + 1, stride))
     if rec_idx[-1] != nsteps:
         rec_idx.append(nsteps)
-    rec_pos = {s: k for k, s in enumerate(rec_idx)}
+    rec_steps = set(rec_idx[1:])
     times = np.array([s * h for s in rec_idx])
 
     npaths = opts.npaths
@@ -346,37 +365,63 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
     nsrc = len(sources)
     seed = _words(opts.seed)
 
+    var_coef = 2.0 * alpha * h    # per-unit-X_i variance of the step, (m,)
+
     def run_block(lo: int, hi: int):
+        # coordinate-major rows; see Layout in the module docstring
         nb = hi - lo
-        X = np.tile(opts.x0, (nb, 1))
+        X = np.empty((d, nb))
+        X[:] = opts.x0[:, None]
+        Xp = np.empty_like(X)
+        X_new = np.empty_like(X)
+        tmp = np.empty((m, nb))
+        mag = np.empty(nb)
+        blow = np.empty(nb, dtype=bool)
         alive = np.ones(nb, dtype=bool)
+        # recorded states wait here and go to `states` a block at a time
+        block = np.empty((min(_REC_BLOCK, len(rec_idx) - 1), d, nb))
+        filled = 0
+        k0 = 1
         for step in range(nsteps):
-            Xp = X.copy()
-            Xp[:, :m] = np.maximum(Xp[:, :m], 0.0)
-            drift = drift_const + Xp[:, :m] @ beta_sim
+            np.maximum(X[:m], 0.0, out=Xp[:m])
+            Xp[m:] = X[m:]
+            # X_new = X + h * drift, with drift = drift_const + Xp_I beta_sim
+            # (+ X_J beta_JJ^T on the J rows), each operation in that order
+            if m == 1:
+                # a product with one term: the matmul's exact single product
+                np.multiply(Xp[:1], beta_sim.T, out=X_new)
+                np.add(drift_const[:, None], X_new, out=X_new)
+            else:
+                np.add(drift_const[:, None], (Xp[:m].T @ beta_sim).T, out=X_new)
             if shape.n:
-                drift[:, m:] += X[:, m:] @ model.beta_JJ.T
-            X_new = X + h * drift
+                X_new[m:] += (X[m:].T @ model.beta_JJ.T).T
+            np.multiply(h, X_new, out=X_new)
+            np.add(X, X_new, out=X_new)
 
             if L is not None:
                 Z = ndtri(_uniforms(seed, step, _P_GAUSS_CONST, (nb, d), start=lo))
-                X_new += sqrt_h * (Z @ L.T)
+                G = Z @ L.T
+                np.multiply(sqrt_h, G, out=G)
+                X_new += G.T
             if has_alpha:
                 Z2 = ndtri(_uniforms(seed, step, _P_GAUSS_LIN, (nb, m), start=lo))
-                X_new[:, :m] += np.sqrt(2.0 * alpha * h * Xp[:, :m]) * Z2
+                np.multiply(var_coef[:, None], Xp[:m], out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp *= Z2.T
+                X_new[:m] += tmp
 
             for s_idx, (mu, coord) in enumerate(increment_sources):
-                t = np.full(nb, h) if coord is None else h * Xp[:, coord]
+                t = np.full(nb, h) if coord is None else h * Xp[coord]
                 u_inc = _uniforms(seed, step, _P_INCREMENT, (nb, 2), extra=(s_idx,), start=lo)
-                X_new[:, mu.axis] += mu.increment(t, u_inc)
+                X_new[mu.axis] += mu.increment(t, u_inc)
 
-            blown = np.zeros(nb, dtype=bool)
             if nsrc:
                 # exact within-step jump cascade: waiting times at the current
                 # thinning intensity, re-frozen at each jump's left limit so
                 # self-excitation inside the step is not lost.  A round works
                 # on the rows still waiting (idx, ascending, and their
                 # clocks tau) and draws the table rows lo + idx only.
+                blown = np.zeros(nb, dtype=bool)
                 Xj = Xp.copy()
                 idx = np.flatnonzero(alive)
                 tau = np.zeros(idx.size)
@@ -389,7 +434,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                     inten = np.empty((idx.size, nsrc))
                     for s_idx, (mu, coord, lam) in enumerate(sources):
                         inten[:, s_idx] = lam if coord is None else \
-                            np.maximum(Xj[idx, coord], 0.0) * lam
+                            np.maximum(Xj[coord, idx], 0.0) * lam
                     itot = inten[:, 0] if nsrc == 1 else inten.sum(axis=1)
                     u_wait = _row_span(seed, step, _P_CASCADE_WAIT, lo + idx, extra=(rnd,))
                     dtau = np.full(idx.size, math.inf)
@@ -410,23 +455,34 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                         picked = [idx[pick == s_idx] for s_idx in range(nsrc)]
                     for s_idx, ((mu, coord, lam), rows) in enumerate(zip(sources, picked)):
                         if rows.size:
-                            Xj[rows, mu.axis] += _sample_tail_values(
+                            Xj[mu.axis, rows] += _sample_tail_values(
                                 mu, eps, lo + rows, seed, step, _P_SIZE + s_idx, rnd)
                     # a path past the explosion cap leaves the cascade at once
-                    over = np.max(np.abs(Xj[idx]), axis=1) > EXPLOSION_CAP
+                    over = np.max(np.abs(Xj[:, idx]), axis=0) > EXPLOSION_CAP
                     if over.any():
                         blown[idx[over]] = True
                         idx, tau = idx[~over], tau[~over]
                     rnd += 1
                 X_new += Xj - Xp
 
-            X_new[:, :m] = np.maximum(X_new[:, :m], 0.0)
-            blow = blown | (np.max(np.abs(X_new), axis=1) > EXPLOSION_CAP)
+            np.maximum(X_new[:m], 0.0, out=X_new[:m])
+            # a running maximum keeps np.max's NaN propagation
+            np.abs(X_new[0], out=mag)
+            for row in X_new[1:]:
+                np.maximum(mag, np.abs(row), out=mag)
+            np.greater(mag, EXPLOSION_CAP, out=blow)
+            if nsrc:
+                blow |= blown
             alive &= ~blow
-            X = np.where(alive[:, None], X_new, X)
+            np.copyto(X, X_new, where=alive)
 
-            if (step + 1) in rec_pos:
-                states[lo:hi, rec_pos[step + 1], :] = X
+            if step + 1 in rec_steps:
+                block[filled] = X
+                filled += 1
+                if filled == len(block) or step + 1 == nsteps:
+                    states[lo:hi, k0:k0 + filled] = block[:filled].transpose(2, 0, 1)
+                    k0 += filled
+                    filled = 0
         survived[lo:hi] = alive
 
     nworkers = _workers(npaths)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from affine_riccati import (
@@ -73,3 +74,13 @@ def analytic_measures():
         "stable": TemperedStableHalf(scale=0.3, tempering=1.2, axis=0),
         "stable-untempered": TemperedStableHalf(scale=0.3, tempering=0.0, axis=0),
     }
+
+
+@pytest.fixture
+def kr2014_pair_model():
+    """Two independent kr2014 coordinates on R_+^2."""
+    mu = kr2014().mus[0]
+    mus = tuple(TemperedStableHalf(scale=mu.scale, tempering=1.0, axis=k) for k in range(2))
+    beta = kr2014().beta_I[0, 0]
+    return AffineModel(shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
+                       alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)

@@ -58,6 +58,15 @@ def _sha(ens):
     return hashlib.sha256(ens.states.tobytes() + ens.survived.tobytes()).hexdigest()
 
 
+def _diffusion_model():
+    """m = 2, n = 1 diffusion with no jumps: two square-root coordinates and
+    a J-coordinate with a constant diffusion coefficient."""
+    return AffineModel(shape=StateShape(2, 1),
+                       a=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.3]],
+                       b=[0.4, 0.2, -0.1], alpha=[1.0, 0.5],
+                       beta_I=[[-1.0, 0.2, 0.3], [0.1, -0.8, -0.2]], beta_JJ=[[-0.6]])
+
+
 def _two_source_model():
     """cir-jump plus a linear tempered 1/2-stable source: one cascade source
     and one increment source."""
@@ -71,25 +80,47 @@ class TestStreamIdentity:
     its bits, with any worker count."""
 
     # sha256 of states + survived at seed 99, T 0.5, dt 2e-3, 2,000 paths,
-    # x0 = 1 (mixed: x0 = (0.8, 0.5, -0.2)).  kr2014 has one tempered
-    # 1/2-stable source, which jump_trunc does not truncate.
+    # x0 = 1 (mixed and diffusion-2-1: x0 = (0.8, 0.5, -0.2); the tilted
+    # kr2014 pair: x0 = (1, 1)).  kr2014 has one tempered 1/2-stable source,
+    # which jump_trunc does not truncate.  diffusion-2-1 runs the m > 1 drift
+    # product, the J-block drift and the constant diffusion factor; 80 paths
+    # of the kr2014 pair tilted at (1, 0.5) explode; feller-301-steps runs
+    # 301 steps recorded every 3, so its last record block is a short one.
     PINNED = {
         ("cir-jump", 1e-3): "c3057b35353fdc6d6fcdf38c9974a62df072a967c423652cc8e1abc5b4511d9d",
         ("kr2014", 1e-3): "3e6b8dfb9e4de15271c1b96a18e7b57e2385e13069f509e19813523036a62074",
         ("kr2014", 1e-4): "3e6b8dfb9e4de15271c1b96a18e7b57e2385e13069f509e19813523036a62074",
         ("two-source", 1e-3): "b32aaa12975ab80c15ce303b2e7d94d380dcfce36065944dc0b1f2ee0c4bd98a",
         ("mixed", 1e-3): "9ea454a50f644da5e56025218cca43747970c718440425e0b792a61808b85e05",
+        ("feller", 1e-3): "f38c095b97db6bb33cb1d0dfa69773d5111a0edc1dbddec5cf0cb6a2e8d281ca",
+        ("diffusion-2-1", 1e-3):
+            "72405381a7202f8f7505e422cb0e76684c8e1fdf06cde3cabbd52082151c40bf",
+        ("kr2014-pair-tilted", 1e-3):
+            "e9e604f7fdc32f7f4b94917a3d5532b4dff33f99d73661033eb22deb9068b64d",
+        ("feller-301-steps", 1e-3):
+            "f6c924a7d74d0753baf6e7a7e202a258f150da491f80c65327a65e6009d36a76",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name, trunc", sorted(PINNED))
-    def test_pinned_ensemble(self, acceptance_models, mixed_model, monkeypatch, workers,
-                             name, trunc):
-        models = {**acceptance_models, "two-source": _two_source_model(), "mixed": mixed_model}
-        x0 = [0.8, 0.5, -0.2] if name == "mixed" else [1.0]
+    def test_pinned_ensemble(self, acceptance_models, mixed_model, kr2014_pair_model,
+                             monkeypatch, workers, name, trunc):
+        models = {**acceptance_models, "two-source": _two_source_model(), "mixed": mixed_model,
+                  "diffusion-2-1": _diffusion_model(),
+                  "kr2014-pair-tilted": tilt_model(kr2014_pair_model, [1.0, 0.5]),
+                  "feller-301-steps": acceptance_models["feller"]}
+        x0 = {"mixed": [0.8, 0.5, -0.2], "diffusion-2-1": [0.8, 0.5, -0.2],
+              "kr2014-pair-tilted": [1.0, 1.0]}.get(name, [1.0])
+        T = 0.602 if name == "feller-301-steps" else 0.5
         monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
-        opts = SimOptions(x0=x0, T=0.5, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
+        opts = SimOptions(x0=x0, T=T, dt=2e-3, npaths=2000, seed=99, jump_trunc=trunc)
         assert _sha(simulate_paths(models[name], opts)) == self.PINNED[name, trunc]
+
+    def test_feller_301_steps_ends_in_a_short_record_block(self, feller_model):
+        ens = simulate_paths(feller_model, SimOptions(x0=[1.0], T=0.602, dt=2e-3, npaths=2))
+        assert ens.options.nsteps == 301
+        assert ens.times.size == 103 - 1     # steps 0, 3, ..., 300 and 301
+        assert (ens.times.size - 1) % montecarlo._REC_BLOCK != 0
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
     @pytest.mark.parametrize("cols", [None, 1, 2])
@@ -443,6 +474,16 @@ class TestPathStatus:
 
 
 class TestSchemeInvariants:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_states_are_c_contiguous_path_major(self, feller_model, mixed_model, monkeypatch,
+                                                workers):
+        monkeypatch.setattr(montecarlo, "_workers", lambda npaths: workers)
+        for model, x0 in ((feller_model, [1.0]), (mixed_model, [0.8, 0.5, -0.2])):
+            ens = simulate_paths(model, SimOptions(x0=x0, T=0.37, dt=1e-2, npaths=31, seed=4))
+            assert ens.states.shape == (31, ens.times.size, len(x0))
+            assert ens.states.flags.c_contiguous
+            assert np.array_equal(ens.states[:, 0], np.tile(x0, (31, 1)))
+
     def test_weak_order_dt_halving(self, feller_model):
         # discretization bias stays below one stderr when dt halves
         res = {}

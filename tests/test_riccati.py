@@ -14,10 +14,8 @@ from affine_riccati import (
     GammaLevy,
     SolveOptions,
     StateShape,
-    TemperedStableHalf,
     blowup_time,
     eval_F,
-    kr2014,
     psi_J_flow,
     solve_minimal,
     solve_reduced,
@@ -390,15 +388,6 @@ class TestTrajectoryExport:
         assert all(row[2] == "0" for row in rows)
 
 
-def kr2014_pair():
-    """Two independent kr2014 coordinates on R_+^2."""
-    mu = kr2014().mus[0]
-    mus = tuple(TemperedStableHalf(scale=mu.scale, tempering=1.0, axis=k) for k in range(2))
-    beta = kr2014().beta_I[0, 0]
-    return AffineModel(shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
-                       alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)
-
-
 def gamma_ou_model():
     """OU-type coordinate that reaches the gamma measure's open boundary at 1."""
     return AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0], beta_JJ=[[0.5]],
@@ -448,8 +437,8 @@ class TestLanes:
     def test_cir_jump(self, cir_jump_model, us):
         self.lanes_match_lone_solves(cir_jump_model, us)
 
-    def test_tilted_kr2014_pair(self):
-        pair = tilt_model(kr2014_pair(), [1.0, 1.0])
+    def test_tilted_kr2014_pair(self, kr2014_pair_model):
+        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
         us = [[-1e-5, -1e-5], [-1e-7, -0.3], [-0.5, -1e-9], [0.0, -0.2]]
         self.lanes_match_lone_solves(pair, us, SolveOptions(T=1.0, rtol=1e-12, atol=1e-15))
 
