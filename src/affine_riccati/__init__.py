@@ -35,7 +35,6 @@ from .riccati import (
 )
 from .diagnostics import (
     ConservativenessVerdict,
-    DiagnosticsOptions,
     LipschitzCertificate,
     OsgoodCertificate,
     ReducedField,

@@ -25,40 +25,48 @@ materializes there.
 Fixed constants of the pipeline:
 
 * Lipschitz radii 0.5, 0.25, 0.1, 0.03, 0.01, tried in turn.  A field
-  without an analytic bound (``ReducedField.jacobian_bound``) gets the
-  ``numeric-sampled`` bound: central difference quotients at the cube
-  corners, the origin and 4m seeded interior points, times 2.  It is a
-  refined sampled check, not a proof: the quotients are also taken at a
-  step 100 times smaller, and a row sum that more than doubles there
-  (a root- or cusp-type point) withholds the bound.
+  with an analytic bound (``ReducedField.jacobian_bound``; every model
+  field has one) is certified by that bound alone (``analytic-corner``)
+  and never sampled.  A field without one gets the ``numeric-sampled``
+  bound: central difference quotients at the cube corners, the origin and
+  4m seeded interior points, times 2.  It is a refined sampled check, not
+  a proof: the quotients are also taken at a step 100 times smaller, and
+  a row sum that more than doubles there (a root- or cusp-type point)
+  withholds the bound.
 * Osgood side scans start at |v| <= 0.25; the witness grid has 1201 points,
-  graded quadratically over the horizon 3.
+  graded quadratically over the horizon 3.  The integral ladder calls a
+  side convergent when its last three decade ratios lie below 0.9 and
+  divergent when they lie above 0.93.  A field that is Osgood only by a
+  logarithm, such as v (1 + log(1/v)) with ratios rising from 0.47 to
+  0.86, is called convergent; its witness then fails validation, so the
+  verdict is Inconclusive, never NonConservative.
 * The probe ladder and the forward witness run to the checkpoint time 1 on
   1201 points.  Their solves use rtol 1e-10, atol 1e-13 and a step cap of
   1/200 of the horizon; the Osgood witness tail caps steps at 1/300 of its
-  span.
+  span.  The probe ladder and ``minimal_reduced_trajectory`` start at the
+  shifts of the minimal-branch ladder ``_LADDER`` (1e-5, 1e-7, 1e-9).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _dataclass_field, replace
+import warnings
+from dataclasses import dataclass, field as _dataclass_field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as _sint
+from scipy.integrate import IntegrationWarning
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, SolverError
-from .model import (AffineModel, StateShape, eval_F, in_domain_Y, quiet_fp, reduced_R,
-                    validate_model)
+from .model import AffineModel, StateShape, eval_F, quiet_fp, reduced_R, validate_model
 from .riccati import (_LADDER, _ROW_ERRORS, SolveOptions, _check_reduced_start, _eps_ladder,
                       _eval_or_none, _integrate, _ladder_limit, _richardson, _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
 __all__ = [
     "leq_order",
-    "DiagnosticsOptions",
     "LipschitzCertificate",
     "OsgoodCertificate",
     "WitnessTrajectory",
@@ -97,22 +105,6 @@ def leq_order(shape: StateShape, u, v, tol: float = 0.0) -> bool:
     if np.any(u[:m] > v[:m] + tol):
         return False
     return bool(np.all(np.abs(u[m:] - v[m:]) <= tol))
-
-
-@dataclass(frozen=True)
-class DiagnosticsOptions:
-    """The probe ladder; every other setting of the pipeline is fixed."""
-
-    eps_ladder: tuple = _LADDER
-
-    def __post_init__(self):
-        if len(self.eps_ladder) != 3:
-            # the ladder limit is a three-point Richardson extrapolation
-            raise ConfigError("eps_ladder must have exactly three entries")
-
-    def refined(self, factor: float = 0.1) -> "DiagnosticsOptions":
-        """The same options with the probe ladder refined by one decade."""
-        return replace(self, eps_ladder=tuple(e * factor for e in self.eps_ladder))
 
 
 def _solve_options(T: float) -> SolveOptions:
@@ -193,7 +185,9 @@ class ReducedField:
 
     ``jacobian_bound(rho)`` returns a Lipschitz constant valid on the closed
     ball of radius rho around 0, or None when no finite bound is available
-    there.  Evaluations outside the field's domain may raise or go
+    there.  A field with a ``jacobian_bound`` is never sampled: where it
+    gives None at every radius, the Osgood test or the probe ladder
+    decides.  Evaluations outside the field's domain may raise or go
     non-finite; both are handled.
 
     ``_rows``, set by ``from_model``, maps (N, m) rows to their (N, m)
@@ -223,19 +217,18 @@ class ReducedField:
 
 
 def _model_jacobian_bound(model: AffineModel, rho: float):
-    """Rigorous sup of the reduced Jacobian over the ball of radius rho.
+    """Rigorous sup of the reduced Jacobian over the ball of radius rho, or
+    None when no finite bound holds there.
 
     The jump contributions int xi_k e^{<v, xi>} mu_i are monotone in every
     coordinate for measures supported in D, so their extremes over the cube
-    [-rho, rho]^m sit at the corners +-rho * 1.
+    [-rho, rho]^m sit at the corners +-rho * 1.  A corner outside the range
+    of an I-row measure mu_i (a DomainError) or a derivative that is not
+    finite there gives None.  mu_0 enters F, not the reduced field, so its
+    range plays no part.
     """
     shape = model.shape
     m = shape.m
-    for sgn in (1.0, -1.0):
-        probe = np.zeros(shape.d)
-        probe[:m] = sgn * rho
-        if not in_domain_Y(model, probe):
-            return None
     bound_rows = np.zeros((m, m))
     for i in shape.I:
         for k in shape.I:
@@ -249,7 +242,10 @@ def _model_jacobian_bound(model: AffineModel, rho: float):
                 for sgn in (1.0, -1.0):
                     u = np.zeros(shape.d)
                     u[:m] = sgn * rho
-                    dv = mu.lk_derivative(u, compensated=comp)
+                    try:
+                        dv = mu.lk_derivative(u, compensated=comp)
+                    except DomainError:
+                        return None
                     if not np.isfinite(dv):
                         return None
                     vals.append(abs(dv))
@@ -400,7 +396,8 @@ def _osgood_integral_ladder(field: ReducedField, sign: int, delta: float):
     cuts = [w_hi] + [w_hi * 10.0 ** (-k) for k in range(1, 8)]
     density = _time_density(field, sign)
     incs = []
-    with quiet_fp():
+    with quiet_fp(), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
         for lo, hi in zip(cuts[1:], cuts[:-1]):
             val, _ = _sint.quad(density, lo, hi, limit=200)
             incs.append(val)
@@ -429,7 +426,8 @@ def _osgood_witness(field: ReducedField, sign: int) -> Optional[WitnessTrajector
     mesh = np.concatenate([[0.0], np.geomspace(1e-9, w_switch, 60)])
     density = _time_density(field, sign)
     t_cum = [0.0]
-    with quiet_fp():
+    with quiet_fp(), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
         for lo, hi in zip(mesh[:-1], mesh[1:]):
             seg, _ = _sint.quad(density, lo, hi, limit=200)
             t_cum.append(t_cum[-1] + seg)
@@ -482,7 +480,7 @@ def _crossing_time(grid, norms, level):
     return float(t0 + (level - y0) / (y1 - y0) * (t1 - t0))
 
 
-def _probe_field(field: ReducedField, opts: DiagnosticsOptions) -> ConservativenessVerdict:
+def _probe_field(field: ReducedField) -> ConservativenessVerdict:
     """Integrate from -eps * 1 over the ladder; detect a non-trivial limit.
 
     Probe runs track the minimal solution ahead of schedule: run k equals the
@@ -501,13 +499,13 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions) -> Conservativen
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
-        sols = _eps_ladder(field, np.zeros(m), m, opts.eps_ladder, sopts, rows=field._rows,
+        sols = _eps_ladder(field, np.zeros(m), m, _LADDER, sopts, rows=field._rows,
                            check=defined)
     except DomainError as exc:
         return _inconclusive(str(exc))
     sol = sols[-1]   # the finest run, or the one that missed the horizon
     if not sol.status.reached_horizon:
-        eps = opts.eps_ladder[len(sols) - 1]
+        eps = _LADDER[len(sols) - 1]
         return _inconclusive(f"probe at eps={eps:g} terminated with {sol.status.label()}")
 
     # uniform grid: the shifted-run construction is extrapolation-limited
@@ -551,11 +549,8 @@ def _probe_field(field: ReducedField, opts: DiagnosticsOptions) -> Conservativen
 # ---------------------------------------------------------------------------
 
 
-def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
-                             opts: Optional[DiagnosticsOptions] = None) -> ConservativenessVerdict:
+def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> ConservativenessVerdict:
     """Decide whether g = 0 is the unique solution of d g = field(g), g(0) = 0."""
-    if opts is None:
-        opts = DiagnosticsOptions()
     m = field.m
 
     # killing fast paths: F(0) != 0, or 0 is not even an equilibrium
@@ -573,13 +568,10 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
 
     # Lipschitz certificate on a shrinking ball
     for rho in _RADIUS_LADDER:
-        bound = None
         if field.jacobian_bound is not None:
-            bound = field.jacobian_bound(rho)
-            method = "analytic-corner"
-        if bound is None:
-            bound = _numeric_jacobian_bound(field, rho)
-            method = "numeric-sampled"
+            bound, method = field.jacobian_bound(rho), "analytic-corner"
+        else:
+            bound, method = _numeric_jacobian_bound(field, rho), "numeric-sampled"
         if bound is not None and math.isfinite(bound):
             return ConservativenessVerdict(
                 kind=CONSERVATIVE,
@@ -588,7 +580,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0,
     # exact scalar route, else the multi-dimensional probe ladder
     if m == 1:
         return _scalar_osgood(field)
-    return _probe_field(field, opts)
+    return _probe_field(field)
 
 
 def _scalar_osgood(field: ReducedField) -> ConservativenessVerdict:
@@ -626,8 +618,7 @@ def _forward_witness(field: ReducedField):
                              source="forward-solve")
 
 
-def check_conservative(model: AffineModel,
-                       opts: Optional[DiagnosticsOptions] = None) -> ConservativenessVerdict:
+def check_conservative(model: AffineModel) -> ConservativenessVerdict:
     """Theorem-style conservativeness verdict for an affine model."""
     report = validate_model(model)
     if not report.ok:
@@ -635,7 +626,7 @@ def check_conservative(model: AffineModel,
     field = ReducedField.from_model(model)
     F0 = eval_F(model, np.zeros(model.shape.d))
     try:
-        return check_reduced_uniqueness(field, F0=F0, opts=opts)
+        return check_reduced_uniqueness(field, F0=F0)
     except SolverError as exc:
         return _inconclusive(f"solver failure: {exc}")
 
@@ -645,8 +636,7 @@ def check_conservative(model: AffineModel,
 # ---------------------------------------------------------------------------
 
 
-def minimal_reduced_trajectory(model: AffineModel, uI, ts,
-                               opts: Optional[DiagnosticsOptions] = None) -> np.ndarray:
+def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
     """Minimal solution of the reduced system from uI, on the given grid.
 
     Computed as the Richardson limit of solves started at uI - eps; at
@@ -655,8 +645,6 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts,
     limit from below.  The grid ts must be finite and nondecreasing, start
     at or after 0 and end after 0.
     """
-    if opts is None:
-        opts = DiagnosticsOptions()
     ts = np.asarray(ts, dtype=float)
     if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
             and ts[-1] > 0.0 and (np.diff(ts) >= 0.0).all()):
@@ -665,15 +653,14 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts,
     m = model.shape.m
     uI = np.asarray(uI, dtype=float).reshape(m)
     field = ReducedField.from_model(model)
-    sols = _eps_ladder(field, uI, m, opts.eps_ladder, _solve_options(float(ts[-1])),
+    sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
                        rows=field._rows, check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:
         raise SolverError(f"minimal-branch probe terminated with {sols[-1].status.label()}")
     return _ladder_limit([sol.eval(ts) for sol in sols], ts, uI)
 
 
-def comparison_check(model: AffineModel, uI, g_ts, g_values,
-                     opts: Optional[DiagnosticsOptions] = None):
+def comparison_check(model: AffineModel, uI, g_ts, g_values):
     """Check the comparison property g(t) >= psi_I(t, (uI, 0)) on the grid.
 
     ``g_values`` must be a verified solution of the reduced system from uI
@@ -687,7 +674,7 @@ def comparison_check(model: AffineModel, uI, g_ts, g_values,
     res = ode_residual(g_ts, g_values, field)
     if not _verified(res):
         raise SolverError(f"trajectory is not a verified solution (residual {res:.2e})")
-    psi = minimal_reduced_trajectory(model, uI, g_ts, opts)
+    psi = minimal_reduced_trajectory(model, uI, g_ts)
     violation = float(np.max(psi - g_values))
     return violation <= _COMPARISON_TOL, max(violation, 0.0)
 

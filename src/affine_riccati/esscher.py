@@ -35,11 +35,10 @@ from .diagnostics import (
     CONSERVATIVE,
     NON_CONSERVATIVE,
     ConservativenessVerdict,
-    DiagnosticsOptions,
     WitnessTrajectory,
     check_conservative,
 )
-from .errors import DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, ExpTiltedMeasure, eval_F, eval_R, in_domain_Y
 __all__ = [
     "TiltSpec",
@@ -72,9 +71,13 @@ class TiltSpec:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         lam = np.zeros_like(theta) if self.lam is None else \
             np.asarray(self.lam, dtype=float).reshape(theta.shape)
+        l = float(self.l)
+        for name, value in (("theta", theta), ("l", l), ("lam", lam)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"TiltSpec.{name} must be finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "l", float(self.l))
+        object.__setattr__(self, "l", l)
 
 
 @dataclass(frozen=True)
@@ -158,27 +161,26 @@ def _identity_failure(model: AffineModel, spec: TiltSpec):
     lam = spec.lam.reshape(model.shape.d)
     F_theta = eval_F(model, theta)
     R_theta = eval_R(model, theta)
-    if abs(F_theta - spec.l) > IDENTITY_TOL * (1.0 + abs(spec.l)):
+    # written so that a NaN on either side fails the identity
+    if not abs(F_theta - spec.l) <= IDENTITY_TOL * (1.0 + abs(spec.l)):
         return "F(theta) = l", f"F(theta)={F_theta:.12g} differs from l={spec.l:.12g}"
-    if float(np.linalg.norm(R_theta - lam)) > IDENTITY_TOL * (1.0 + float(np.linalg.norm(lam))):
+    R_tol = IDENTITY_TOL * (1.0 + float(np.linalg.norm(lam)))
+    if not float(np.linalg.norm(R_theta - lam)) <= R_tol:
         return "R(theta) = lambda", "R(theta) differs from lambda"
     return None
 
 
-def martingale_check(model: AffineModel, spec: TiltSpec,
-                     opts: Optional[DiagnosticsOptions] = None) -> MartingaleVerdict:
+def martingale_check(model: AffineModel, spec: TiltSpec) -> MartingaleVerdict:
     """Classify the discounted exponential functional for (theta, l, lambda).
 
     The classification concerns processes started in the interior of the
     state space; the check itself is independent of the starting point, so
     the interior-start requirement is documented rather than enforced.
     """
-    if opts is None:
-        opts = DiagnosticsOptions()
     d = model.shape.d
     theta = spec.theta.reshape(d)
 
-    base = check_conservative(model, opts)
+    base = check_conservative(model)
     if not base.conservative:
         return MartingaleVerdict(kind=NOT_APPLICABLE,
                                  failed_condition="base model conservative",
@@ -194,7 +196,7 @@ def martingale_check(model: AffineModel, spec: TiltSpec,
 
     try:
         tilted = tilt_model(model, theta)
-        tverdict = check_conservative(tilted, opts)
+        tverdict = check_conservative(tilted)
     except (SolverError, DomainError) as exc:
         return MartingaleVerdict(kind=INCONCLUSIVE_MG, reason=f"tilted check failed: {exc}")
 

@@ -9,6 +9,7 @@ from affine_riccati import (
     StateShape,
     TemperedStableHalf,
     cir_jump,
+    diagnostics,
     feller,
     kr2014,
 )
@@ -84,3 +85,12 @@ def kr2014_pair_model():
     beta = kr2014().beta_I[0, 0]
     return AffineModel(shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
                        alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)
+
+
+@pytest.fixture
+def refine_ladder(monkeypatch):
+    """Calling it refines the verdicts' probe ladder by one decade for the
+    rest of the test."""
+    def refine():
+        monkeypatch.setattr(diagnostics, "_LADDER", tuple(e * 0.1 for e in diagnostics._LADDER))
+    return refine

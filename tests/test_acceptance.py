@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from affine_riccati import (
-    DiagnosticsOptions,
     ReducedField,
     SimOptions,
     SolveOptions,
@@ -111,17 +110,18 @@ class TestCriterion2StrictLocalMartingale:
 
 
 class TestCriterion3ConservativenessDichotomy:
-    def test_verdicts_with_certificates_and_stability(self):
+    def test_verdicts_with_certificates_and_stability(self, refine_ladder):
+        models = {"feller": feller(), "kr2014": kr2014(),
+                  "tilted-kr2014": tilt_model(kr2014(), [1.0])}
+        verdicts = {name: check_conservative(model) for name, model in models.items()}
+        refine_ladder()
         results = {}
-        refined = DiagnosticsOptions().refined()
-        for name, model in (("feller", feller()), ("kr2014", kr2014())):
-            v = check_conservative(model)
-            results[name] = (v.kind == "Conservative" and v.certificate is not None
-                             and check_conservative(model, refined).kind == v.kind)
-        tilted = tilt_model(kr2014(), [1.0])
-        vt = check_conservative(tilted)
-        results["tilted-kr2014"] = (vt.kind == "NonConservative" and vt.witness is not None
-                                    and check_conservative(tilted, refined).kind == vt.kind)
+        for name, v in verdicts.items():
+            if name == "tilted-kr2014":
+                ok = v.kind == "NonConservative" and v.witness is not None
+            else:
+                ok = v.kind == "Conservative" and v.certificate is not None
+            results[name] = ok and check_conservative(models[name]).kind == v.kind
         ok = all(results.values())
         assert report(3, ok, f"{results}")
 

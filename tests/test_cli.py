@@ -79,6 +79,18 @@ class TestSolve:
     def test_unknown_model_is_usage_error(self, tmp_path):
         assert run(tmp_path, "solve", "--model", "nope", "--u0", "0", "--T", "1") == 1
 
+    def test_tolerance_flags_reach_the_solver(self, tmp_path):
+        from affine_riccati import SolveOptions, feller, solve_riccati
+        loose = SolveOptions(T=1.0, rtol=1e-4, atol=1e-6)
+        want = solve_riccati(feller(), [-1.0], loose)
+        assert len(want.ts) != len(solve_riccati(feller(), [-1.0], SolveOptions(T=1.0)).ts)
+        code = run(tmp_path, "solve", "--model", "feller", "--u0", "-1", "--T", "1",
+                   "--rtol", "1e-4", "--atol", "1e-6")
+        assert code == 0
+        _, rows, _ = read_csv_rows(tmp_path / "trajectory.csv")
+        assert np.array_equal(rows[:, 0], want.ts)
+        assert np.array_equal(rows[:, 1], want.psi[:, 0])
+
     def test_non_finite_horizon_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "solve", "--model", "feller", "--u0", "0.5", "--T", "nan") == 1
         assert "SolveOptions.T must be finite" in capsys.readouterr().err
@@ -124,6 +136,16 @@ class TestMartingale:
                    "--theta", "0.5", "--auto-discount")
         assert code == 0
         assert "kind: TrueMartingale" in (tmp_path / "verdict.txt").read_text()
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--l", "nan", "--lambda", "nan"), "l"),
+        (("--l", "0.25", "--lambda", "nan"), "lam"),
+    ])
+    def test_nan_discount_is_usage_error(self, tmp_path, capsys, flags, name):
+        code = run(tmp_path, "martingale", "--model", "feller", "--theta", "0.5", *flags)
+        assert code == 1
+        assert f"TiltSpec.{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.txt").exists()
 
     def test_wrong_discount_not_applicable(self, tmp_path):
         code = run(tmp_path, "martingale", "--model", "feller",
@@ -171,6 +193,22 @@ class TestSimulateAndFormula:
         values = dict(line.split(": ") for line in text.splitlines())
         assert 0.0 < float(values["survival_mean"]) < math.e
         assert float(values["survival_stderr"]) > 0.0
+
+
+    def test_martingale_gap_requires_theta(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--model", "kr2014", "--x0", "1", "--T", "0.1",
+                   "--npaths", "10", "--dt", "0.01", "--report", "martingale-gap")
+        assert code == 1
+        assert "--report martingale-gap requires --theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, name", [(("--l", "nan"), "l"), (("--lambda", "nan"), "lam")])
+    def test_martingale_gap_nan_discount_is_usage_error(self, tmp_path, capsys, flags, name):
+        code = run(tmp_path, "simulate", "--model", "feller", "--x0", "1", "--T", "0.1",
+                   "--npaths", "10", "--dt", "0.01", "--report", "martingale-gap",
+                   "--theta", "0.5", *flags)
+        assert code == 1
+        assert f"TiltSpec.{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
 
 
 class TestNonFiniteSimulation:

@@ -12,13 +12,18 @@ from affine_riccati import (
     AffineModel,
     CompoundPoissonExp,
     ConfigError,
-    DiagnosticsOptions,
     DomainError,
+    LipschitzCertificate,
     ReducedField,
+    SolverError,
     StateShape,
     check_conservative,
     check_reduced_uniqueness,
+    cir_jump,
     comparison_check,
+    diagnostics,
+    feller,
+    kr2014,
     leq_order,
     order_preservation_test,
     tilt_model,
@@ -141,12 +146,11 @@ class TestTiltedKr2014:
         assert np.max(np.abs(w.values[:, 0] - exact)) < 1e-7
         assert w.residual < WITNESS_RESIDUAL_TOL
 
-    def test_verdicts_stable_under_probe_refinement(self, kr_model):
-        refined = DiagnosticsOptions().refined()
-        tilted = tilt_model(kr_model, [1.0])
-        for model in (kr_model, tilted):
-            assert check_conservative(model).kind == \
-                check_conservative(model, refined).kind
+    def test_verdicts_stable_under_probe_refinement(self, kr_model, refine_ladder):
+        models = (kr_model, tilt_model(kr_model, [1.0]))
+        kinds = [check_conservative(model).kind for model in models]
+        refine_ladder()
+        assert [check_conservative(model).kind for model in models] == kinds
 
 
 class TestProbeRoute:
@@ -159,16 +163,9 @@ class TestProbeRoute:
         for k in range(2):
             assert np.max(np.abs(w.values[:, k] - exact)) < 1e-6
 
-    def test_2d_verdict_stable_under_refinement(self):
-        refined = DiagnosticsOptions().refined()
-        assert check_reduced_uniqueness(tilted_2d_field(), opts=refined).kind == \
-            "NonConservative"
-
-    def test_ladder_must_have_three_rungs(self):
-        from affine_riccati import ConfigError
-        for ladder in ((1e-5, 1e-7), (1e-5, 1e-7, 1e-9, 1e-11)):
-            with pytest.raises(ConfigError, match="eps_ladder must have exactly three entries"):
-                DiagnosticsOptions(eps_ladder=ladder)
+    def test_2d_verdict_stable_under_refinement(self, refine_ladder):
+        refine_ladder()
+        assert check_reduced_uniqueness(tilted_2d_field()).kind == "NonConservative"
 
     def test_2d_lipschitz_field_conservative(self):
         def fun(v):
@@ -215,6 +212,18 @@ class TestRoutes:
         assert verdict.reason == "Osgood integral converges but witness construction failed"
         assert verdict.witness is None
 
+    def test_osgood_ladder_misses_a_log_osgood_field(self):
+        # v (1 + log(1/v)) is Osgood, so 0 is the unique solution from 0, but
+        # its decade ratios (0.47 up to 0.86) stay below 0.9: the ladder calls
+        # the integral convergent and the witness check refuses the escape
+        def fun(v):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(v == 0.0, 0.0, v * (1.0 - np.log(v)))
+
+        verdict = check_reduced_uniqueness(ReducedField(fun=fun, m=1))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason == "Osgood integral converges but witness construction failed"
+
     def test_probe_witness_above_residual_budget_rejected(self):
         verdict = check_reduced_uniqueness(scaled_2d_field(10.0))
         assert verdict.kind == "Inconclusive"
@@ -235,6 +244,40 @@ class TestRoutes:
         cert = check_reduced_uniqueness(field).certificate
         assert (cert.method, cert.radius, cert.bound) == ("analytic-corner", 0.5, 1.0)
         assert check_conservative(kr_model).certificate.method == "analytic-corner"
+
+    def test_a_field_with_a_jacobian_bound_is_never_sampled(self):
+        # no finite analytic bound on any ball: the Osgood test decides
+        field = ReducedField(fun=lambda v: -v, m=1, jacobian_bound=lambda rho: None)
+        verdict = check_reduced_uniqueness(field)
+        assert verdict.kind == "Conservative"
+        assert verdict.certificate.sides == (("negative side", "inward"),
+                                             ("positive side", "inward"))
+
+    def test_constant_jump_range_does_not_bound_the_reduced_field(self):
+        # tilting cir-jump by 1.8 leaves mu0 the exponential range s < 0.2,
+        # but mu0 enters F only: the ball of radius 0.5 keeps its bound
+        # 3.6 = |beta~| + 2 alpha rho = 2.6 + 1
+        cert = check_conservative(tilt_model(cir_jump(), [1.8])).certificate
+        assert (cert.method, cert.radius) == ("analytic-corner", 0.5)
+        assert cert.bound == pytest.approx(3.6, rel=1e-15)
+
+    def test_no_model_verdict_is_sampled(self, monkeypatch, mixed_model, kr2014_pair_model):
+        def sampled(field, rho):
+            raise AssertionError("a model field reached the sampled bound")
+
+        monkeypatch.setattr(diagnostics, "_numeric_jacobian_bound", sampled)
+        kr, fe, cj = kr2014(), feller(), cir_jump()
+        models = [kr, fe, cj, mixed_model, kr2014_pair_model,
+                  tilt_model(kr, [0.4]), tilt_model(kr, [0.6]), tilt_model(kr, [1.0]),
+                  tilt_model(fe, [0.25]), tilt_model(fe, [0.5]), tilt_model(cj, [0.0]),
+                  tilt_model(cj, [0.25]), tilt_model(cj, [0.3]), tilt_model(cj, [1.8]),
+                  tilt_model(mixed_model, [0.4, -0.3, 0.2]),
+                  tilt_model(kr2014_pair_model, [1.0, 0.5]),
+                  tilt_model(kr2014_pair_model, [1.0, 1.0])]
+        for model in models:
+            cert = check_conservative(model).certificate
+            if isinstance(cert, LipschitzCertificate):
+                assert cert.method == "analytic-corner"
 
     def test_forward_solve_witness_source(self):
         verdict = check_reduced_uniqueness(ReducedField(fun=lambda v: 1.0 + v, m=1))
@@ -273,6 +316,10 @@ class TestNumericLipschitzRefinement:
         assert verdict.kind == "Conservative"
         assert verdict.certificate.sides == (("negative side", "inward"),
                                              ("positive side", "inward"))
+        assert verdict.report_lines() == [
+            "kind: Conservative",
+            "certificate: Osgood integral of 1/|field| diverges toward 0 on every escape "
+            "side (negative side: inward; positive side: inward)"]
 
     @pytest.mark.parametrize("fun, m, bound", [
         (lambda v: np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]]), 2, 3.0000000006413785),
@@ -409,7 +456,6 @@ class TestWitnessValidity:
         tilted = tilt_model(kr_model, [1.0])
         ts = np.linspace(0.0, 1.0, 400)
         bad = minimal_reduced_trajectory(tilted, [0.0], ts) - 1e-5
-        from affine_riccati.errors import SolverError
         try:
             ok, violation = comparison_check(tilted, [0.0], ts, bad)
         except SolverError:
@@ -441,6 +487,11 @@ class TestMinimalTrajectory:
             minimal_reduced_trajectory(tilted, [0.0], ts)
         with pytest.raises(ConfigError, match="time grid ts"):
             comparison_check(tilted, [0.0], ts, np.zeros((len(ts), 1)))
+
+    def test_ladder_missing_the_horizon_raises(self, feller_model):
+        # every rung from 2 - eps explodes near log 2 < 1
+        with pytest.raises(SolverError, match="minimal-branch probe terminated with BlowUp"):
+            minimal_reduced_trajectory(feller_model, [2.0], np.linspace(0.0, 1.0, 11))
 
     def test_grid_may_start_after_zero(self, kr_model):
         tilted = tilt_model(kr_model, [1.0])

@@ -7,6 +7,7 @@ import pytest
 
 from affine_riccati import (
     CompoundPoissonExp,
+    ConfigError,
     DomainError,
     GammaLevy,
     SolveOptions,
@@ -161,6 +162,32 @@ class TestTiltIdentities:
         tilted = tilt_model(kr_model, [1.0])
         assert in_domain_Y(tilted, [0.0])
         assert not in_domain_Y(tilted, [0.1])
+
+
+class TestTiltSpec:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"theta": [math.nan]}, "theta"),
+        ({"theta": [0.5, math.inf]}, "theta"),
+        ({"theta": [0.5], "l": math.nan}, "l"),
+        ({"theta": [0.5], "l": math.nan, "lam": [math.nan]}, "l"),
+        ({"theta": [0.5], "lam": [-math.inf]}, "lam"),
+    ])
+    def test_non_finite_entries_are_refused(self, kwargs, name):
+        with pytest.raises(ConfigError, match=rf"TiltSpec\.{name} must be finite"):
+            TiltSpec(**kwargs)
+
+    @pytest.mark.parametrize("l, lam, condition", [
+        (math.nan, [-0.25], "F(theta) = l"),
+        (0.25, [math.nan], "R(theta) = lambda"),
+    ])
+    def test_nan_discount_fails_the_identities(self, feller_model, l, lam, condition):
+        # F(1/2) = 1/4 and R(1/2) = -1/4 for feller; a NaN discount slipped
+        # past the spec's own check must fail its identity, not pass it
+        spec = TiltSpec(theta=[0.5], l=0.25, lam=[-0.25])
+        object.__setattr__(spec, "l", l)
+        object.__setattr__(spec, "lam", np.array(lam))
+        verdict = martingale_check(feller_model, spec)
+        assert (verdict.kind, verdict.failed_condition) == ("NotApplicable", condition)
 
 
 class TestMartingaleCheck:

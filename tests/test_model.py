@@ -134,6 +134,43 @@ class TestValidation:
         assert any("cannot load on" in v for v in validate_model(m))
 
 
+    @pytest.mark.parametrize("kwargs, messages", [
+        ({"shape": StateShape(0, 2), "a": [[1.0, 0.5], [0.0, 1.0]], "b": [0.0, 0.0]},
+         ["a must be symmetric"]),
+        ({"c": -0.1}, ["c must be >= 0"]),
+        ({"gamma": [-0.2]}, ["gamma_1 must be >= 0"]),
+        ({"mu0": CompoundPoissonExp(rate=0.3, jump_rate=2.0, axis=3)},
+         ["mu0: jump axis out of range"]),
+        ({"mus": (CompoundPoissonPoint(rate=0.3, size=-0.5, axis=0),)},
+         ["mu_1: support must lie in D (nonnegative axis 1)"]),
+        ({"mu0": CompoundPoissonExp(rate=-1.0, jump_rate=0.0, axis=0)},
+         ["mu0: compound-Poisson rate must be >= 0",
+          "mu0: exponential jump law requires jump_rate > 0",
+          "mu0: the exponential range must admit 0"]),
+        ({"mu0": CompoundPoissonPoint(rate=-1.0, size=0.0, axis=0)},
+         ["mu0: compound-Poisson rate must be >= 0", "mu0: point jump size must be nonzero"]),
+        ({"mu0": GammaLevy(c=0.0, rho=0.0, axis=0)},
+         ["mu0: gamma family requires c > 0",
+          "mu0: gamma family requires rho > 0 (Levy tail integrability)",
+          "mu0: the exponential range must admit 0"]),
+        ({"mu0": TemperedStableHalf(scale=0.0, tempering=-1.0, axis=0)},
+         ["mu0: tempered-stable family requires scale > 0",
+          "mu0: tempered-stable family requires tempering >= 0",
+          "mu0: the exponential range must admit 0"]),
+    ], ids=["asymmetric-a", "negative-c", "negative-gamma", "axis-out-of-range",
+            "negative-support-on-I", "exp-family", "point-family", "gamma-family",
+            "stable-family"])
+    def test_violation_messages(self, kwargs, messages):
+        model = AffineModel(**{"shape": StateShape(1, 0), "a": [[0.0]], "b": [0.0], **kwargs})
+        assert list(validate_model(model)) == messages
+
+    def test_range_must_admit_zero(self):
+        # a measure without validate() whose range s < -1 leaves out 0
+        m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0],
+                        mus=(BareExpJumps(0.5, -1.0),))
+        assert list(validate_model(m)) == ["mu_1: the exponential range must admit 0"]
+
+
 class BareExpJumps(LevyMeasure):
     """Exponential jumps written with the scalar primitives only: no validate()."""
 

@@ -362,6 +362,18 @@ class TestSolveMinimal:
         assert np.max(np.abs(psi[:, 0] - exact)) < 1e-5
         assert np.allclose(phi, 0.0, atol=1e-12)
 
+    def test_rung_missing_the_horizon_returns_its_own_run(self, feller_model):
+        # feller explodes from u at T*(u) = log(u / (u - 1)); the first rung
+        # starts at 2 - 1e-5 and blows up before T = 1
+        ts, psi, phi, status = solve_minimal(feller_model, [2.0], SolveOptions(T=1.0))
+        assert status.kind == "blowup"
+        u = 2.0 - _LADDER[0]
+        assert status.t_event == pytest.approx(math.log(u / (u - 1.0)), abs=1e-9)
+        assert len(ts) != 201 and ts[-1] < math.log(2.0) + 1e-5
+        assert np.all(np.diff(ts) > 0)
+        assert psi.shape == (len(ts), 1) and phi.shape == (len(ts),)
+        assert psi[0, 0] == u and psi[-1, 0] > 1e8
+
 
 class TestTrajectoryExport:
     def test_csv_format_and_precision(self, feller_model, kr_model):
