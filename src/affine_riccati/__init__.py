@@ -18,7 +18,6 @@ from .model import (
     eval_R,
     in_domain_Y,
     reduced_R,
-    truncation_chi_i,
     validate_model,
 )
 from .presets import builtin_model, cir_jump, feller, kr2014
@@ -27,7 +26,6 @@ from .riccati import (
     SolveOptions,
     SolveStatus,
     blowup_time,
-    psi_J_flow,
     solve_minimal,
     solve_reduced,
     solve_riccati,
@@ -42,8 +40,6 @@ from .diagnostics import (
     check_conservative,
     check_reduced_uniqueness,
     comparison_check,
-    leq_order,
-    order_preservation_test,
 )
 from .esscher import MartingaleVerdict, TiltSpec, discounted_functional, martingale_check, tilt_model
 from .montecarlo import (

@@ -60,13 +60,12 @@ from scipy.integrate import IntegrationWarning
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, SolverError
-from .model import AffineModel, StateShape, eval_F, quiet_fp, reduced_R, validate_model
+from .model import AffineModel, eval_F, quiet_fp, reduced_R, validate_model
 from .riccati import (_LADDER, _ROW_ERRORS, SolveOptions, _check_reduced_start, _eps_ladder,
                       _eval_or_none, _integrate, _ladder_limit, _richardson, _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
 __all__ = [
-    "leq_order",
     "LipschitzCertificate",
     "OsgoodCertificate",
     "WitnessTrajectory",
@@ -76,7 +75,6 @@ __all__ = [
     "check_reduced_uniqueness",
     "minimal_reduced_trajectory",
     "comparison_check",
-    "order_preservation_test",
     "ode_residual",
 ]
 
@@ -95,16 +93,6 @@ _WITNESS_HORIZON = 3.0    # horizon of the Osgood witness
 _WITNESS_POINTS = 1201
 _RTOL = 1e-10
 _ATOL = 1e-13
-
-
-def leq_order(shape: StateShape, u, v, tol: float = 0.0) -> bool:
-    """The cone partial order: u_i <= v_i on I and u_J = v_J (within tol)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m = shape.m
-    if np.any(u[:m] > v[:m] + tol):
-        return False
-    return bool(np.all(np.abs(u[m:] - v[m:]) <= tol))
 
 
 def _solve_options(T: float) -> SolveOptions:
@@ -677,44 +665,3 @@ def comparison_check(model: AffineModel, uI, g_ts, g_values):
     psi = minimal_reduced_trajectory(model, uI, g_ts)
     violation = float(np.max(psi - g_values))
     return violation <= _COMPARISON_TOL, max(violation, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# order preservation sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderPreservationReport:
-    samples: int
-    counterexamples: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def order_preservation_test(model: AffineModel, samples: int = 1000,
-                            rng_seed: int = 0) -> OrderPreservationReport:
-    """Sample v in Y and u <= v; every u must lie in Y as well."""
-    rng = np.random.default_rng(rng_seed)
-    shape = model.shape
-    d, m = shape.d, shape.m
-    dom = model.domain
-    bounds = [dom.axis_bound(k) for k in range(d)]
-    bad = []
-    for _ in range(samples):
-        v = np.empty(d)
-        for k in range(d):
-            bound, closed = bounds[k]
-            if math.isinf(bound):
-                v[k] = rng.normal(scale=2.0)
-            elif closed and rng.random() < 0.1:
-                v[k] = bound
-            else:
-                v[k] = bound - rng.exponential(1.0) - (0.0 if closed else 1e-9)
-        u = v.copy()
-        u[:m] = v[:m] - rng.exponential(1.0, size=m)
-        if not dom.contains(u):
-            bad.append((u.copy(), v.copy()))
-    return OrderPreservationReport(samples=samples, counterexamples=tuple(bad))

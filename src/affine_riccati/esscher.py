@@ -21,11 +21,15 @@ and the tilted model is conservative; when the tilted reduced system admits a
 non-trivial solution g~ from 0, S~ is a strict local martingale and
 zeta(t) = g~(t) + theta is a non-constant solution of the discounted Riccati
 system with zeta(0) = theta.
+
+``discounted_functional`` evaluates S~_T on time-gridded paths, with the
+trapezoidal rule for the integral.  The plain mean that
+``montecarlo.martingale_gap`` reports is ``discounted_functional`` over the
+surviving paths of the base model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,21 +220,23 @@ def martingale_check(model: AffineModel, spec: TiltSpec) -> MartingaleVerdict:
                              reason=tverdict.reason or "tilted verdict inconclusive")
 
 
-def discounted_functional(spec: TiltSpec, ts, path, x0):
-    """S~ and its normalization M along one time-gridded state path.
+def discounted_functional(spec: TiltSpec, ts, states) -> np.ndarray:
+    """S~_T = exp(-int_0^T (l + <lambda, X_s>) ds + <theta, X_T>) per path.
 
-    Returns (S, M) with S_t = exp(-int_0^t L(X_s) ds + <theta, X_t>) using the
-    trapezoidal rule on the path grid, and M = e^{-<theta, x0>} S.
+    ``states`` is one path as (k, d) rows or a stack of paths as
+    (npaths, k, d), on the k times ``ts``.  The integral is the trapezoidal
+    rule on that grid.  Returns one value per path.  Raises ConfigError when
+    the shapes do not fit together.
     """
     ts = np.asarray(ts, dtype=float)
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    if path.shape[0] != len(ts):
-        path = path.T
-    x0 = np.asarray(x0, dtype=float).reshape(path.shape[1])
-    if not np.allclose(path[0], x0):
-        raise ValueError("path must start at x0")
-    L = spec.l + path @ spec.lam
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (L[1:] + L[:-1]) * np.diff(ts))])
-    S = np.exp(-integral + path @ spec.theta)
-    M = math.exp(-float(x0 @ spec.theta)) * S
-    return S, M
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 2:
+        states = states[None]
+    d = spec.theta.size
+    if not (ts.ndim == 1 and ts.size and states.ndim == 3 and states.shape[1:] == (ts.size, d)):
+        raise ConfigError(f"states must be (k, {d}) or (npaths, k, {d}) rows "
+                          "on the k times of ts")
+    L = spec.l + states @ spec.lam.reshape(d)
+    # one sum over the grid: a cumulative sum rounds differently
+    integral = np.sum(0.5 * (L[:, 1:] + L[:, :-1]) * np.diff(ts), axis=1)
+    return np.exp(-integral + states[:, -1, :] @ spec.theta.reshape(d))

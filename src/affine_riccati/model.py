@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,7 +72,6 @@ __all__ = [
     "eval_R",
     "reduced_R",
     "in_domain_Y",
-    "truncation_chi_i",
 ]
 
 _INF = math.inf
@@ -159,22 +159,6 @@ class StateShape:
     def J(self) -> range:
         """0-based indices of the unconstrained coordinates."""
         return range(self.m, self.m + self.n)
-
-
-def truncation_chi_i(shape: StateShape, i: int, xi) -> np.ndarray:
-    """Componentwise truncation attached to the i-th linear characteristic.
-
-    Coordinates in J u {i} map to sign(xi_j) (|xi_j| ^ 1); coordinates in
-    I \\ {i} map to 0.  ``i`` is a 0-based index into the nonnegative block.
-    """
-    if i not in shape.I:
-        raise IndexError(f"i={i} is not an index of the nonnegative block (m={shape.m})")
-    xi = np.asarray(xi, dtype=float)
-    out = np.clip(xi, -1.0, 1.0)
-    for j in shape.I:
-        if j != i:
-            out[j] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +665,9 @@ def _exp_weighted(s, xi, dens):
 
 
 def _quad_interval(f, lo, hi):
-    import warnings
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        if math.isinf(hi):
-            val, _ = _sint.quad(f, lo, np.inf, epsabs=QUAD_ABS_TOL, limit=200)
-        else:
-            val, _ = _sint.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
+        val, _ = _sint.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
     if not np.isfinite(val) or abs(val) > QUAD_MAGNITUDE_CAP:
         return _INF
     return val

@@ -85,7 +85,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, SolverError
-from .esscher import TiltSpec, _identity_failure, tilt_model
+from .esscher import TiltSpec, _identity_failure, discounted_functional, tilt_model
 from .model import AffineModel, TemperedStableHalf, validate_model
 from .riccati import SolveOptions, _write_csv, solve_minimal, solve_riccati
 
@@ -646,9 +646,10 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     That estimate decides ``excludes_martingale`` (at 3 standard errors)
     and ``z_vs_predicted``; where its Bernoulli standard error is
     zero, the resolution floor e^{<theta,x0>} / npaths takes its place (see
-    GapReport).  The plain mean of S~_T over the base model's paths is
-    reported alongside.  Raises SolverError when a tilted path runs out of
-    cascade rounds, since its survival is then unknown.
+    GapReport).  The plain mean of S~_T, ``discounted_functional`` over the
+    base model's surviving paths, is reported alongside.  Raises SolverError
+    when a tilted path runs out of cascade rounds, since its survival is then
+    unknown.
 
     The tilted model must be path-sampled.  A jump measure that is not
     closed under tilting becomes an ExpTiltedMeasure, which has no path
@@ -680,12 +681,7 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     z_pred = (survival_mean - predicted) / se
 
     ens = simulate_paths(model, opts)
-    alive = ens.survived
-    path = ens.states[alive]
-    Lvals = spec.l + path @ spec.lam
-    dts = np.diff(ens.times)
-    integral = np.sum(0.5 * (Lvals[:, 1:] + Lvals[:, :-1]) * dts, axis=1)
-    S_T = np.exp(-integral + path[:, -1, :] @ theta)
+    S_T = discounted_functional(spec, ens.times, ens.states[ens.survived])
     n = S_T.size
     mean = float(np.mean(S_T))
     stderr = float(np.std(S_T, ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -57,7 +57,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
 from .model import AffineModel, eval_F, eval_R, in_domain_Y, quiet_fp, reduced_R
@@ -70,7 +69,6 @@ __all__ = [
     "solve_reduced",
     "solve_tilted",
     "solve_minimal",
-    "psi_J_flow",
     "blowup_time",
 ]
 
@@ -127,10 +125,6 @@ class SolveStatus:
     EQUILIBRIUM = "equilibrium"
 
     @property
-    def completed(self) -> bool:
-        return self.kind == self.COMPLETED
-
-    @property
     def reached_horizon(self) -> bool:
         """Completed or analytically continued equilibrium."""
         return self.kind in (self.COMPLETED, self.EQUILIBRIUM)
@@ -174,12 +168,20 @@ class RiccatiSolution:
         return complex(self.phi[-1]) if self.phi.dtype.kind == "c" else float(self.phi[-1])
 
     def eval(self, t) -> np.ndarray:
-        """Cubic Hermite interpolation of psi at times t (scalar or array)."""
+        """Cubic Hermite interpolation of psi at times t (scalar or array).
+
+        Raises ConfigError for a time outside the computed trajectory.
+        """
         return _hermite_eval(self.ts, self.psi, self.dpsi, t)
 
     def eval_phi(self, t):
+        """Cubic Hermite interpolation of phi at times t (scalar or array).
+
+        Raises ConfigError for a time outside the computed trajectory, or
+        when the solution carries no phi (a ``solve_reduced`` result).
+        """
         if self.phi is None:
-            raise ValueError("this solution carries no phi component")
+            raise ConfigError("this solution carries no phi component")
         return _hermite_eval(self.ts, self.phi[:, None], self.dphi[:, None], t)[..., 0]
 
     def to_csv(self, fh) -> None:
@@ -210,7 +212,7 @@ def _hermite_eval(ts, ys, fs, t):
     scalar = t.ndim == 0
     tq = np.atleast_1d(t)
     if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
-        raise ValueError("interpolation time outside the computed trajectory")
+        raise ConfigError("interpolation time outside the computed trajectory")
     tq = np.clip(tq, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
     t0, t1 = ts[idx], ts[idx + 1]
@@ -596,17 +598,6 @@ def _check_reduced_start(model, g0):
     probe[:model.shape.m] = np.real(g0)
     if not in_domain_Y(model, probe):
         raise DomainError("(g0, 0) outside the effective domain Y")
-
-
-def psi_J_flow(model: AffineModel, t: float, uJ) -> np.ndarray:
-    """Closed J-block flow exp(beta_JJ^T t) u_J (scaling-and-squaring expm)."""
-    if t < 0:
-        raise ConfigError("psi_J_flow requires t >= 0")
-    n = model.shape.n
-    uJ = np.asarray(uJ, dtype=float).reshape(n)
-    if n == 0:
-        return uJ
-    return expm(model.beta_JJ.T * t) @ uJ
 
 
 def blowup_time(model: AffineModel, u0, Tmax: float, opts: Optional[SolveOptions] = None):

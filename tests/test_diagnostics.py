@@ -1,12 +1,10 @@
-"""Conservativeness verdicts, witnesses, comparison and order utilities."""
+"""Conservativeness verdicts, witnesses and the comparison check."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affine_riccati import (
     AffineModel,
@@ -24,8 +22,6 @@ from affine_riccati import (
     diagnostics,
     feller,
     kr2014,
-    leq_order,
-    order_preservation_test,
     tilt_model,
 )
 from affine_riccati.diagnostics import (WitnessTrajectory, _accepted, minimal_reduced_trajectory,
@@ -53,29 +49,6 @@ def tilted_2d_field():
             return np.array([-v[0] - np.sqrt(-v[0]), -v[1] - np.sqrt(-v[1])])
 
     return ReducedField(fun=fun, m=2)
-
-
-class TestOrder:
-    def test_reflexive(self):
-        s = StateShape(1, 1)
-        u = np.array([0.3, -0.2])
-        assert leq_order(s, u, u)
-
-    def test_I_coordinate_comparison(self):
-        s = StateShape(1, 1)
-        assert leq_order(s, [-1.0, 0.5], [0.0, 0.5])
-
-    def test_differing_J_components_incomparable(self):
-        s = StateShape(1, 1)
-        assert not leq_order(s, [-1.0, 0.4], [0.0, 0.5])
-
-    @given(st.lists(st.floats(-3, 3), min_size=3, max_size=3),
-           st.lists(st.floats(-3, 3), min_size=3, max_size=3))
-    @settings(max_examples=100)
-    def test_antisymmetry(self, u, v):
-        s = StateShape(2, 1)
-        if leq_order(s, u, v) and leq_order(s, v, u):
-            assert np.allclose(u, v)
 
 
 class TestConservativeModels:
@@ -528,28 +501,3 @@ class TestMinimalTrajectory:
         e = np.exp(-ts)
         exact = u * e / (1.0 - u * (1.0 - e))
         assert np.max(np.abs(g[:, 0] - exact)) < 1e-9
-
-
-class TestOrderPreservation:
-    def test_compact_support_model_unconstrained(self):
-        from affine_riccati import CompoundPoissonPoint
-        m = AffineModel(shape=StateShape(1, 1), a=np.eye(2), b=[0.1, 0.0],
-                        mu0=CompoundPoissonPoint(rate=0.5, size=0.7, axis=0))
-        report = order_preservation_test(m, samples=1000, rng_seed=1)
-        assert report.ok
-
-    def test_exponential_jump_model(self, exp_jump_model):
-        report = order_preservation_test(exp_jump_model, samples=1000, rng_seed=2)
-        assert report.ok
-
-    def test_kr2014_including_boundary(self, kr_model):
-        report = order_preservation_test(kr_model, samples=1000, rng_seed=3)
-        assert report.ok
-        # explicit boundary pair
-        from affine_riccati import in_domain_Y
-        assert in_domain_Y(kr_model, [1.0])
-        assert in_domain_Y(kr_model, [0.3])
-
-    def test_mixed_model(self, mixed_model):
-        report = order_preservation_test(mixed_model, samples=1000, rng_seed=4)
-        assert report.ok

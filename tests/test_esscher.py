@@ -272,18 +272,17 @@ class TestDiscountedFunctional:
         spec = TiltSpec(theta=[0.0], l=0.0, lam=[0.0])
         ts = np.linspace(0, 2, 21)
         path = np.abs(np.sin(ts))[:, None] + 1.0
-        path[0] = 1.0
-        S, M = discounted_functional(spec, ts, path, [1.0])
-        assert np.allclose(S, 1.0)
-        assert np.allclose(M, 1.0)
+        assert np.array_equal(discounted_functional(spec, ts, path), [1.0])
 
     def test_constant_path_closed_form(self):
         spec = TiltSpec(theta=[0.3], l=0.0, lam=[0.2])
         ts = np.linspace(0, 2, 401)
         path = np.ones((401, 1))
-        S, M = discounted_functional(spec, ts, path, [1.0])
-        assert S[-1] == pytest.approx(math.exp(-2 * 0.2 + 0.3), rel=1e-12)
-        assert M[-1] == pytest.approx(math.exp(-2 * 0.2), rel=1e-12)
+        S = discounted_functional(spec, ts, np.stack([path, 2.0 * path]))
+        assert S[0] == pytest.approx(math.exp(-2 * 0.2 + 0.3), rel=1e-12)
+        assert S[1] == pytest.approx(math.exp(-2 * 0.4 + 0.6), rel=1e-12)
+        # a stack of paths gives each path the bits of its own call
+        assert S[0] == discounted_functional(spec, ts, path)[0]
 
     def test_linear_path_second_order_accuracy(self):
         spec = TiltSpec(theta=[0.0], l=0.0, lam=[1.0])
@@ -293,8 +292,7 @@ class TestDiscountedFunctional:
         for n in (11, 21, 41):
             ts = np.linspace(0, T, n)
             path = (x0 + v * ts)[:, None]
-            S, _ = discounted_functional(spec, ts, path, [x0])
-            errs.append(abs(S[-1] - exact))
+            errs.append(abs(discounted_functional(spec, ts, path)[0] - exact))
         # linear integrand: trapezoid is exact up to rounding
         assert max(errs) < 1e-12
 
@@ -306,13 +304,19 @@ class TestDiscountedFunctional:
         for n in (11, 21, 41):
             ts = np.linspace(0, T, n)
             path = (ts ** 2)[:, None]
-            S, _ = discounted_functional(spec, ts, path, [0.0])
-            errs.append(abs(S[-1] - exact))
+            errs.append(abs(discounted_functional(spec, ts, path)[0] - exact))
         assert errs[2] < errs[0] / 10.0  # O(dt^2) decay
 
-    def test_path_must_start_at_x0(self):
+    def test_misshaped_states_are_a_config_error(self):
         spec = TiltSpec(theta=[0.1], l=0.0, lam=[0.0])
         ts = np.linspace(0, 1, 5)
-        path = np.ones((5, 1))
-        with pytest.raises(ValueError):
-            discounted_functional(spec, ts, path, [2.0])
+        for times, states in [
+            (ts, np.ones((4, 1))),            # one time too many
+            (ts, np.ones((5, 2))),            # d = 2 against a 1-d theta
+            (ts, np.ones(5)),                 # no state axis
+            (ts, np.ones((2, 2, 5, 1))),      # too many axes
+            (ts[:, None], np.ones((5, 1))),   # a 2-d time grid
+            (ts[:0], np.ones((0, 1))),        # no times
+        ]:
+            with pytest.raises(ConfigError, match="states must be"):
+                discounted_functional(spec, times, states)

@@ -1,11 +1,9 @@
-"""Model parametrization: characteristics, truncations, domain, validation."""
+"""Model parametrization: characteristics, domain, validation."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affine_riccati import (
     AffineModel,
@@ -22,7 +20,6 @@ from affine_riccati import (
     eval_R,
     in_domain_Y,
     reduced_R,
-    truncation_chi_i,
     validate_model,
 )
 from affine_riccati.model import exp_moment_quadrature, lk_integral_quadrature
@@ -68,39 +65,6 @@ def test_unknown_builtin_model_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown built-in model 'nope'") as info:
         builtin_model("nope")
     assert isinstance(info.value, AffineRiccatiError)
-
-
-class TestTruncation:
-    def test_componentwise_example(self):
-        # m=2, n=1, own coordinate first: cap at 1, zero the other I coordinate
-        out = truncation_chi_i(StateShape(2, 1), 0, [0.5, 3.0, -2.0])
-        assert np.allclose(out, [0.5, 0.0, -1.0])
-
-    def test_small_jump_identity_on_kept_coordinates(self):
-        out = truncation_chi_i(StateShape(1, 1), 0, [0.4, -0.9])
-        assert np.allclose(out, [0.4, -0.9])
-
-    def test_scalar_capped(self):
-        assert np.allclose(truncation_chi_i(StateShape(1, 0), 0, [2.0]), [1.0])
-
-    def test_bad_index_raises(self):
-        with pytest.raises(IndexError):
-            truncation_chi_i(StateShape(1, 1), 1, [0.1, 0.1])
-
-    @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
-    @settings(max_examples=100)
-    def test_sup_norm_bounded_by_one(self, xi):
-        out = truncation_chi_i(StateShape(2, 1), 1, xi)
-        assert np.max(np.abs(out)) <= 1.0 + 1e-15
-
-    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
-    @settings(max_examples=100)
-    def test_projection_pattern_for_small_jumps(self, xi):
-        # |xi_j| <= 1: kept coordinates pass through, the other I coordinate zeroes
-        out = truncation_chi_i(StateShape(2, 1), 0, xi)
-        assert out[0] == pytest.approx(xi[0], abs=1e-15)
-        assert out[1] == 0.0
-        assert out[2] == pytest.approx(xi[2], abs=1e-15)
 
 
 class TestValidation:

@@ -22,6 +22,7 @@ from affine_riccati import (
     TemperedStableHalf,
     TiltSpec,
     affine_formula_check,
+    discounted_functional,
     estimate_exp_moment,
     eval_F,
     eval_R,
@@ -351,6 +352,15 @@ class TestMartingaleGap:
         assert gap.survival_mean == gap.martingale_value
         assert gap.survival_stderr == 0.0
         assert abs(gap.z_vs_predicted) < 1e-6
+        # the plain mean is discounted_functional over the surviving base
+        # paths; its per-path bits pin the grid sum (a cumsum rounds 15% of
+        # them differently, while the mean and stderr keep theirs)
+        ens = simulate_paths(feller_model, opts)
+        S_T = discounted_functional(spec, ens.times, ens.states[ens.survived])
+        assert hashlib.sha256(S_T.tobytes()).hexdigest().startswith("143ca17b0fe1cbf2")
+        assert gap.mean == float(np.mean(S_T))
+        assert gap.mean.hex() == "0x1.a5fafdb424917p+0"
+        assert gap.stderr.hex() == "0x1.eb6164fa9a741p-7"
 
     def test_algebraic_precondition_enforced(self, feller_model):
         spec = TiltSpec(theta=[0.5], l=123.0, lam=eval_R(feller_model, [0.5]))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from affine_riccati import (
     AffineModel,
@@ -16,7 +17,6 @@ from affine_riccati import (
     StateShape,
     blowup_time,
     eval_F,
-    psi_J_flow,
     solve_minimal,
     solve_reduced,
     solve_riccati,
@@ -163,6 +163,14 @@ class TestSolveRiccati:
         with pytest.raises(DomainError):
             solve_riccati(kr_model, [1.5], SolveOptions(T=1.0))
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5, [0.5, 1.5]])
+    def test_eval_outside_the_trajectory_is_a_config_error(self, feller_model, t):
+        sol = solve_riccati(feller_model, [0.5], SolveOptions(T=1.0))
+        with pytest.raises(ConfigError, match="outside the computed trajectory"):
+            sol.eval(t)
+        with pytest.raises(ConfigError, match="outside the computed trajectory"):
+            sol.eval_phi(t)
+
     def test_complex_mode_tracks_closed_form(self, kr_model):
         u0 = 0.4j
         sol = solve_riccati(kr_model, np.array([u0]), SolveOptions(T=1.0))
@@ -182,18 +190,6 @@ class TestSolveRiccati:
 
 
 class TestPsiJFlow:
-    def test_time_zero_is_identity(self, mixed_model):
-        uJ = np.array([0.3, -0.2])
-        assert np.allclose(psi_J_flow(mixed_model, 0.0, uJ), uJ)
-
-    def test_zero_matrix_is_identity_for_all_t(self):
-        m = AffineModel(shape=StateShape(0, 2), a=np.zeros((2, 2)), b=[0, 0])
-        assert np.allclose(psi_J_flow(m, 7.0, [1.0, -2.0]), [1.0, -2.0])
-
-    def test_scalar_exponential(self):
-        m = AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0], beta_JJ=[[-0.5]])
-        assert psi_J_flow(m, 2.0, [2.0])[0] == pytest.approx(2 * math.exp(-1), rel=1e-12)
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_solver_J_block_matches_matrix_exponential(self, seed):
         rng = np.random.default_rng(seed)
@@ -203,7 +199,7 @@ class TestPsiJFlow:
         uJ = rng.normal(size=3)
         T = 1.5
         sol = solve_riccati(m, uJ, SolveOptions(T=T, rtol=1e-11, atol=1e-13))
-        assert np.max(np.abs(sol.psi_end - psi_J_flow(m, T, uJ))) < 1e-8
+        assert np.max(np.abs(sol.psi_end - expm(B.T * T) @ uJ)) < 1e-8
 
 
 class TestSolveReduced:
@@ -212,6 +208,11 @@ class TestSolveReduced:
         assert sol.status.kind == "equilibrium"
         assert np.allclose(sol.psi, 0.0)
         assert sol.phi is None
+
+    def test_eval_phi_without_phi_is_a_config_error(self, feller_model):
+        sol = solve_reduced(feller_model, [0.5], SolveOptions(T=1.0))
+        with pytest.raises(ConfigError, match="no phi component"):
+            sol.eval_phi(0.5)
 
     def test_kr2014_from_minus_one(self, kr_model):
         sol = solve_reduced(kr_model, [-1.0], SolveOptions(T=4.0))
