@@ -8,10 +8,12 @@ Measures two source trees, ``--src`` (the change, default ``src``) and
 interpreters that alternate as ``bench/pairs.py`` sets out, ``PAIRS`` pairs.
 Each run is pinned to one CPU and records:
 
-* ``eval_us``: microseconds per ``eval_R`` + ``eval_F`` pair, called as the
-  stepper calls them (``check_domain=False``), for each built-in jump family
-  on a scalar model that carries it in both F and R, at a real and at a
-  complex u;
+* ``eval_us``: microseconds per ``eval_R`` + ``eval_F`` pair, called with
+  the stepper's ``check_domain=False`` but directly, so each call enters
+  its own np.errstate, for each built-in jump family on a scalar model that
+  carries it in both F and R, at a real and at a complex u; and per call of
+  the verdict pipeline's reduced field,
+  ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))``, at a real v;
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
@@ -88,10 +90,24 @@ def eval_costs(ar, rounds):
                     ar.eval_R(model, u, check_domain=False)
                     ar.eval_F(model, u, check_domain=False)
 
-            run()  # warm caches and imports
-            # many short rounds: the minimum then misses the machine's slow spells
-            out[f"{name} {kind}"] = 1e6 * _best(run, 4 * rounds) / n
+            out[f"{name} {kind}"] = _call_us(run, n, rounds)
+    field = ar.diagnostics.ReducedField.from_model(ar.tilt_model(ar.kr2014(), [1.0]))
+    v = np.array([-0.5])
+    n = 1000
+
+    def run():
+        for _ in range(n):
+            field(v)
+
+    out["reduced-field tilted-kr2014 real"] = _call_us(run, n, rounds)
     return out
+
+
+def _call_us(run, n, rounds):
+    """Microseconds per call of a run of n calls."""
+    run()  # warm caches and imports
+    # many short rounds: the minimum then misses the machine's slow spells
+    return 1e6 * _best(run, 4 * rounds) / n
 
 
 def step_costs(ar, rounds):

@@ -189,6 +189,8 @@ class ReducedField:
     _rows: Optional[Callable] = _dataclass_field(default=None, repr=False, compare=False)
 
     def __call__(self, v):
+        if self._rows is not None:  # reduced_R, which returns float arrays already
+            return self._rows(v)
         return np.atleast_1d(np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float))
 
     @staticmethod

@@ -24,8 +24,9 @@ system with zeta(0) = theta.
 
 ``discounted_functional`` evaluates S~_T on time-gridded paths, with the
 trapezoidal rule for the integral.  The plain mean that
-``montecarlo.martingale_gap`` reports is ``discounted_functional`` over the
-surviving paths of the base model.
+``montecarlo.martingale_gap`` reports averages ``discounted_functional`` over
+every path of the base model, an exploded path counting as S~_T = 0 (the
+cemetery convention).
 """
 
 from __future__ import annotations

@@ -299,7 +299,8 @@ class LevyMeasure:
 
     def _admitted_axis_value(self, u):
         """The axis coordinate of u; DomainError when its real part is not admitted."""
-        s = self._axis_value(u)
+        # a 1-d row, as the point path passes it, is indexed as it is
+        s = u[self.axis] if u.__class__ is np.ndarray and u.ndim == 1 else self._axis_value(u)
         if not self.admits(s.real):
             raise DomainError("u outside the effective domain of the jump measure")
         return s
@@ -315,7 +316,7 @@ class LevyMeasure:
             return self._lk_rows(u, compensated)
         s = self._admitted_axis_value(u)
         val = self._mgf_integral(s)
-        if val.imag == 0 and math.isinf(val.real):  # overflow inside the range
+        if math.isinf(val.real) and val.imag == 0:  # overflow inside the range
             raise DomainError("jump integral not finite at u")
         if compensated:
             val = val - s * self.chi_integral()
@@ -760,8 +761,8 @@ class AffineModel:
 
     Immutable after construction; evaluation is pure and reentrant, so
     instances are safe to share across concurrent tasks.  Derived constants
-    (the compensation flags, the domain's bounds, each measure's CHI) are
-    computed once.
+    (the compensation flags, the domain's bounds, each measure's CHI, the
+    operands of a point evaluation) are computed once.
     """
 
     shape: StateShape
@@ -801,6 +802,18 @@ class AffineModel:
     @cached_property
     def domain(self) -> DomainY:
         return DomainY(self.shape, (self.mu0,) + self.mus)
+
+    @cached_property
+    def _point_terms(self) -> tuple:
+        """The operands of ``eval_F``/``eval_R`` on one 1-d row, for real u
+        ([0]) and complex u ([1]): (a, b, I-rows), an I-row being (alpha_i,
+        beta_I[i], gamma_i, mu_i, compensated).  The complex a, b and beta_I
+        are the exact casts a matmul with complex u would make on every call."""
+        def terms(dtype):
+            beta = self.beta_I.astype(dtype, copy=False)
+            rows = tuple(zip(self.alpha, beta, self.gamma, self.mus, self._compensated))
+            return self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False), rows
+        return terms(float), terms(complex)
 
     def measure_compensated(self, i: int) -> bool:
         """Whether chi_i acts on the axis of mu_i (axis in J u {i})."""
@@ -892,12 +905,21 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
             quad = np.matmul(u[:, None, :], np.matmul(model.a, col))[:, 0, 0]
             val = quad + np.matmul(model.b, col)[:, 0] - model.c
             return val + model.mu0.lk_integral(u, compensated=True)
-    with _own_errstate():
-        val = u @ (model.a @ u) + model.b @ u - model.c
-        val = val + model.mu0.lk_integral(u, compensated=True)
+    if _FP_QUIET.get():
+        val = _eval_F_point(model, u)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            val = _eval_F_point(model, u)
     if u.dtype.kind != "c":
         return float(val)
     return complex(val)
+
+
+def _eval_F_point(model, u):
+    """F at one 1-d row as a numpy scalar: the products of the rows path,
+    then numpy scalar arithmetic."""
+    a, b, _ = model._point_terms[u.dtype.kind == "c"]
+    return u @ (a @ u) + b @ u - model.c + model.mu0.lk_integral(u, compensated=True)
 
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
@@ -908,17 +930,23 @@ def eval_R(model: AffineModel, u, check_domain: bool = True):
         raise DomainError("u outside the effective domain Y")
     if u.ndim == 2:
         return _eval_R_rows(model, u)
-    shape = model.shape
-    m, n = shape.m, shape.n
-    dtype = complex if u.dtype.kind == "c" else float
-    out = np.zeros(shape.d, dtype=dtype)
-    with _own_errstate():
-        for i, compensated in enumerate(model._compensated):
-            val = model.alpha[i] * u[i] ** 2 + model.beta_I[i] @ u - model.gamma[i]
-            val = val + model.mus[i].lk_integral(u, compensated=compensated)
-            out[i] = val
-        if n:
-            out[m:] = model.beta_JJ.T @ u[m:]
+    if _FP_QUIET.get():
+        return _eval_R_point(model, u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _eval_R_point(model, u)
+
+
+def _eval_R_point(model, u):
+    """R at one 1-d row.  An I-row is numpy scalar arithmetic on u[i] (whose
+    ** 2 is pow()) around the BLAS dot beta_I[i] @ u; the J-rows are one
+    gemv."""
+    complex_u = u.dtype.kind == "c"
+    out = np.empty(model.shape.d, dtype=complex if complex_u else float)
+    for i, (alpha, beta, gamma, mu, compensated) in enumerate(model._point_terms[complex_u][2]):
+        out[i] = alpha * u[i] ** 2 + beta @ u - gamma + mu.lk_integral(u, compensated=compensated)
+    if model.shape.n:
+        m = model.shape.m
+        out[m:] = model.beta_JJ.T @ u[m:]
     return out
 
 
@@ -954,6 +982,9 @@ def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
         u = np.zeros((len(v), shape.d))
         u[:, : shape.m] = v
         return eval_R(model, u, check_domain=check_domain)[:, : shape.m]
+    if not shape.n and v.shape == (shape.m,) and v.flags.c_contiguous:
+        # (v, 0) is v itself; a strided v would take a strided BLAS dot
+        return eval_R(model, v, check_domain=check_domain)
     u = np.zeros(shape.d)
     u[: shape.m] = v
     return eval_R(model, u, check_domain=check_domain)[: shape.m]

@@ -476,7 +476,12 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
             if nsrc:
                 blow |= blown
             alive &= ~blow
-            np.copyto(X, X_new, where=alive)
+            # explosions and exhausted cascades clear `alive`; while every path
+            # of the block lives, a plain copy costs a fraction of the masked one
+            if alive.all():
+                np.copyto(X, X_new)
+            else:
+                np.copyto(X, X_new, where=alive)
 
             if step + 1 in rec_steps:
                 block[filled] = X
@@ -595,10 +600,11 @@ def affine_formula_check(model: AffineModel, opts: SimOptions, u) -> FormulaRepo
 class GapReport:
     """Two estimates of E[S~_T] against the martingale value and the prediction.
 
-    ``mean``/``stderr`` are the plain sample mean of S~_T and its sample
-    standard error, kept for the record: at the boundary of the domain the
-    variance of S~_T can be infinite, and then that standard error supports
-    no interval.  ``survival_mean``/``survival_stderr`` are
+    ``mean``/``stderr`` are the plain sample mean of S~_T over the base
+    paths (0 on an exploded one) and its sample standard error, kept for the
+    record: at the boundary of the domain the variance of S~_T can be
+    infinite, and then that standard error supports no interval.
+    ``survival_mean``/``survival_stderr`` are
     e^{<theta,x0>} times the survival fraction of the tilted model and its
     Bernoulli standard error; ``excludes_martingale`` and ``z_vs_predicted``
     are computed from them.  When all tilted paths survive, or none does,
@@ -646,10 +652,11 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     That estimate decides ``excludes_martingale`` (at 3 standard errors)
     and ``z_vs_predicted``; where its Bernoulli standard error is
     zero, the resolution floor e^{<theta,x0>} / npaths takes its place (see
-    GapReport).  The plain mean of S~_T, ``discounted_functional`` over the
-    base model's surviving paths, is reported alongside.  Raises SolverError
-    when a tilted path runs out of cascade rounds, since its survival is then
-    unknown.
+    GapReport).  The plain mean of S~_T over the base model's paths is
+    reported alongside: ``discounted_functional`` on a surviving path, and 0
+    on an exploded one, which sits in the cemetery.  Raises SolverError when
+    a tilted or a base path runs out of cascade rounds, since its survival
+    is then unknown.
 
     The tilted model must be path-sampled.  A jump measure that is not
     closed under tilting becomes an ExpTiltedMeasure, which has no path
@@ -681,7 +688,13 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     z_pred = (survival_mean - predicted) / se
 
     ens = simulate_paths(model, opts)
-    S_T = discounted_functional(spec, ens.times, ens.states[ens.survived])
+    if np.any(ens.exhausted):
+        raise SolverError(
+            f"{int(ens.exhausted.sum())} base paths ran out of jump cascade rounds; "
+            "their S~_T is unknown, so no plain mean is given")
+    # an exploded path sits in the cemetery, where S~_T = 0
+    S_T = np.zeros(ens.npaths)
+    S_T[ens.survived] = discounted_functional(spec, ens.times, ens.states[ens.survived])
     n = S_T.size
     mean = float(np.mean(S_T))
     stderr = float(np.std(S_T, ddof=1) / math.sqrt(n)) if n > 1 else 0.0

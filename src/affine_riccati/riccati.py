@@ -39,6 +39,20 @@ arrays, or a lane outside the field's domain), the rows are evaluated one
 at a time, so each lane's stage fails exactly where it would alone, and a
 lane whose stage fails drops out of the pass's remaining stages.
 
+On the small systems the library meets, a step is bound by numpy's
+per-call cost, not by arithmetic: about 1 us for a ufunc or a matmul on a
+tiny array, against 0.1-0.3 us for an operation on a numpy scalar.  So the
+point evaluation of a lone lane (``_eval_or_none`` on the field, then
+``eval_R``/``eval_F``/``reduced_R`` and ``lk_integral`` on the 1-d row) does
+its arithmetic on numpy scalars (``u[i]``, np.float64, np.complex128).  It
+allocates only its results, enters no errstate inside ``quiet_fp``, reads
+the finiteness of the row's few entries as Python numbers, and keeps from
+the rows path only the BLAS products ``beta_I[i] @ u``, ``u @ (a @ u)`` and
+``b @ u``, for every d: for d >= 2 the BLAS dot fuses multiply-adds, so a
+Python sum would round differently.  The arithmetic does not move to Python
+numbers either: Python's complex division rounds differently from numpy's,
+and a Python float's ``x ** 2`` raises OverflowError where numpy gives inf.
+
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
 The seven stage derivatives of a pass are rows of one array, and the stage
@@ -51,6 +65,7 @@ rows call counts once.
 
 from __future__ import annotations
 
+import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -276,7 +291,9 @@ def _eval_or_none(field, y):
         f = np.asarray(field(y))
     except _FIELD_ERRORS:
         return None
-    if not np.isfinite(f).all():
+    # a 1-d row's entries read as Python numbers: cheaper than np.isfinite
+    # and a reduction on the few entries of one point
+    if not (all(map(cmath.isfinite, f.tolist())) if f.ndim == 1 else np.isfinite(f).all()):
         return None
     return f
 
@@ -564,10 +581,14 @@ def _full_system(model, l, lam, dtype):
     as a field of 1-d rows and of (N, d + 1) rows."""
     d = model.shape.d
 
+    lams = tuple(lam)  # numpy scalars: the point path subtracts entry by entry
+
     def field(z):
         psi = z[:d]
+        R = eval_R(model, psi, check_domain=False)
         out = np.empty(d + 1, dtype=dtype)
-        out[:d] = eval_R(model, psi, check_domain=False) - lam
+        for i, lam_i in enumerate(lams):
+            out[i] = R[i] - lam_i
         out[d] = eval_F(model, psi, check_domain=False) - l
         return out
 

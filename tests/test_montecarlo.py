@@ -352,9 +352,9 @@ class TestMartingaleGap:
         assert gap.survival_mean == gap.martingale_value
         assert gap.survival_stderr == 0.0
         assert abs(gap.z_vs_predicted) < 1e-6
-        # the plain mean is discounted_functional over the surviving base
-        # paths; its per-path bits pin the grid sum (a cumsum rounds 15% of
-        # them differently, while the mean and stderr keep theirs)
+        # every base path survives, so the plain mean is discounted_functional
+        # over all of them; its per-path bits pin the grid sum (a cumsum
+        # rounds 15% of them differently, while the mean and stderr keep theirs)
         ens = simulate_paths(feller_model, opts)
         S_T = discounted_functional(spec, ens.times, ens.states[ens.survived])
         assert hashlib.sha256(S_T.tobytes()).hexdigest().startswith("143ca17b0fe1cbf2")
@@ -393,6 +393,32 @@ class TestMartingaleGap:
         spec = TiltSpec(theta=theta, l=eval_F(m, theta), lam=eval_R(m, theta))
         opts = SimOptions(x0=[0.0], T=0.5, dt=1e-2, npaths=50, seed=0)
         with pytest.raises(ConfigError, match="path sampling"):
+            martingale_gap(m, spec, opts)
+
+    def test_exploded_base_paths_count_as_zero(self, kr_model):
+        # the tilted kr2014 base explodes with probability 1 - 0.857 by T = 1;
+        # at theta = 0, S~_T is 1 on a surviving path and 0 in the cemetery
+        base = tilt_model(kr_model, [1.0])
+        opts = SimOptions(x0=[1.0], T=1.0, dt=2e-3, npaths=2000, seed=5)
+        gap = martingale_gap(base, TiltSpec(theta=[0.0]), opts)
+        ens = simulate_paths(base, opts)
+        assert not ens.survived.all()
+        assert gap.mean == float(ens.survived.mean()) == gap.survival_mean
+        assert gap.stderr > 0.0
+        assert abs(gap.mean - gap.predicted) <= 4.0 * gap.stderr
+        assert gap.predicted == pytest.approx(0.857, abs=1e-3)
+
+    def test_gap_refuses_plain_mean_after_exhausted_base_cascade(self):
+        # about 2e4 constant-intensity jumps per base step exhaust the
+        # cascade; the tilt at -1e4 leaves about one per step, so the
+        # tilted paths do not
+        m = AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0],
+                        mu0=CompoundPoissonPoint(rate=2e6, size=1e-3, axis=0))
+        theta = [-1e4]
+        spec = TiltSpec(theta=theta, l=eval_F(m, theta), lam=eval_R(m, theta))
+        opts = SimOptions(x0=[0.0], T=0.01, dt=0.01, npaths=2, seed=0)
+        assert not simulate_paths(tilt_model(m, theta), opts).exhausted.any()
+        with pytest.raises(SolverError, match="base paths ran out of jump cascade rounds"):
             martingale_gap(m, spec, opts)
 
     def test_gap_refuses_survival_estimate_after_exhausted_cascade(self):

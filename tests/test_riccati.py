@@ -1,5 +1,6 @@
 """Riccati solvers against closed-form oracles and flow invariants."""
 
+import hashlib
 import io
 import math
 
@@ -569,3 +570,31 @@ class TestEpsLadder:
         assert [s.status.kind for s in sols] == ["completed"] * 3
         with pytest.raises(KeyError):
             _eps_ladder(field, np.array([-0.1]), 1, (0.0, 0.01, 0.2), opts)
+
+
+class TestTrajectoryPin:
+    """The solves keep their bits: one sha256 over ts, psi and phi of a
+    fixed set of solves, which run the one-point field path end to end."""
+
+    PINNED = "15ef89ac50f55dc04d3b0d7c21b1d1e651301e897eebf266a5731f4eb7cfac05"
+
+    def test_solves_keep_their_bits(self, acceptance_models):
+        feller, kr, cir = (acceptance_models[k] for k in ("feller", "kr2014", "cir-jump"))
+        opts = SolveOptions(T=2.0)
+        runs = []
+        for model in (feller, kr, cir):
+            for u in (-1.0, -0.5 + 1.0j):
+                sol = solve_riccati(model, [u], opts)
+                runs.append((sol.ts, sol.psi, sol.phi))
+        sol = solve_tilted(feller, 0.2, [0.3], [-0.8], SolveOptions(T=1.0))
+        runs.append((sol.ts, sol.psi, sol.phi))
+        sol = solve_riccati(feller, [2.0], SolveOptions(T=1.0))
+        assert sol.status.kind == "blowup"
+        runs.append((sol.ts, sol.psi, sol.phi))
+        runs.append(solve_minimal(kr, [1.0], opts)[:3])
+        h = hashlib.sha256()
+        for arrays in runs:
+            for a in arrays:
+                h.update(str(a.dtype).encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == self.PINNED
