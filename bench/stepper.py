@@ -27,7 +27,10 @@ Each run is pinned to one CPU and records:
   with ``ladder_sha256``, a digest of what they return;
 * ``lane_us``: microseconds per lane of one run of the DP5(4) lane loop
   (``riccati._lanes``) over N nearby starts of kr2014, for each N in
-  ``LANES``; only a tree that has the lane loop records it.
+  ``LANES``; only a tree that has the lane loop records it.  On a tree with
+  ``riccati._FLOAT_WIDTH`` = 7, passes of up to 3 lanes (2 floats each) run
+  on Python floats and wider ones on stacked arrays, so N = 3 and N = 4
+  straddle the switch.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
@@ -48,7 +51,7 @@ import pairs
 SEED = 1      # seed of the transforms cases
 ROUNDS = 15   # timing rounds per figure within one run
 PAIRS = 10    # parent/change pairs
-LANES = (1, 3, 10, 100, 1000)   # lane counts of lane_us
+LANES = (1, 3, 4, 10, 100, 1000)   # lane counts of lane_us
 
 
 def _best(fn, rounds):

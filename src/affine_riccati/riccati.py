@@ -29,19 +29,18 @@ and a plain solve (``_integrate``) is its case N = 1.  Each lane keeps its
 own t, step size, error control, equilibrium run and status in Python
 floats, so each lane's steps and bits are those of its lone solve; the
 three rungs of every epsilon ladder (``_eps_ladder``) run as three lanes of
-one call.  The lanes' states lie end to end in one array: a pass of the loop
-does the stage and error arithmetic of all lanes in one numpy call each, and
-evaluates a stage of all lanes in one call of the field's ``rows`` function
-on an (N, dim) stack, which ``eval_R``/``eval_F``/``reduced_R`` accept.  A
-single lane calls the field on its 1-d row, which is cheaper than a stack of
-one.  When a rows call raises (a family whose ``_mgf_integral`` rejects
-arrays, or a lane outside the field's domain), the rows are evaluated one
-at a time, so each lane's stage fails exactly where it would alone, and a
-lane whose stage fails drops out of the pass's remaining stages.
+one call.  A pass of the loop evaluates a stage of all lanes in one call of
+the field's ``rows`` function on an (N, dim) stack, which
+``eval_R``/``eval_F``/``reduced_R`` accept.  A single lane calls the field
+on its 1-d row, which is cheaper than a stack of one.  When a rows call
+raises (a family whose ``_mgf_integral`` rejects arrays, or a lane outside
+the field's domain), the rows are evaluated one at a time, so each lane's
+stage fails exactly where it would alone, and a lane whose stage fails
+drops out of the pass's remaining stages.
 
-On the small systems the library meets, a step is bound by numpy's
-per-call cost, not by arithmetic: about 1 us for a ufunc or a matmul on a
-tiny array, against 0.1-0.3 us for an operation on a numpy scalar.  So the
+On the small systems the library meets, a step is bound by per-call cost,
+not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
+array, against 0.1-0.3 us for an operation on a numpy scalar.  So the
 point evaluation of a lone lane (``_eval_or_none`` on the field, then
 ``eval_R``/``eval_F``/``reduced_R`` and ``lk_integral`` on the 1-d row) does
 its arithmetic on numpy scalars (``u[i]``, np.float64, np.complex128).  It
@@ -49,15 +48,39 @@ allocates only its results, enters no errstate inside ``quiet_fp``, reads
 the finiteness of the row's few entries as Python numbers, and keeps from
 the rows path only the BLAS products ``beta_I[i] @ u``, ``u @ (a @ u)`` and
 ``b @ u``, for every d: for d >= 2 the BLAS dot fuses multiply-adds, so a
-Python sum would round differently.  The arithmetic does not move to Python
-numbers either: Python's complex division rounds differently from numpy's,
-and a Python float's ``x ** 2`` raises OverflowError where numpy gives inf.
+Python sum would round differently.  The field's arithmetic does not move
+to Python numbers: Python's complex division rounds differently from
+numpy's, and a Python float's ``x ** 2`` raises OverflowError where numpy
+gives inf.
+
+The stepper's own arithmetic does, in small passes.  A pass of at most
+``_FLOAT_WIDTH`` = 7 floats (lanes x dim, complex entries counting twice),
+which is every lone solve of the built-ins and every epsilon ladder on rows
+of at most 2 entries, runs on Python numbers (``_float_pass``).  It reads
+each stage derivative row once, with the ``tolist()`` that also serves its
+finiteness test, and forms the stage sums component by component, term by
+term from zero in the order of the tableau (``_tableau_sum``).  A real pass
+does all of its arithmetic so, the error norm included.  A complex pass
+sums Python complex numbers and leaves the products with h and the error
+norm to numpy, whose complex arithmetic differs from the per-part float
+arithmetic (numpy 2.4, x86-64 with AVX-512): ``h * z`` of a complex array
+matches (h*re, h*im) on random values but not in the sign of a zero part or
+where a part is inf; ``np.abs`` of a complex array differs from ``abs()``
+of the scalar on 26-35% of 20,000 random values, and a complex array
+divided by a float from the per-part quotients on about 42%. A wider pass
+stays on stacked arrays (``_stacked_pass``): the seven stage derivatives
+are rows of one array, and ``_combine`` reduces them along the stage axis
+in the order of the tableau.  Both sides give the bits of a term-by-term
+sum, and numpy's 1-d sum of fewer than 8 squares adds from left to right as
+the float pass does, so a trajectory does not depend on the side that
+stepped it.  Alternating both sides in one process, Python floats are
+faster up to about 10 real floats, and slower from 8 floats of two complex
+lanes.  On the ``perfbench`` ``transforms`` workload (10 alternating pairs
+against the parent commit 17d8d63, 2-CPU x86_64), ``job_ms`` fell from 542
+to 461 ms (0.85x, won 9 of 10; the parent's quartiles 487-607 ms).
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
-The seven stage derivatives of a pass are rows of one array, and the stage
-and error combinations reduce it along the stage axis in the order of the
-tableau, so the trajectories are the same bits as a term-by-term sum.
 Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
 globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them; a
 rows call counts once.
@@ -185,15 +208,17 @@ class RiccatiSolution:
     def eval(self, t) -> np.ndarray:
         """Cubic Hermite interpolation of psi at times t (scalar or array).
 
-        Raises ConfigError for a time outside the computed trajectory.
+        Raises ConfigError for a time outside the computed trajectory, nan
+        included.
         """
         return _hermite_eval(self.ts, self.psi, self.dpsi, t)
 
     def eval_phi(self, t):
         """Cubic Hermite interpolation of phi at times t (scalar or array).
 
-        Raises ConfigError for a time outside the computed trajectory, or
-        when the solution carries no phi (a ``solve_reduced`` result).
+        Raises ConfigError for a time outside the computed trajectory (nan
+        included), or when the solution carries no phi (a ``solve_reduced``
+        result).
         """
         if self.phi is None:
             raise ConfigError("this solution carries no phi component")
@@ -226,7 +251,8 @@ def _hermite_eval(ts, ys, fs, t):
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     tq = np.atleast_1d(t)
-    if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
+    # written so that a nan time fails too
+    if not (np.all(tq >= ts[0] - 1e-12) and np.all(tq <= ts[-1] + 1e-12)):
         raise ConfigError("interpolation time outside the computed trajectory")
     tq = np.clip(tq, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
@@ -261,6 +287,13 @@ _E = _B5 - _B4
 # The same rows as columns, to weight a stacked (stages, dim) array.
 _A_COLS = [row[:, None] for row in _A]
 _E_COL = _E[:, None]
+# A pass of at most this many floats (lanes x dim, doubled for complex) runs
+# its stage arithmetic on Python numbers (``_float_pass``), a wider one on
+# stacked arrays (``_stacked_pass``).  Measured: Python floats are faster up
+# to about 10 real floats, and slower from 8 floats of two complex lanes.
+# Seven also keeps a real lane's sum of squares below the 8 entries from
+# which numpy's 1-d reduction stops adding from left to right.
+_FLOAT_WIDTH = 7
 
 
 def _combine(weights, k):
@@ -287,15 +320,24 @@ def _eval_or_none(field, y):
 
     The caller holds ``quiet_fp`` (or its own np.errstate).
     """
+    fv = _eval_values(field, y)
+    return None if fv is None else fv[0]
+
+
+def _eval_values(field, y):
+    """``_eval_or_none`` with the entries of the field's value read as
+    Python numbers: (f, f.tolist()), or None."""
     try:
         f = np.asarray(field(y))
     except _FIELD_ERRORS:
         return None
     # a 1-d row's entries read as Python numbers: cheaper than np.isfinite
-    # and a reduction on the few entries of one point
-    if not (all(map(cmath.isfinite, f.tolist())) if f.ndim == 1 else np.isfinite(f).all()):
+    # and a reduction on the few entries of one point, and the one read a
+    # float pass makes of a stage's derivatives
+    values = f.tolist()
+    if not (all(map(cmath.isfinite, values)) if f.ndim == 1 else np.isfinite(f).all()):
         return None
-    return f
+    return f, values
 
 
 def _field_rows(field, rows, ys, lanes):
@@ -358,13 +400,14 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
     Each lane is the solve that ``_integrate`` would make from its start,
     with the same steps and bits; a lane keeps its own t, step size, error
     control, equilibrium run and status, in Python floats.  One pass of the
-    loop tries one step in every running lane.  The lanes' states lie end to
-    end in one array, so the stage and error arithmetic of all lanes is one
-    numpy call each, and ``_field_rows`` evaluates the stage of all lanes at
-    once (``rows`` maps (L, dim) rows to their derivatives).  A lane whose
-    stage fails drops out of the pass's remaining stages.  Returns per start
-    its RiccatiSolution, or the exception that ended it (a DomainError when
-    the field is undefined at the start).  One ``quiet_fp`` covers the run.
+    loop tries one step in every running lane: ``_float_pass`` when the
+    pass is at most ``_FLOAT_WIDTH`` floats wide, ``_stacked_pass``
+    otherwise, with the same bits.  ``_field_rows`` evaluates the stage of
+    all lanes at once (``rows`` maps (L, dim) rows to their derivatives).  A
+    lane whose stage fails drops out of the pass's remaining stages.
+    Returns per start its RiccatiSolution, or the exception that ended it (a
+    DomainError when the field is undefined at the start).  One ``quiet_fp``
+    covers the run.
     """
     Y0 = np.array(starts)
     dim = Y0.shape[1]
@@ -388,6 +431,7 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
             live.append(lane)
         lanes.append(lane)
     dtype = np.result_type(Y0, *{lane.f.dtype for lane in live}, float)
+    lane_width = dim * (2 if dtype.kind == "c" else 1)   # floats per lane
 
     while live:
         running = []
@@ -402,57 +446,12 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
                 continue
             running.append(lane)
         live = running
-        n = len(running)
-        if not n:
+        if not running:
             break
 
-        # the lanes' states and derivatives end to end, and each lane's h once
-        # per component (a float for one lane)
-        if n == 1:
-            y, h, f = running[0].y, running[0].h, running[0].f
-        else:
-            y = np.concatenate([lane.y for lane in running])
-            h = np.repeat([lane.h for lane in running], dim)
-            f = np.concatenate([lane.f for lane in running])
-        # stage derivatives, one row per stage; a fresh array per pass, so
-        # accepted rows can be kept without copies
-        k = np.empty((7, n * dim), dtype)
-        k[0] = f
-        for stage in range(1, 7):
-            ystage = y + h * _combine(_A_COLS[stage], k)
-            fstage = _field_rows(field, rows, ystage, n)
-            if fstage.__class__ is not list:
-                k[stage] = fstage
-                continue
-            keep = []
-            for j, value in enumerate(fstage):
-                if value is None:
-                    running[j].h *= 0.3
-                elif isinstance(value, Exception):
-                    running[j].error = value
-                else:
-                    keep.append(j)
-            running = [running[j] for j in keep]
-            if not keep:
-                break
-            # the remaining lanes go on with the stages done so far
-            k = k.reshape(7, n, dim)[:, keep].reshape(7, -1)
-            y = y.reshape(n, dim)[keep].reshape(-1)
-            ystage = ystage.reshape(n, dim)[keep].reshape(-1)
-            n = len(keep)
-            h = running[0].h if n == 1 else np.repeat([lane.h for lane in running], dim)
-            k[stage] = np.concatenate([fstage[j] for j in keep])
-
-        if running:
-            # stage 6 uses the b-row (FSAL): ystage is the new state
-            err = h * _combine(_E_COL, k)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ystage))
-            sq = np.abs(err / scale) ** 2
-            # one sum of squares per lane, in the order of a 1-d sum
-            sq = [np.add.reduce(sq)] if n == 1 else \
-                np.add.reduce(sq.reshape(n, dim), axis=1).tolist()
-            f_new = k[6]
-            abs_y, abs_f = np.abs(ystage).tolist(), np.abs(f_new).tolist()
+        step = _float_pass if len(running) * lane_width <= _FLOAT_WIDTH else _stacked_pass
+        running, ystage, f_new, sq, abs_y, abs_f = step(field, rows, running, dim, dtype,
+                                                        atol, rtol)
         for j, lane in enumerate(running):
             en = math.sqrt(sq[j] / dim)
             if not math.isfinite(en):
@@ -504,6 +503,211 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
             for lane in lanes]
 
 
+def _drop_failed(running, fstage):
+    """Apply a stage's per-lane outcomes (see ``_field_rows``) to the lanes:
+    a rejected stage shrinks the lane's step, an exception ends the lane.
+    Returns the indices of the lanes that go on."""
+    keep = []
+    for j, value in enumerate(fstage):
+        if value is None:
+            running[j].h *= 0.3
+        elif isinstance(value, Exception):
+            running[j].error = value
+        else:
+            keep.append(j)
+    return keep
+
+
+def _stacked_pass(field, rows, running, dim, dtype, atol, rtol):
+    """One step of every running lane, the stage and error arithmetic of all
+    lanes one numpy call each on their states laid end to end.
+
+    Returns the lanes whose stages all succeeded, then, laid out the same
+    way, their new states and derivatives, and per lane the sum of squares
+    of the scaled error, and the magnitudes of the new state and derivative
+    entries as lists.
+    """
+    n = len(running)
+    # the lanes' states and derivatives end to end
+    if n == 1:
+        y, f = running[0].y, running[0].f
+    else:
+        y = np.concatenate([lane.y for lane in running])
+        f = np.concatenate([lane.f for lane in running])
+    h = _step_sizes(running, dim)
+    # stage derivatives, one row per stage; a fresh array per pass, so
+    # accepted rows can be kept without copies
+    k = np.empty((7, n * dim), dtype)
+    k[0] = f
+    for stage in range(1, 7):
+        ystage = y + h * _combine(_A_COLS[stage], k)
+        fstage = _field_rows(field, rows, ystage, n)
+        if fstage.__class__ is not list:
+            k[stage] = fstage
+            continue
+        keep = _drop_failed(running, fstage)
+        running = [running[j] for j in keep]
+        if not keep:
+            return running, None, None, None, None, None
+        # the remaining lanes go on with the stages done so far
+        k = k.reshape(7, n, dim)[:, keep].reshape(7, -1)
+        y = y.reshape(n, dim)[keep].reshape(-1)
+        ystage = ystage.reshape(n, dim)[keep].reshape(-1)
+        n = len(keep)
+        h = _step_sizes(running, dim)
+        k[stage] = np.concatenate([fstage[j] for j in keep])
+
+    # stage 6 uses the b-row (FSAL): ystage is the new state
+    sq, abs_y, abs_f = _error_norms(h * _combine(_E_COL, k), y, ystage, k[6], n, dim,
+                                    atol, rtol)
+    return running, ystage, k[6], sq, abs_y, abs_f
+
+
+def _error_norms(err, y, ystage, f_new, n, dim, atol, rtol):
+    """Per lane the sum of squares of err scaled by atol + rtol * max(|y|,
+    |ystage|), and the magnitudes of ystage and f_new, on numpy arrays."""
+    abs_y = np.abs(ystage)
+    scale = atol + rtol * np.maximum(np.abs(y), abs_y)
+    sq = np.abs(err / scale) ** 2
+    # one sum of squares per lane, in the order of a 1-d sum
+    sq = [np.add.reduce(sq)] if n == 1 else \
+        np.add.reduce(sq.reshape(n, dim), axis=1).tolist()
+    return sq, abs_y.tolist(), np.abs(f_new).tolist()
+
+
+def _float_pass(field, rows, running, dim, dtype, atol, rtol):
+    """``_stacked_pass`` for a pass of at most ``_FLOAT_WIDTH`` floats, with
+    the same returns and bits: the stage combinations run on Python
+    numbers, component by component in the order of the tableau.
+
+    A real pass does its whole stage and error arithmetic so.  A complex
+    one sums Python complex numbers, whose parts are the sums of
+    ``_combine`` (see ``_tableau_sum``); the products with h and the error
+    norm stay on numpy, whose complex multiply, division and magnitude can
+    differ from the per-part float arithmetic.
+    """
+    n = len(running)
+    cplx = dtype.kind == "c"
+    sums = _TABLEAU_SUMS[dtype.kind]
+    if n == 1:
+        y, f = running[0].y, running[0].f
+    else:
+        y = np.concatenate([lane.y for lane in running])
+        f = np.concatenate([lane.f for lane in running])
+    k = [np.asarray(f, dtype).tolist()]   # the stage derivatives, as Python numbers
+    if cplx:
+        h = _step_sizes(running, dim)
+    else:
+        yv = np.asarray(y, dtype).tolist()
+        hv = [lane.h for lane in running for _ in range(dim)]
+    for stage in range(1, 7):
+        acc = map(sums[stage], *k)
+        if cplx:
+            ystage = y + h * np.array(list(acc))
+        else:
+            ysv = [yc + hc * a for yc, hc, a in zip(yv, hv, acc)]
+            ystage = np.array(ysv)
+        if n == 1:
+            try:
+                fstage = _eval_values(field, ystage)
+            except Exception as exc:  # ends the lane; raised by the caller
+                fstage = exc
+            if fstage is None or isinstance(fstage, Exception):
+                _drop_failed(running, [fstage])
+                return [], None, None, None, None, None
+            # the one read of the row as Python numbers, made for its
+            # finiteness test
+            f_new, values = fstage
+            if f_new.shape != (dim,) or f_new.dtype != dtype:
+                f_new = _as_row(f_new, dim, dtype)
+                values = f_new.tolist()
+        else:
+            fstage = _field_rows(field, rows, ystage, n)
+            if fstage.__class__ is list:
+                keep = _drop_failed(running, fstage)
+                running = [running[j] for j in keep]
+                if not keep:
+                    return running, None, None, None, None, None
+                # the remaining lanes go on with the stages done so far
+                k = [_keep(row, keep, dim) for row in k]
+                if cplx:
+                    y = y.reshape(n, dim)[keep].reshape(-1)
+                    ystage = ystage.reshape(n, dim)[keep].reshape(-1)
+                    h = _step_sizes(running, dim)
+                else:
+                    yv, hv, ysv = (_keep(v, keep, dim) for v in (yv, hv, ysv))
+                    ystage = np.array(ysv)
+                n = len(keep)
+                fstage = np.concatenate([fstage[j] for j in keep])
+            f_new = _as_row(fstage, n * dim, dtype)
+            values = f_new.tolist()
+        k.append(values)
+
+    # stage 6 uses the b-row (FSAL): ystage is the new state
+    e = map(sums[7], *k)
+    if cplx:
+        sq, abs_y, abs_f = _error_norms(h * np.array(list(e)), y, ystage, f_new, n, dim,
+                                        atol, rtol)
+        return running, ystage, f_new, sq, abs_y, abs_f
+    abs_y = list(map(abs, ysv))
+    sq = []
+    for j in range(n):
+        s = None
+        for c in range(j * dim, (j + 1) * dim):
+            a, b = abs(yv[c]), abs_y[c]
+            # |h * e / scale| ** 2, with the nan of np.maximum in the scale
+            q = hv[c] * next(e) / (atol + rtol * (a if a >= b or a != a else b))
+            s = q * q if s is None else s + q * q
+        sq.append(s)
+    return running, ystage, f_new, sq, abs_y, list(map(abs, values))
+
+
+def _tableau_sum(weights, zero):
+    """The function of len(weights) numbers k_j that returns
+    zero + sum_j weights[j] * k_j, adding term by term as ``_combine`` does.
+
+    Its code is generated with the weights as literals: the unrolled sum
+    runs about twice as fast as a loop over the weights.  From ``0.0`` on
+    floats it has the bits of ``_combine``.  From ``0j`` on Python complex
+    numbers it has them on each part: a float times a complex number (as
+    complex numbers before Python 3.14, part by part since) differs from the
+    per-part products at most in the sign of a zero part, and the running
+    sum, whose parts start from 0.0 and so are never -0.0, cannot see that
+    sign.
+    """
+    args = ", ".join(f"k{j}" for j in range(len(weights)))
+    terms = "".join(f" + {w!r} * k{j}" for j, w in enumerate(weights))
+    return eval(f"lambda {args}: {zero}{terms}")
+
+
+# By dtype kind, the stage sums of the tableau (stages 1 to 6) and its error
+# sum (index 7), for the float passes.
+_TABLEAU_SUMS = {kind: [None, *(_tableau_sum(row.tolist(), zero) for row in _A[1:]),
+                        _tableau_sum(_E.tolist(), zero)]
+                 for kind, zero in (("f", "0.0"), ("c", "0j"))}
+
+
+def _as_row(f, size, dtype):
+    """f as a 1-d array of size entries of dtype: f itself, or a fresh array
+    that f is assigned to as to a row of the stacked stage array."""
+    if f.shape == (size,) and f.dtype == dtype:
+        return f
+    out = np.empty(size, dtype)
+    out[...] = f
+    return out
+
+
+def _step_sizes(running, dim):
+    """Each lane's h once per component, lanes end to end; a float for one
+    lane."""
+    return running[0].h if len(running) == 1 else np.repeat([lane.h for lane in running], dim)
+
+
+def _keep(values, keep, dim):
+    """The dim-long blocks of values at the indices in keep."""
+    return [x for j in keep for x in values[j * dim:(j + 1) * dim]]
+
+
 def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
                rate_dim: Optional[int] = None) -> RiccatiSolution:
     """One solve of d y = field(y) from y0: the lane loop with one lane.
@@ -545,7 +749,10 @@ def _as_initial(u0, d, name="u0"):
     u0 = np.atleast_1d(np.asarray(u0))
     if u0.shape != (d,):
         raise ConfigError(f"{name} must have length {d}")
-    return u0.astype(complex) if u0.dtype.kind == "c" else u0.astype(float)
+    u0 = u0.astype(complex) if u0.dtype.kind == "c" else u0.astype(float)
+    if not np.isfinite(u0).all():
+        raise ConfigError(f"{name} must be finite")
+    return u0
 
 
 def solve_riccati(model: AffineModel, u0, opts: SolveOptions) -> RiccatiSolution:
@@ -554,14 +761,18 @@ def solve_riccati(model: AffineModel, u0, opts: SolveOptions) -> RiccatiSolution
 
 
 def solve_tilted(model: AffineModel, l: float, lam, u0, opts: SolveOptions) -> RiccatiSolution:
-    """Integrate the discounted system d psi = R(psi) - lambda, d phi = F(psi) - l."""
-    return _solve_full(model, u0, opts, float(l), lam)
+    """Integrate the discounted system d psi = R(psi) - lambda, d phi = F(psi) - l.
+
+    Raises ConfigError when l or lambda is complex or not finite.
+    """
+    d = model.shape.d
+    return _solve_full(model, u0, opts, float(_real_finite(l, "l", ())),
+                       _real_finite(lam, "lam", d))
 
 
 def _solve_full(model, u0, opts, l, lam):
     d = model.shape.d
     u0 = _as_initial(u0, d)
-    lam = np.asarray(lam, dtype=float).reshape(d)
     _check_start(model, u0)
     field, _ = _full_system(model, l, lam, u0.dtype)
     z0 = np.zeros(d + 1, dtype=u0.dtype)
@@ -569,6 +780,18 @@ def _solve_full(model, u0, opts, l, lam):
     sol = _integrate(field, z0, opts, rate_dim=d)
     return replace(sol, psi=sol.psi[:, :d], phi=sol.psi[:, d],
                    dpsi=sol.dpsi[:, :d], dphi=sol.dpsi[:, d], u0=u0)
+
+
+def _real_finite(value, name, shape):
+    """value as a float array of the given shape; ConfigError when it is
+    complex or has a non-finite entry."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        raise ConfigError(f"{name} must be real")
+    value = value.astype(float).reshape(shape)
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def _check_start(model, u0):
@@ -644,18 +867,19 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
     uniform times.  When a rung misses the horizon (explosion or domain
     exit) the ladder stops there, and the return is that rung's own time
     grid, trajectory and status instead: the minimal solution diverges as
-    well.
+    well.  Raises ConfigError when u0, l or lambda is complex or not finite.
     """
     d, m = model.shape.d, model.shape.m
-    u0 = np.asarray(u0, dtype=float).reshape(d)
-    lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float).reshape(d)
+    u0 = _real_finite(u0, "u0", d)
+    l = float(_real_finite(l, "l", ()))
+    lam = np.zeros(d) if lam is None else _real_finite(lam, "lam", d)
     ts = np.linspace(0.0, opts.T, 201)
     # tight per-step tolerances: near a square-root boundary step errors act
     # as time shifts of the escaping branch and accumulate
     ladder_opts = SolveOptions(T=opts.T, rtol=1e-12, atol=1e-15,
                                max_step=opts.effective_max_step,
                                blowup_threshold=opts.blowup_threshold)
-    field, rows = _full_system(model, float(l), lam, u0.dtype)
+    field, rows = _full_system(model, l, lam, u0.dtype)
     z0 = np.zeros(d + 1)
     z0[:d] = u0
     sols = _eps_ladder(field, z0, m, _LADDER, ladder_opts, rate_dim=d, rows=rows,

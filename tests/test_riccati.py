@@ -24,6 +24,7 @@ from affine_riccati import (
     solve_tilted,
     tilt_model,
 )
+from affine_riccati import riccati
 from affine_riccati.riccati import _LADDER, _eps_ladder, _full_system, _integrate, _lanes
 
 # Closed forms used as oracles below.  Both are verified symbolically in
@@ -83,13 +84,16 @@ class TestOracleValidity:
 
 class TestStepper:
     def test_stage_combination_is_the_term_by_term_sum(self):
-        # the stacked reduction must give the bits of a Python sum over the
-        # stages, for real and complex states of dimension 1 to 3 (complex
-        # dimension 1 is where numpy's own complex reduction regroups terms)
-        from affine_riccati.riccati import _A, _A_COLS, _E, _E_COL, _combine
+        # the stacked reduction and the tableau sums of the float passes must
+        # both give the bits of a Python sum over the stages, for real and
+        # complex states of dimension 1 to 3 (complex dimension 1 is where
+        # numpy's own complex reduction regroups terms); the float passes
+        # sum Python floats, or Python complex numbers for complex states
+        from affine_riccati.riccati import _A, _A_COLS, _E, _E_COL, _TABLEAU_SUMS, _combine
 
         rng = np.random.default_rng(5)
-        specials = np.array([0.0, -0.0, 1e-300, -1e300, 5e-324])
+        specials = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324])
+        weights = [*zip(_A[1:], _A_COLS[1:]), (_E, _E_COL)]
         for _ in range(400):
             dim = int(rng.integers(1, 4))
             parts = [rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-20, 20, size=(7, dim))
@@ -98,9 +102,13 @@ class TestStepper:
                 mask = rng.random(part.shape) < 0.2
                 part[mask] = rng.choice(specials, size=int(mask.sum()))
             for k in (parts[0], parts[0] + 1j * parts[1]):
-                for weights, col in [*zip(_A[1:], _A_COLS[1:]), (_E, _E_COL)]:
-                    ref = sum(w * kj for w, kj in zip(weights, k))
+                numbers = k.tolist()
+                sums = _TABLEAU_SUMS[k.dtype.kind][1:]
+                for (w, col), tableau_sum in zip(weights, sums):
+                    ref = sum(wj * kj for wj, kj in zip(w, k))
                     assert _combine(col, k).tobytes() == ref.tobytes()
+                    got = np.array(list(map(tableau_sum, *numbers[:len(w)])), k.dtype)
+                    assert got.tobytes() == ref.tobytes()
 
     def test_quiet_flag_is_per_thread(self):
         import threading
@@ -164,7 +172,7 @@ class TestSolveRiccati:
         with pytest.raises(DomainError):
             solve_riccati(kr_model, [1.5], SolveOptions(T=1.0))
 
-    @pytest.mark.parametrize("t", [-0.1, 1.5, [0.5, 1.5]])
+    @pytest.mark.parametrize("t", [-0.1, 1.5, [0.5, 1.5], math.nan, [0.5, math.nan]])
     def test_eval_outside_the_trajectory_is_a_config_error(self, feller_model, t):
         sol = solve_riccati(feller_model, [0.5], SolveOptions(T=1.0))
         with pytest.raises(ConfigError, match="outside the computed trajectory"):
@@ -306,6 +314,35 @@ class TestSolveTilted:
         ts = np.linspace(0.5, 3.0, 11)  # after the square-root transient
         exact = 1.0 - (np.exp(-ts / 2) - 1) ** 2
         assert np.max(np.abs(sol.eval(ts)[:, 0] - exact)) < 2e-4
+
+
+class TestRealInputs:
+    """Starts must be finite, and the start of a minimal solve and the
+    discounts l and lambda real and finite; anything else is a ConfigError,
+    not a TypeError or a DomainError about the domain or the vector field."""
+
+    @pytest.mark.parametrize("u0", [[math.nan], [math.inf], [complex(math.nan, 1.0)]])
+    def test_non_finite_start(self, feller_model, u0):
+        with pytest.raises(ConfigError, match="u0 must be finite"):
+            solve_riccati(feller_model, u0, SolveOptions(T=1.0))
+        with pytest.raises(ConfigError, match="g0 must be finite"):
+            solve_reduced(feller_model, u0, SolveOptions(T=1.0))
+
+    @pytest.mark.parametrize("u0", [[0.5j], [math.nan], [-math.inf]])
+    def test_minimal_start(self, kr_model, u0):
+        with pytest.raises(ConfigError, match="u0 must be"):
+            solve_minimal(kr_model, u0, SolveOptions(T=1.0))
+
+    @pytest.mark.parametrize("l, lam, match", [(0.5j, [-1.0], "l must be real"),
+                                               (math.nan, [-1.0], "l must be finite"),
+                                               (0.0, [1j], "lam must be real"),
+                                               (0.0, [math.inf], "lam must be finite")])
+    def test_discounts(self, feller_model, l, lam, match):
+        opts = SolveOptions(T=1.0)
+        with pytest.raises(ConfigError, match=match):
+            solve_tilted(feller_model, l, lam, [-1.0], opts)
+        with pytest.raises(ConfigError, match=match):
+            solve_minimal(feller_model, [-1.0], opts, l=l, lam=lam)
 
 
 class TestFlowInvariants:
@@ -492,6 +529,63 @@ class TestLanes:
             assert_same_solution(got[k], _integrate(field, starts[k], SolveOptions(T=1.0), 1))
         with pytest.raises(DomainError, match="initial condition"):
             _integrate(field, starts[1], SolveOptions(T=1.0), 1)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_forty_lanes_run_the_stacked_pass(self, feller_model, kr_model, kind):
+        # 40 lanes are wider than _FLOAT_WIDTH, so their passes run on stacked
+        # arrays until few lanes are left, while each lone solve runs on
+        # Python numbers: the two arithmetic sides must give the same bits
+        assert 40 * 2 > riccati._FLOAT_WIDTH
+        rng = np.random.default_rng(11)
+        for model in (feller_model, kr_model):
+            us = rng.uniform(-2.0, 0.9, size=40)
+            if kind == "complex":
+                us = us + 1j * rng.uniform(0.5, 3.0, size=40)
+            self.lanes_match_lone_solves(model, list(us))
+
+    def test_float_and_stacked_passes_agree(self, monkeypatch, feller_model, mixed_model,
+                                            kr2014_pair_model):
+        # the same lane-loop runs with every pass on stacked arrays and with
+        # every pass on Python numbers (real dimensions below 8, where the
+        # float pass's sum of squares is numpy's), through blow-ups,
+        # equilibria, domain exits, failed stages and row-by-row fallbacks
+        from test_model import BareExpJumps
+
+        bare = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                           beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
+        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
+        tight = SolveOptions(T=1.0, rtol=1e-12, atol=1e-15)
+        runs = [
+            (feller_model, [-1.0, 2.0, 0.0], SolveOptions(T=2.0)),
+            (feller_model, [1j, -1 + 0.5j], SolveOptions(T=2.0)),
+            (mixed_model, [[-0.4, 0.3, -0.2], [0.1, -0.5, 0.4]], SolveOptions(T=2.0)),
+            (mixed_model, [[-0.4 + 0.2j, 0.3, 1j]], SolveOptions(T=2.0)),
+            (pair, [[-1e-5, -1e-5], [-1e-7, -0.3], [-0.5, -1e-9]], tight),
+            (gamma_ou_model(), [-0.5, 0.5, 0.0, 0.3], SolveOptions(T=3.0)),
+            (gamma_ou_model(), [0.9], SolveOptions(T=1.0)),
+            (bare, [-0.1, -0.2, 0.5], SolveOptions(T=2.0)),
+        ]
+
+        def solve_all():
+            out = []
+            for model, us, opts in runs:
+                d = model.shape.d
+                starts = full_starts(model, us)
+                field, rows = _full_system(model, 0.0, np.zeros(d), starts.dtype)
+                out.append(_lanes(field, list(starts), opts, d, rows))
+                out.extend(_lanes(field, [start], opts, d) for start in starts)
+            return out
+
+        sides = []
+        for width in (0, 16):
+            monkeypatch.setattr(riccati, "_FLOAT_WIDTH", width)
+            sides.append(solve_all())
+        kinds = set()
+        for got, want in zip(*sides):
+            for g, w in zip(got, want):
+                assert_same_solution(g, w)
+                kinds.add(g.status.kind)
+        assert kinds == {"completed", "blowup", "equilibrium", "left_domain"}
 
     def test_ladder_on_a_family_without_rows(self):
         # BareExpJumps rejects arrays, so the ladder's rows are evaluated one
