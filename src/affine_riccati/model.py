@@ -34,9 +34,11 @@ follow from that range through ``LevyMeasure.admits``, not from integrals.
 
 ``eval_F``, ``eval_R``, ``reduced_R`` and ``LevyMeasure.lk_integral`` also
 take a stack of rows, an (N, d) array, and return one value per row with
-the bits of N calls on the 1-d rows.  A family's ``_mgf_integral`` then sees
-an array of axis values; one that rejects arrays (by raising) is evaluated
-row by row by the callers that stack rows.
+the bits of N calls on the 1-d rows, up to the sign of a NaN: of a sum of
+two NaNs, numpy's array and scalar additions keep different ones.  A
+family's ``_mgf_integral`` then sees an array of axis values; one that
+rejects arrays (by raising) is evaluated row by row by the callers that
+stack rows.
 """
 
 from __future__ import annotations
@@ -804,20 +806,20 @@ class AffineModel:
         return DomainY(self.shape, (self.mu0,) + self.mus)
 
     @cached_property
-    def _point_terms(self) -> tuple:
-        """The operands of ``eval_F``/``eval_R`` on one 1-d row, for real u
-        ([0]) and complex u ([1]): (a, b, I-rows), an I-row being (alpha_i,
-        beta_I[i], gamma_i, mu_i, compensated).  The complex a, b and beta_I
-        are the exact casts a matmul with complex u would make on every call."""
-        def terms(dtype):
-            beta = self.beta_I.astype(dtype, copy=False)
-            rows = tuple(zip(self.alpha, beta, self.gamma, self.mus, self._compensated))
-            return self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False), rows
-        return terms(float), terms(complex)
+    def _point_fns(self) -> tuple:
+        """The (R, F) closures of ``eval_R``/``eval_F`` on one 1-d row, for
+        real u ([0]) and complex u ([1]); see ``_point_closures``."""
+        return _point_closures(self, float), _point_closures(self, complex)
 
     def measure_compensated(self, i: int) -> bool:
         """Whether chi_i acts on the axis of mu_i (axis in J u {i})."""
         return self._compensated[i]
+
+    def __getstate__(self):
+        # closures do not pickle; an unpickled model builds its own on first use
+        state = self.__dict__.copy()
+        state.pop("_point_fns", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -893,9 +895,88 @@ def _own_errstate():
     return nullcontext() if _FP_QUIET.get() else np.errstate(invalid="ignore", over="ignore")
 
 
+def _point_closures(model, dtype):
+    """The (R, F) pair that ``eval_R`` and ``eval_F`` call on one 1-d row:
+    for dtype complex on a complex row, for float on a real row of any dtype.
+
+    Every operand is bound once: alpha_i and gamma_i as numpy scalars, the
+    rows of the casts of a, b and beta_I to dtype (the casts a matmul with a
+    complex row makes), each measure's bound ``lk_integral``, and c.  An
+    I-row is numpy scalar arithmetic on u[i] (whose ** 2 is pow()) around
+    <beta_i, u>, F is <u, a u> + <b, u> - c and mu_0's integral, and the
+    J-rows are beta_JJ^T u_J.
+
+    A product with one term, x @ y with x and y of length one, is formed as
+    ``zero + y[0] * x[0]`` on numpy scalars of dtype.  It has the bits of the
+    BLAS call, whose sum starts from +0.0: a bare product would keep a -0.0
+    that the sum drops.  The reversed operands propagate a NaN of u as the
+    call does when x is a real coefficient; only u @ (a @ u) on a complex u
+    with a NaN part can end in a NaN of the other sign.  That covers every
+    product of a d = 1 model.  Products of two or more terms keep their BLAS
+    call, whose fused multiply-adds round differently from a sum of scalar
+    products, and so do the J-rows.
+    """
+    shape = model.shape
+    m, n, d = shape.m, shape.n, shape.d
+    zero = np.zeros((), dtype)[()]
+    c, lk0 = model.c, model.mu0.lk_integral
+    scalar = complex if dtype is complex else float
+
+    def dot(x):
+        """y -> x @ y for the 1-d x."""
+        if len(x) > 1:
+            return x.__matmul__
+        x0 = x[0]
+        return lambda y: zero + y[0] * x0
+
+    a = model.a.astype(dtype, copy=False)
+    if d == 1:
+        a00 = a[0, 0]
+
+        def quad(u):
+            u0 = u[0]
+            return zero + (zero + u0 * a00) * u0
+    else:
+        def quad(u):
+            return u @ (a @ u)
+    lin = dot(model.b.astype(dtype, copy=False))
+
+    def F(u):
+        return scalar(quad(u) + lin(u) - c + lk0(u, True))
+
+    rows = tuple(zip(range(m), model.alpha, map(dot, model.beta_I.astype(dtype, copy=False)),
+                     model.gamma, [mu.lk_integral for mu in model.mus], model._compensated))
+    beta_JJ_T = model.beta_JJ.T  # cast by matmul, as on the rows path
+
+    def R(u):
+        out = np.empty(d, dtype)
+        for i, alpha, lin_i, gamma, lk, compensated in rows:
+            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma + lk(u, compensated)
+        if n:
+            out[m:] = beta_JJ_T @ u[m:]
+        return out
+
+    return R, F
+
+
+def _stack_or_row(u, size):
+    """u, which is not a 1-d row of size entries, as an (N, size) stack of
+    rows, or as a row when u is 0-d and size is 1.  ConfigError for any
+    other shape."""
+    shape = u.shape
+    if len(shape) == 2 and shape[1] == size:
+        return u
+    if not shape and size == 1:
+        return u.reshape(1)
+    raise ConfigError(f"expected a 1-d row of length {size} or an (N, {size}) stack of rows, "
+                      f"got shape {shape}")
+
+
 def eval_F(model: AffineModel, u, check_domain: bool = True):
     """The constant functional characteristic F(u); an (N,) array for (N, d) rows."""
     u = np.asarray(u)
+    if u.shape != (model.shape.d,):
+        u = _stack_or_row(u, model.shape.d)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
     if u.ndim == 2:
@@ -905,49 +986,28 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
             quad = np.matmul(u[:, None, :], np.matmul(model.a, col))[:, 0, 0]
             val = quad + np.matmul(model.b, col)[:, 0] - model.c
             return val + model.mu0.lk_integral(u, compensated=True)
+    F = model._point_fns[u.dtype.kind == "c"][1]
     if _FP_QUIET.get():
-        val = _eval_F_point(model, u)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            val = _eval_F_point(model, u)
-    if u.dtype.kind != "c":
-        return float(val)
-    return complex(val)
-
-
-def _eval_F_point(model, u):
-    """F at one 1-d row as a numpy scalar: the products of the rows path,
-    then numpy scalar arithmetic."""
-    a, b, _ = model._point_terms[u.dtype.kind == "c"]
-    return u @ (a @ u) + b @ u - model.c + model.mu0.lk_integral(u, compensated=True)
+        return F(u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return F(u)
 
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
     """The state-linear functional characteristic R(u) as a d-vector; an
     (N, d) array for (N, d) rows."""
     u = np.asarray(u)
+    if u.shape != (model.shape.d,):
+        u = _stack_or_row(u, model.shape.d)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
     if u.ndim == 2:
         return _eval_R_rows(model, u)
+    R = model._point_fns[u.dtype.kind == "c"][0]
     if _FP_QUIET.get():
-        return _eval_R_point(model, u)
+        return R(u)
     with np.errstate(invalid="ignore", over="ignore"):
-        return _eval_R_point(model, u)
-
-
-def _eval_R_point(model, u):
-    """R at one 1-d row.  An I-row is numpy scalar arithmetic on u[i] (whose
-    ** 2 is pow()) around the BLAS dot beta_I[i] @ u; the J-rows are one
-    gemv."""
-    complex_u = u.dtype.kind == "c"
-    out = np.empty(model.shape.d, dtype=complex if complex_u else float)
-    for i, (alpha, beta, gamma, mu, compensated) in enumerate(model._point_terms[complex_u][2]):
-        out[i] = alpha * u[i] ** 2 + beta @ u - gamma + mu.lk_integral(u, compensated=compensated)
-    if model.shape.n:
-        m = model.shape.m
-        out[m:] = model.beta_JJ.T @ u[m:]
-    return out
+        return R(u)
 
 
 def _eval_R_rows(model, u):
@@ -974,17 +1034,23 @@ def _eval_R_rows(model, u):
 
 
 def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
-    """The reduced vector field: the I-components of R at (v, 0); (N, m)
-    for (N, m) rows."""
+    """The reduced vector field: the I-components of R at (v, 0) for a real
+    v; (N, m) for (N, m) rows."""
     shape = model.shape
-    v = np.asarray(v, dtype=float)
+    m = shape.m
+    v = np.asarray(v)
+    if v.dtype.kind == "c":
+        raise ConfigError("reduced_R takes a real v")
+    v = v.astype(float, copy=False)
+    if v.shape != (m,):
+        v = _stack_or_row(v, m)
     if v.ndim == 2:
         u = np.zeros((len(v), shape.d))
-        u[:, : shape.m] = v
-        return eval_R(model, u, check_domain=check_domain)[:, : shape.m]
-    if not shape.n and v.shape == (shape.m,) and v.flags.c_contiguous:
+        u[:, :m] = v
+        return eval_R(model, u, check_domain=check_domain)[:, :m]
+    if not shape.n and v.flags.c_contiguous:
         # (v, 0) is v itself; a strided v would take a strided BLAS dot
         return eval_R(model, v, check_domain=check_domain)
     u = np.zeros(shape.d)
-    u[: shape.m] = v
-    return eval_R(model, u, check_domain=check_domain)[: shape.m]
+    u[:m] = v
+    return eval_R(model, u, check_domain=check_domain)[:m]

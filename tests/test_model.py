@@ -9,6 +9,7 @@ from affine_riccati import (
     AffineModel,
     CompoundPoissonExp,
     CompoundPoissonPoint,
+    ConfigError,
     DomainError,
     ExpTiltedMeasure,
     GammaLevy,
@@ -25,6 +26,10 @@ from affine_riccati import (
 from affine_riccati.model import exp_moment_quadrature, lk_integral_quadrature
 
 QUAD_AGREEMENT_RTOL = 1e-8
+
+# entries where a product's bits depend on how it is formed: signed zeros,
+# infinities, nan, near-overflow magnitudes and the smallest subnormal
+SPECIAL_ENTRIES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324)
 
 
 def _scalar_model(mu):
@@ -316,23 +321,43 @@ class TestRows:
         except DomainError:
             return DomainError
 
+    @staticmethod
+    def outcome(fun, u):
+        """The bits and dtype of fun(u) as an array, or the class of what it
+        raised.  A NaN (of a real value or of a part) reads as one NaN: the
+        sign a sum of two NaNs keeps differs between numpy's array and
+        scalar additions."""
+        try:
+            got = np.asarray(fun(u))
+        except Exception as exc:  # noqa: BLE001 - the class is the outcome
+            return type(exc)
+        parts = got.reshape(-1).view(float).copy()
+        parts[np.isnan(parts)] = math.nan
+        return parts.tobytes(), got.dtype
+
+    @staticmethod
+    def calls(model, complex_u):
+        """The evaluations that take rows, by name."""
+        m = model.shape.m
+        out = {"eval_R": lambda x: eval_R(model, x, check_domain=False),
+               "eval_F": lambda x: eval_F(model, x, check_domain=False)}
+        if not complex_u:
+            out["reduced_R"] = lambda x: reduced_R(model, x[..., :m], check_domain=False)
+        for mu in (model.mu0, *model.mus):
+            if not mu.is_zero:  # the null measure's 0.0 broadcasts
+                out[f"lk {mu!r}"] = mu.lk_integral
+        return out
+
     def test_rows_equal_the_one_row_calls(self, analytic_measures, acceptance_models,
                                           mixed_model):
+        models = self.models(analytic_measures, acceptance_models, mixed_model)
         rng = np.random.default_rng(11)
-        for name, model in self.models(analytic_measures, acceptance_models,
-                                       mixed_model).items():
-            d, m = model.shape.d, model.shape.m
+        for name, model in models.items():
+            d = model.shape.d
             for _ in range(60):
                 rows = rng.normal(size=(3, d)) * 10.0 ** rng.integers(-6, 1, size=(3, d))
                 for u in (rows, rows + 1j * rng.normal(size=(3, d))):
-                    calls = {"eval_R": lambda x: eval_R(model, x, check_domain=False),
-                             "eval_F": lambda x: eval_F(model, x, check_domain=False)}
-                    if u.dtype.kind != "c":
-                        calls["reduced_R"] = lambda x: reduced_R(model, x[..., :m], check_domain=False)
-                    for mu in (model.mu0, *model.mus):
-                        if not mu.is_zero:  # the null measure's 0.0 broadcasts
-                            calls[f"lk {mu!r}"] = mu.lk_integral
-                    for call, fun in calls.items():
+                    for call, fun in self.calls(model, u.dtype.kind == "c").items():
                         want = self.one_by_one(fun, u)
                         if want is DomainError:
                             with pytest.raises(DomainError):
@@ -341,6 +366,26 @@ class TestRows:
                         got = np.asarray(fun(u))
                         assert got.tobytes() == want.astype(got.dtype).tobytes(), (name, call)
                     assert in_domain_Y(model, u) == all(in_domain_Y(model, x) for x in u)
+        # Special entries, one row at a time: a point call forms each product
+        # of one term (every product of a d = 1 model) on numpy scalars, the
+        # rows call keeps the BLAS call.
+        models["gamma-ou"] = AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0],
+                                         beta_JJ=[[0.5]], mu0=GammaLevy(c=1.0, rho=1.0, axis=0))
+        # coefficients of -0.0, where the sign of a one-term product reaches
+        # the value: F at 0j through b, R at 0j through beta_I
+        gamma = GammaLevy(c=1.0, rho=1.0, axis=0)
+        models["signed-zero-F"] = AffineModel(shape=StateShape(0, 1), a=[[-0.0]], b=[-0.0],
+                                              beta_JJ=[[0.5]], mu0=gamma)
+        models["signed-zero-R"] = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0],
+                                              alpha=[-0.0], beta_I=[[-0.0]], mus=(gamma,))
+        parts = (0.0, -0.0, math.inf, -math.inf, 1.5)
+        specials = [*SPECIAL_ENTRIES, *(complex(p, q) for p in parts for q in parts)]
+        for name, model in models.items():
+            for value in specials:
+                u = np.full((1, model.shape.d), value)
+                for call, fun in self.calls(model, u.dtype.kind == "c").items():
+                    point = self.outcome(lambda x: np.array([fun(x[0])]), u)
+                    assert self.outcome(fun, u) == point, (name, call, value)
 
     def test_rows_outside_the_domain_raise(self, kr_model):
         rows = np.array([[0.5], [1.5], [-1.0]])
@@ -349,6 +394,48 @@ class TestRows:
             eval_R(kr_model, rows)
         with pytest.raises(DomainError):
             kr_model.mus[0].lk_integral(rows)
+
+
+class TestShapeChecks:
+    """eval_R, eval_F and reduced_R take a 1-d row or an (N, d) stack, and read
+    a 0-d u of a d = 1 model as a row; any other shape is a ConfigError, also
+    without the domain check."""
+
+    @staticmethod
+    def calls(model):
+        return {"eval_R": lambda x, check: eval_R(model, x, check_domain=check),
+                "eval_F": lambda x, check: eval_F(model, x, check_domain=check),
+                "reduced_R": lambda x, check: reduced_R(model, x, check_domain=check)}
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("u", [[-1.0, 2.0], [[-1.0, 2.0]], [[[-1.0]]], np.zeros((2, 1, 1))])
+    def test_wrong_shapes_are_config_errors(self, feller_model, u, check):
+        for call, fun in self.calls(feller_model).items():
+            with pytest.raises(ConfigError):
+                fun(u, check)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_zero_d_input_needs_one_coordinate(self, mixed_model, kr2014_pair_model, check):
+        for call, fun in self.calls(mixed_model).items():
+            if call != "reduced_R":  # m = 1: a 0-d v is its row
+                with pytest.raises(ConfigError):
+                    fun(-0.5, check)
+        for fun in self.calls(kr2014_pair_model).values():
+            with pytest.raises(ConfigError):
+                fun(-0.5, check)
+
+    def test_zero_d_input_is_a_row(self, acceptance_models):
+        for name, model in acceptance_models.items():
+            for call, fun in self.calls(model).items():
+                for value in (-0.5, np.float64(-0.5), np.array(-0.5)):
+                    got, want = fun(value, True), fun([-0.5], True)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, call)
+                    assert type(got) is type(want), (name, call)
+
+    @pytest.mark.parametrize("v", [[1j], np.array([-0.5 + 0j]), np.array([[0.1j]]), 1j])
+    def test_complex_reduced_argument_is_a_config_error(self, kr_model, v):
+        with pytest.raises(ConfigError, match="real"):
+            reduced_R(kr_model, v, check_domain=False)
 
 
 class TestQuadratureAgreement:
@@ -456,6 +543,17 @@ class TestDerivedConstants:
         # on (0, 1) and tail_mass(1) on (1, oo), and keeps the others
         assert n_second > 0
         assert n_first - n_second == 2
+
+    def test_evaluated_models_pickle(self, acceptance_models, mixed_model):
+        import pickle
+
+        for name, model in dict(acceptance_models, mixed=mixed_model).items():
+            u = np.full(model.shape.d, -0.3 + 0.2j)
+            want = eval_R(model, u), eval_F(model, u), eval_R(model, u.real)
+            copy = pickle.loads(pickle.dumps(model))
+            got = eval_R(copy, u), eval_F(copy, u), eval_R(copy, u.real)
+            assert [np.asarray(x).tobytes() for x in got] == \
+                [np.asarray(x).tobytes() for x in want], name
 
     def test_compensation_flags(self, mixed_model, exp_jump_model):
         assert mixed_model.measure_compensated(0)
