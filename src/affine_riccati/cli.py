@@ -127,18 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("martingale", help="classify the discounted exponential functional")
     _add_model_arg(p)
     p.add_argument("--theta", required=True)
-    p.add_argument("--l", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--l", type=float, default=None, help="constant discount (default 0)")
+    p.add_argument("--lambda", dest="lam", default=None, help="linear discount vector (default 0)")
     p.add_argument("--auto-discount", action="store_true",
-                   help="set l = F(theta) and lambda = R(theta)")
+                   help="set l = F(theta) and lambda = R(theta); excludes --l and --lambda")
 
     p = sub.add_parser("simulate", help="simulate paths")
     _add_model_arg(p)
     _add_ensemble_args(p, npaths=10_000)
     p.add_argument("--report", choices=["summary", "martingale-gap"], default="summary")
     p.add_argument("--theta", default=None, help="tilt direction for martingale-gap")
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--l", type=float, default=None, help="martingale-gap only (default F(theta))")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="martingale-gap only (default R(theta))")
 
     p = sub.add_parser("check-formula", help="Monte Carlo check of the transform formula")
     _add_model_arg(p)
@@ -175,10 +176,12 @@ def _cmd_martingale(args) -> int:
     model = _resolve_model(args.model)
     theta = _vector(args.theta)
     if args.auto_discount:
+        if args.l is not None or args.lam is not None:
+            raise ConfigError("--auto-discount sets l and lambda; drop --l and --lambda")
         l = eval_F(model, theta)
         lam = eval_R(model, theta)
     else:
-        l = args.l
+        l = args.l if args.l is not None else 0.0
         lam = _vector(args.lam) if args.lam is not None else np.zeros(model.shape.d)
     spec = esscher.TiltSpec(theta=theta, l=l, lam=lam)
     verdict = esscher.martingale_check(model, spec)
@@ -188,6 +191,8 @@ def _cmd_martingale(args) -> int:
 def _cmd_simulate(args) -> int:
     model = _resolve_model(args.model)
     opts = _sim_opts(args)
+    if args.report == "summary" and any(x is not None for x in (args.theta, args.l, args.lam)):
+        raise ConfigError("--theta, --l and --lambda apply to --report martingale-gap only")
     if args.report == "martingale-gap":
         if args.theta is None:
             raise ConfigError("--report martingale-gap requires --theta")

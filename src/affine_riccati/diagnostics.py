@@ -6,40 +6,44 @@ dichotomy is exact, but numerics cannot certify uniqueness for arbitrary
 quadrature-defined fields, so the verdict is three-valued and every claim is
 backed by a machine-checkable artifact:
 
-* Conservative      - a Lipschitz bound for the reduced field on a ball
-                      around the origin (unique by Picard-Lindelof), or an
-                      exact Osgood divergence statement in the scalar case.
+* Conservative      - a Lipschitz bound that the field states for itself
+                      on a ball around the origin (unique by
+                      Picard-Lindelof), or an Osgood divergence statement
+                      in the scalar case.
 * NonConservative   - the killing value F(0) != 0, or a non-trivial witness
                       trajectory from g(0) = 0 whose ODE defect is strictly
                       below 1e-6 and whose sup norm exceeds 1e-4.
 * Inconclusive      - with the reason recorded.
 
-The decision pipeline: killing fast paths, then the Lipschitz certificate,
-then the exact scalar Osgood test (integral of 1 / |field| toward the origin
-after the variance-removing substitution v = w^2), then a multi-dimensional
-probe ladder started at -eps * 1 and Richardson-extrapolated toward the
-minimal branch.  Probes run on the negative side because non-trivial
-solutions from 0 are bounded below by the minimal solution, so non-uniqueness
-materializes there.
+The decision pipeline: killing fast paths, then one of three routes.  A
+field that states a ``jacobian_bound`` (every model field does, through
+``ReducedField.from_model``) runs the Lipschitz radius ladder first.  A
+field without a certificate from that ladder goes, when m = 1, to the scalar
+Osgood test (integral of 1 / |field| toward the origin after the
+variance-removing substitution v = w^2), and when m > 1 to a probe ladder
+started at -eps * 1 and Richardson-extrapolated toward the minimal branch.
+Probes run on the negative side because non-trivial solutions from 0 are
+bounded below by the minimal solution, so non-uniqueness materializes there.
+No Lipschitz constant is ever estimated from samples of the field: a user
+who wants a Lipschitz certificate for a bare field passes a
+``jacobian_bound``.
 
 Fixed constants of the pipeline:
 
-* Lipschitz radii 0.5, 0.25, 0.1, 0.03, 0.01, tried in turn.  A field
-  with an analytic bound (``ReducedField.jacobian_bound``; every model
-  field has one) is certified by that bound alone (``analytic-corner``)
-  and never sampled.  A field without one gets the ``numeric-sampled``
-  bound: central difference quotients at the cube corners, the origin and
-  4m seeded interior points, times 2.  It is a refined sampled check, not
-  a proof: the quotients are also taken at a step 100 times smaller, and
-  a row sum that more than doubles there (a root- or cusp-type point)
-  withholds the bound.
+* Lipschitz radii 0.5, 0.25, 0.1, 0.03, 0.01, tried in turn with the
+  field's ``jacobian_bound``; the first finite bound is the certificate
+  (``analytic-corner``).
 * Osgood side scans start at |v| <= 0.25; the witness grid has 1201 points,
   graded quadratically over the horizon 3.  The integral ladder calls a
   side convergent when its last three decade ratios lie below 0.9 and
   divergent when they lie above 0.93.  A field that is Osgood only by a
   logarithm, such as v (1 + log(1/v)) with ratios rising from 0.47 to
   0.86, is called convergent; its witness then fails validation, so the
-  verdict is Inconclusive, never NonConservative.
+  verdict is Inconclusive, never NonConservative.  The decade ratios of
+  sign(v)|v|^p are 10^{-(2-2p)}, so p = 0.99 is called divergent and gets
+  a false Osgood certificate, though the field is not Osgood.  p = 0.98
+  is ambiguous, and at p = 0.9 and 0.95 the escape stays below the 1e-4
+  floor up to the horizon 3; those three are Inconclusive.
 * The probe ladder and the forward witness run to the checkpoint time 1 on
   1201 points.  Their solves use rtol 1e-10, atol 1e-13 and a step cap of
   1/200 of the horizon; the Osgood witness tail caps steps at 1/300 of its
@@ -62,7 +66,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, eval_F, quiet_fp, reduced_R, validate_model
 from .riccati import (_LADDER, _ROW_ERRORS, SolveOptions, _check_reduced_start, _eps_ladder,
-                      _eval_or_none, _integrate, _ladder_limit, _richardson, _write_csv)
+                      _eval_or_none, _integrate, _ladder_limit, _real_finite, _richardson,
+                      _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
 __all__ = [
@@ -103,13 +108,15 @@ def _solve_options(T: float) -> SolveOptions:
 
 @dataclass(frozen=True)
 class LipschitzCertificate:
+    """A Lipschitz bound the field states (``ReducedField.jacobian_bound``)
+    on the ball of this radius around 0."""
+
     radius: float
     bound: float
-    method: str  # "analytic-corner" or "numeric-sampled"
 
     def describe(self) -> str:
         return (f"reduced field is Lipschitz on the ball of radius {self.radius:g} "
-                f"around 0 with constant {self.bound:.6g} ({self.method})")
+                f"around 0 with constant {self.bound:.6g} (analytic-corner)")
 
 
 @dataclass(frozen=True)
@@ -173,10 +180,12 @@ class ReducedField:
 
     ``jacobian_bound(rho)`` returns a Lipschitz constant valid on the closed
     ball of radius rho around 0, or None when no finite bound is available
-    there.  A field with a ``jacobian_bound`` is never sampled: where it
-    gives None at every radius, the Osgood test or the probe ladder
-    decides.  Evaluations outside the field's domain may raise or go
-    non-finite; both are handled.
+    there.  It is the only source of a Lipschitz certificate: the field is
+    never sampled for one.  A field without a ``jacobian_bound``, or whose
+    bound is None at every radius, goes to the Osgood test when m = 1 and
+    to the probe ladder when m > 1.  Evaluations outside the field's domain
+    may raise or go non-finite; both are handled.  m must be a positive
+    integer.
 
     ``_rows``, set by ``from_model``, maps (N, m) rows to their (N, m)
     values in one call.  A bare callable's (m,) contract says nothing about
@@ -187,6 +196,10 @@ class ReducedField:
     m: int
     jacobian_bound: Optional[Callable] = None
     _rows: Optional[Callable] = _dataclass_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ConfigError(f"ReducedField.m must be a positive integer, got {self.m!r}")
 
     def __call__(self, v):
         if self._rows is not None:  # reduced_R, which returns float arrays already
@@ -244,33 +257,6 @@ def _model_jacobian_bound(model: AffineModel, rho: float):
     return float(np.max(np.sum(bound_rows, axis=1)))
 
 
-def _numeric_jacobian_bound(field: ReducedField, rho: float):
-    """FD Jacobian bound at the cube corners plus interior samples, times 2;
-    None when a row sum more than doubles from step h to h / 100."""
-    m = field.m
-    h = max(1e-7, 1e-7 * rho)
-    pts = [np.full(m, rho), np.full(m, -rho), np.zeros(m)]
-    rng = np.random.default_rng(12345)
-    for _ in range(4 * m):
-        pts.append(rng.uniform(-rho, rho, size=m))
-    worst = 0.0
-    with quiet_fp():
-        for p in pts:
-            row_sums = []
-            for step in (h, h / 100.0):
-                rows = np.zeros((m, m))
-                for k, e in enumerate(np.eye(m) * step):
-                    fp, fm = _eval_or_none(field, p + e), _eval_or_none(field, p - e)
-                    if fp is None or fm is None:
-                        return None
-                    rows[:, k] = (fp - fm) / (2 * step)
-                row_sums.append(np.sum(np.abs(rows), axis=1))
-            if np.any(row_sums[1] > 2.0 * row_sums[0]):
-                return None
-            worst = max(worst, float(np.max(row_sums[0])))
-    return 2.0 * worst
-
-
 def _witness_grid(horizon: float) -> np.ndarray:
     """Quadratically graded grid: witnesses behave like fractional powers of
     t at the origin, where uniform spacing leaves a visible trapezoid defect."""
@@ -286,12 +272,15 @@ def ode_residual(ts, values, fun) -> float:
     A model-backed ReducedField evaluates the whole grid in one rows call;
     when that call raises or meets a non-finite value, the grid is evaluated
     row by row in order, so the residual is inf, or the field's exception is
-    raised, at the first row where that happens.
+    raised, at the first row where that happens.  Values that do not fit
+    the grid raise ConfigError.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    if vals.shape[0] != len(ts):
+    if vals.shape[0] != ts.size:
         vals = vals.T
+    if not (ts.ndim == 1 and vals.ndim == 2 and vals.shape[0] == ts.size):
+        raise ConfigError("values must be (k, m) rows, or (m, k) columns, on the k times of ts")
     fs = None
     with quiet_fp():
         if getattr(fun, "_rows", None) is not None:
@@ -556,18 +545,15 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
                                        reason="origin is not an equilibrium of the "
                                               "reduced field (linear killing)")
 
-    # Lipschitz certificate on a shrinking ball
-    for rho in _RADIUS_LADDER:
-        if field.jacobian_bound is not None:
-            bound, method = field.jacobian_bound(rho), "analytic-corner"
-        else:
-            bound, method = _numeric_jacobian_bound(field, rho), "numeric-sampled"
-        if bound is not None and math.isfinite(bound):
-            return ConservativenessVerdict(
-                kind=CONSERVATIVE,
-                certificate=LipschitzCertificate(radius=rho, bound=bound, method=method))
+    # Lipschitz certificate on a shrinking ball, only from a bound the field states
+    if field.jacobian_bound is not None:
+        for rho in _RADIUS_LADDER:
+            bound = field.jacobian_bound(rho)
+            if bound is not None and math.isfinite(bound):
+                return ConservativenessVerdict(
+                    kind=CONSERVATIVE, certificate=LipschitzCertificate(radius=rho, bound=bound))
 
-    # exact scalar route, else the multi-dimensional probe ladder
+    # scalar Osgood route, else the multi-dimensional probe ladder
     if m == 1:
         return _scalar_osgood(field)
     return _probe_field(field)
@@ -632,8 +618,9 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
     Computed as the Richardson limit of solves started at uI - eps; at
     non-uniqueness boundary points a solve started exactly at uI follows the
     coexisting constant branch, while the minimal solution is the monotone
-    limit from below.  The grid ts must be finite and nondecreasing, start
-    at or after 0 and end after 0.
+    limit from below.  uI must be a real finite vector of length m; the grid
+    ts must be finite and nondecreasing, start at or after 0 and end after
+    0.  Other inputs raise ConfigError.
     """
     ts = np.asarray(ts, dtype=float)
     if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
@@ -641,7 +628,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
         raise ConfigError("the time grid ts must be finite and nondecreasing, "
                           "start at or after 0 and end after 0")
     m = model.shape.m
-    uI = np.asarray(uI, dtype=float).reshape(m)
+    uI = _real_finite(uI, "uI", m)
     field = ReducedField.from_model(model)
     sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
                        rows=field._rows, check=lambda start: _check_reduced_start(model, start))
@@ -658,7 +645,7 @@ def comparison_check(model: AffineModel, uI, g_ts, g_values):
     """
     g_ts = np.asarray(g_ts, dtype=float)
     g_values = np.atleast_2d(np.asarray(g_values, dtype=float))
-    if g_values.shape[0] != len(g_ts):
+    if g_values.shape[0] != g_ts.size:
         g_values = g_values.T
     field = ReducedField.from_model(model)
     res = ode_residual(g_ts, g_values, field)

@@ -45,6 +45,8 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, ExpTiltedMeasure, eval_F, eval_R, in_domain_Y
+from .riccati import _real_finite
+
 __all__ = [
     "TiltSpec",
     "MartingaleVerdict",
@@ -73,13 +75,10 @@ class TiltSpec:
     lam: np.ndarray = None
 
     def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        theta = np.atleast_1d(_real_finite(self.theta, "TiltSpec.theta", np.shape(self.theta)))
+        l = float(_real_finite(self.l, "TiltSpec.l", ()))
         lam = np.zeros_like(theta) if self.lam is None else \
-            np.asarray(self.lam, dtype=float).reshape(theta.shape)
-        l = float(self.l)
-        for name, value in (("theta", theta), ("l", l), ("lam", lam)):
-            if not np.isfinite(value).all():
-                raise ConfigError(f"TiltSpec.{name} must be finite")
+            _real_finite(self.lam, "TiltSpec.lam", theta.shape)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "l", l)
@@ -121,7 +120,7 @@ def _tilt_measure(mu, theta_axis: float):
 def tilt_model(model: AffineModel, theta) -> AffineModel:
     """The exponentially tilted model with characteristics shifted by theta."""
     d, m = model.shape.d, model.shape.m
-    theta = np.asarray(theta, dtype=float).reshape(d)
+    theta = _real_finite(theta, "theta", d)
     if not in_domain_Y(model, theta):
         raise DomainError("tilt direction theta outside the effective domain Y")
 
@@ -182,8 +181,7 @@ def martingale_check(model: AffineModel, spec: TiltSpec) -> MartingaleVerdict:
     state space; the check itself is independent of the starting point, so
     the interior-start requirement is documented rather than enforced.
     """
-    d = model.shape.d
-    theta = spec.theta.reshape(d)
+    theta = _real_finite(spec.theta, "TiltSpec.theta", model.shape.d)
 
     base = check_conservative(model)
     if not base.conservative:

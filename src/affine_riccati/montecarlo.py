@@ -87,7 +87,7 @@ from scipy.special import ndtri
 from .errors import ConfigError, SolverError
 from .esscher import TiltSpec, _identity_failure, discounted_functional, tilt_model
 from .model import AffineModel, TemperedStableHalf, validate_model
-from .riccati import SolveOptions, _write_csv, solve_minimal, solve_riccati
+from .riccati import SolveOptions, _real_finite, _write_csv, solve_minimal, solve_riccati
 
 __all__ = [
     "SimOptions",
@@ -527,7 +527,7 @@ def estimate_exp_moment(ensemble: PathEnsemble, u) -> MomentEstimate:
     Raises SolverError when any path ran out of cascade rounds: its terminal
     value is unknown, and dropping it would bias the mean without a flag.
     """
-    u = np.asarray(u, dtype=float)
+    u = _real_finite(u, "u", ensemble.states.shape[2])
     if np.any(ensemble.exhausted):
         raise SolverError(
             f"{int(ensemble.exhausted.sum())} paths ran out of jump cascade rounds; "
@@ -576,7 +576,7 @@ class FormulaReport:
 
 def affine_formula_check(model: AffineModel, opts: SimOptions, u) -> FormulaReport:
     """Monte Carlo check of E[e^{<u, X_T>}] = e^{phi + <psi, x0>}."""
-    u = np.asarray(u, dtype=float)
+    u = _real_finite(u, "u", model.shape.d)
     sol = solve_riccati(model, u, SolveOptions(T=opts.T))
     if not sol.status.reached_horizon:
         return FormulaReport(applicable=False,
@@ -663,7 +663,7 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     sampler, and the call raises ConfigError for it, plain estimate
     included; the built-in measure families are all closed under tilting.
     """
-    theta = spec.theta.reshape(model.shape.d)
+    theta = _real_finite(spec.theta, "TiltSpec.theta", model.shape.d)
     failed = _identity_failure(model, spec)
     if failed is not None:
         raise ConfigError(f"spec fails the algebraic condition {failed[0]}")

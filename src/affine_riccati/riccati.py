@@ -797,10 +797,13 @@ def _solve_full(model, u0, opts, l, lam):
 
 def _real_finite(value, name, shape):
     """value as a float array of the given shape; ConfigError when it is
-    complex or has a non-finite entry."""
+    complex, has the wrong number of entries or a non-finite entry."""
     value = np.asarray(value)
     if value.dtype.kind == "c":
         raise ConfigError(f"{name} must be real")
+    size = int(np.prod(shape))
+    if value.size != size:
+        raise ConfigError(f"{name} must have length {size}, got {value.size}")
     value = value.astype(float).reshape(shape)
     if not np.isfinite(value).all():
         raise ConfigError(f"{name} must be finite")

@@ -124,6 +124,22 @@ class TestConservative:
 
 
 class TestMartingale:
+    @pytest.mark.parametrize("argv", [
+        ("martingale", "--model", "feller", "--theta", "0.5", "--auto-discount", "--l", "7"),
+        ("martingale", "--model", "feller", "--theta", "0.5", "--auto-discount", "--lambda", "7"),
+        ("simulate", "--model", "feller", "--x0", "1", "--T", "0.1", "--npaths", "10",
+         "--lambda", "3"),
+        ("simulate", "--model", "feller", "--x0", "1", "--T", "0.1", "--npaths", "10",
+         "--theta", "3"),
+        ("simulate", "--model", "feller", "--x0", "1", "--T", "0.1", "--npaths", "10",
+         "--l", "3"),
+    ], ids=["auto-l", "auto-lambda", "summary-lambda", "summary-theta", "summary-l"])
+    def test_ignored_discount_flags_are_rejected(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_kr2014_strict_local(self, tmp_path):
         code = run(tmp_path, "martingale", "--model", "kr2014",
                    "--theta", "1", "--l", "0", "--lambda", "0")
@@ -312,6 +328,18 @@ def test_overflowing_start_is_usage_error(tmp_path, capsys):
     assert run(tmp_path, "solve", "--model", str(path), "--u0", "500", "--T", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--model", "feller", "--u0", "0.5", "--T", "1", "--lambda", "1,2"),
+    ("conservative", "--model", "feller", "--tilt", "0.5,1"),
+    ("martingale", "--model", "feller", "--theta", "0.5", "--lambda", "1,2"),
+], ids=["solve-lambda", "conservative-tilt", "martingale-lambda"])
+def test_mis_sized_vector_is_usage_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must have length 1, got 2" in err
+    assert "Traceback" not in err
 
 
 def test_overflowing_tilt_is_usage_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from affine_riccati import (
     check_reduced_uniqueness,
     cir_jump,
     comparison_check,
-    diagnostics,
     feller,
     kr2014,
     tilt_model,
@@ -39,6 +38,10 @@ def power_field(p):
             return -((-v) ** p)
 
     return ReducedField(fun=fun, m=1)
+
+
+def linear_2d_field(v):
+    return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])
 
 
 def tilted_2d_field():
@@ -102,6 +105,20 @@ class TestOsgoodFamily:
         verdict = check_reduced_uniqueness(power_field(p))
         assert verdict.kind == "Conservative"
 
+    @pytest.mark.parametrize("p, kind, reason", [
+        (0.85, "NonConservative", None),
+        (0.9, "Inconclusive", "Osgood integral converges but witness construction failed"),
+        (0.95, "Inconclusive", "Osgood integral converges but witness construction failed"),
+    ], ids=["0.85", "0.9", "0.95"])
+    def test_sign_powers_near_one_not_conservative(self, p, kind, reason):
+        # g = -((1 - p) t)^{1/(1-p)} solves g' = sign(g)|g|^p from 0
+        field = ReducedField(fun=lambda v: np.sign(v) * np.abs(v) ** p, m=1)
+        verdict = check_reduced_uniqueness(field)
+        assert (verdict.kind, verdict.reason) == (kind, reason)
+        if kind == "NonConservative":
+            assert verdict.witness.source == "osgood-inversion"
+            assert _accepted(verdict.witness)
+
     def test_sqrt_witness_matches_quarter_parabola(self):
         # field -sqrt(-g): escape g(t) = -(t/2)^2
         verdict = check_reduced_uniqueness(power_field(0.5))
@@ -141,10 +158,12 @@ class TestProbeRoute:
         assert check_reduced_uniqueness(tilted_2d_field()).kind == "NonConservative"
 
     def test_2d_lipschitz_field_conservative(self):
-        def fun(v):
-            return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])
-        verdict = check_reduced_uniqueness(ReducedField(fun=fun, m=2))
+        # the stated bound 1.5 is the largest absolute row sum of the matrix
+        field = ReducedField(fun=linear_2d_field, m=2, jacobian_bound=lambda rho: 1.5)
+        verdict = check_reduced_uniqueness(field)
         assert verdict.kind == "Conservative"
+        cert = verdict.certificate
+        assert (type(cert), cert.radius, cert.bound) == (LipschitzCertificate, 0.5, 1.5)
 
 
 def scaled_2d_field(k):
@@ -159,6 +178,10 @@ def scaled_2d_field(k):
 
 class TestRoutes:
     """Which stage of the pipeline decides, on small closed-form fields."""
+
+    def test_field_needs_a_positive_dimension(self):
+        with pytest.raises(ConfigError, match="ReducedField.m must be a positive integer"):
+            ReducedField(fun=lambda v: v, m=0)
 
     def test_field_undefined_at_origin(self):
         verdict = check_reduced_uniqueness(ReducedField(fun=np.log, m=1))
@@ -204,19 +227,21 @@ class TestRoutes:
         residual = float(verdict.reason.split("residual ")[1].split(",")[0])
         assert residual >= WITNESS_RESIDUAL_TOL
 
-    def test_numeric_sampled_method(self):
-        def fun(v):
-            return np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]])
-
-        cert = check_reduced_uniqueness(ReducedField(fun=fun, m=2)).certificate
-        assert (cert.method, cert.radius) == ("numeric-sampled", 0.5)
-        assert cert.bound == pytest.approx(3.0, rel=1e-8)  # 2 x the row sum 1.5
+    def test_bare_2d_linear_field_is_inconclusive(self):
+        # no stated bound, so no Lipschitz certificate: the probes collapse
+        verdict = check_reduced_uniqueness(ReducedField(fun=linear_2d_field, m=2))
+        assert verdict.kind == "Inconclusive"
+        assert verdict.certificate is None
+        assert verdict.reason == ("probe trajectories collapse to 0 "
+                                  "but no Lipschitz certificate exists")
 
     def test_analytic_corner_method(self, kr_model):
         field = ReducedField(fun=lambda v: -v, m=1, jacobian_bound=lambda rho: 1.0)
         cert = check_reduced_uniqueness(field).certificate
-        assert (cert.method, cert.radius, cert.bound) == ("analytic-corner", 0.5, 1.0)
-        assert check_conservative(kr_model).certificate.method == "analytic-corner"
+        assert (type(cert), cert.radius, cert.bound) == (LipschitzCertificate, 0.5, 1.0)
+        assert cert.describe() == ("reduced field is Lipschitz on the ball of radius 0.5 "
+                                   "around 0 with constant 1 (analytic-corner)")
+        assert isinstance(check_conservative(kr_model).certificate, LipschitzCertificate)
 
     def test_a_field_with_a_jacobian_bound_is_never_sampled(self):
         # no finite analytic bound on any ball: the Osgood test decides
@@ -231,26 +256,29 @@ class TestRoutes:
         # but mu0 enters F only: the ball of radius 0.5 keeps its bound
         # 3.6 = |beta~| + 2 alpha rho = 2.6 + 1
         cert = check_conservative(tilt_model(cir_jump(), [1.8])).certificate
-        assert (cert.method, cert.radius) == ("analytic-corner", 0.5)
+        assert (type(cert), cert.radius) == (LipschitzCertificate, 0.5)
         assert cert.bound == pytest.approx(3.6, rel=1e-15)
 
-    def test_no_model_verdict_is_sampled(self, monkeypatch, mixed_model, kr2014_pair_model):
-        def sampled(field, rho):
-            raise AssertionError("a model field reached the sampled bound")
-
-        monkeypatch.setattr(diagnostics, "_numeric_jacobian_bound", sampled)
+    def test_model_verdicts_keep_their_routes(self, mixed_model, kr2014_pair_model):
+        # kind and deciding route of each model verdict: the certificate's
+        # class, else the witness's source
         kr, fe, cj = kr2014(), feller(), cir_jump()
-        models = [kr, fe, cj, mixed_model, kr2014_pair_model,
-                  tilt_model(kr, [0.4]), tilt_model(kr, [0.6]), tilt_model(kr, [1.0]),
-                  tilt_model(fe, [0.25]), tilt_model(fe, [0.5]), tilt_model(cj, [0.0]),
-                  tilt_model(cj, [0.25]), tilt_model(cj, [0.3]), tilt_model(cj, [1.8]),
-                  tilt_model(mixed_model, [0.4, -0.3, 0.2]),
-                  tilt_model(kr2014_pair_model, [1.0, 0.5]),
-                  tilt_model(kr2014_pair_model, [1.0, 1.0])]
-        for model in models:
-            cert = check_conservative(model).certificate
-            if isinstance(cert, LipschitzCertificate):
-                assert cert.method == "analytic-corner"
+        lip, cons, noncons = "LipschitzCertificate", "Conservative", "NonConservative"
+        pinned = [(kr, cons, lip), (fe, cons, lip), (cj, cons, lip), (mixed_model, cons, lip),
+                  (kr2014_pair_model, cons, lip),
+                  (tilt_model(kr, [0.4]), cons, lip), (tilt_model(kr, [0.6]), cons, lip),
+                  (tilt_model(kr, [1.0]), noncons, "osgood-inversion"),
+                  (tilt_model(fe, [0.25]), cons, lip), (tilt_model(fe, [0.5]), cons, lip),
+                  (tilt_model(cj, [0.0]), cons, lip), (tilt_model(cj, [0.25]), cons, lip),
+                  (tilt_model(cj, [0.3]), cons, lip), (tilt_model(cj, [1.8]), cons, lip),
+                  (tilt_model(mixed_model, [0.4, -0.3, 0.2]), cons, lip),
+                  (tilt_model(kr2014_pair_model, [1.0, 0.5]), "Inconclusive", None),
+                  (tilt_model(kr2014_pair_model, [1.0, 1.0]), noncons, "probe-extrapolation")]
+        for model, kind, route in pinned:
+            verdict = check_conservative(model)
+            got = (type(verdict.certificate).__name__ if verdict.certificate is not None
+                   else verdict.witness.source if verdict.witness is not None else None)
+            assert (verdict.kind, got) == (kind, route)
 
     def test_forward_solve_witness_source(self):
         verdict = check_reduced_uniqueness(ReducedField(fun=lambda v: 1.0 + v, m=1))
@@ -265,8 +293,8 @@ class TestRoutes:
 
 
 class TestNumericLipschitzRefinement:
-    """The sampled bound is withheld where the difference quotients grow
-    as the step shrinks, so root-type fields reach the Osgood test."""
+    """Bare scalar fields state no Lipschitz bound, so the Osgood test
+    decides them, root-type and Lipschitz fields alike."""
 
     def test_sign_sqrt_is_non_conservative(self):
         # g = -(t/2)^2 solves g' = sign(g) sqrt|g| from 0
@@ -294,15 +322,16 @@ class TestNumericLipschitzRefinement:
             "certificate: Osgood integral of 1/|field| diverges toward 0 on every escape "
             "side (negative side: inward; positive side: inward)"]
 
-    @pytest.mark.parametrize("fun, m, bound", [
-        (lambda v: np.array([-v[0] + 0.5 * v[1], 0.2 * v[0] - v[1]]), 2, 3.0000000006413785),
-        (power_field(1.0).fun, 1, 2.0000000000575113),
-        (power_field(2.0).fun, 1, 1.9999999995023998),
-        (lambda v: np.sin(3 * v) - v ** 3, 1, 5.99999999999989),
-    ])
-    def test_lipschitz_fields_keep_their_constants(self, fun, m, bound):
-        cert = check_reduced_uniqueness(ReducedField(fun=fun, m=m)).certificate
-        assert (cert.method, cert.radius, cert.bound) == ("numeric-sampled", 0.5, bound)
+    @pytest.mark.parametrize("fun, sides", [
+        (power_field(1.0).fun, ("divergent", "divergent")),
+        (power_field(2.0).fun, ("divergent", "inward")),
+        (lambda v: np.sin(3 * v) - v ** 3, ("divergent", "divergent")),
+    ], ids=["power-1", "power-2", "sin"])
+    def test_lipschitz_fields_go_to_osgood(self, fun, sides):
+        verdict = check_reduced_uniqueness(ReducedField(fun=fun, m=1))
+        assert verdict.kind == "Conservative"
+        assert verdict.certificate.sides == (("negative side", sides[0]),
+                                             ("positive side", sides[1]))
 
 
 class TestWitnessAcceptance:
@@ -460,6 +489,20 @@ class TestMinimalTrajectory:
             minimal_reduced_trajectory(tilted, [0.0], ts)
         with pytest.raises(ConfigError, match="time grid ts"):
             comparison_check(tilted, [0.0], ts, np.zeros((len(ts), 1)))
+
+    @pytest.mark.parametrize("uI, match", [([0.5, 0.2], "uI must have length 1, got 2"),
+                                           ([0.5j], "uI must be real")],
+                             ids=["length", "complex"])
+    def test_start_must_be_a_real_vector_of_length_m(self, kr_model, uI, match):
+        with pytest.raises(ConfigError, match=match):
+            minimal_reduced_trajectory(kr_model, uI, [0.0, 1.0])
+
+    def test_values_must_fit_the_grid(self, kr_model):
+        field = ReducedField(fun=lambda v: -v, m=1)
+        with pytest.raises(ConfigError, match="on the k times of ts"):
+            ode_residual([0.0, 1.0, 2.0], np.zeros((2, 1)), field)
+        with pytest.raises(ConfigError, match="on the k times of ts"):
+            comparison_check(kr_model, [0.0], [0.0, 1.0, 2.0], np.zeros((2, 1)))
 
     def test_ladder_missing_the_horizon_raises(self, feller_model):
         # every rung from 2 - eps explodes near log 2 < 1

@@ -176,6 +176,16 @@ class TestTiltSpec:
         with pytest.raises(ConfigError, match=rf"TiltSpec\.{name} must be finite"):
             TiltSpec(**kwargs)
 
+    def test_mis_sized_or_complex_vectors_are_refused(self, feller_model):
+        with pytest.raises(ConfigError, match=r"TiltSpec\.lam must have length 1, got 2"):
+            TiltSpec(theta=[0.5], lam=[1.0, 2.0])
+        with pytest.raises(ConfigError, match=r"TiltSpec\.theta must be real"):
+            TiltSpec(theta=[0.5j])
+        with pytest.raises(ConfigError, match=r"TiltSpec\.theta must have length 1, got 2"):
+            martingale_check(feller_model, TiltSpec(theta=[0.5, 1.0]))
+        with pytest.raises(ConfigError, match="theta must have length 1, got 2"):
+            tilt_model(feller_model, [0.5, 1.0])
+
     @pytest.mark.parametrize("l, lam, condition", [
         (math.nan, [-0.25], "F(theta) = l"),
         (0.25, [math.nan], "R(theta) = lambda"),

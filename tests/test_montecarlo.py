@@ -368,6 +368,15 @@ class TestMartingaleGap:
         with pytest.raises(ConfigError):
             martingale_gap(feller_model, spec, opts)
 
+    def test_mis_sized_or_complex_vectors_are_refused(self, feller_model):
+        opts = SimOptions(x0=[1.0], T=0.1, dt=0.01, npaths=10, seed=0)
+        with pytest.raises(ConfigError, match=r"TiltSpec\.theta must have length 1, got 2"):
+            martingale_gap(feller_model, TiltSpec(theta=[0.5, 1.0]), opts)
+        with pytest.raises(ConfigError, match="u must have length 1, got 2"):
+            estimate_exp_moment(simulate_paths(feller_model, opts), [0.1, 0.2])
+        with pytest.raises(ConfigError, match="u must be real"):
+            affine_formula_check(feller_model, opts, [0.1j])
+
     def test_kr2014_gap_excludes_martingale_value(self, kr_model):
         # the strict local martingale gap is visible far beyond noise even at
         # moderate path counts

@@ -318,8 +318,9 @@ class TestSolveTilted:
 
 class TestRealInputs:
     """Starts must be finite, and the start of a minimal solve and the
-    discounts l and lambda real and finite; anything else is a ConfigError,
-    not a TypeError or a DomainError about the domain or the vector field."""
+    discounts l and lambda real, finite and of the model's size; anything
+    else is a ConfigError, not a TypeError, a ValueError or a DomainError
+    about the domain or the vector field."""
 
     @pytest.mark.parametrize("u0", [[math.nan], [math.inf], [complex(math.nan, 1.0)]])
     def test_non_finite_start(self, feller_model, u0):
@@ -336,7 +337,8 @@ class TestRealInputs:
     @pytest.mark.parametrize("l, lam, match", [(0.5j, [-1.0], "l must be real"),
                                                (math.nan, [-1.0], "l must be finite"),
                                                (0.0, [1j], "lam must be real"),
-                                               (0.0, [math.inf], "lam must be finite")])
+                                               (0.0, [math.inf], "lam must be finite"),
+                                               (0.0, [1.0, 2.0], "lam must have length 1")])
     def test_discounts(self, feller_model, l, lam, match):
         opts = SolveOptions(T=1.0)
         with pytest.raises(ConfigError, match=match):
