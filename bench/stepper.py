@@ -27,10 +27,7 @@ Each run is pinned to one CPU and records:
   with ``ladder_sha256``, a digest of what they return;
 * ``lane_us``: microseconds per lane of one run of the DP5(4) lane loop
   (``riccati._lanes``) over N nearby starts of kr2014, for each N in
-  ``LANES``; only a tree that has the lane loop records it.  On a tree with
-  ``riccati._FLOAT_WIDTH`` = 7, passes of up to 3 lanes (2 floats each) run
-  on Python floats and wider ones on stacked arrays, so N = 3 and N = 4
-  straddle the switch.
+  ``LANES``; only a tree that has the lane loop records it.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
@@ -216,12 +213,15 @@ def lane_costs(ar, rounds):
     if not hasattr(riccati, "_lanes"):
         return None
     kr = ar.kr2014()
-    field, rows = riccati._full_system(kr, 0.0, np.zeros(1), np.dtype(float))
+    system = riccati._full_system(kr, 0.0, np.zeros(1), np.dtype(float))
+    # a tree whose lane loop takes stacked rows returns (field, rows) and the
+    # loop takes rows too; a tree whose lanes make point calls returns the field
+    field, *rows = system if isinstance(system, tuple) else (system,)
     opts = ar.SolveOptions(T=2.0)
     out = {}
     for n in LANES:
         starts = [np.array([u, 0.0]) for u in -0.5 - 1e-3 * np.linspace(0.0, 1.0, n)]
-        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1, rows),
+        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1, *rows),
                         max(3, rounds // max(1, n // 100)))
         out[str(n)] = 1e6 * seconds / n
     return out

@@ -65,7 +65,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, eval_F, quiet_fp, reduced_R, validate_model
-from .riccati import (_LADDER, _ROW_ERRORS, SolveOptions, _check_reduced_start, _eps_ladder,
+from .riccati import (_FIELD_ERRORS, _LADDER, SolveOptions, _check_reduced_start, _eps_ladder,
                       _eval_or_none, _integrate, _ladder_limit, _real_finite, _richardson,
                       _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
@@ -98,6 +98,11 @@ _WITNESS_HORIZON = 3.0    # horizon of the Osgood witness
 _WITNESS_POINTS = 1201
 _RTOL = 1e-10
 _ATOL = 1e-13
+
+# errors of a whole-grid rows call after which the grid is evaluated row by
+# row: those of a field undefined at some row, or TypeError (a family whose
+# ``_mgf_integral`` rejects arrays)
+_ROW_ERRORS = _FIELD_ERRORS + (TypeError,)
 
 
 def _solve_options(T: float) -> SolveOptions:
@@ -478,8 +483,7 @@ def _probe_field(field: ReducedField) -> ConservativenessVerdict:
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
-        sols = _eps_ladder(field, np.zeros(m), m, _LADDER, sopts, rows=field._rows,
-                           check=defined)
+        sols = _eps_ladder(field, np.zeros(m), m, _LADDER, sopts, check=defined)
     except DomainError as exc:
         return _inconclusive(str(exc))
     sol = sols[-1]   # the finest run, or the one that missed the horizon
@@ -534,8 +538,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
 
     # killing fast paths: F(0) != 0, or 0 is not even an equilibrium
     if abs(F0) > 1e-12:
-        return ConservativenessVerdict(kind=NON_CONSERVATIVE, f0_witness=F0,
-                                       reason="constant killing rate (F(0) != 0)")
+        return _constant_killing(F0)
     with quiet_fp():
         R0 = _eval_or_none(field, np.zeros(m))
     if R0 is None:
@@ -557,6 +560,11 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
     if m == 1:
         return _scalar_osgood(field)
     return _probe_field(field)
+
+
+def _constant_killing(F0: float) -> ConservativenessVerdict:
+    return ConservativenessVerdict(kind=NON_CONSERVATIVE, f0_witness=F0,
+                                   reason="constant killing rate (F(0) != 0)")
 
 
 def _scalar_osgood(field: ReducedField) -> ConservativenessVerdict:
@@ -595,12 +603,23 @@ def _forward_witness(field: ReducedField):
 
 
 def check_conservative(model: AffineModel) -> ConservativenessVerdict:
-    """Theorem-style conservativeness verdict for an affine model."""
+    """Theorem-style conservativeness verdict for an affine model.
+
+    A model without an I-block (m = 0) has an empty reduced system, so F(0)
+    alone decides it: NonConservative with the killing value, or
+    Conservative with the Lipschitz bound 0 of the empty field.
+    """
     report = validate_model(model)
     if not report.ok:
         raise SolverError("model fails validation: " + "; ".join(report))
-    field = ReducedField.from_model(model)
     F0 = eval_F(model, np.zeros(model.shape.d))
+    if model.shape.m == 0:
+        # the empty field, the zero map of R^0, is Lipschitz with constant 0
+        if abs(F0) > 1e-12:
+            return _constant_killing(F0)
+        return ConservativenessVerdict(kind=CONSERVATIVE, certificate=LipschitzCertificate(
+            radius=_RADIUS_LADDER[0], bound=0.0))
+    field = ReducedField.from_model(model)
     try:
         return check_reduced_uniqueness(field, F0=F0)
     except SolverError as exc:
@@ -631,7 +650,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
     uI = _real_finite(uI, "uI", m)
     field = ReducedField.from_model(model)
     sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
-                       rows=field._rows, check=lambda start: _check_reduced_start(model, start))
+                       check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:
         raise SolverError(f"minimal-branch probe terminated with {sols[-1].status.label()}")
     return _ladder_limit([sol.eval(ts) for sol in sols], ts, uI)

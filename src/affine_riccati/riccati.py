@@ -27,21 +27,21 @@ Termination statuses:
 Cost of a step: one DP5(4) loop, ``_lanes``, advances N solves as lanes,
 and a plain solve (``_integrate``) is its case N = 1.  Each lane keeps its
 own t, step size, error control, equilibrium run and status in Python
-floats, so each lane's steps and bits are those of its lone solve; the
-three rungs of every epsilon ladder (``_eps_ladder``) run as three lanes of
-one call.  A pass of the loop evaluates a stage of all lanes in one call of
-the field's ``rows`` function on an (N, dim) stack, which
-``eval_R``/``eval_F``/``reduced_R`` accept.  A single lane calls the field
-on its 1-d row, which is cheaper than a stack of one.  When a rows call
-raises (a family whose ``_mgf_integral`` rejects arrays, or a lane outside
-the field's domain), the rows are evaluated one at a time, so each lane's
-stage fails exactly where it would alone, and a lane whose stage fails
-drops out of the pass's remaining stages.
+floats.  A pass of the loop tries one step (``_step``) in each running
+lane, and each stage of that step calls the field on the lane's own 1-d
+row.  So each lane's steps and bits are those of its lone solve; the three
+rungs of every epsilon ladder (``_eps_ladder``) run as three lanes of one
+call.  A stage where the field raises one of ``_FIELD_ERRORS`` or goes
+non-finite rejects that lane's step; an exception of another kind ends
+that lane alone.  The ladders, 2 or 3 lanes a pass, are the loop's only
+callers with more than one lane, and it has no path that batches the
+stages of many lanes into one call: a run of 100 or 1,000 lanes costs
+about what as many lone solves cost.
 
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
 array, against 0.1-0.3 us for an operation on a numpy scalar.  So the
-point evaluation of a lone lane (``_eval_or_none`` on the field, then
+point evaluation of a lane (``_lane_values`` on the field, then
 ``eval_R``/``eval_F``/``reduced_R`` on the 1-d row) runs the model's point
 closures (``AffineModel._point_fns``: one (R, F) pair per dtype kind, with
 every operand bound once) on numpy scalars (``u[i]``, np.float64,
@@ -66,37 +66,28 @@ to Python numbers: Python's complex division rounds differently from
 numpy's, and a Python float's ``x ** 2`` raises OverflowError where numpy
 gives inf.
 
-The stepper's own arithmetic does, in small passes.  A pass of at most
-``_FLOAT_WIDTH`` = 7 floats (lanes x dim, complex entries counting twice),
-which is every lone solve of the built-ins and every epsilon ladder on rows
-of at most 2 entries, runs on Python numbers (``_float_pass``).  It reads
-each stage derivative row once, with the ``tolist()`` that also serves its
-finiteness test, and forms the stage sums component by component, term by
-term from zero in the order of the tableau (``_tableau_sum``).  A real pass
-does all of its arithmetic so, the error norm included.  A complex pass
-sums Python complex numbers and leaves the products with h and the error
-norm to numpy, whose complex arithmetic differs from the per-part float
-arithmetic (numpy 2.4, x86-64 with AVX-512): ``h * z`` of a complex array
-matches (h*re, h*im) on random values but not in the sign of a zero part or
-where a part is inf; ``np.abs`` of a complex array differs from ``abs()``
-of the scalar on 26-35% of 20,000 random values, and a complex array
-divided by a float from the per-part quotients on about 42%. A wider pass
-stays on stacked arrays (``_stacked_pass``): the seven stage derivatives
-are rows of one array, and ``_combine`` reduces them along the stage axis
-in the order of the tableau.  Both sides give the bits of a term-by-term
-sum, and numpy's 1-d sum of fewer than 8 squares adds from left to right as
-the float pass does, so a trajectory does not depend on the side that
-stepped it.  Alternating both sides in one process, Python floats are
-faster up to about 10 real floats, and slower from 8 floats of two complex
-lanes.  On the ``perfbench`` ``transforms`` workload (10 alternating pairs
-against the parent commit 17d8d63, 2-CPU x86_64), ``job_ms`` fell from 542
-to 461 ms (0.85x, won 9 of 10; the parent's quartiles 487-607 ms).
+The stepper's own arithmetic does.  ``_step`` reads each stage derivative
+row once, with the ``tolist()`` that also serves its finiteness test, and
+forms the stage sums component by component, term by term from zero in the
+order of the tableau (``_tableau_sum``).  A real lane does all of its
+arithmetic so, the error norm included, whose squares it adds from left to
+right.  A complex lane sums Python complex numbers and leaves the products
+with h and the error norm to numpy, whose complex arithmetic differs from
+the per-part float arithmetic (numpy 2.4, x86-64 with AVX-512): ``h * z``
+of a complex array matches (h*re, h*im) on random values but not in the
+sign of a zero part or where a part is inf; ``np.abs`` of a complex array
+differs from ``abs()`` of the scalar on 26-35% of 20,000 random values, and
+a complex array divided by a float from the per-part quotients on about
+42%.  On the ``perfbench`` ``transforms`` workload (10 alternating pairs
+against the parent commit 17d8d63, 2-CPU x86_64), stage sums on Python
+numbers took ``job_ms`` from 542 to 461 ms (0.85x, won 9 of 10; the
+parent's quartiles 487-607 ms).
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
 Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
-globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them; a
-rows call counts once.
+globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them;
+each lane's call counts once.
 """
 
 from __future__ import annotations
@@ -136,7 +127,12 @@ def _step_floor(T: float) -> float:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Stepper configuration for one solve; the step floor is 1e-13 * max(1, T)."""
+    """Stepper configuration for one solve; the step floor is 1e-13 * max(1, T).
+
+    The first step is never shorter than the floor, and only a step that
+    error control shrank below it, not a last step cut short by the
+    horizon, counts as a step collapse.
+    """
 
     T: float
     rtol: float = 1e-9
@@ -297,100 +293,44 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
-# The same rows as columns, to weight a stacked (stages, dim) array.
-_A_COLS = [row[:, None] for row in _A]
-_E_COL = _E[:, None]
-# A pass of at most this many floats (lanes x dim, doubled for complex) runs
-# its stage arithmetic on Python numbers (``_float_pass``), a wider one on
-# stacked arrays (``_stacked_pass``).  Measured: Python floats are faster up
-# to about 10 real floats, and slower from 8 floats of two complex lanes.
-# Seven also keeps a real lane's sum of squares below the 8 entries from
-# which numpy's 1-d reduction stops adding from left to right.
-_FLOAT_WIDTH = 7
-
-
-def _combine(weights, k):
-    """sum_j weights[j] * k[j] over the leading stages of the stacked array.
-
-    Adds the terms in stage order, starting from 0, as a Python sum would.
-    Complex stages are reduced as (re, im) pairs of floats: numpy's complex
-    reduction regroups four or more terms, the real one keeps the order.
-    """
-    stages = len(weights)
-    terms = weights * k[:stages].view(float)
-    return np.add.reduce(terms, axis=0, initial=0.0).view(k.dtype)
-
-
 # errors of a field evaluation that reject the stage (the field is undefined
-# there); a stacked rows call that raises these, or TypeError (a family that
-# rejects arrays), is redone row by row
+# there)
 _FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError)
-_ROW_ERRORS = _FIELD_ERRORS + (TypeError,)
 
 
-def _eval_or_none(field, y):
-    """The field at y, or None when it raises or is non-finite.
+def _lane_values(field, y):
+    """The field at the 1-d row y, with its entries read as Python numbers:
+    (f, f.tolist()); None when the field raises one of ``_FIELD_ERRORS`` or
+    is non-finite there (a rejected stage); or the exception of another kind
+    that it raised, which ends the lane.
 
     The caller holds ``quiet_fp`` (or its own np.errstate).
     """
-    fv = _eval_values(field, y)
-    return None if fv is None else fv[0]
-
-
-def _eval_values(field, y):
-    """``_eval_or_none`` with the entries of the field's value read as
-    Python numbers: (f, f.tolist()), or None."""
     try:
         f = np.asarray(field(y))
     except _FIELD_ERRORS:
         return None
+    except Exception as exc:  # ends this lane only; raised by the caller
+        return exc
     # a 1-d row's entries read as Python numbers: cheaper than np.isfinite
-    # and a reduction on the few entries of one point, and the one read a
-    # float pass makes of a stage's derivatives
+    # and a reduction on the few entries of one point, and the one read the
+    # stepper makes of a stage's derivatives
     values = f.tolist()
     if not (all(map(cmath.isfinite, values)) if f.ndim == 1 else np.isfinite(f).all()):
         return None
     return f, values
 
 
-def _field_rows(field, rows, ys, lanes):
-    """The field at the rows of ``lanes`` lanes, laid end to end in ys.
+def _eval_or_none(field, y):
+    """The field at y, or None when it raises one of ``_FIELD_ERRORS`` or is
+    non-finite; other exceptions propagate.
 
-    Returns the derivatives laid out the same way when the field is defined
-    and finite at every row.  Otherwise returns a list with, per lane, its
-    row's value, None (the field raised one of ``_FIELD_ERRORS`` or went
-    non-finite: a rejected stage), or the exception of another kind that
-    the field raised there.  A single lane's row is passed to ``field`` as
-    the 1-d row it is.  Several rows go to ``rows`` as one (lanes, dim)
-    stack, or, without ``rows`` or when that call raises ``_ROW_ERRORS``,
-    to ``field`` one at a time, so that each row fails where it would alone.
+    The caller holds ``quiet_fp`` (or its own np.errstate).
     """
-    if lanes == 1:
-        try:
-            f = _eval_or_none(field, ys)
-        except Exception as exc:  # ends this lane only; raised by the caller
-            return [exc]
-        return [None] if f is None else f
-    ys = ys.reshape(lanes, -1)
-    if rows is not None:
-        try:
-            fs = np.asarray(rows(ys))
-        except _ROW_ERRORS:
-            pass
-        else:
-            finite = np.isfinite(fs)
-            if finite.all():
-                return fs.reshape(-1)
-            return [f if ok else None for f, ok in zip(fs, finite.all(axis=1))]
-    out = []
-    for y in ys:
-        try:
-            out.append(_eval_or_none(field, y))
-        except Exception as exc:
-            out.append(exc)
-    if any(f is None or isinstance(f, Exception) for f in out):
-        return out
-    return np.concatenate(out)
+    fv = _lane_values(field, y)
+    if isinstance(fv, Exception):
+        raise fv
+    return None if fv is None else fv[0]
 
 
 class _Lane:
@@ -406,21 +346,16 @@ class _Lane:
 
 
 @quiet_fp()
-def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] = None,
-           rows: Optional[Callable] = None) -> list:
+def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] = None) -> list:
     """Adaptive DP5(4) loop shared by all solvers, advancing one lane per start.
 
     Each lane is the solve that ``_integrate`` would make from its start,
     with the same steps and bits; a lane keeps its own t, step size, error
     control, equilibrium run and status, in Python floats.  One pass of the
-    loop tries one step in every running lane: ``_float_pass`` when the
-    pass is at most ``_FLOAT_WIDTH`` floats wide, ``_stacked_pass``
-    otherwise, with the same bits.  ``_field_rows`` evaluates the stage of
-    all lanes at once (``rows`` maps (L, dim) rows to their derivatives).  A
-    lane whose stage fails drops out of the pass's remaining stages.
-    Returns per start its RiccatiSolution, or the exception that ended it (a
-    DomainError when the field is undefined at the start).  One ``quiet_fp``
-    covers the run.
+    loop tries one step (``_step``) in every running lane, which calls the
+    field on the lane's own 1-d row.  Returns per start its RiccatiSolution,
+    or the exception that ended it (a DomainError when the field is
+    undefined at the start).  One ``quiet_fp`` covers the run.
     """
     Y0 = np.array(starts)
     dim = Y0.shape[1]
@@ -430,43 +365,37 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
     atol, rtol = opts.atol, opts.rtol
     hmax, hmin = opts.effective_max_step, _step_floor(T)
     safety, order_exp = 0.9, 0.2
+    # a first step below the step floor would read as a collapse at t = 0
+    h0 = min(hmax, max(T / 100.0, hmin))
 
-    F0 = _field_rows(field, rows, Y0.reshape(-1), len(Y0))
-    if isinstance(F0, np.ndarray):
-        F0 = F0.reshape(len(Y0), dim)
     lanes, live = [], []
-    for u0, y, f in zip(starts, Y0, F0):
-        lane = _Lane(u0, y, f, min(hmax, T / 100.0))
-        if f is None or isinstance(f, Exception):
-            lane.error = f if f is not None else \
+    for u0, y in zip(starts, Y0):
+        fv = _lane_values(field, y)
+        lane = _Lane(u0, y, fv[0] if fv.__class__ is tuple else None, h0)
+        if lane.f is None:
+            lane.error = fv if fv is not None else \
                 DomainError("vector field undefined at the initial condition")
         else:
             live.append(lane)
         lanes.append(lane)
     dtype = np.result_type(Y0, *{lane.f.dtype for lane in live}, float)
-    lane_width = dim * (2 if dtype.kind == "c" else 1)   # floats per lane
 
     while live:
-        running = []
         for lane in live:
             if lane.t >= t_stop:
                 lane.status = SolveStatus(SolveStatus.COMPLETED)
                 continue
-            lane.h = min(lane.h, T - lane.t, hmax)
             if lane.h < hmin:
                 lane.status = _classify_collapse(lane.t, lane.y, lane.f, opts, nr,
                                                  lane.ts, lane.ys)
                 continue
-            running.append(lane)
-        live = running
-        if not running:
-            break
-
-        step = _float_pass if len(running) * lane_width <= _FLOAT_WIDTH else _stacked_pass
-        running, ystage, f_new, sq, abs_y, abs_f = step(field, rows, running, dim, dtype,
-                                                        atol, rtol)
-        for j, lane in enumerate(running):
-            en = math.sqrt(sq[j] / dim)
+            # a last step shortened to the horizon may be below the floor
+            lane.h = min(lane.h, T - lane.t, hmax)
+            step = _step(field, lane, dim, dtype, atol, rtol)
+            if step is None:
+                continue
+            y, f, sq, abs_y, abs_f = step
+            en = math.sqrt(sq / dim)
             if not math.isfinite(en):
                 lane.h *= 0.3
                 continue
@@ -476,14 +405,12 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
 
             # accepted
             lane.t += lane.h
-            row = j * dim
-            lane.y = y = ystage[row:row + dim]
-            lane.f = f = f_new[row:row + dim]
+            lane.y, lane.f = y, f
             lane.ts.append(lane.t)
             lane.ys.append(y)
             lane.fs.append(f)
 
-            rate = max(abs_f[row:row + nr], default=0.0)
+            rate = max(abs_f[:nr], default=0.0)
             lane.eq_run = lane.eq_run + 1 if rate < atol else 0
             if lane.eq_run >= _EQUILIBRIUM_RUN and lane.t < T:
                 lane.status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=lane.t)
@@ -495,7 +422,7 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
                 lane.fs.append(f_cont)
                 continue
 
-            if max(abs_y[row:row + nr], default=0.0) > opts.blowup_threshold:
+            if max(abs_y[:nr], default=0.0) > opts.blowup_threshold:
                 radial = float(np.real(np.vdot(y[:nr], f[:nr])))
                 if radial > 0.0:
                     lane.status = SolveStatus(SolveStatus.BLOWUP,
@@ -516,177 +443,79 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
             for lane in lanes]
 
 
-def _drop_failed(running, fstage):
-    """Apply a stage's per-lane outcomes (see ``_field_rows``) to the lanes:
-    a rejected stage shrinks the lane's step, an exception ends the lane.
-    Returns the indices of the lanes that go on."""
-    keep = []
-    for j, value in enumerate(fstage):
-        if value is None:
-            running[j].h *= 0.3
-        elif isinstance(value, Exception):
-            running[j].error = value
-        else:
-            keep.append(j)
-    return keep
+def _step(field, lane, dim, dtype, atol, rtol):
+    """One DP5(4) step of a lane from (lane.y, lane.f) with its step lane.h.
 
+    Returns the new state and its derivative, the sum of squares of the
+    error scaled by atol + rtol * max(|y|, |y_new|), and the magnitudes of
+    the new state's and derivative's entries as lists.  Returns None when a
+    stage failed: a rejected stage shrinks the lane's step, an exception of
+    another kind becomes the lane's error.
 
-def _stacked_pass(field, rows, running, dim, dtype, atol, rtol):
-    """One step of every running lane, the stage and error arithmetic of all
-    lanes one numpy call each on their states laid end to end.
-
-    Returns the lanes whose stages all succeeded, then, laid out the same
-    way, their new states and derivatives, and per lane the sum of squares
-    of the scaled error, and the magnitudes of the new state and derivative
-    entries as lists.
-    """
-    n = len(running)
-    # the lanes' states and derivatives end to end
-    if n == 1:
-        y, f = running[0].y, running[0].f
-    else:
-        y = np.concatenate([lane.y for lane in running])
-        f = np.concatenate([lane.f for lane in running])
-    h = _step_sizes(running, dim)
-    # stage derivatives, one row per stage; a fresh array per pass, so
-    # accepted rows can be kept without copies
-    k = np.empty((7, n * dim), dtype)
-    k[0] = f
-    for stage in range(1, 7):
-        ystage = y + h * _combine(_A_COLS[stage], k)
-        fstage = _field_rows(field, rows, ystage, n)
-        if fstage.__class__ is not list:
-            k[stage] = fstage
-            continue
-        keep = _drop_failed(running, fstage)
-        running = [running[j] for j in keep]
-        if not keep:
-            return running, None, None, None, None, None
-        # the remaining lanes go on with the stages done so far
-        k = k.reshape(7, n, dim)[:, keep].reshape(7, -1)
-        y = y.reshape(n, dim)[keep].reshape(-1)
-        ystage = ystage.reshape(n, dim)[keep].reshape(-1)
-        n = len(keep)
-        h = _step_sizes(running, dim)
-        k[stage] = np.concatenate([fstage[j] for j in keep])
-
-    # stage 6 uses the b-row (FSAL): ystage is the new state
-    sq, abs_y, abs_f = _error_norms(h * _combine(_E_COL, k), y, ystage, k[6], n, dim,
-                                    atol, rtol)
-    return running, ystage, k[6], sq, abs_y, abs_f
-
-
-def _error_norms(err, y, ystage, f_new, n, dim, atol, rtol):
-    """Per lane the sum of squares of err scaled by atol + rtol * max(|y|,
-    |ystage|), and the magnitudes of ystage and f_new, on numpy arrays."""
-    abs_y = np.abs(ystage)
-    scale = atol + rtol * np.maximum(np.abs(y), abs_y)
-    sq = np.abs(err / scale) ** 2
-    # one sum of squares per lane, in the order of a 1-d sum
-    sq = [np.add.reduce(sq)] if n == 1 else \
-        np.add.reduce(sq.reshape(n, dim), axis=1).tolist()
-    return sq, abs_y.tolist(), np.abs(f_new).tolist()
-
-
-def _float_pass(field, rows, running, dim, dtype, atol, rtol):
-    """``_stacked_pass`` for a pass of at most ``_FLOAT_WIDTH`` floats, with
-    the same returns and bits: the stage combinations run on Python
-    numbers, component by component in the order of the tableau.
-
-    A real pass does its whole stage and error arithmetic so.  A complex
-    one sums Python complex numbers, whose parts are the sums of
-    ``_combine`` (see ``_tableau_sum``); the products with h and the error
-    norm stay on numpy, whose complex multiply, division and magnitude can
+    The stage sums run on Python numbers, component by component, term by
+    term from zero in the order of the tableau (``_tableau_sum``).  A real
+    lane does its whole stage and error arithmetic so.  A complex lane sums
+    Python complex numbers and leaves the products with h and the error
+    norm to numpy, whose complex multiply, division and magnitude can
     differ from the per-part float arithmetic.
     """
-    n = len(running)
     cplx = dtype.kind == "c"
     sums = _TABLEAU_SUMS[dtype.kind]
-    if n == 1:
-        y, f = running[0].y, running[0].f
-    else:
-        y = np.concatenate([lane.y for lane in running])
-        f = np.concatenate([lane.f for lane in running])
-    k = [np.asarray(f, dtype).tolist()]   # the stage derivatives, as Python numbers
-    if cplx:
-        h = _step_sizes(running, dim)
-    else:
+    y, h = lane.y, lane.h
+    k = [np.asarray(lane.f, dtype).tolist()]   # the stage derivatives, as Python numbers
+    if not cplx:
         yv = np.asarray(y, dtype).tolist()
-        hv = [lane.h for lane in running for _ in range(dim)]
     for stage in range(1, 7):
         acc = map(sums[stage], *k)
         if cplx:
             ystage = y + h * np.array(list(acc))
         else:
-            ysv = [yc + hc * a for yc, hc, a in zip(yv, hv, acc)]
+            ysv = [yc + h * a for yc, a in zip(yv, acc)]
             ystage = np.array(ysv)
-        if n == 1:
-            try:
-                fstage = _eval_values(field, ystage)
-            except Exception as exc:  # ends the lane; raised by the caller
-                fstage = exc
-            if fstage is None or isinstance(fstage, Exception):
-                _drop_failed(running, [fstage])
-                return [], None, None, None, None, None
-            # the one read of the row as Python numbers, made for its
-            # finiteness test
-            f_new, values = fstage
-            if f_new.shape != (dim,) or f_new.dtype != dtype:
-                f_new = _as_row(f_new, dim, dtype)
-                values = f_new.tolist()
-        else:
-            fstage = _field_rows(field, rows, ystage, n)
-            if fstage.__class__ is list:
-                keep = _drop_failed(running, fstage)
-                running = [running[j] for j in keep]
-                if not keep:
-                    return running, None, None, None, None, None
-                # the remaining lanes go on with the stages done so far
-                k = [_keep(row, keep, dim) for row in k]
-                if cplx:
-                    y = y.reshape(n, dim)[keep].reshape(-1)
-                    ystage = ystage.reshape(n, dim)[keep].reshape(-1)
-                    h = _step_sizes(running, dim)
-                else:
-                    yv, hv, ysv = (_keep(v, keep, dim) for v in (yv, hv, ysv))
-                    ystage = np.array(ysv)
-                n = len(keep)
-                fstage = np.concatenate([fstage[j] for j in keep])
-            f_new = _as_row(fstage, n * dim, dtype)
+        fstage = _lane_values(field, ystage)
+        if fstage.__class__ is not tuple:
+            if fstage is None:
+                lane.h *= 0.3
+            else:
+                lane.error = fstage
+            return None
+        # the one read of the row as Python numbers, made for its
+        # finiteness test
+        f_new, values = fstage
+        if f_new.shape != (dim,) or f_new.dtype != dtype:
+            f_new = np.empty(dim, dtype)
+            f_new[...] = fstage[0]
             values = f_new.tolist()
         k.append(values)
 
     # stage 6 uses the b-row (FSAL): ystage is the new state
     e = map(sums[7], *k)
     if cplx:
-        sq, abs_y, abs_f = _error_norms(h * np.array(list(e)), y, ystage, f_new, n, dim,
-                                        atol, rtol)
-        return running, ystage, f_new, sq, abs_y, abs_f
+        abs_y = np.abs(ystage)
+        scale = atol + rtol * np.maximum(np.abs(y), abs_y)
+        sq = np.add.reduce(np.abs(h * np.array(list(e)) / scale) ** 2)
+        return ystage, f_new, sq, abs_y.tolist(), np.abs(f_new).tolist()
     abs_y = list(map(abs, ysv))
-    sq = []
-    for j in range(n):
-        s = None
-        for c in range(j * dim, (j + 1) * dim):
-            a, b = abs(yv[c]), abs_y[c]
-            # |h * e / scale| ** 2, with the nan of np.maximum in the scale
-            q = hv[c] * next(e) / (atol + rtol * (a if a >= b or a != a else b))
-            s = q * q if s is None else s + q * q
-        sq.append(s)
-    return running, ystage, f_new, sq, abs_y, list(map(abs, values))
+    sq = 0.0
+    for yc, b, ec in zip(yv, abs_y, e):
+        a = abs(yc)
+        # |h * e / scale| ** 2, with the nan of np.maximum in the scale
+        q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
+        sq += q * q
+    return ystage, f_new, sq, abs_y, list(map(abs, values))
 
 
 def _tableau_sum(weights, zero):
     """The function of len(weights) numbers k_j that returns
-    zero + sum_j weights[j] * k_j, adding term by term as ``_combine`` does.
+    zero + sum_j weights[j] * k_j, adding term by term.
 
     Its code is generated with the weights as literals: the unrolled sum
-    runs about twice as fast as a loop over the weights.  From ``0.0`` on
-    floats it has the bits of ``_combine``.  From ``0j`` on Python complex
-    numbers it has them on each part: a float times a complex number (as
-    complex numbers before Python 3.14, part by part since) differs from the
-    per-part products at most in the sign of a zero part, and the running
-    sum, whose parts start from 0.0 and so are never -0.0, cannot see that
-    sign.
+    runs about twice as fast as a loop over the weights.  From ``0j`` on
+    Python complex numbers each part has the bits of the float sum of that
+    part: a float times a complex number (as complex numbers before Python
+    3.14, part by part since) differs from the per-part products at most in
+    the sign of a zero part, and the running sum, whose parts start from
+    0.0 and so are never -0.0, cannot see that sign.
     """
     args = ", ".join(f"k{j}" for j in range(len(weights)))
     terms = "".join(f" + {w!r} * k{j}" for j, w in enumerate(weights))
@@ -694,31 +523,10 @@ def _tableau_sum(weights, zero):
 
 
 # By dtype kind, the stage sums of the tableau (stages 1 to 6) and its error
-# sum (index 7), for the float passes.
+# sum (index 7).
 _TABLEAU_SUMS = {kind: [None, *(_tableau_sum(row.tolist(), zero) for row in _A[1:]),
                         _tableau_sum(_E.tolist(), zero)]
                  for kind, zero in (("f", "0.0"), ("c", "0j"))}
-
-
-def _as_row(f, size, dtype):
-    """f as a 1-d array of size entries of dtype: f itself, or a fresh array
-    that f is assigned to as to a row of the stacked stage array."""
-    if f.shape == (size,) and f.dtype == dtype:
-        return f
-    out = np.empty(size, dtype)
-    out[...] = f
-    return out
-
-
-def _step_sizes(running, dim):
-    """Each lane's h once per component, lanes end to end; a float for one
-    lane."""
-    return running[0].h if len(running) == 1 else np.repeat([lane.h for lane in running], dim)
-
-
-def _keep(values, keep, dim):
-    """The dim-long blocks of values at the indices in keep."""
-    return [x for j in keep for x in values[j * dim:(j + 1) * dim]]
 
 
 def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
@@ -787,7 +595,7 @@ def _solve_full(model, u0, opts, l, lam):
     d = model.shape.d
     u0 = _as_initial(u0, d)
     _check_start(model, u0)
-    field, _ = _full_system(model, l, lam, u0.dtype)
+    field = _full_system(model, l, lam, u0.dtype)
     z0 = np.zeros(d + 1, dtype=u0.dtype)
     z0[:d] = u0
     sol = _integrate(field, z0, opts, rate_dim=d)
@@ -816,8 +624,8 @@ def _check_start(model, u0):
 
 
 def _full_system(model, l, lam, dtype):
-    """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l),
-    as a field of 1-d rows and of (N, d + 1) rows."""
+    """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l)
+    as a field of 1-d rows."""
     d = model.shape.d
 
     lams = tuple(lam)  # numpy scalars: the point path subtracts entry by entry
@@ -831,14 +639,7 @@ def _full_system(model, l, lam, dtype):
         out[d] = eval_F(model, psi, check_domain=False) - l
         return out
 
-    def rows(z):
-        psi = z[:, :d]
-        out = np.empty((len(z), d + 1), dtype=dtype)
-        np.subtract(eval_R(model, psi, check_domain=False), lam, out=out[:, :d])
-        np.subtract(eval_F(model, psi, check_domain=False), l, out=out[:, d])
-        return out
-
-    return field, rows
+    return field
 
 
 def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution:
@@ -895,10 +696,10 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
     ladder_opts = SolveOptions(T=opts.T, rtol=1e-12, atol=1e-15,
                                max_step=opts.effective_max_step,
                                blowup_threshold=opts.blowup_threshold)
-    field, rows = _full_system(model, l, lam, u0.dtype)
+    field = _full_system(model, l, lam, u0.dtype)
     z0 = np.zeros(d + 1)
     z0[:d] = u0
-    sols = _eps_ladder(field, z0, m, _LADDER, ladder_opts, rate_dim=d, rows=rows,
+    sols = _eps_ladder(field, z0, m, _LADDER, ladder_opts, rate_dim=d,
                        check=lambda z: _check_start(model, z[:d]))
     finest = sols[-1]
     if not finest.status.reached_horizon:
@@ -910,8 +711,7 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
 
 
 def _eps_ladder(field: Callable, u0: np.ndarray, m: int, eps_ladder, opts: SolveOptions,
-                rate_dim: Optional[int] = None, rows: Optional[Callable] = None,
-                check: Optional[Callable] = None) -> list:
+                rate_dim: Optional[int] = None, check: Optional[Callable] = None) -> list:
     """Solves of d y = field(y) from u0 - eps on the first m coordinates, one
     per eps, run as lanes of one ``_lanes`` call.
 
@@ -932,7 +732,7 @@ def _eps_ladder(field: Callable, u0: np.ndarray, m: int, eps_ladder, opts: Solve
         else:
             results.append(len(starts))
             starts.append(start)
-    solved = _lanes(field, starts, opts, rate_dim, rows) if starts else []
+    solved = _lanes(field, starts, opts, rate_dim) if starts else []
     sols = []
     for result in results:
         result = solved[result] if isinstance(result, int) else result

@@ -58,6 +58,13 @@ class TestSolve:
         t_star = float(status.split("≈")[1])
         assert t_star == pytest.approx(math.log(2.0), rel=1e-3)
 
+    def test_tiny_horizon_completes(self, tmp_path):
+        code = run(tmp_path, "solve", "--model", "feller", "--u0", "0.5", "--T", "1e-12")
+        assert code == 0
+        _, rows, status = read_csv_rows(tmp_path / "trajectory.csv")
+        assert status == "# status=Completed"
+        assert len(rows) > 1
+
     def test_zero_initial_data_constant_column(self, tmp_path):
         code = run(tmp_path, "solve", "--model", "feller", "--u0", "0", "--T", "1")
         assert code == 0

@@ -87,6 +87,19 @@ class TestConservativeModels:
         assert verdict.witness.max_norm > WITNESS_NONTRIVIAL
 
 
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_model_without_an_i_block(self, c):
+        # m = 0: the reduced system is empty, so F(0) = -c alone decides
+        m = AffineModel(shape=StateShape(0, 1), a=[[0.5]], b=[0.1], c=c, beta_JJ=[[-1.0]])
+        verdict = check_conservative(m)
+        if c:
+            assert verdict.kind == "NonConservative"
+            assert verdict.f0_witness == pytest.approx(-c)
+        else:
+            assert verdict.kind == "Conservative"
+            assert verdict.certificate == LipschitzCertificate(radius=0.5, bound=0.0)
+
+
 class TestOsgoodFamily:
     """Scalar escape fields -(-v)^p: explicit uniqueness dichotomy."""
 

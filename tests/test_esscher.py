@@ -225,6 +225,15 @@ class TestMartingaleCheck:
                         lam=eval_R(cir_jump_model, theta))
         assert martingale_check(cir_jump_model, spec).kind == "TrueMartingale"
 
+    def test_model_without_an_i_block_true_martingale(self):
+        from affine_riccati import AffineModel, StateShape
+        m = AffineModel(shape=StateShape(0, 1), a=[[0.5]], b=[0.1], beta_JJ=[[-1.0]])
+        theta = np.array([0.2])
+        spec = TiltSpec(theta=theta, l=eval_F(m, theta), lam=eval_R(m, theta))
+        verdict = martingale_check(m, spec)
+        assert verdict.kind == "TrueMartingale"
+        assert verdict.tilted_verdict.kind == "Conservative"
+
     def test_theta_outside_domain_not_applicable(self, cir_jump_model):
         # jump_rate 2 caps the admissible exponent below 3
         verdict = martingale_check(cir_jump_model, TiltSpec(theta=[3.0], l=0.0, lam=[0.0]))

@@ -17,7 +17,9 @@ from affine_riccati import (
     SolveOptions,
     StateShape,
     blowup_time,
+    check_conservative,
     eval_F,
+    eval_R,
     solve_minimal,
     solve_reduced,
     solve_riccati,
@@ -84,16 +86,14 @@ class TestOracleValidity:
 
 class TestStepper:
     def test_stage_combination_is_the_term_by_term_sum(self):
-        # the stacked reduction and the tableau sums of the float passes must
-        # both give the bits of a Python sum over the stages, for real and
-        # complex states of dimension 1 to 3 (complex dimension 1 is where
-        # numpy's own complex reduction regroups terms); the float passes
-        # sum Python floats, or Python complex numbers for complex states
-        from affine_riccati.riccati import _A, _A_COLS, _E, _E_COL, _TABLEAU_SUMS, _combine
+        # the tableau sums of the stepper must give the bits of a Python sum
+        # over the stages, for real and complex states of dimension 1 to 3;
+        # they sum Python floats, or Python complex numbers for complex states
+        from affine_riccati.riccati import _A, _E, _TABLEAU_SUMS
 
         rng = np.random.default_rng(5)
         specials = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324])
-        weights = [*zip(_A[1:], _A_COLS[1:]), (_E, _E_COL)]
+        weights = [*_A[1:], _E]
         for _ in range(400):
             dim = int(rng.integers(1, 4))
             parts = [rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-20, 20, size=(7, dim))
@@ -104,9 +104,8 @@ class TestStepper:
             for k in (parts[0], parts[0] + 1j * parts[1]):
                 numbers = k.tolist()
                 sums = _TABLEAU_SUMS[k.dtype.kind][1:]
-                for (w, col), tableau_sum in zip(weights, sums):
+                for w, tableau_sum in zip(weights, sums):
                     ref = sum(wj * kj for wj, kj in zip(w, k))
-                    assert _combine(col, k).tobytes() == ref.tobytes()
                     got = np.array(list(map(tableau_sum, *numbers[:len(w)])), k.dtype)
                     assert got.tobytes() == ref.tobytes()
 
@@ -156,6 +155,18 @@ class TestSolveRiccati:
         assert sol.status.reached_horizon
         ts = np.linspace(0, 5, 50)
         assert np.max(np.abs(sol.eval(ts)[:, 0] - kr_psi(ts, u0))) < 1e-6
+
+    @pytest.mark.parametrize("T", [1.5e-13, 6.5e-13, 1e-12, 3e-12, 5e-12, 1e-11])
+    def test_tiny_horizons_complete(self, feller_model, T):
+        # the first step starts no shorter than the step floor, and a last
+        # step cut to the horizon may be shorter: neither is a step collapse
+        u0 = 0.5
+        sol = solve_riccati(feller_model, [u0], SolveOptions(T=T))
+        assert sol.status.kind == "completed"
+        assert len(sol.ts) > 1 and sol.t_end >= T - 1e-14
+        assert sol.psi_end[0] == pytest.approx(cir_psi(sol.t_end, u0), abs=1e-15)
+        phi = -0.5 * math.log1p(u0 * math.expm1(-sol.t_end))
+        assert sol.phi_end == pytest.approx(phi, rel=1e-9)
 
     def test_kr2014_boundary_equilibrium(self, kr_model):
         sol = solve_riccati(kr_model, [1.0], SolveOptions(T=3.0))
@@ -465,14 +476,14 @@ def assert_same_solution(got, want):
 
 
 class TestLanes:
-    """Every lane of a stacked run is the lone solve from its start, bit for bit."""
+    """Every lane of a run of several lanes is the lone solve from its start, bit for bit."""
 
     def lanes_match_lone_solves(self, model, us, opts=SolveOptions(T=2.0), l=0.0, lam=None):
         d = model.shape.d
         lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float)
         starts = full_starts(model, us)
-        field, rows = _full_system(model, l, lam, starts.dtype)
-        got = _lanes(field, list(starts), opts, d, rows)
+        field = _full_system(model, l, lam, starts.dtype)
+        got = _lanes(field, list(starts), opts, d)
         want = [_integrate(field, start, opts, rate_dim=d) for start in starts]
         for g, w in zip(got, want):
             assert_same_solution(g, w)
@@ -510,21 +521,22 @@ class TestLanes:
         assert kinds == ["completed", "left_domain", "equilibrium", "left_domain"]
 
     def test_failed_stage_drops_only_its_lane(self):
-        # near the open boundary the gamma lane's stacked rows call raises, the
-        # rows are redone one at a time, and the lane alone shrinks its step
+        # near the open boundary the gamma lane's stages are rejected, and the
+        # lane alone shrinks its step
         model = gamma_ou_model()
         starts = full_starts(model, [0.9, -0.5])
-        field, rows = _full_system(model, 0.0, np.zeros(1), float)
+        field = _full_system(model, 0.0, np.zeros(1), float)
         with pytest.raises(DomainError):
-            rows(np.array([[1.2, 0.0], [-0.5, 0.0]]))
+            field(np.array([1.2, 0.0]))
         self.lanes_match_lone_solves(model, [0.9, -0.5], SolveOptions(T=1.0))
+        self.lanes_match_lone_solves(model, [0.9], SolveOptions(T=1.0))
         calm = _integrate(field, starts[1], SolveOptions(T=1.0), rate_dim=1)
         assert calm.status.kind == "completed"
 
     def test_lane_undefined_at_its_start(self, kr_model):
-        field, rows = _full_system(kr_model, 0.0, np.zeros(1), float)
+        field = _full_system(kr_model, 0.0, np.zeros(1), float)
         starts = full_starts(kr_model, [-1.0, 1.5, 0.5])
-        got = _lanes(field, list(starts), SolveOptions(T=1.0), 1, rows)
+        got = _lanes(field, list(starts), SolveOptions(T=1.0), 1)
         assert isinstance(got[1], DomainError)
         assert "undefined at the initial condition" in str(got[1])
         for k in (0, 2):
@@ -533,11 +545,7 @@ class TestLanes:
             _integrate(field, starts[1], SolveOptions(T=1.0), 1)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_forty_lanes_run_the_stacked_pass(self, feller_model, kr_model, kind):
-        # 40 lanes are wider than _FLOAT_WIDTH, so their passes run on stacked
-        # arrays until few lanes are left, while each lone solve runs on
-        # Python numbers: the two arithmetic sides must give the same bits
-        assert 40 * 2 > riccati._FLOAT_WIDTH
+    def test_forty_lanes(self, feller_model, kr_model, kind):
         rng = np.random.default_rng(11)
         for model in (feller_model, kr_model):
             us = rng.uniform(-2.0, 0.9, size=40)
@@ -545,67 +553,57 @@ class TestLanes:
                 us = us + 1j * rng.uniform(0.5, 3.0, size=40)
             self.lanes_match_lone_solves(model, list(us))
 
-    def test_float_and_stacked_passes_agree(self, monkeypatch, feller_model, mixed_model,
-                                            kr2014_pair_model):
-        # the same lane-loop runs with every pass on stacked arrays and with
-        # every pass on Python numbers (real dimensions below 8, where the
-        # float pass's sum of squares is numpy's), through blow-ups,
-        # equilibria, domain exits, failed stages and row-by-row fallbacks
-        from test_model import BareExpJumps
+    def test_lane_loop_calls_the_field_on_1d_rows(self, monkeypatch, kr2014_pair_model):
+        # the ladders of solve_minimal and of the probe evaluate each lane by
+        # its own point call, never on a stack of rows
+        from affine_riccati import diagnostics
 
-        bare = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
-                           beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
+        depth, ndims = [0], []
+
+        def in_lanes(fn):
+            def wrapped(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def recorded(fn):
+            def wrapped(model, u, *args, **kwargs):
+                if depth[0]:
+                    ndims.append(np.ndim(u))
+                return fn(model, u, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(riccati, "_lanes", in_lanes(riccati._lanes))
+        for owner in (riccati, diagnostics):
+            for name in ("eval_R", "eval_F", "reduced_R"):
+                if hasattr(owner, name):
+                    monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
         pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
-        tight = SolveOptions(T=1.0, rtol=1e-12, atol=1e-15)
-        runs = [
-            (feller_model, [-1.0, 2.0, 0.0], SolveOptions(T=2.0)),
-            (feller_model, [1j, -1 + 0.5j], SolveOptions(T=2.0)),
-            (mixed_model, [[-0.4, 0.3, -0.2], [0.1, -0.5, 0.4]], SolveOptions(T=2.0)),
-            (mixed_model, [[-0.4 + 0.2j, 0.3, 1j]], SolveOptions(T=2.0)),
-            (pair, [[-1e-5, -1e-5], [-1e-7, -0.3], [-0.5, -1e-9]], tight),
-            (gamma_ou_model(), [-0.5, 0.5, 0.0, 0.3], SolveOptions(T=3.0)),
-            (gamma_ou_model(), [0.9], SolveOptions(T=1.0)),
-            (bare, [-0.1, -0.2, 0.5], SolveOptions(T=2.0)),
-        ]
-
-        def solve_all():
-            out = []
-            for model, us, opts in runs:
-                d = model.shape.d
-                starts = full_starts(model, us)
-                field, rows = _full_system(model, 0.0, np.zeros(d), starts.dtype)
-                out.append(_lanes(field, list(starts), opts, d, rows))
-                out.extend(_lanes(field, [start], opts, d) for start in starts)
-            return out
-
-        sides = []
-        for width in (0, 16):
-            monkeypatch.setattr(riccati, "_FLOAT_WIDTH", width)
-            sides.append(solve_all())
-        kinds = set()
-        for got, want in zip(*sides):
-            for g, w in zip(got, want):
-                assert_same_solution(g, w)
-                kinds.add(g.status.kind)
-        assert kinds == {"completed", "blowup", "equilibrium", "left_domain"}
+        solve_minimal(pair, [-0.1, -0.2], SolveOptions(T=1.0))
+        verdict = check_conservative(pair)
+        assert verdict.witness is not None and verdict.witness.source == "probe-extrapolation"
+        assert ndims and set(ndims) == {1}
 
     def test_ladder_on_a_family_without_rows(self):
-        # BareExpJumps rejects arrays, so the ladder's rows are evaluated one
-        # at a time; the rungs are still the lone solves
+        # BareExpJumps rejects arrays; the lanes and rungs are the lone solves
         from test_model import BareExpJumps
 
         model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
                             beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
-        field, rows = _full_system(model, 0.0, np.zeros(1), float)
         with pytest.raises(ValueError):
-            rows(np.array([[-0.1, 0.0], [-0.2, 0.0]]))
+            eval_R(model, np.array([[-0.1], [-0.2]]))
+        self.lanes_match_lone_solves(model, [-0.1, -0.2, 0.5])
+        field = _full_system(model, 0.0, np.zeros(1), float)
         opts = SolveOptions(T=2.0, rtol=1e-12, atol=1e-15)
         u0 = np.array([0.5, 0.0])
-        sols = _eps_ladder(field, u0, 1, _LADDER, opts, rate_dim=1, rows=rows)
+        sols = _eps_ladder(field, u0, 1, _LADDER, opts, rate_dim=1)
         assert len(sols) == 3
         for eps, sol in zip(_LADDER, sols):
             assert_same_solution(sol, _integrate(field, u0 - [eps, 0.0], opts, rate_dim=1))
-        # the same measure in closed form takes the rows path, with the same bits
+        # the same measure in closed form, with the same bits
         closed = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
                              beta_I=[[-1.0]], mus=(CompoundPoissonExp(0.5, 2.0),))
         got = solve_minimal(model, [0.5], SolveOptions(T=2.0))
