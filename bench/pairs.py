@@ -63,8 +63,9 @@ def _flat(record, prefix=""):
 
 def summarize(runs, digest):
     """Each side's medians, the parent's quartiles, the change/parent ratios
-    of the medians, the pairs the change won (lower is better) and whether
-    ``digest(record)`` is the same for every record."""
+    of the medians, the pairs the change won (lower is better) and, for each
+    named digest of the dict ``digest(record)``, whether it is the same for
+    every record."""
     flat = {side: [_flat(r) for r in recs] for side, recs in runs.items()}
     medians = {side: {k: statistics.median(r[k] for r in recs) for k in recs[0]}
                for side, recs in flat.items()}
@@ -79,7 +80,8 @@ def summarize(runs, digest):
         "parent_quartiles": {k: [v[0], v[2]] for k, v in q.items()},
         "change_over_parent": {k: change[k] / parent[k] for k in parent if parent[k]},
         "pairs_won_by_change": won,
-        "identical": all(d == digests[0] for d in digests),
+        "identical": {name: all(d[name] == digests[0][name] for d in digests)
+                      for name in digests[0]},
     }
 
 

@@ -29,8 +29,8 @@ Each pair runs, for each side:
   records its seconds, its peak RSS, its exhausted paths and its sha256.
 
 The records go to ``--out`` with each side's medians, the change/parent
-ratios of those medians, the pairs the change won, and whether every sha256
-agrees.
+ratios of those medians, the pairs the change won, and, digest by digest,
+whether it is the same in every run.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def stall(ar):
 if __name__ == "__main__":
     sys.exit(pairs.main(
         __file__, {"measure": measure, "stall": stall},
-        lambda r: (r["sha256"], r["stall"]["sha256"], r["stall"]["exhausted"]),
+        lambda r: {"sha256": r["sha256"], "stall.sha256": r["stall"]["sha256"],
+                   "stall.exhausted": r["stall"]["exhausted"]},
         {"seed": SEED, "jobs": JOBS, "tables": TABLES, "hashed": HASHED, "default": DEFAULT,
          "stall": STALL, "one_cpu": ["table_us", "call_ms", "diffusion_ms", "sha256 of HASHED"]},
         PAIRS))

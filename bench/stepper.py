@@ -18,8 +18,9 @@ Each run is pinned to one CPU and records:
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
   workload of ``perfbench/workloads.py`` at seed ``SEED``, in total and by kind;
-* ``sha256``: a digest of every array and value those solves return, the
-  proof that the two trees compute the same trajectories;
+* ``sha256_real`` and ``sha256_complex``: digests of every array and value
+  those solves return, over the cases with a real and with a complex u, so
+  that a change of trajectories shows which kind of solve it moved;
 * ``ladder_ms``: milliseconds per call of the three epsilon-ladder callers
   of the ``verdicts`` workload, ``solve_minimal`` on kr2014 from 1 to T = 2,
   ``minimal_reduced_trajectory`` of tilted kr2014 on the comparison grid
@@ -32,7 +33,8 @@ Each run is pinned to one CPU and records:
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
 with each side's medians over the pairs, the change/parent ratios of those
-medians, the pairs the change won, and whether every digest agrees.
+medians, the pairs the change won, and, digest by digest, whether it is
+the same in every run.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ def _workloads():
 def solve_costs(ar, seed, rounds):
     cases = _workloads().Transforms(seed).cases
     models = {name: ar.builtin_model(name) for name in ("feller", "kr2014", "cir-jump")}
-    outputs = []
+    outputs = {"real": [], "complex": []}
     for case in cases:
-        outputs.extend(_run_case(ar, models, case))
+        outputs["complex" if isinstance(case[3], complex) else "real"].extend(
+            _run_case(ar, models, case))
     per_case = [_best(lambda: _run_case(ar, models, case), rounds) for case in cases]
     by_kind = {}
     for case, seconds in zip(cases, per_case):
@@ -172,7 +175,7 @@ def solve_costs(ar, seed, rounds):
         "cases": len(cases),
         "mean": 1e3 * sum(per_case) / len(cases),
         "by_kind": {k: 1e3 * sum(v) / len(v) for k, v in by_kind.items()},
-    }, _digest(outputs)
+    }, {kind: _digest(values) for kind, values in outputs.items()}
 
 
 def _ladder_calls(ar):
@@ -231,7 +234,8 @@ def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
     ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
     record = {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
-              "solve_ms": solve_ms, "sha256": sha, "ladder_ms": ladder_ms,
+              "solve_ms": solve_ms, "sha256_real": sha["real"],
+              "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
               "ladder_sha256": ladder_sha}
     lane_us = lane_costs(ar, ROUNDS)
     if lane_us is not None:
@@ -241,5 +245,6 @@ def measure(ar):
 
 if __name__ == "__main__":
     sys.exit(pairs.main(__file__, {"measure": measure},
-                        lambda r: (r["sha256"], r["ladder_sha256"]),
+                        lambda r: {k: r[k] for k in ("sha256_real", "sha256_complex",
+                                                     "ladder_sha256")},
                         {"seed": SEED, "rounds": ROUNDS, "lanes": LANES}, PAIRS, pin=True))

@@ -66,22 +66,17 @@ to Python numbers: Python's complex division rounds differently from
 numpy's, and a Python float's ``x ** 2`` raises OverflowError where numpy
 gives inf.
 
-The stepper's own arithmetic does.  ``_step`` reads each stage derivative
-row once, with the ``tolist()`` that also serves its finiteness test, and
-forms the stage sums component by component, term by term from zero in the
-order of the tableau (``_tableau_sum``).  A real lane does all of its
-arithmetic so, the error norm included, whose squares it adds from left to
-right.  A complex lane sums Python complex numbers and leaves the products
-with h and the error norm to numpy, whose complex arithmetic differs from
-the per-part float arithmetic (numpy 2.4, x86-64 with AVX-512): ``h * z``
-of a complex array matches (h*re, h*im) on random values but not in the
-sign of a zero part or where a part is inf; ``np.abs`` of a complex array
-differs from ``abs()`` of the scalar on 26-35% of 20,000 random values, and
-a complex array divided by a float from the per-part quotients on about
-42%.  On the ``perfbench`` ``transforms`` workload (10 alternating pairs
-against the parent commit 17d8d63, 2-CPU x86_64), stage sums on Python
-numbers took ``job_ms`` from 542 to 461 ms (0.85x, won 9 of 10; the
-parent's quartiles 487-607 ms).
+The stepper's own arithmetic does, in one form for real and complex lanes.
+``_step`` reads the state and each stage derivative row once as Python
+numbers, with the ``tolist()`` that also serves a row's finiteness test,
+and forms the stage states, error norm and magnitudes on them.  A real
+lane has the bits of float arithmetic throughout; a complex lane's
+products, quotients and magnitudes round as Python's complex arithmetic
+and ``math.hypot`` do, which differ from numpy's at the rounding level,
+and the closed-form tests bound its trajectories.  On the ``perfbench``
+``transforms`` workload (10 alternating pairs against the parent commit
+17d8d63, 2-CPU x86_64), stage sums on Python numbers took ``job_ms`` from
+542 to 461 ms (0.85x, won 9 of 10; the parent's quartiles 487-607 ms).
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
@@ -180,10 +175,10 @@ class SolveStatus:
         if self.kind == self.COMPLETED:
             return "Completed"
         if self.kind == self.BLOWUP:
-            return f"BlowUp t*≈{self.t_event:.6f}"
+            return f"BlowUp t*≈{self.t_event:.6g}"
         if self.kind == self.LEFT_DOMAIN:
-            return f"LeftDomain t_exit≈{self.t_event:.6f}"
-        return f"Equilibrium t_eq≈{self.t_event:.6f}"
+            return f"LeftDomain t_exit≈{self.t_event:.6g}"
+        return f"Equilibrium t_eq≈{self.t_event:.6g}"
 
 
 @dataclass(frozen=True)
@@ -237,11 +232,14 @@ class RiccatiSolution:
         """Trajectory CSV: header t,psi_1..psi_d,phi and a status footer.
 
         Floats carry 17 significant digits; phi is written as zeros when the
-        solution carries none.
+        solution carries none.  Raises ConfigError for a complex solution,
+        since the columns are real.
         """
-        phi = np.zeros(len(self.ts)) if self.phi is None else np.real(self.phi)
+        if self.psi.dtype.kind == "c":
+            raise ConfigError("to_csv writes real columns; this solution is complex")
+        phi = np.zeros(len(self.ts)) if self.phi is None else self.phi
         columns = ["t", *(f"psi_{k + 1}" for k in range(self.psi.shape[1])), "phi"]
-        _write_csv(fh, columns, np.column_stack([self.ts, np.real(self.psi), phi]),
+        _write_csv(fh, columns, np.column_stack([self.ts, self.psi, phi]),
                    footer=f"status={self.status.label()}")
 
 
@@ -361,7 +359,7 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
     dim = Y0.shape[1]
     nr = rate_dim if rate_dim is not None else dim
     T = opts.T
-    t_stop = T - 1e-14 * max(1.0, T)
+    t_stop = T - 1e-14 * T
     atol, rtol = opts.atol, opts.rtol
     hmax, hmin = opts.effective_max_step, _step_floor(T)
     safety, order_exp = 0.9, 0.2
@@ -452,26 +450,21 @@ def _step(field, lane, dim, dtype, atol, rtol):
     stage failed: a rejected stage shrinks the lane's step, an exception of
     another kind becomes the lane's error.
 
-    The stage sums run on Python numbers, component by component, term by
-    term from zero in the order of the tableau (``_tableau_sum``).  A real
-    lane does its whole stage and error arithmetic so.  A complex lane sums
-    Python complex numbers and leaves the products with h and the error
-    norm to numpy, whose complex multiply, division and magnitude can
-    differ from the per-part float arithmetic.
+    Real and complex lanes run the same lines on Python numbers: the stage
+    states component by component, with the sums term by term from zero in
+    the order of the tableau (``_tableau_sum``), and the squares of the
+    error norm added from left to right as ``q.real * q.real + q.imag *
+    q.imag``, which is ``q * q + 0.0`` on a float.  The kinds differ only in
+    the zero of the sums and in ``_MAGNITUDE``.
     """
-    cplx = dtype.kind == "c"
-    sums = _TABLEAU_SUMS[dtype.kind]
-    y, h = lane.y, lane.h
-    k = [np.asarray(lane.f, dtype).tolist()]   # the stage derivatives, as Python numbers
-    if not cplx:
-        yv = np.asarray(y, dtype).tolist()
+    sums, mag = _TABLEAU_SUMS[dtype.kind], _MAGNITUDE[dtype.kind]
+    h = lane.h
+    # the state and the stage derivatives, as Python numbers
+    yv = np.asarray(lane.y, dtype).tolist()
+    k = [np.asarray(lane.f, dtype).tolist()]
     for stage in range(1, 7):
-        acc = map(sums[stage], *k)
-        if cplx:
-            ystage = y + h * np.array(list(acc))
-        else:
-            ysv = [yc + h * a for yc, a in zip(yv, acc)]
-            ystage = np.array(ysv)
+        ysv = [yc + h * a for yc, a in zip(yv, map(sums[stage], *k))]
+        ystage = np.array(ysv)
         fstage = _lane_values(field, ystage)
         if fstage.__class__ is not tuple:
             if fstage is None:
@@ -489,20 +482,14 @@ def _step(field, lane, dim, dtype, atol, rtol):
         k.append(values)
 
     # stage 6 uses the b-row (FSAL): ystage is the new state
-    e = map(sums[7], *k)
-    if cplx:
-        abs_y = np.abs(ystage)
-        scale = atol + rtol * np.maximum(np.abs(y), abs_y)
-        sq = np.add.reduce(np.abs(h * np.array(list(e)) / scale) ** 2)
-        return ystage, f_new, sq, abs_y.tolist(), np.abs(f_new).tolist()
-    abs_y = list(map(abs, ysv))
+    abs_y = list(map(mag, ysv))
     sq = 0.0
-    for yc, b, ec in zip(yv, abs_y, e):
-        a = abs(yc)
+    for yc, b, ec in zip(yv, abs_y, map(sums[7], *k)):
+        a = mag(yc)
         # |h * e / scale| ** 2, with the nan of np.maximum in the scale
         q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
-        sq += q * q
-    return ystage, f_new, sq, abs_y, list(map(abs, values))
+        sq += q.real * q.real + q.imag * q.imag
+    return ystage, f_new, sq, abs_y, list(map(mag, values))
 
 
 def _tableau_sum(weights, zero):
@@ -527,6 +514,10 @@ def _tableau_sum(weights, zero):
 _TABLEAU_SUMS = {kind: [None, *(_tableau_sum(row.tolist(), zero) for row in _A[1:]),
                         _tableau_sum(_E.tolist(), zero)]
                  for kind, zero in (("f", "0.0"), ("c", "0j"))}
+# By dtype kind, the magnitude of an entry.  On a complex number it is
+# math.hypot of the parts, which returns inf where the magnitude overflows,
+# as np.abs does; abs() raises OverflowError there.
+_MAGNITUDE = {"f": abs, "c": lambda z: math.hypot(z.real, z.imag)}
 
 
 def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,

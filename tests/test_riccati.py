@@ -15,6 +15,7 @@ from affine_riccati import (
     DomainError,
     GammaLevy,
     SolveOptions,
+    SolveStatus,
     StateShape,
     blowup_time,
     check_conservative,
@@ -156,14 +157,16 @@ class TestSolveRiccati:
         ts = np.linspace(0, 5, 50)
         assert np.max(np.abs(sol.eval(ts)[:, 0] - kr_psi(ts, u0))) < 1e-6
 
-    @pytest.mark.parametrize("T", [1.5e-13, 6.5e-13, 1e-12, 3e-12, 5e-12, 1e-11])
+    @pytest.mark.parametrize("T", [1.05e-13, 1.09e-13, 1.5e-13, 6.5e-13, 1e-12, 3e-12, 5e-12,
+                                   1e-11])
     def test_tiny_horizons_complete(self, feller_model, T):
         # the first step starts no shorter than the step floor, and a last
-        # step cut to the horizon may be shorter: neither is a step collapse
+        # step cut to the horizon may be shorter: neither is a step collapse;
+        # the solve ends at T, within a slack relative to T
         u0 = 0.5
         sol = solve_riccati(feller_model, [u0], SolveOptions(T=T))
         assert sol.status.kind == "completed"
-        assert len(sol.ts) > 1 and sol.t_end >= T - 1e-14
+        assert len(sol.ts) > 1 and sol.t_end >= T * (1 - 1e-14)
         assert sol.psi_end[0] == pytest.approx(cir_psi(sol.t_end, u0), abs=1e-15)
         phi = -0.5 * math.log1p(u0 * math.expm1(-sol.t_end))
         assert sol.phi_end == pytest.approx(phi, rel=1e-9)
@@ -281,6 +284,10 @@ class TestDomainExit:
         assert sol.status.t_event == pytest.approx(2 * math.log(2.0), rel=1e-6)
         assert sol.psi_end[0] <= 1.0
         assert sol.status.label().startswith("LeftDomain")
+
+    def test_label_reads_an_early_event_time(self):
+        assert SolveStatus(SolveStatus.LEFT_DOMAIN, 3e-12).label() == "LeftDomain t_exit≈3e-12"
+        assert SolveStatus(SolveStatus.BLOWUP, math.log(2.0)).label() == "BlowUp t*≈0.693147"
 
 
 class TestSolveOptions:
@@ -451,6 +458,15 @@ class TestTrajectoryExport:
         assert [float(row[1]) for row in rows] == list(sol.psi[:, 0])
         assert all(row[2] == "0" for row in rows)
 
+    def test_complex_solution_is_refused(self, feller_model):
+        # the CSV's columns are real: writing them would drop the imaginary
+        # parts (psi(1) = -0.1231+0.4241j here)
+        sol = solve_riccati(feller_model, [0.5 + 1j], SolveOptions(T=1.0))
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="complex"):
+            sol.to_csv(buf)
+        assert buf.getvalue() == ""
+
 
 def gamma_ou_model():
     """OU-type coordinate that reaches the gamma measure's open boundary at 1."""
@@ -532,6 +548,15 @@ class TestLanes:
         self.lanes_match_lone_solves(model, [0.9], SolveOptions(T=1.0))
         calm = _integrate(field, starts[1], SolveOptions(T=1.0), rate_dim=1)
         assert calm.status.kind == "completed"
+
+    def test_complex_lane_beyond_float_range(self):
+        # |y| overflows: its magnitude must read inf, as np.abs gives, and
+        # not raise OverflowError as abs() of a complex number does
+        sol = _integrate(lambda z: -1e-3 * z, np.array([1.5e308 + 1.5e308j]),
+                         SolveOptions(T=1.0, blowup_threshold=1e300))
+        assert sol.status.kind == "completed"
+        assert len(sol.ts) == 22 and sol.t_end == 1.0
+        assert sol.psi_end[0] == pytest.approx((1.5e308 + 1.5e308j) * math.exp(-1e-3), rel=1e-9)
 
     def test_lane_undefined_at_its_start(self, kr_model):
         field = _full_system(kr_model, 0.0, np.zeros(1), float)
@@ -667,28 +692,40 @@ class TestEpsLadder:
 
 
 class TestTrajectoryPin:
-    """The solves keep their bits: one sha256 over ts, psi and phi of a
-    fixed set of solves, which run the one-point field path end to end."""
+    """The solves keep their bits: a sha256 over ts, psi and phi of a fixed
+    set of solves, which run the one-point field path end to end; one pin
+    for the real solves and one for the complex ones."""
 
-    PINNED = "15ef89ac50f55dc04d3b0d7c21b1d1e651301e897eebf266a5731f4eb7cfac05"
+    PINNED_REAL = "463a7f4baf27ad1d4d7b83c0d8ceb06884e381fbbca8fdeb8b2c5f5716744951"
+    PINNED_COMPLEX = "b1b7207a76f2d02eeddd0465fa9bba89c923b76c5d5b91a03bac8ac58dbbe88d"
 
-    def test_solves_keep_their_bits(self, acceptance_models):
-        feller, kr, cir = (acceptance_models[k] for k in ("feller", "kr2014", "cir-jump"))
-        opts = SolveOptions(T=2.0)
-        runs = []
-        for model in (feller, kr, cir):
-            for u in (-1.0, -0.5 + 1.0j):
-                sol = solve_riccati(model, [u], opts)
-                runs.append((sol.ts, sol.psi, sol.phi))
-        sol = solve_tilted(feller, 0.2, [0.3], [-0.8], SolveOptions(T=1.0))
-        runs.append((sol.ts, sol.psi, sol.phi))
-        sol = solve_riccati(feller, [2.0], SolveOptions(T=1.0))
-        assert sol.status.kind == "blowup"
-        runs.append((sol.ts, sol.psi, sol.phi))
-        runs.append(solve_minimal(kr, [1.0], opts)[:3])
+    @staticmethod
+    def digest(runs):
         h = hashlib.sha256()
         for arrays in runs:
             for a in arrays:
                 h.update(str(a.dtype).encode())
                 h.update(np.ascontiguousarray(a).tobytes())
-        assert h.hexdigest() == self.PINNED
+        return h.hexdigest()
+
+    @staticmethod
+    def solves(acceptance_models, u):
+        opts = SolveOptions(T=2.0)
+        return [solve_riccati(acceptance_models[k], [u], opts)
+                for k in ("feller", "kr2014", "cir-jump")]
+
+    def test_real_solves_keep_their_bits(self, acceptance_models):
+        feller, kr = acceptance_models["feller"], acceptance_models["kr2014"]
+        runs = [(sol.ts, sol.psi, sol.phi) for sol in self.solves(acceptance_models, -1.0)]
+        sol = solve_tilted(feller, 0.2, [0.3], [-0.8], SolveOptions(T=1.0))
+        runs.append((sol.ts, sol.psi, sol.phi))
+        sol = solve_riccati(feller, [2.0], SolveOptions(T=1.0))
+        assert sol.status.kind == "blowup"
+        runs.append((sol.ts, sol.psi, sol.phi))
+        runs.append(solve_minimal(kr, [1.0], SolveOptions(T=2.0))[:3])
+        assert self.digest(runs) == self.PINNED_REAL
+
+    def test_complex_solves_keep_their_bits(self, acceptance_models):
+        sols = self.solves(acceptance_models, -0.5 + 1.0j)
+        assert [len(sol.ts) for sol in sols] == [56, 22, 56]
+        assert self.digest([(sol.ts, sol.psi, sol.phi) for sol in sols]) == self.PINNED_COMPLEX
