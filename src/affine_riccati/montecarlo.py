@@ -34,9 +34,14 @@ inverse CDF, so a path's noise depends only on its own rows.  Because
 Philox is counter-based, any row range of a table can be generated on its
 own: a parallel worker draws only the rows of its block, and a cascade round
 only the span of the rows still waiting.  A stream with one jump source
-draws no pick table.  Each thread keeps one Philox generator and re-keys it
-per table.  Reductions run in fixed path order, so parallel and serial runs
-are bit-identical, as are reruns with identical options.
+draws no pick table.  A stream's key is numpy's SeedSequence hash of its
+uint32 words, and the hash vectorizes over the step: the first table of a
+stream family (one purpose and round, the step varying) in a chunk of
+``_KEY_CHUNK`` steps computes the keys of the whole chunk in one pass
+(``_StreamKeys``).  Workers run one chunk at a time and share its keys.
+Each thread keeps one Philox generator and sets its key per table.
+Reductions run in fixed path order, so parallel and serial runs are
+bit-identical, as are reruns with identical options.
 
 Layout
 ------
@@ -55,10 +60,10 @@ of CPUs the process may run on: ensembles below 20,000 paths run serially,
 and so does a process pinned to one CPU (for example with ``taskset -c 0``).
 
 Paths whose state magnitude passes 1e12 are flagged exploded and frozen, not
-errored, also in the middle of a jump cascade; exponential-moment estimates
-over an ensemble with exploded paths are reported as lower bounds.  A path
-whose cascade runs out of rounds (CASCADE_ROUND_CAP) is frozen and flagged
-exhausted, never exploded.
+errored, also in the middle of a jump cascade; the estimators count an
+exploded path in the cemetery, where every e^{<u, X_T>} and S~_T is 0.  A
+path whose cascade runs out of rounds (CASCADE_ROUND_CAP) is frozen and
+flagged exhausted, never exploded.
 
 Estimating E[S~_T]
 ------------------
@@ -233,23 +238,155 @@ def _words(x) -> tuple:
     return tuple(words)
 
 
+# the constants of numpy's SeedSequence hash (a 4-word pool)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(first: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 hash constants first, first * mult, ... (mod 2**32), as a
+    uint32 column."""
+    out = [first]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_GEN_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 4)
+_OTHER_POOL_WORDS = [[j for j in range(4) if j != i] for i in range(4)]
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of the rows of v, row i with the constants c[i] (xor)
+    and c[i + 1] (product)."""
+    v = v ^ c[:-1]
+    v *= c[1:]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L)
+    r -= y * np.uint32(_MIX_MULT_R)
+    r ^= r >> 16
+    return r
+
+
+def _philox_keys(words) -> np.ndarray:
+    """The Philox key ``SeedSequence(w).generate_state(2, np.uint64)`` of
+    each column w of the (nwords, n) uint32 array ``words``, as (n, 2) uint64.
+
+    numpy's hash, run on whole rows: the words are hashed into a 4-word pool,
+    the pool words mix with each other, the words past the fourth mix into
+    every pool word, and the pool is hashed into the 4 uint32 words of the
+    key.  Every hash constant depends only on the number of words, so the n
+    keys take one pass of uint32 array operations, which wrap as numpy's
+    own do.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    nwords, n = words.shape
+    c = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, nwords - 4))
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:min(nwords, 4)] = words[:4]
+    pool = _hashmix(pool, c[0:5])
+    k = 4
+    for i, others in enumerate(_OTHER_POOL_WORDS):
+        pool[others] = _mix(pool[others], _hashmix(pool[i], c[k:k + 4]))
+        k += 3
+    for w in words[4:]:
+        pool = _mix(pool, _hashmix(w, c[k:k + 5]))
+        k += 4
+    state = _hashmix(pool, _GEN_CONSTANTS)
+    # numpy reads the uint32 words as little-endian uint64 pairs
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+# steps per key pass: a power of two, so that no chunk straddles a multiple
+# of 2**32, where a step takes one more word
+_KEY_CHUNK = 256
+
+
+def _round_keyed(purpose: int) -> bool:
+    """Whether the first extra word of the purpose's streams is a cascade
+    round."""
+    return purpose in (_P_CASCADE_WAIT, _P_CASCADE_PICK) or purpose >= _P_SIZE
+
+
+class _StreamKeys:
+    """The Philox keys of the streams (seed, step, purpose, *extra) of one
+    simulation of ``nsteps`` steps, a chunk of ``_KEY_CHUNK`` steps at a time.
+
+    The first key asked of a stream family (one (purpose, extra), the step
+    varying) in a chunk builds the family's keys over the chunk's steps in
+    one ``_philox_keys`` pass.  A cascade round builds, with its own, the
+    keys of the other rounds of its block [0], [1], [2, 3], [4, 7], ...
+    (the last block ends at ``CASCADE_ROUND_CAP``), so a cascade of r rounds
+    takes about log2 r passes.  ``tables`` holds the keys of one chunk
+    only, and a key of another chunk drops them: 16 bytes per step of the
+    chunk for each family and each round of the blocks reached, whatever
+    ``nsteps`` is.  Keys are built under a lock, so worker threads share
+    them; ``_simulate`` keeps its workers in one chunk at a time.
+    """
+
+    def __init__(self, seed, nsteps: int):
+        self.seed = _words(seed)
+        self.nsteps = nsteps
+        self.tables = {}
+        self._lock = threading.Lock()
+
+    def key(self, step: int, purpose: int, extra=()) -> np.ndarray:
+        chunk, i = divmod(step, _KEY_CHUNK)
+        table = self.tables.get((chunk, purpose, extra))
+        if table is None:
+            table = self._build(chunk, purpose, extra)
+        return table[i]
+
+    def _build(self, chunk, purpose, extra):
+        with self._lock:
+            family = (chunk, purpose, extra)
+            if family in self.tables:
+                return self.tables[family]
+            first = chunk * _KEY_CHUNK
+            n = min(_KEY_CHUNK, self.nsteps - first)
+            if _round_keyed(purpose):
+                r = int(extra[0])
+                lo = 1 << (r.bit_length() - 1) if r else 0
+                rounds = np.arange(lo, max(min(2 * lo, CASCADE_ROUND_CAP), r + 1),
+                                   dtype=np.uint32)
+                families = [(chunk, purpose, (int(q), *extra[1:])) for q in rounds]
+                varying, constant = [np.repeat(rounds, n)], extra[1:]
+            else:
+                families, varying, constant = [family], [], extra
+            # one column per (round, step), round-major; the chunk's steps
+            # share every word but the lowest
+            step_words = _words(first)
+            steps = np.tile(np.arange(n, dtype=np.uint32) + step_words[0], len(families))
+            rows = [*self.seed, steps, *step_words[1:], *_words(purpose), *varying,
+                    *(w for x in constant for w in _words(x))]
+            words = np.empty((len(rows), steps.size), dtype=np.uint32)
+            for j, row in enumerate(rows):
+                words[j] = row
+            keys = _philox_keys(words).reshape(len(families), n, 2)
+            tables = {f: t for f, t in self.tables.items() if f[0] == chunk}
+            tables.update(zip(families, keys))
+            self.tables = tables
+            return tables[family]
+
+
 _thread = threading.local()
 
 
-def _uniforms(seed, step: int, purpose: int, shape, extra=(), start: int = 0):
+def _uniforms(keys: _StreamKeys, step: int, purpose: int, shape, extra=(), start: int = 0):
     """Rows ``start:start + shape[0]`` of the table of uniforms that the
     Philox stream keyed by (seed, step, purpose, *extra) fills row by row.
 
     The result is bit-identical to that slice of
     ``Generator(Philox(SeedSequence((seed, step, purpose, *extra)))).random``
-    of a table that has ``shape[1:]`` per row.  ``seed`` is an integer or
-    its ``_words``.  Each thread re-keys one generator: the key is the
-    SeedSequence hash of the same uint32 entropy words, and the counter
-    skips the 4-double Philox blocks before the first row.
+    of a table that has ``shape[1:]`` per row.  ``keys`` holds the seed and
+    the precomputed key.  Each thread re-keys one generator with it, and the
+    counter skips the 4-double Philox blocks before the first row.
     """
-    words = list(seed if isinstance(seed, tuple) else _words(seed))
-    for x in (step, purpose, *extra):
-        words.extend(_words(x))
     try:
         gen, state = _thread.stream
     except AttributeError:
@@ -258,8 +395,7 @@ def _uniforms(seed, step: int, purpose: int, shape, extra=(), start: int = 0):
         _thread.stream = gen, state
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     skip, drop = divmod(start * math.prod(shape[1:]), 4)
-    state["state"]["key"] = np.random.SeedSequence(
-        np.array(words, dtype=np.uint32)).generate_state(2, np.uint64)
+    state["state"]["key"] = keys.key(step, purpose, extra)
     state["state"]["counter"][0] = skip
     gen.bit_generator.state = state
     if not drop:
@@ -267,15 +403,15 @@ def _uniforms(seed, step: int, purpose: int, shape, extra=(), start: int = 0):
     return gen.random(math.prod(shape) + drop)[drop:].reshape(shape)
 
 
-def _row_span(seed, step, purpose, rows, cols=None, extra=()):
+def _row_span(keys, step, purpose, rows, cols=None, extra=()):
     """The uniforms of table rows ``rows`` (ascending), drawn over their span."""
     first = int(rows[0])
     n = int(rows[-1]) - first + 1
-    u = _uniforms(seed, step, purpose, n if cols is None else (n, cols), extra, first)
+    u = _uniforms(keys, step, purpose, n if cols is None else (n, cols), extra, first)
     return u[rows - first]
 
 
-def _sample_tail_values(measure, eps, rows, seed, step, purpose, jump_round):
+def _sample_tail_values(measure, eps, rows, keys, step, purpose, jump_round):
     """One tail jump size for each of the paths ``rows`` (ascending), by
     inverse CDF.
 
@@ -283,7 +419,7 @@ def _sample_tail_values(measure, eps, rows, seed, step, purpose, jump_round):
     keyed by (jump_round, 0): the pinned seeded ensembles were drawn with
     this layout, and any other changes their bits.
     """
-    u = _row_span(seed, step, purpose, rows, 2, extra=(jump_round, 0))
+    u = _row_span(keys, step, purpose, rows, 2, extra=(jump_round, 0))
     return measure.tail_proposal(eps, u)
 
 
@@ -363,11 +499,14 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
     exhausted = np.zeros(npaths, dtype=bool)
     states[:, 0, :] = opts.x0
     nsrc = len(sources)
-    seed = _words(opts.seed)
+    keys = _StreamKeys(opts.seed, nsteps)
 
     var_coef = 2.0 * alpha * h    # per-unit-X_i variance of the step, (m,)
 
     def run_block(lo: int, hi: int):
+        """Paths lo:hi, a generator that stops after each chunk of
+        _KEY_CHUNK steps, so that every worker draws from one chunk of keys
+        at a time."""
         # coordinate-major rows; see Layout in the module docstring
         nb = hi - lo
         X = np.empty((d, nb))
@@ -377,7 +516,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
         tmp = np.empty((m, nb))
         mag = np.empty(nb)
         blow = np.empty(nb, dtype=bool)
-        alive = np.ones(nb, dtype=bool)
+        alive = survived[lo:hi]
         # recorded states wait here and go to `states` a block at a time
         block = np.empty((min(_REC_BLOCK, len(rec_idx) - 1), d, nb))
         filled = 0
@@ -401,12 +540,12 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
             np.add(X, X_new, out=X_new)
 
             if L is not None:
-                Z = ndtri(_uniforms(seed, step, _P_GAUSS_CONST, (nb, d), start=lo))
+                Z = ndtri(_uniforms(keys, step, _P_GAUSS_CONST, (nb, d), start=lo))
                 G = Z @ L.T
                 np.multiply(sqrt_h, G, out=G)
                 X_new += G.T
             if has_alpha:
-                Z2 = ndtri(_uniforms(seed, step, _P_GAUSS_LIN, (nb, m), start=lo))
+                Z2 = ndtri(_uniforms(keys, step, _P_GAUSS_LIN, (nb, m), start=lo))
                 np.multiply(var_coef[:, None], Xp[:m], out=tmp)
                 np.sqrt(tmp, out=tmp)
                 tmp *= Z2.T
@@ -414,7 +553,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
 
             for s_idx, (mu, coord) in enumerate(increment_sources):
                 t = np.full(nb, h) if coord is None else h * Xp[coord]
-                u_inc = _uniforms(seed, step, _P_INCREMENT, (nb, 2), extra=(s_idx,), start=lo)
+                u_inc = _uniforms(keys, step, _P_INCREMENT, (nb, 2), extra=(s_idx,), start=lo)
                 X_new[mu.axis] += mu.increment(t, u_inc)
 
             if nsrc:
@@ -438,7 +577,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                         inten[:, s_idx] = lam if coord is None else \
                             np.maximum(Xj[coord, idx], 0.0) * lam
                     itot = inten[:, 0] if nsrc == 1 else inten.sum(axis=1)
-                    u_wait = _row_span(seed, step, _P_CASCADE_WAIT, lo + idx, extra=(rnd,))
+                    u_wait = _row_span(keys, step, _P_CASCADE_WAIT, lo + idx, extra=(rnd,))
                     dtau = np.full(idx.size, math.inf)
                     np.divide(-np.log1p(-u_wait), itot, out=dtau, where=itot > 0.0)
                     tau += dtau
@@ -450,7 +589,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                         # the only source takes every jump: no pick table
                         picked = [idx]
                     else:
-                        u_pick = _row_span(seed, step, _P_CASCADE_PICK, lo + idx, extra=(rnd,))
+                        u_pick = _row_span(keys, step, _P_CASCADE_PICK, lo + idx, extra=(rnd,))
                         cdf = np.cumsum(inten[jumping], axis=1) \
                             / np.maximum(itot[jumping], 1e-300)[:, None]
                         pick = np.sum(u_pick[:, None] > cdf, axis=1)
@@ -458,7 +597,7 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                     for s_idx, ((mu, coord, lam), rows) in enumerate(zip(sources, picked)):
                         if rows.size:
                             Xj[mu.axis, rows] += _sample_tail_values(
-                                mu, eps, lo + rows, seed, step, _P_SIZE + s_idx, rnd)
+                                mu, eps, lo + rows, keys, step, _P_SIZE + s_idx, rnd)
                     # a path past the explosion cap leaves the cascade at once
                     over = np.max(np.abs(Xj[:, idx]), axis=0) > EXPLOSION_CAP
                     if over.any():
@@ -490,15 +629,19 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
                     states[lo:hi, k0:k0 + filled] = block[:filled].transpose(2, 0, 1)
                     k0 += filled
                     filled = 0
-        survived[lo:hi] = alive
+            if (step + 1) % _KEY_CHUNK == 0 or step + 1 == nsteps:
+                yield
 
     nworkers = _workers(npaths)
     if nworkers > 1:
         cuts = np.linspace(0, npaths, nworkers + 1, dtype=int)
+        blocks = [run_block(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda c: run_block(c[0], c[1]), zip(cuts[:-1], cuts[1:])))
+            for _ in range(0, nsteps, _KEY_CHUNK):
+                list(pool.map(next, blocks))
     else:
-        run_block(0, npaths)
+        for _ in run_block(0, npaths):
+            pass
 
     return PathEnsemble(times=times, states=states, survived=survived,
                         exhausted=exhausted, seed=opts.seed, options=opts)
@@ -515,14 +658,11 @@ class MomentEstimate:
     stderr: float
     exploded_fraction: float
 
-    @property
-    def lower_bound_only(self) -> bool:
-        """Exploded paths count as +oo, so the mean is a lower bound."""
-        return self.exploded_fraction > 0.0
-
 
 def estimate_exp_moment(ensemble: PathEnsemble, u) -> MomentEstimate:
-    """Sample mean and standard error of e^{<u, X_T>} over surviving paths.
+    """Sample mean and standard error of e^{<u, X_T>} over all paths, an
+    exploded path counting as 0: it sits in the cemetery, as in
+    ``martingale_gap``'s plain mean.
 
     Raises SolverError when any path ran out of cascade rounds: its terminal
     value is unknown, and dropping it would bias the mean without a flag.
@@ -533,15 +673,13 @@ def estimate_exp_moment(ensemble: PathEnsemble, u) -> MomentEstimate:
             f"{int(ensemble.exhausted.sum())} paths ran out of jump cascade rounds; "
             "their terminal values are unknown, so no moment estimate is given")
     alive = ensemble.survived
-    vals = np.exp(ensemble.terminal[alive] @ u)
+    vals = np.zeros(ensemble.npaths)
+    vals[alive] = np.exp(ensemble.terminal[alive] @ u)
     n = vals.size
-    exploded_fraction = float(np.mean(ensemble.exploded))
-    if n == 0:
-        return MomentEstimate(mean=math.inf, stderr=math.inf,
-                              exploded_fraction=exploded_fraction)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MomentEstimate(mean=mean, stderr=stderr, exploded_fraction=exploded_fraction)
+    return MomentEstimate(mean=mean, stderr=stderr,
+                          exploded_fraction=float(np.mean(ensemble.exploded)))
 
 
 @dataclass(frozen=True)
@@ -556,8 +694,9 @@ class FormulaReport:
 
     @property
     def flagged(self) -> bool:
-        """Whether z is not a finite number within +-3 (NaN included: when
-        every path explodes the estimate and its standard error are inf)."""
+        """Whether z is not a finite number within +-3, NaN included (when
+        every path explodes, the mean and its standard error are 0 and z is
+        -inf)."""
         return self.applicable and not abs(self.z) <= 3.0
 
     def report_lines(self):

@@ -22,7 +22,9 @@ Termination statuses:
                  square-root-type fields never propagate).
 * Equilibrium  - ||R(psi)|| stayed below atol for 10 consecutive accepted
                  steps; the trajectory is continued to T as an exact constant
-                 (phi continues linearly at its frozen rate).
+                 (phi continues linearly at its frozen rate).  Its time is
+                 that of the first point of that run of points (the start
+                 included), where the equilibrium began.
 
 Cost of a step: one DP5(4) loop, ``_lanes``, advances N solves as lanes,
 and a plain solve (``_integrate``) is its case N = 1.  Each lane keeps its
@@ -334,11 +336,15 @@ def _eval_or_none(field, y):
 class _Lane:
     """The state of one solve in the lane loop."""
 
-    __slots__ = ("u0", "y", "f", "t", "h", "eq_run", "ts", "ys", "fs", "status", "error")
+    __slots__ = ("u0", "y", "f", "t", "h", "eq_run", "eq_t", "ts", "ys", "fs", "status",
+                 "error")
 
     def __init__(self, u0, y, f, h):
         self.u0, self.y, self.f = u0, y, f
-        self.t, self.h, self.eq_run = 0.0, h, 0
+        # eq_run counts the accepted steps of the current run of points whose
+        # rate is below atol, and eq_t is the time of its first point (None
+        # while the last point is not in such a run)
+        self.t, self.h, self.eq_run, self.eq_t = 0.0, h, 0, None
         self.ts, self.ys, self.fs = [0.0], [y], [f]
         self.status = self.error = None
 
@@ -374,6 +380,8 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
             lane.error = fv if fv is not None else \
                 DomainError("vector field undefined at the initial condition")
         else:
+            if np.abs(lane.f[:nr]).max(initial=0.0) < atol:
+                lane.eq_t = 0.0
             live.append(lane)
         lanes.append(lane)
     dtype = np.result_type(Y0, *{lane.f.dtype for lane in live}, float)
@@ -408,10 +416,15 @@ def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] 
             lane.ys.append(y)
             lane.fs.append(f)
 
-            rate = max(abs_f[:nr], default=0.0)
-            lane.eq_run = lane.eq_run + 1 if rate < atol else 0
+            if max(abs_f[:nr], default=0.0) < atol:
+                lane.eq_run += 1
+                if lane.eq_t is None:
+                    lane.eq_t = lane.t
+            else:
+                lane.eq_run, lane.eq_t = 0, None
             if lane.eq_run >= _EQUILIBRIUM_RUN and lane.t < T:
-                lane.status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=lane.t)
+                # the equilibrium began at the first point of the run
+                lane.status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=lane.eq_t)
                 # analytic continuation: psi constant, phi linear at frozen rate
                 f_cont = f.copy()
                 f_cont[:nr] = 0.0

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +34,13 @@ from affine_riccati import (
     tilt_model,
 )
 from affine_riccati import montecarlo
-from affine_riccati.montecarlo import CASCADE_ROUND_CAP, _uniforms, _words
+from affine_riccati.montecarlo import (
+    _KEY_CHUNK,
+    CASCADE_ROUND_CAP,
+    _philox_keys,
+    _StreamKeys,
+    _uniforms,
+)
 
 
 class TestSimOptions:
@@ -124,25 +132,110 @@ class TestStreamIdentity:
         n = 23
         shape = (n,) if cols is None else (n, cols)
         for step, extra in ((5, (7,)), (2**33 + 1, (0, 499))):
+            keys = _StreamKeys(seed, step + 1)
             full = np.random.Generator(np.random.Philox(np.random.SeedSequence(
                 (seed, step, 3, *extra)))).random(shape)
-            assert np.array_equal(_uniforms(seed, step, 3, shape, extra), full)
+            assert np.array_equal(_uniforms(keys, step, 3, shape, extra), full)
             for start in range(n):
                 for rows in {1, 2, 5, n - start}:
                     if start + rows > n:
                         continue
-                    part = _uniforms(seed, step, 3, (rows, *shape[1:]), extra, start)
+                    part = _uniforms(keys, step, 3, (rows, *shape[1:]), extra, start)
                     assert np.array_equal(part, full[start:start + rows]), (start, rows)
-                    words = _uniforms(_words(seed), step, 3, (rows, *shape[1:]), extra, start)
-                    assert np.array_equal(words, part)
 
     def test_each_thread_draws_the_same_rows(self):
-        want = [_uniforms(2**40 + 5, 9, 3, (40, 2), (k,), start=k) for k in range(8)]
+        # the threads share one set of keys, built while they draw
+        want = [_uniforms(_StreamKeys(2**40 + 5, 10), 9, 3, (40, 2), (k,), start=k)
+                for k in range(8)]
+        keys = _StreamKeys(2**40 + 5, 10)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            got = list(pool.map(lambda k: _uniforms(2**40 + 5, 9, 3, (40, 2), (k,), start=k),
+            got = list(pool.map(lambda k: _uniforms(keys, 9, 3, (40, 2), (k,), start=k),
                                 range(8)))
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
+
+
+def _seed_sequence_key(words):
+    return np.random.SeedSequence(words).generate_state(2, np.uint64)
+
+
+class TestPhiloxKeys:
+    """The vectorized key pass is numpy's SeedSequence hash, bit for bit,
+    and builds the keys of one chunk of steps at a time."""
+
+    @pytest.mark.parametrize("nwords", range(1, 9))
+    def test_random_words_give_numpy_keys(self, nwords):
+        words = np.random.default_rng(nwords).integers(0, 2**32, size=(nwords, 50),
+                                                        dtype=np.uint32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = _philox_keys(words)
+        assert keys.dtype == np.uint64 and keys.shape == (50, 2)
+        for column, key in zip(words.T, keys):
+            assert np.array_equal(key, _seed_sequence_key(column))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_stream_keys_are_numpy_keys(self, seed):
+        steps = [0, _KEY_CHUNK - 1, _KEY_CHUNK, 5 * _KEY_CHUNK - 1, 5 * _KEY_CHUNK,
+                 2**32 - 1, 2**32, 2**33 + 1]
+        families = [(1, ()), (montecarlo._P_INCREMENT, (1,)), (3, (0,)), (3, (1,)),
+                    (3, (5,)), (4, (2,)), (montecarlo._P_SIZE, (0, 0))]
+        keys = _StreamKeys(seed, 2**34)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in steps:
+                for purpose, extra in families:
+                    assert np.array_equal(keys.key(step, purpose, extra),
+                                          _seed_sequence_key((seed, step, purpose, *extra))), \
+                        (step, purpose, extra)
+
+    def test_a_far_step_builds_only_its_own_chunk(self):
+        keys = _StreamKeys(7, 2**34)
+        step = 2**33 + 1
+        chunk = step // _KEY_CHUNK
+        keys.key(step, 1)
+        assert list(keys.tables) == [(chunk, 1, ())]
+        assert keys.tables[chunk, 1, ()].shape == (_KEY_CHUNK, 2)
+        # a cascade round builds the rounds of its block with it
+        keys.key(step, 3, (5,))
+        assert sorted(keys.tables) == [(chunk, 1, ()), *((chunk, 3, (r,)) for r in range(4, 8))]
+        # the next chunk drops the keys of this one
+        keys.key(step + _KEY_CHUNK, 1)
+        assert list(keys.tables) == [(chunk + 1, 1, ())]
+
+    def test_threads_sharing_keys_get_numpy_keys(self):
+        # more threads than CPUs, switching often, across chunk boundaries
+        # (each crossing drops the other chunk's keys) and cascade rounds
+        asks = [(step, purpose, extra)
+                for step in (0, 1, _KEY_CHUNK - 1, _KEY_CHUNK, 3 * _KEY_CHUNK)
+                for purpose, extra in ((1, ()), (3, (0,)), (3, (3,)),
+                                       (montecarlo._P_SIZE, (6, 0)))]
+        want = [_seed_sequence_key((11, step, purpose, *extra)) for step, purpose, extra in asks]
+        keys = _StreamKeys(11, 4 * _KEY_CHUNK)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda k: [keys.key(*asks[(k + j) % len(asks)])
+                                                  for j in range(200)], k) for k in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            for j, key in enumerate(got):
+                assert np.array_equal(key, want[(k + j) % len(asks)])
+
+    def test_the_last_chunk_ends_at_the_last_step(self):
+        step = _KEY_CHUNK + 2
+        keys = _StreamKeys(7, step + 1)
+        assert np.array_equal(keys.key(step, 1), _seed_sequence_key((7, step, 1)))
+        assert keys.tables[1, 1, ()].shape == (3, 2)
+        # the last block of rounds ends at the round cap
+        last = (CASCADE_ROUND_CAP - 1, 0)
+        assert np.array_equal(keys.key(step, montecarlo._P_SIZE + 1, last),
+                              _seed_sequence_key((7, step, montecarlo._P_SIZE + 1, *last)))
+        rounds = sorted(f[2][0] for f in keys.tables if f[1] == montecarlo._P_SIZE + 1)
+        assert rounds == list(range(2**13, CASCADE_ROUND_CAP))
 
 
 class TestDeterminism:
@@ -275,7 +368,6 @@ class TestEstimators:
         assert est.mean == 1.0
         assert est.stderr == 0.0
         assert est.exploded_fraction == 0.0
-        assert not est.lower_bound_only
 
     def test_deterministic_drift_model_zero_variance(self):
         m = AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.5])
@@ -313,15 +405,26 @@ class TestEstimators:
         assert signs == {math.inf, -math.inf}
 
     def test_formula_check_flags_a_z_that_is_not_a_number(self):
-        # every path explodes: mean and standard error are inf, z = inf/inf
+        # every path explodes: mean and standard error are 0, z = -inf
         m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0], beta_I=[[-1.0]],
                         mus=(CompoundPoissonPoint(rate=50.0, size=1e13, axis=0),))
         opts = SimOptions(x0=[1.0], T=0.5, dt=1e-2, npaths=3, seed=2)
         report = affine_formula_check(m, opts, [-1.0])
         assert report.exploded_fraction == 1.0
-        assert math.isnan(report.z)
+        assert report.mc_mean == 0.0 and report.mc_stderr == 0.0
+        assert report.z == -math.inf
         assert report.flagged
         assert "flagged: yes" in report.report_lines()
+
+    @pytest.mark.parametrize("u", [-0.5, -2.0])
+    def test_formula_check_counts_exploded_paths_as_zero(self, kr_model, u):
+        # tilted kr2014 explodes (about 14% of paths by T = 1); the transform
+        # formula of the minimal solution holds with e^{<u, X_T>} = 0 in the
+        # cemetery, and averaging the survivors alone read z = +19 and +13
+        opts = SimOptions(x0=[1.0], T=1.0, dt=2e-3, npaths=4000, seed=5)
+        report = affine_formula_check(tilt_model(kr_model, [1.0]), opts, [u])
+        assert report.exploded_fraction > 0.1
+        assert not report.flagged
 
     def test_formula_check_blowup_not_applicable(self, feller_model):
         opts = SimOptions(x0=[1.0], T=1.0, dt=1e-2, npaths=10, seed=0)
@@ -489,6 +592,8 @@ class TestPathStatus:
         assert np.all(ens.terminal[ens.exploded] == 1.0)   # frozen at x0
         est = estimate_exp_moment(ens, [0.0])
         assert est.exploded_fraction == pytest.approx(ens.exploded.mean())
+        # an exploded path counts as 0 (the cemetery), not as its frozen state
+        assert est.mean == ens.survived.mean()
 
     def test_untempered_linear_jumps_do_not_stall(self, kr_model):
         # tilted kr2014 jumps by untempered linear 1/2-stable jumps; a

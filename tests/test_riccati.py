@@ -176,6 +176,22 @@ class TestSolveRiccati:
         assert sol.status.kind == "equilibrium"
         assert np.allclose(sol.psi[:, 0], 1.0, atol=1e-12)
 
+    def test_equilibrium_time_is_where_it_began(self, feller_model):
+        # R(1) = 0 exactly: the equilibrium holds from the start, though it
+        # is detected ten accepted steps later
+        sol = solve_riccati(feller_model, [1.0], SolveOptions(T=2.0))
+        assert sol.status.kind == "equilibrium"
+        assert sol.status.t_event == 0.0
+        assert sol.status.label() == "Equilibrium t_eq≈0"
+        assert sol.ts[-2] > 0.5
+        # from u = -0.5 the rate decays below atol mid-run: the time is the
+        # first point of the final run of points below it
+        sol = solve_riccati(feller_model, [-0.5], SolveOptions(T=60.0))
+        below = np.abs(sol.dpsi[:-1, 0]) < SolveOptions(T=60.0).atol
+        first = len(below) - int(np.argmin(below[::-1]))
+        assert 0 < first < len(below) - 1
+        assert sol.status.t_event == sol.ts[first]
+
     def test_initial_condition_and_phi_zero(self, cir_jump_model):
         sol = solve_riccati(cir_jump_model, [-0.4], SolveOptions(T=1.0))
         assert sol.psi[0, 0] == -0.4
