@@ -10,10 +10,9 @@ Each pair runs, for each side:
 
 * a measuring process that records, pinned to one CPU,
   - ``table_us``: microseconds per ``montecarlo._uniforms`` table of 1 row
-    and of 1,000 rows, drawn as the tree's ``_simulate`` draws them (the key,
-    the stream set-up and the draw): hashing the key words per table on a
-    tree without ``_StreamKeys``, from precomputed keys, with their key
-    passes, on a tree with it;
+    and of 1,000 rows, drawn as ``_simulate`` draws them (the key, the
+    stream set-up and the draw): from a ``_StreamKeys`` made inside the
+    timed round, its key passes included;
   - ``call_ms``: milliseconds of each call of one ``mc-jumps`` job of
     ``perfbench/workloads.py`` at seed ``SEED`` (kr2014 simulation,
     cir-jump simulation, ``martingale_gap``), median over ``JOBS`` jobs
@@ -110,10 +109,9 @@ def measure(ar):
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     table_us = {}
-    keyed = hasattr(montecarlo, "_StreamKeys")
     for rows in (1, 1000):
         def tables():
-            keys = montecarlo._StreamKeys(123456, TABLES) if keyed else 123456
+            keys = montecarlo._StreamKeys(123456, TABLES)
             for k in range(TABLES):
                 montecarlo._uniforms(keys, k, 3, rows, extra=(5,))
         tables()

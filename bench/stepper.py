@@ -28,7 +28,7 @@ Each run is pinned to one CPU and records:
   with ``ladder_sha256``, a digest of what they return;
 * ``lane_us``: microseconds per lane of one run of the DP5(4) lane loop
   (``riccati._lanes``) over N nearby starts of kr2014, for each N in
-  ``LANES``; only a tree that has the lane loop records it.
+  ``LANES``.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
@@ -213,18 +213,12 @@ def lane_costs(ar, rounds):
     """Microseconds per lane of one lane-loop run over N nearby kr2014 starts."""
     from affine_riccati import riccati
 
-    if not hasattr(riccati, "_lanes"):
-        return None
-    kr = ar.kr2014()
-    system = riccati._full_system(kr, 0.0, np.zeros(1), np.dtype(float))
-    # a tree whose lane loop takes stacked rows returns (field, rows) and the
-    # loop takes rows too; a tree whose lanes make point calls returns the field
-    field, *rows = system if isinstance(system, tuple) else (system,)
+    field = riccati._full_system(ar.kr2014(), 0.0, np.zeros(1), np.dtype(float))
     opts = ar.SolveOptions(T=2.0)
     out = {}
     for n in LANES:
         starts = [np.array([u, 0.0]) for u in -0.5 - 1e-3 * np.linspace(0.0, 1.0, n)]
-        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1, *rows),
+        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1),
                         max(3, rounds // max(1, n // 100)))
         out[str(n)] = 1e6 * seconds / n
     return out
@@ -233,14 +227,10 @@ def lane_costs(ar, rounds):
 def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
     ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
-    record = {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
-              "solve_ms": solve_ms, "sha256_real": sha["real"],
-              "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
-              "ladder_sha256": ladder_sha}
-    lane_us = lane_costs(ar, ROUNDS)
-    if lane_us is not None:
-        record["lane_us"] = lane_us
-    return record
+    return {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
+            "solve_ms": solve_ms, "sha256_real": sha["real"],
+            "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
+            "ladder_sha256": ladder_sha, "lane_us": lane_costs(ar, ROUNDS)}
 
 
 if __name__ == "__main__":

@@ -32,13 +32,13 @@ Each family states its exponential range once, as ``exp_bound`` and
 domain errors of the Levy-Khintchine integral and tilt admissibility all
 follow from that range through ``LevyMeasure.admits``, not from integrals.
 
-``eval_F``, ``eval_R``, ``reduced_R`` and ``LevyMeasure.lk_integral`` also
-take a stack of rows, an (N, d) array, and return one value per row with
-the bits of N calls on the 1-d rows, up to the sign of a NaN: of a sum of
-two NaNs, numpy's array and scalar additions keep different ones.  A
-family's ``_mgf_integral`` then sees an array of axis values; one that
-rejects arrays (by raising) is evaluated row by row by the callers that
-stack rows.
+``eval_F``, ``eval_R`` and ``LevyMeasure.lk_integral`` take one point.
+``reduced_R`` alone also takes a stack of real rows, an (N, m) array (the
+witness grid of ``ode_residual``), and returns one value per row with the
+bits of N point calls, up to the sign of a NaN: of a sum of two NaNs,
+numpy's array and scalar additions keep different ones.  A family's
+``_mgf_integral`` then sees an array of axis values; one that rejects
+arrays (by raising) is evaluated row by row by ``ode_residual``.
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ def _admitted(s, bound, closed) -> bool:
 
 
 def _all_admitted(s, bound, closed) -> bool:
-    """Whether every entry of the array s lies in the range (bound, closed).
+    """Whether every entry of the real array s lies in the range (bound, closed).
 
-    A Python loop: on the few rows of a stack it is cheaper than a numpy
-    reduction, and it reads each entry as ``_admitted`` does.
+    A Python loop: it reads each entry as ``_admitted`` does.
     """
     return all([x < bound or (closed and x == bound) for x in s.tolist()])
 
@@ -297,6 +296,8 @@ class LevyMeasure:
         u = np.asarray(u)
         if u.ndim == 0:
             return u[()]
+        if u.ndim > 1:
+            raise ConfigError(f"expected one point, got shape {u.shape}")
         return u[self.axis]
 
     def _admitted_axis_value(self, u):
@@ -308,14 +309,13 @@ class LevyMeasure:
         return s
 
     def lk_integral(self, u, compensated: bool = True):
-        """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi); one value per row
-        for an (N, d) array of rows.
+        """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi) at the point u (a
+        d-vector, or a 0-d u on a d = 1 state); ConfigError for an array of
+        more dimensions.
 
         ``compensated`` states whether the truncation acts on this measure's
         axis (true for mu_0 and for coordinates in J u {i} of mu_i).
         """
-        if getattr(u, "ndim", 0) == 2:
-            return self._lk_rows(u, compensated)
         s = self._admitted_axis_value(u)
         val = self._mgf_integral(s)
         if math.isinf(val.real) and val.imag == 0:  # overflow inside the range
@@ -325,14 +325,14 @@ class LevyMeasure:
         return val
 
     def _lk_rows(self, u, compensated):
-        """lk_integral on (N, d) rows: the arithmetic of the 1-d path on the
-        column of axis values, and its range and overflow checks on each row
-        (a DomainError when any row fails them)."""
+        """lk_integral on real (N, d) rows, for ``reduced_R``: the arithmetic
+        of the point path on the column of axis values, and its range and
+        overflow checks on each row (a DomainError when any row fails them)."""
         s = u[:, self.axis]
-        if not _all_admitted(s.real, self.exp_bound, self.bound_closed):
+        if not _all_admitted(s, self.exp_bound, self.bound_closed):
             raise DomainError("u outside the effective domain of the jump measure")
         val = self._mgf_integral(s)
-        if any([x.imag == 0 and math.isinf(x.real) for x in val.tolist()]):
+        if any([math.isinf(x) for x in val.tolist()]):
             raise DomainError("jump integral not finite at u")
         if compensated:
             val = val - s * self.chi_integral()
@@ -360,7 +360,7 @@ class ZeroJumps(LevyMeasure):
         return True
 
     def lk_integral(self, u, compensated: bool = True):
-        return 0.0  # for (N, d) rows too: it broadcasts against one value per row
+        return 0.0
 
     def lk_derivative(self, u, compensated: bool = True):
         return 0.0
@@ -740,9 +740,13 @@ class DomainY:
         object.__setattr__(self, "_bounds", tuple(bounds))
 
     def contains(self, y) -> bool:
-        """Membership of y (its real part for complex input); of every row
-        of (N, d) rows."""
+        """Membership of the point y (its real part for complex input), a
+        d-vector or, on a d = 1 state, a 0-d y; of every row of (N, d)
+        rows.  ConfigError for any other shape."""
         y = np.real(np.atleast_1d(y))
+        if y.ndim > 2 or y.shape[-1] != self.shape.d:
+            raise ConfigError(f"expected a point of length {self.shape.d} or (N, "
+                              f"{self.shape.d}) rows, got shape {y.shape}")
         if y.ndim == 2:
             return all(_all_admitted(col, *bound) for col, bound in zip(y.T, self._bounds))
         return all(_admitted(s, *bound) for s, bound in zip(y, self._bounds))
@@ -946,7 +950,7 @@ def _point_closures(model, dtype):
 
     rows = tuple(zip(range(m), model.alpha, map(dot, model.beta_I.astype(dtype, copy=False)),
                      model.gamma, [mu.lk_integral for mu in model.mus], model._compensated))
-    beta_JJ_T = model.beta_JJ.T  # cast by matmul, as on the rows path
+    beta_JJ_T = model.beta_JJ.T  # matmul casts it to the dtype of u
 
     def R(u):
         out = np.empty(d, dtype)
@@ -959,33 +963,21 @@ def _point_closures(model, dtype):
     return R, F
 
 
-def _stack_or_row(u, size):
-    """u, which is not a 1-d row of size entries, as an (N, size) stack of
-    rows, or as a row when u is 0-d and size is 1.  ConfigError for any
-    other shape."""
-    shape = u.shape
-    if len(shape) == 2 and shape[1] == size:
-        return u
-    if not shape and size == 1:
-        return u.reshape(1)
-    raise ConfigError(f"expected a 1-d row of length {size} or an (N, {size}) stack of rows, "
-                      f"got shape {shape}")
+def _as_row(u, size):
+    """u, which is not a 1-d row of size entries, as that row when u is 0-d
+    and size is 1.  ConfigError for any other shape."""
+    if u.shape or size != 1:
+        raise ConfigError(f"expected a 1-d row of length {size}, got shape {u.shape}")
+    return u.reshape(1)
 
 
 def eval_F(model: AffineModel, u, check_domain: bool = True):
-    """The constant functional characteristic F(u); an (N,) array for (N, d) rows."""
+    """The constant functional characteristic F(u) at the point u."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
-        u = _stack_or_row(u, model.shape.d)
+        u = _as_row(u, model.shape.d)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    if u.ndim == 2:
-        with _own_errstate():
-            # u @ (a @ u) and b @ u as one gemv and ddots per row (see _eval_R_rows)
-            col = u[:, :, None]
-            quad = np.matmul(u[:, None, :], np.matmul(model.a, col))[:, 0, 0]
-            val = quad + np.matmul(model.b, col)[:, 0] - model.c
-            return val + model.mu0.lk_integral(u, compensated=True)
     F = model._point_fns[u.dtype.kind == "c"][1]
     if _FP_QUIET.get():
         return F(u)
@@ -994,15 +986,13 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
 
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
-    """The state-linear functional characteristic R(u) as a d-vector; an
-    (N, d) array for (N, d) rows."""
+    """The state-linear functional characteristic R(u) at the point u, as a
+    d-vector."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
-        u = _stack_or_row(u, model.shape.d)
+        u = _as_row(u, model.shape.d)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    if u.ndim == 2:
-        return _eval_R_rows(model, u)
     R = model._point_fns[u.dtype.kind == "c"][0]
     if _FP_QUIET.get():
         return R(u)
@@ -1010,44 +1000,46 @@ def eval_R(model: AffineModel, u, check_domain: bool = True):
         return R(u)
 
 
-def _eval_R_rows(model, u):
-    """eval_R on (N, d) rows, with the bits of the 1-d path row by row.
+def _reduced_rows(model, v, check_domain):
+    """reduced_R on real (N, m) rows, with the bits of N point calls.
 
-    The products go through matmul's stacked loop, which makes the BLAS
-    call of the 1-d product for each row: one ddot per row and I-row for
-    beta_I[i] @ u, one gemv per row for beta_JJ^T u_J.  The square is
-    float_power, as the 1-d path's scalar u[i] ** 2 is pow(); an array's
-    ** 2 is a plain square, which rounds differently.
+    Only the I-rows of R are formed, at the (N, d) rows (v, 0).  The
+    products go through matmul's stacked loop, which makes the BLAS call of
+    the point path for each row: one ddot per row and I-row for
+    beta_I[i] @ u.  The square is float_power, as the point path's scalar
+    u[i] ** 2 is pow(); an array's ** 2 is a plain square, which rounds
+    differently.
     """
     m = model.shape.m
-    out = np.zeros(u.shape, dtype=complex if u.dtype.kind == "c" else float)
+    u = np.zeros((len(v), model.shape.d))
+    u[:, :m] = v
+    if check_domain and not in_domain_Y(model, u):
+        raise DomainError("u outside the effective domain Y")
     with _own_errstate():
-        # the terms of every I-row at once, in the order of the 1-d path
+        # the terms of every I-row at once, in the order of the point path
         linear = np.matmul(model.beta_I[:, None, :], u[:, None, :, None])[..., 0, 0]
-        val = model.alpha * np.float_power(u[:, :m], 2) + linear - model.gamma
-        for i, compensated in enumerate(model._compensated):
-            np.add(val[:, i], model.mus[i].lk_integral(u, compensated=compensated),
-                   out=out[:, i])
-        if model.shape.n:
-            out[:, m:] = np.matmul(model.beta_JJ.T, u[:, m:, None])[:, :, 0]
+        out = model.alpha * np.float_power(v, 2) + linear - model.gamma
+        # the point path also adds the null measure's 0.0, which keeps every
+        # bit: the sum it is added to is never -0.0, as matmul's sum starts at +0.0
+        for i, (mu, compensated) in enumerate(zip(model.mus, model._compensated)):
+            if not mu.is_zero:
+                out[:, i] += mu._lk_rows(u, compensated)
     return out
 
 
 def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
     """The reduced vector field: the I-components of R at (v, 0) for a real
-    v; (N, m) for (N, m) rows."""
+    v; (N, m) for real (N, m) rows."""
     shape = model.shape
     m = shape.m
     v = np.asarray(v)
     if v.dtype.kind == "c":
         raise ConfigError("reduced_R takes a real v")
     v = v.astype(float, copy=False)
+    if v.ndim == 2 and v.shape[1] == m:
+        return _reduced_rows(model, v, check_domain)
     if v.shape != (m,):
-        v = _stack_or_row(v, m)
-    if v.ndim == 2:
-        u = np.zeros((len(v), shape.d))
-        u[:, :m] = v
-        return eval_R(model, u, check_domain=check_domain)[:, :m]
+        v = _as_row(v, m)
     if not shape.n and v.flags.c_contiguous:
         # (v, 0) is v itself; a strided v would take a strided BLAS dot
         return eval_R(model, v, check_domain=check_domain)

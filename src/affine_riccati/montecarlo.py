@@ -202,8 +202,6 @@ class PathEnsemble:
     states: np.ndarray        # (npaths, k, d)
     survived: np.ndarray      # (npaths,) bool
     exhausted: np.ndarray     # (npaths,) bool
-    seed: int
-    options: SimOptions
 
     @property
     def npaths(self) -> int:
@@ -643,13 +641,29 @@ def _simulate(model: AffineModel, opts: SimOptions) -> PathEnsemble:
         for _ in run_block(0, npaths):
             pass
 
-    return PathEnsemble(times=times, states=states, survived=survived,
-                        exhausted=exhausted, seed=opts.seed, options=opts)
+    return PathEnsemble(times=times, states=states, survived=survived, exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
+
+
+def _refuse_exhausted(ens: PathEnsemble, paths: str, consequence: str):
+    """SolverError when any path of ens ran out of cascade rounds."""
+    if np.any(ens.exhausted):
+        raise SolverError(f"{int(ens.exhausted.sum())} {paths} ran out of jump cascade rounds; "
+                          + consequence)
+
+
+def _cemetery_mean(ens: PathEnsemble, surviving: np.ndarray):
+    """Sample mean and standard error over all paths of a value given on
+    the surviving paths, 0 on the others, which sit in the cemetery."""
+    vals = np.zeros(ens.npaths)
+    vals[ens.survived] = surviving
+    n = vals.size
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(vals)), stderr
 
 
 @dataclass(frozen=True)
@@ -668,16 +682,9 @@ def estimate_exp_moment(ensemble: PathEnsemble, u) -> MomentEstimate:
     value is unknown, and dropping it would bias the mean without a flag.
     """
     u = _real_finite(u, "u", ensemble.states.shape[2])
-    if np.any(ensemble.exhausted):
-        raise SolverError(
-            f"{int(ensemble.exhausted.sum())} paths ran out of jump cascade rounds; "
-            "their terminal values are unknown, so no moment estimate is given")
-    alive = ensemble.survived
-    vals = np.zeros(ensemble.npaths)
-    vals[alive] = np.exp(ensemble.terminal[alive] @ u)
-    n = vals.size
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _refuse_exhausted(ensemble, "paths",
+                      "their terminal values are unknown, so no moment estimate is given")
+    mean, stderr = _cemetery_mean(ensemble, np.exp(ensemble.terminal[ensemble.survived] @ u))
     return MomentEstimate(mean=mean, stderr=stderr,
                           exploded_fraction=float(np.mean(ensemble.exploded)))
 
@@ -813,10 +820,8 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     martingale_value = math.exp(float(theta @ opts.x0))
 
     tilted = _simulate(tilt_model(model, theta), opts)
-    if np.any(tilted.exhausted):
-        raise SolverError(
-            f"{int(tilted.exhausted.sum())} tilted paths ran out of jump cascade rounds; "
-            "their survival is unknown, so no survival estimate is given")
+    _refuse_exhausted(tilted, "tilted paths",
+                      "their survival is unknown, so no survival estimate is given")
     q = float(np.mean(tilted.survived))
     survival_mean = martingale_value * q
     survival_stderr = martingale_value * math.sqrt(q * (1.0 - q) / tilted.npaths)
@@ -827,16 +832,10 @@ def martingale_gap(model: AffineModel, spec: TiltSpec, opts: SimOptions) -> GapR
     z_pred = (survival_mean - predicted) / se
 
     ens = simulate_paths(model, opts)
-    if np.any(ens.exhausted):
-        raise SolverError(
-            f"{int(ens.exhausted.sum())} base paths ran out of jump cascade rounds; "
-            "their S~_T is unknown, so no plain mean is given")
+    _refuse_exhausted(ens, "base paths", "their S~_T is unknown, so no plain mean is given")
     # an exploded path sits in the cemetery, where S~_T = 0
-    S_T = np.zeros(ens.npaths)
-    S_T[ens.survived] = discounted_functional(spec, ens.times, ens.states[ens.survived])
-    n = S_T.size
-    mean = float(np.mean(S_T))
-    stderr = float(np.std(S_T, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean, stderr = _cemetery_mean(
+        ens, discounted_functional(spec, ens.times, ens.states[ens.survived]))
     return GapReport(mean=mean, stderr=stderr, predicted=predicted,
                      martingale_value=martingale_value,
                      excludes_martingale=excludes, z_vs_predicted=float(z_pred),

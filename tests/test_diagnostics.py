@@ -419,6 +419,23 @@ class TestOdeResidual:
         assert got == ode_residual(w.ts, w.values, self.one_at_a_time(fld))
         assert got == self.loop_residual(w.ts, w.values, fld)
 
+    def test_verdict_evaluates_the_witness_grid_in_one_rows_call(self, monkeypatch, kr_model):
+        # the one stacked evaluation of a verdict goes through the reduced_R
+        # of this module's globals, where a tracer that wraps it counts it
+        from affine_riccati import diagnostics
+
+        shapes = []
+        original = diagnostics.reduced_R
+
+        def recorded(model, v, *args, **kwargs):
+            shapes.append(np.shape(v))
+            return original(model, v, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "reduced_R", recorded)
+        verdict = check_conservative(tilt_model(kr_model, [1.0]))
+        assert verdict.kind == "NonConservative"
+        assert [s for s in shapes if len(s) == 2] == [verdict.witness.values.shape]
+
     def test_rows_call_meets_inf_or_a_raise_where_the_loop_does(self, exp_jump_model):
         # alpha v^2 overflows to inf at v = -1e200; v >= 1 leaves the jump
         # measure's range (DomainError); the first of the two in grid order wins

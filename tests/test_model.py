@@ -235,8 +235,10 @@ class TestDomain:
         assert not in_domain_Y(exp_jump_model, [1.0])
 
     def test_kr2014_closed_boundary(self, kr_model):
-        assert in_domain_Y(kr_model, [1.0])
-        assert not in_domain_Y(kr_model, [1.0 + 1e-9])
+        for y in (1.0, [1.0]):  # a 0-d y of a d = 1 model is a point
+            assert in_domain_Y(kr_model, y)
+        for y in (1.0 + 1e-9, [1.0 + 1e-9]):
+            assert not in_domain_Y(kr_model, y)
 
     def test_complex_membership_uses_real_part(self, kr_model):
         assert in_domain_Y(kr_model, np.array([0.5 + 10j]))
@@ -270,6 +272,15 @@ class TestDomain:
         assert in_domain_Y(model, [0.79])
         assert not in_domain_Y(model, [0.81])
 
+    def test_a_point_of_the_wrong_length_is_a_config_error(self, kr_model, mixed_model):
+        # kr2014 has d = 1 and mixed d = 3: none of these is a point or rows of points
+        wrong = [[0.5, 2.0], [], [[0.5, 5.0]], [[[0.5]]], np.zeros((2, 1, 1))]
+        for model, y in [(kr_model, y) for y in wrong] + [(mixed_model, 0.0)]:
+            with pytest.raises(ConfigError):
+                in_domain_Y(model, y)
+            with pytest.raises(ConfigError):
+                model.domain.contains(y)
+
     def test_point_overflow_is_an_infinite_moment_and_a_refused_tilt(self):
         # y = 500 lies in Y, but e^{500 * 1.5} overflows a float
         mu = CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)
@@ -299,7 +310,8 @@ class TestReducedField:
 
 
 class TestRows:
-    """(N, d) rows give the bits of N calls on the 1-d rows, or raise when one would."""
+    """reduced_R on real (N, m) rows gives the bits of N point calls, or
+    raises when one would."""
 
     @staticmethod
     def models(analytic_measures, acceptance_models, mixed_model):
@@ -322,84 +334,74 @@ class TestRows:
             return DomainError
 
     @staticmethod
-    def outcome(fun, u):
-        """The bits and dtype of fun(u) as an array, or the class of what it
-        raised.  A NaN (of a real value or of a part) reads as one NaN: the
-        sign a sum of two NaNs keeps differs between numpy's array and
-        scalar additions."""
+    def outcome(fun, v):
+        """The bits and dtype of fun(v) as an array, or the class of what it
+        raised.  A NaN reads as one NaN: the sign a sum of two NaNs keeps
+        differs between numpy's array and scalar additions."""
         try:
-            got = np.asarray(fun(u))
+            got = np.asarray(fun(v))
         except Exception as exc:  # noqa: BLE001 - the class is the outcome
             return type(exc)
-        parts = got.reshape(-1).view(float).copy()
-        parts[np.isnan(parts)] = math.nan
-        return parts.tobytes(), got.dtype
+        got = got.copy()
+        got[np.isnan(got)] = math.nan
+        return got.tobytes(), got.dtype
 
     @staticmethod
-    def calls(model, complex_u):
-        """The evaluations that take rows, by name."""
-        m = model.shape.m
-        out = {"eval_R": lambda x: eval_R(model, x, check_domain=False),
-               "eval_F": lambda x: eval_F(model, x, check_domain=False)}
-        if not complex_u:
-            out["reduced_R"] = lambda x: reduced_R(model, x[..., :m], check_domain=False)
-        for mu in (model.mu0, *model.mus):
-            if not mu.is_zero:  # the null measure's 0.0 broadcasts
-                out[f"lk {mu!r}"] = mu.lk_integral
-        return out
+    def reduced(model):
+        return lambda v: reduced_R(model, v, check_domain=False)
 
     def test_rows_equal_the_one_row_calls(self, analytic_measures, acceptance_models,
                                           mixed_model):
         models = self.models(analytic_measures, acceptance_models, mixed_model)
         rng = np.random.default_rng(11)
         for name, model in models.items():
-            d = model.shape.d
+            m, d = model.shape.m, model.shape.d
+            fun = self.reduced(model)
             for _ in range(60):
                 rows = rng.normal(size=(3, d)) * 10.0 ** rng.integers(-6, 1, size=(3, d))
+                v = rows[:, :m]
+                want = self.one_by_one(fun, v)
+                if want is DomainError:
+                    with pytest.raises(DomainError):
+                        fun(v)
+                else:
+                    got = fun(v)
+                    assert got.dtype == float and got.tobytes() == want.tobytes(), name
                 for u in (rows, rows + 1j * rng.normal(size=(3, d))):
-                    for call, fun in self.calls(model, u.dtype.kind == "c").items():
-                        want = self.one_by_one(fun, u)
-                        if want is DomainError:
-                            with pytest.raises(DomainError):
-                                fun(u)
-                            continue
-                        got = np.asarray(fun(u))
-                        assert got.tobytes() == want.astype(got.dtype).tobytes(), (name, call)
                     assert in_domain_Y(model, u) == all(in_domain_Y(model, x) for x in u)
         # Special entries, one row at a time: a point call forms each product
         # of one term (every product of a d = 1 model) on numpy scalars, the
-        # rows call keeps the BLAS call.
-        models["gamma-ou"] = AffineModel(shape=StateShape(0, 1), a=[[0.0]], b=[0.0],
-                                         beta_JJ=[[0.5]], mu0=GammaLevy(c=1.0, rho=1.0, axis=0))
-        # coefficients of -0.0, where the sign of a one-term product reaches
-        # the value: F at 0j through b, R at 0j through beta_I
+        # rows call keeps the BLAS call.  Coefficients of -0.0, where the
+        # sign of a one-term product could reach the value through beta_I,
+        # with a jump measure and with the null one, whose 0.0 only the point
+        # call adds.
         gamma = GammaLevy(c=1.0, rho=1.0, axis=0)
-        models["signed-zero-F"] = AffineModel(shape=StateShape(0, 1), a=[[-0.0]], b=[-0.0],
-                                              beta_JJ=[[0.5]], mu0=gamma)
-        models["signed-zero-R"] = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0],
-                                              alpha=[-0.0], beta_I=[[-0.0]], mus=(gamma,))
-        parts = (0.0, -0.0, math.inf, -math.inf, 1.5)
-        specials = [*SPECIAL_ENTRIES, *(complex(p, q) for p in parts for q in parts)]
+        for mu in (gamma, ZeroJumps()):
+            models[f"signed-zero-{mu!r}"] = AffineModel(
+                shape=StateShape(1, 0), a=[[0.0]], b=[0.0], alpha=[-0.0], beta_I=[[-0.0]],
+                mus=(mu,))
+        # numpy's array square and the scalar pow() of the point path round
+        # 17568.246052500064 ** 2 differently (on AVX-512 x86-64, numpy 2.4)
         for name, model in models.items():
-            for value in specials:
-                u = np.full((1, model.shape.d), value)
-                for call, fun in self.calls(model, u.dtype.kind == "c").items():
-                    point = self.outcome(lambda x: np.array([fun(x[0])]), u)
-                    assert self.outcome(fun, u) == point, (name, call, value)
+            fun = self.reduced(model)
+            for value in (*SPECIAL_ENTRIES, 17568.246052500064):
+                v = np.full((1, model.shape.m), value)
+                point = self.outcome(lambda x: np.array([fun(x[0])]), v)
+                assert self.outcome(fun, v) == point, (name, value)
 
     def test_rows_outside_the_domain_raise(self, kr_model):
         rows = np.array([[0.5], [1.5], [-1.0]])
         assert not in_domain_Y(kr_model, rows)
         with pytest.raises(DomainError):
-            eval_R(kr_model, rows)
+            reduced_R(kr_model, rows)
         with pytest.raises(DomainError):
-            kr_model.mus[0].lk_integral(rows)
+            reduced_R(kr_model, rows, check_domain=False)
 
 
 class TestShapeChecks:
-    """eval_R, eval_F and reduced_R take a 1-d row or an (N, d) stack, and read
-    a 0-d u of a d = 1 model as a row; any other shape is a ConfigError, also
-    without the domain check."""
+    """eval_R and eval_F take a 1-d row, reduced_R a 1-d row or real (N, m)
+    rows, and each reads a 0-d u of a d = 1 model as a row; any other shape
+    is a ConfigError, also without the domain check."""
 
     @staticmethod
     def calls(model):
@@ -413,6 +415,22 @@ class TestShapeChecks:
         for call, fun in self.calls(feller_model).items():
             with pytest.raises(ConfigError):
                 fun(u, check)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_stacks_of_points_are_config_errors(self, acceptance_models, mixed_model,
+                                                 kr2014_pair_model, check):
+        models = dict(acceptance_models, mixed=mixed_model, pair=kr2014_pair_model)
+        for model in models.values():
+            d = model.shape.d
+            for u in (np.full((2, d), -0.1), np.full((1, d), -0.1 + 0.5j)):
+                for call in ("eval_R", "eval_F"):
+                    with pytest.raises(ConfigError):
+                        self.calls(model)[call](u, check)
+                for mu in (model.mu0, *model.mus):
+                    if not mu.is_zero:
+                        for compensated in (True, False):
+                            with pytest.raises(ConfigError):
+                                mu.lk_integral(u, compensated)
 
     @pytest.mark.parametrize("check", [True, False])
     def test_zero_d_input_needs_one_coordinate(self, mixed_model, kr2014_pair_model, check):

@@ -21,6 +21,7 @@ from affine_riccati import (
     check_conservative,
     eval_F,
     eval_R,
+    reduced_R,
     solve_minimal,
     solve_reduced,
     solve_riccati,
@@ -635,7 +636,7 @@ class TestLanes:
         model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
                             beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
         with pytest.raises(ValueError):
-            eval_R(model, np.array([[-0.1], [-0.2]]))
+            reduced_R(model, np.array([[-0.1], [-0.2]]))
         self.lanes_match_lone_solves(model, [-0.1, -0.2, 0.5])
         field = _full_system(model, 0.0, np.zeros(1), float)
         opts = SolveOptions(T=2.0, rtol=1e-12, atol=1e-15)
