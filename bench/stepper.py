@@ -12,8 +12,9 @@ Each run is pinned to one CPU and records:
   the stepper's ``check_domain=False`` but directly, so each call enters
   its own np.errstate, for each built-in jump family on a scalar model that
   carries it in both F and R, at a real and at a complex u; and per call of
-  the verdict pipeline's reduced field,
-  ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))``, at a real v;
+  the verdict pipeline's reduced fields at a real v,
+  ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1) and that
+  of the ``verdicts`` workload's tilted kr2014 pair (m = 2);
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
@@ -93,15 +94,18 @@ def eval_costs(ar, rounds):
                     ar.eval_F(model, u, check_domain=False)
 
             out[f"{name} {kind}"] = _call_us(run, n, rounds)
-    field = ar.diagnostics.ReducedField.from_model(ar.tilt_model(ar.kr2014(), [1.0]))
-    v = np.array([-0.5])
-    n = 1000
+    fields = {"tilted-kr2014": (ar.tilt_model(ar.kr2014(), [1.0]), [-0.5]),
+              "tilted-kr2014-pair": (ar.tilt_model(_workloads().kr2014_pair(), [1.0, 1.0]),
+                                     [-0.5, -0.3])}
+    for name, (model, v) in fields.items():
+        field, v = ar.diagnostics.ReducedField.from_model(model), np.array(v)
+        n = 1000
 
-    def run():
-        for _ in range(n):
-            field(v)
+        def run():
+            for _ in range(n):
+                field(v)
 
-    out["reduced-field tilted-kr2014 real"] = _call_us(run, n, rounds)
+        out[f"reduced-field {name} real"] = _call_us(run, n, rounds)
     return out
 
 

@@ -78,7 +78,7 @@ __all__ = [
 
 _INF = math.inf
 
-# Quadrature used by the wrapper measure and by test oracles.  Improper
+# Quadrature of the wrapper measure (ExpTiltedMeasure).  Improper
 # integrals are split at xi = 1 to mirror the definition of Y; integrals
 # whose magnitude exceeds the cap are reported as infinite.
 QUAD_ABS_TOL = 1e-10
@@ -124,6 +124,10 @@ def _all_admitted(s, bound, closed) -> bool:
     A Python loop: it reads each entry as ``_admitted`` does.
     """
     return all([x < bound or (closed and x == bound) for x in s.tolist()])
+
+
+_OUTSIDE_RANGE = "u outside the effective domain of the jump measure"
+_NOT_FINITE = "jump integral not finite at u"
 
 
 def _is_complex(x) -> bool:
@@ -182,11 +186,17 @@ class LevyMeasure:
 
     Membership of Y, the DomainError of ``lk_integral`` and
     ``lk_derivative`` and the admissibility of ``tilted`` all follow from the
-    range through ``admits``; the scalar primitives see only admitted s.
+    range; the scalar primitives see only admitted s.
+
+    ``lk_integral`` and the model's point closures share one point form per
+    (compensated, dtype kind), ``_point_form``: the range test, the family's
+    ``_point_mgf`` and the overflow test, with the axis, the range and CHI
+    bound.  A family's ``_point_mgf`` binds its closed form with the bits of
+    ``_mgf_integral``; without one the form calls ``_mgf_integral``.
 
     Measures are immutable after construction: derived constants such as
-    CHI are computed once and kept on the instance, so a subclass must not
-    change its parameters after it is built.
+    CHI and the point forms are computed once and kept on the instance, so
+    a subclass must not change its parameters after it is built.
     """
 
     axis: Optional[int] = None
@@ -292,21 +302,18 @@ class LevyMeasure:
 
     # -- d-vector wrappers ---------------------------------------------------
 
-    def _axis_value(self, u):
+    def _row(self, u):
+        """u as a 1-d row that holds the axis coordinate (a 0-d u is a row of
+        one entry); ConfigError for more dimensions or too few entries.  A
+        measure does not know d, so a longer row is not an error here."""
         u = np.asarray(u)
         if u.ndim == 0:
-            return u[()]
-        if u.ndim > 1:
+            u = u.reshape(1)
+        elif u.ndim > 1:
             raise ConfigError(f"expected one point, got shape {u.shape}")
-        return u[self.axis]
-
-    def _admitted_axis_value(self, u):
-        """The axis coordinate of u; DomainError when its real part is not admitted."""
-        # a 1-d row, as the point path passes it, is indexed as it is
-        s = u[self.axis] if u.__class__ is np.ndarray and u.ndim == 1 else self._axis_value(u)
-        if not self.admits(s.real):
-            raise DomainError("u outside the effective domain of the jump measure")
-        return s
+        if len(u) <= self.axis:
+            raise ConfigError(f"expected a point with coordinate {self.axis}, got shape {u.shape}")
+        return u
 
     def lk_integral(self, u, compensated: bool = True):
         """int (e^{<u,xi>} - 1 - <chi(xi), u>) mu(dxi) at the point u (a
@@ -316,13 +323,60 @@ class LevyMeasure:
         ``compensated`` states whether the truncation acts on this measure's
         axis (true for mu_0 and for coordinates in J u {i} of mu_i).
         """
-        s = self._admitted_axis_value(u)
-        val = self._mgf_integral(s)
-        if math.isinf(val.real) and val.imag == 0:  # overflow inside the range
-            raise DomainError("jump integral not finite at u")
-        if compensated:
-            val = val - s * self.chi_integral()
-        return val
+        u = self._row(u)
+        return self._point_form(compensated, u.dtype.kind == "c")(u)
+
+    def _point_form(self, compensated, complex_kind):
+        """u -> lk_integral(u, compensated) on a 1-d row, real or complex by
+        ``complex_kind``: the range test of the axis value (of its real
+        part), the family's ``_point_mgf`` and the overflow test, then the
+        compensation when it applies, with the axis, the range and CHI
+        bound.  Built on first use and kept on the instance, but not
+        pickled."""
+        forms = self.__dict__.get("_point_forms")
+        if forms is None:
+            forms = {}
+            object.__setattr__(self, "_point_forms", forms)  # families are frozen dataclasses
+        form = forms.get((compensated, complex_kind))
+        if form is not None:
+            return form
+        axis, bound, closed = self.axis, self.exp_bound, self.bound_closed
+        mgf = self._point_mgf(complex_kind)
+        chi = self.chi_integral() if compensated else None
+
+        if complex_kind:
+            def form(u):
+                s = u[axis]
+                r = s.real
+                if not (r < bound or closed and r == bound):
+                    raise DomainError(_OUTSIDE_RANGE)
+                val = mgf(s)
+                if math.isinf(val.real) and val.imag == 0:  # overflow inside the range
+                    raise DomainError(_NOT_FINITE)
+                return val if chi is None else val - s * chi
+        else:
+            def form(u):
+                s = u[axis]
+                if not (s < bound or closed and s == bound):
+                    raise DomainError(_OUTSIDE_RANGE)
+                val = mgf(s)
+                if math.isinf(val):  # overflow inside the range
+                    raise DomainError(_NOT_FINITE)
+                return val if chi is None else val - s * chi
+        forms[compensated, complex_kind] = form
+        return form
+
+    def _point_mgf(self, complex_kind):
+        """s -> _mgf_integral(s) on one axis value of the kind, with the same
+        bits; a family binds its closed form here, the default calls
+        ``_mgf_integral``."""
+        return self._mgf_integral
+
+    def __getstate__(self):
+        # closures do not pickle; an unpickled measure builds its own on first use
+        state = self.__dict__.copy()
+        state.pop("_point_forms", None)
+        return state
 
     def _lk_rows(self, u, compensated):
         """lk_integral on real (N, d) rows, for ``reduced_R``: the arithmetic
@@ -330,17 +384,19 @@ class LevyMeasure:
         overflow checks on each row (a DomainError when any row fails them)."""
         s = u[:, self.axis]
         if not _all_admitted(s, self.exp_bound, self.bound_closed):
-            raise DomainError("u outside the effective domain of the jump measure")
+            raise DomainError(_OUTSIDE_RANGE)
         val = self._mgf_integral(s)
         if any([math.isinf(x) for x in val.tolist()]):
-            raise DomainError("jump integral not finite at u")
+            raise DomainError(_NOT_FINITE)
         if compensated:
             val = val - s * self.chi_integral()
         return val
 
     def lk_derivative(self, u, compensated: bool = True):
         """d/du_axis of lk_integral (other partials vanish)."""
-        s = self._admitted_axis_value(u)
+        s = self._row(u)[self.axis]
+        if not self.admits(s.real):
+            raise DomainError(_OUTSIDE_RANGE)
         val = self._mgf_derivative(s)
         if compensated:
             val = val - self.chi_integral()
@@ -396,6 +452,10 @@ class CompoundPoissonExp(LevyMeasure):
     def _mgf_integral(self, s):
         return self.rate * s / (self.jump_rate - s)
 
+    def _point_mgf(self, complex_kind):
+        rate, jump_rate = self.rate, self.jump_rate
+        return lambda s: rate * s / (jump_rate - s)
+
     def _mgf_derivative(self, s):
         return self.rate * self.jump_rate / (self.jump_rate - s) ** 2
 
@@ -439,6 +499,10 @@ class CompoundPoissonPoint(LevyMeasure):
 
     def _mgf_integral(self, s):
         return self.rate * (np.exp(s * self.size) - 1.0)
+
+    def _point_mgf(self, complex_kind):
+        rate, size, exp = self.rate, self.size, np.exp
+        return lambda s: rate * (exp(s * size) - 1.0)
 
     def _mgf_derivative(self, s):
         return self.rate * self.size * np.exp(s * self.size)
@@ -495,6 +559,10 @@ class GammaLevy(LevyMeasure):
     def _mgf_integral(self, s):
         # Frullani: int (e^{s xi} - 1) e^{-rho xi} xi^{-1} dxi = log(rho / (rho - s))
         return -self.c * np.log1p(-s / self.rho)
+
+    def _point_mgf(self, complex_kind):
+        neg_c, rho, log1p = -self.c, self.rho, np.log1p
+        return lambda s: neg_c * log1p(-s / rho)
 
     def _mgf_derivative(self, s):
         return self.c / (self.rho - s)
@@ -558,6 +626,15 @@ class TemperedStableHalf(LevyMeasure):
         else:  # np.sqrt and math.sqrt round alike; math.sqrt is the cheaper on scalars
             root = np.sqrt(rho - s) if isinstance(s, np.ndarray) else math.sqrt(rho - s)
         return 2.0 * math.sqrt(math.pi) * self.scale * (math.sqrt(rho) - root)
+
+    def _point_mgf(self, complex_kind):
+        rho = self.tempering
+        k, sqrt_rho = 2.0 * math.sqrt(math.pi) * self.scale, math.sqrt(rho)
+        if complex_kind:
+            sqrt = np.sqrt
+            return lambda s: k * (sqrt_rho - sqrt(rho - s + 0.0j))
+        sqrt = math.sqrt
+        return lambda s: k * (sqrt_rho - sqrt(rho - s))
 
     def _mgf_derivative(self, s):
         rho = self.tempering
@@ -683,37 +760,6 @@ def _quad_split(f):
     if inner == _INF or outer == _INF:
         return _INF
     return inner + outer
-
-
-def lk_integral_quadrature(measure: LevyMeasure, u, compensated: bool = True):
-    """Adaptive quadrature of the defining Levy-Khintchine integrand.
-
-    Independent of the analytic branch; used as the agreement oracle.
-    """
-    s = float(np.real(measure._axis_value(u)))
-    at = measure.atoms()
-    if at is not None:
-        total = 0.0
-        for loc, mass in at:
-            comp = float(np.clip(loc, -1.0, 1.0)) * s if compensated else 0.0
-            total += mass * (math.exp(s * loc) - 1.0 - comp)
-        return total
-
-    def integrand(x):
-        comp = np.clip(x, -1.0, 1.0) * s if compensated else 0.0
-        dens = measure.density(x)
-        return _exp_weighted(s, x, dens) - (1.0 + comp) * dens
-
-    return _quad_split(integrand)
-
-
-def exp_moment_quadrature(measure: LevyMeasure, y):
-    """Adaptive quadrature of the tail exponential moment (oracle)."""
-    s = float(np.real(measure._axis_value(y)))
-    at = measure.atoms()
-    if at is not None:
-        return sum(_rate_exp(mass, s * loc) for loc, mass in at if abs(loc) >= 1.0)
-    return _quad_interval(lambda x: _exp_weighted(s, x, measure.density(x)), 1.0, _INF)
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +951,14 @@ def _point_closures(model, dtype):
 
     Every operand is bound once: alpha_i and gamma_i as numpy scalars, the
     rows of the casts of a, b and beta_I to dtype (the casts a matmul with a
-    complex row makes), each measure's bound ``lk_integral``, and c.  An
-    I-row is numpy scalar arithmetic on u[i] (whose ** 2 is pow()) around
-    <beta_i, u>, F is <u, a u> + <b, u> - c and mu_0's integral, and the
-    J-rows are beta_JJ^T u_J.
+    complex row makes), each non-zero measure's point form for the dtype
+    kind and its compensation flag (``LevyMeasure._point_form``: its range
+    test, closed form and overflow test), and c.  An I-row is numpy scalar
+    arithmetic on u[i] (whose ** 2 is pow()) around <beta_i, u>, F is
+    <u, a u> + <b, u> - c and mu_0's integral, and the J-rows are
+    beta_JJ^T u_J.  A null measure adds no term: the 0.0 it would add keeps
+    every bit, because neither part of the sum it would be added to is ever
+    -0.0, as <beta_i, u> and <b, u> start from +0.0 (see below).
 
     A product with one term, x @ y with x and y of length one, is formed as
     ``zero + y[0] * x[0]`` on numpy scalars of dtype.  It has the bits of the
@@ -923,8 +973,13 @@ def _point_closures(model, dtype):
     shape = model.shape
     m, n, d = shape.m, shape.n, shape.d
     zero = np.zeros((), dtype)[()]
-    c, lk0 = model.c, model.mu0.lk_integral
+    c = model.c
     scalar = complex if dtype is complex else float
+    complex_kind = dtype is complex
+
+    def jumps(mu, compensated):
+        """mu's point form; None for the null measure."""
+        return None if mu.is_zero else mu._point_form(compensated, complex_kind)
 
     def dot(x):
         """y -> x @ y for the 1-d x."""
@@ -945,17 +1000,26 @@ def _point_closures(model, dtype):
             return u @ (a @ u)
     lin = dot(model.b.astype(dtype, copy=False))
 
-    def F(u):
-        return scalar(quad(u) + lin(u) - c + lk0(u, True))
+    lk0 = jumps(model.mu0, True)
+    if lk0 is None:
+        def F(u):
+            return scalar(quad(u) + lin(u) - c)
+    else:
+        def F(u):
+            return scalar(quad(u) + lin(u) - c + lk0(u))
 
     rows = tuple(zip(range(m), model.alpha, map(dot, model.beta_I.astype(dtype, copy=False)),
-                     model.gamma, [mu.lk_integral for mu in model.mus], model._compensated))
+                     model.gamma, map(jumps, model.mus, model._compensated)))
+    plain = tuple(row[:4] for row in rows if row[4] is None)
+    with_jumps = tuple(row for row in rows if row[4] is not None)
     beta_JJ_T = model.beta_JJ.T  # matmul casts it to the dtype of u
 
     def R(u):
         out = np.empty(d, dtype)
-        for i, alpha, lin_i, gamma, lk, compensated in rows:
-            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma + lk(u, compensated)
+        for i, alpha, lin_i, gamma in plain:
+            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma
+        for i, alpha, lin_i, gamma, lk in with_jumps:
+            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma + lk(u)
         if n:
             out[m:] = beta_JJ_T @ u[m:]
         return out
@@ -1041,8 +1105,15 @@ def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
     if v.shape != (m,):
         v = _as_row(v, m)
     if not shape.n and v.flags.c_contiguous:
-        # (v, 0) is v itself; a strided v would take a strided BLAS dot
-        return eval_R(model, v, check_domain=check_domain)
+        # (v, 0) is v itself, on which eval_R would call the real R closure;
+        # a strided v would take a strided BLAS dot
+        if check_domain and not in_domain_Y(model, v):
+            raise DomainError("u outside the effective domain Y")
+        R = model._point_fns[0][0]
+        if _FP_QUIET.get():
+            return R(v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return R(v)
     u = np.zeros(shape.d)
     u[:m] = v
     return eval_R(model, u, check_domain=check_domain)[:m]

@@ -1,6 +1,7 @@
 """Model parametrization: characteristics, domain, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +24,43 @@ from affine_riccati import (
     reduced_R,
     validate_model,
 )
-from affine_riccati.model import exp_moment_quadrature, lk_integral_quadrature
+from affine_riccati.model import _exp_weighted, _quad_interval, _quad_split, _rate_exp
 
 QUAD_AGREEMENT_RTOL = 1e-8
 
 # entries where a product's bits depend on how it is formed: signed zeros,
 # infinities, nan, near-overflow magnitudes and the smallest subnormal
 SPECIAL_ENTRIES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324)
+
+
+def lk_integral_quadrature(measure, u, compensated=True):
+    """Adaptive quadrature of the defining Levy-Khintchine integrand at the
+    d-vector u; independent of the analytic branch, the agreement oracle."""
+    s = float(np.real(u[measure.axis]))
+    at = measure.atoms()
+    if at is not None:
+        total = 0.0
+        for loc, mass in at:
+            comp = float(np.clip(loc, -1.0, 1.0)) * s if compensated else 0.0
+            total += mass * (math.exp(s * loc) - 1.0 - comp)
+        return total
+
+    def integrand(x):
+        comp = np.clip(x, -1.0, 1.0) * s if compensated else 0.0
+        dens = measure.density(x)
+        return _exp_weighted(s, x, dens) - (1.0 + comp) * dens
+
+    return _quad_split(integrand)
+
+
+def exp_moment_quadrature(measure, y):
+    """Adaptive quadrature of the tail exponential moment at the d-vector y
+    (oracle)."""
+    s = float(np.real(y[measure.axis]))
+    at = measure.atoms()
+    if at is not None:
+        return sum(_rate_exp(mass, s * loc) for loc, mass in at if abs(loc) >= 1.0)
+    return _quad_interval(lambda x: _exp_weighted(s, x, measure.density(x)), 1.0, math.inf)
 
 
 def _scalar_model(mu):
@@ -456,6 +487,106 @@ class TestShapeChecks:
             reduced_R(kr_model, v, check_domain=False)
 
 
+class TestPointForms:
+    """The bound point form of each measure, which the model's point
+    closures call: on an admitted point it has the bits of the scalar
+    primitives, _mgf_integral(s) - s * CHI (or _mgf_integral(s) when
+    uncompensated), and it raises DomainError where lk_integral refuses
+    the point."""
+
+    @staticmethod
+    def measures(analytic_measures):
+        out = dict(analytic_measures)
+        for name, mu in analytic_measures.items():
+            for theta in (-0.5, 0.25, 1.2):
+                if mu.admits(theta):
+                    out[f"{name} tilted {theta}"] = mu.tilted(theta)
+        out["quadrature-tilt"] = ExpTiltedMeasure(TemperedStableHalf(0.3, 1.2, axis=0), 0.4)
+        # the form reads its own coordinate of a longer row
+        out["exp on axis 1"] = CompoundPoissonExp(rate=0.7, jump_rate=1.5, axis=1)
+        return out
+
+    @staticmethod
+    def outcome(fun, s):
+        """The type and bits of fun(s), or the class of what it raised."""
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")  # the quadrature tilt's complex cast
+                got = fun(s)
+        except Exception as exc:  # noqa: BLE001 - the class is the outcome
+            return type(exc)
+        return type(got), np.asarray(got).tobytes()
+
+    @staticmethod
+    def row(mu, s):
+        """A row whose axis coordinate is s, the others 0.7."""
+        u = np.full(mu.axis + 1, 0.7, dtype=np.asarray(s).dtype)
+        u[mu.axis] = s
+        return u
+
+    @staticmethod
+    def points(mu, rng, complex_kind, count):
+        """Admitted axis values of the kind: near the bound and far below
+        it, +-0.0, and the bound itself where it is closed."""
+        top = min(mu.exp_bound, 3.0)
+        below = rng.exponential(size=count) * 10.0 ** rng.integers(-6, 1, count)
+        reals = [0.0, -0.0, *(top - below)]
+        if mu.bound_closed and math.isfinite(mu.exp_bound):
+            reals.append(mu.exp_bound)
+        if not complex_kind:
+            return [np.float64(x) for x in reals]
+        return [np.complex128(complex(x, y)) for x in reals
+                for y in (0.0, -0.0, rng.normal() * 10.0 ** rng.integers(-3, 2))]
+
+    @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_point_form_has_the_bits_of_the_primitives(self, analytic_measures, compensated,
+                                                         complex_kind):
+        rng = np.random.default_rng(5)
+        for name, mu in self.measures(analytic_measures).items():
+            form = mu._point_form(compensated, complex_kind)
+            count = 1 if isinstance(mu, ExpTiltedMeasure) else 40
+
+            def primitive(s, mu=mu):
+                val = mu._mgf_integral(s)
+                return val - s * mu.chi_integral() if compensated else val
+
+            for s in self.points(mu, rng, complex_kind, count):
+                want = self.outcome(primitive, s)
+                assert self.outcome(lambda s: form(self.row(mu, s)), s) == want, (name, s)
+                # lk_integral is the same form
+                assert self.outcome(lambda s: mu.lk_integral(self.row(mu, s), compensated),
+                                    s) == want, (name, s)
+
+    @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_point_form_refuses_what_lk_integral_refuses(self, analytic_measures, compensated,
+                                                          complex_kind):
+        for name, mu in self.measures(analytic_measures).items():
+            form = mu._point_form(compensated, complex_kind)
+            refused = [math.nan]
+            if math.isfinite(mu.exp_bound):
+                refused.append(float(np.nextafter(mu.exp_bound, math.inf)))
+            for x in refused:
+                s = complex(x, 0.5) if complex_kind else x
+                with pytest.raises(DomainError):
+                    form(self.row(mu, s))
+        if not complex_kind:
+            # e^{500 * 1.5} overflows a float inside the range
+            mu = CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)
+            with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
+                mu._point_form(compensated, False)(np.array([500.0]))
+
+    def test_a_point_too_short_for_the_axis_is_a_config_error(self):
+        mu = CompoundPoissonExp(1.0, 2.0, axis=2)
+        for u in ([0.1], 0.1, np.array([0.1, 0.2])):
+            for call in (mu.lk_integral, mu.lk_derivative):
+                with pytest.raises(ConfigError):
+                    call(u)
+        # a measure does not know d: a longer row is read at its axis
+        assert mu.lk_integral([0.0, 0.0, 0.1]) == mu.lk_integral([0.0, 0.0, 0.1, 0.9])
+
+
 class TestQuadratureAgreement:
     """Analytic Levy-Khintchine branches against adaptive quadrature."""
 
@@ -572,6 +703,13 @@ class TestDerivedConstants:
             got = eval_R(copy, u), eval_F(copy, u), eval_R(copy, u.real)
             assert [np.asarray(x).tobytes() for x in got] == \
                 [np.asarray(x).tobytes() for x in want], name
+        # an evaluated measure keeps its point forms, which do not pickle
+        mu = mixed_model.mus[0]
+        assert "_point_forms" in mu.__dict__
+        copy = pickle.loads(pickle.dumps(mu))
+        assert "_point_forms" not in copy.__dict__ and "_chi" in copy.__dict__
+        u = np.array([-0.3])
+        assert copy.lk_integral(u) == mu.lk_integral(u)
 
     def test_compensation_flags(self, mixed_model, exp_jump_model):
         assert mixed_model.measure_compensated(0)
