@@ -15,6 +15,10 @@ Each run is pinned to one CPU and records:
   the verdict pipeline's reduced fields at a real v,
   ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1) and that
   of the ``verdicts`` workload's tilted kr2014 pair (m = 2);
+* ``field_us``: microseconds per call of the full-system field as the
+  stepper makes it (``riccati._full_system`` with no discount, called on a
+  row of the solve's dtype inside one ``quiet_fp``), for feller at a real
+  and cir-jump at a complex u;
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
@@ -114,6 +118,26 @@ def _call_us(run, n, rounds):
     run()  # warm caches and imports
     # many short rounds: the minimum then misses the machine's slow spells
     return 1e6 * _best(run, 4 * rounds) / n
+
+
+def field_costs(ar, rounds):
+    from affine_riccati import riccati
+    from affine_riccati.model import quiet_fp
+
+    out = {}
+    for name, kind, u in (("feller", "real", -0.5), ("cir-jump", "complex", -0.5 + 1.0j)):
+        model = ar.builtin_model(name)
+        z = np.array([u, 0.0])
+        field = riccati._full_system(model, 0.0, np.zeros(1), z.dtype)
+        n = 1000
+
+        def run():
+            with quiet_fp():
+                for _ in range(n):
+                    field(z)
+
+        out[f"{name} {kind}"] = _call_us(run, n, rounds)
+    return out
 
 
 def step_costs(ar, rounds):
@@ -231,7 +255,8 @@ def lane_costs(ar, rounds):
 def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
     ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
-    return {"eval_us": eval_costs(ar, ROUNDS), "step_us": step_costs(ar, ROUNDS),
+    return {"eval_us": eval_costs(ar, ROUNDS), "field_us": field_costs(ar, ROUNDS),
+            "step_us": step_costs(ar, ROUNDS),
             "solve_ms": solve_ms, "sha256_real": sha["real"],
             "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
             "ladder_sha256": ladder_sha, "lane_us": lane_costs(ar, ROUNDS)}

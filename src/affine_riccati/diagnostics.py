@@ -223,6 +223,13 @@ class ReducedField:
 
         return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, _rows=fun)
 
+    @property
+    def _lane_fn(self) -> Callable:
+        """The function the lane solves call on one (m,) row: ``_rows`` when
+        set (``reduced_R`` through this module's globals, whose values
+        ``__call__`` returns as they are), else the field itself."""
+        return self if self._rows is None else self._rows
+
 
 def _model_jacobian_bound(model: AffineModel, rho: float):
     """Rigorous sup of the reduced Jacobian over the ball of radius rho, or
@@ -428,7 +435,7 @@ def _osgood_witness(field: ReducedField, sign: int) -> Optional[WitnessTrajector
     sopts = SolveOptions(T=tail_T, rtol=_RTOL, atol=_ATOL,
                          max_step=tail_T / 300.0, blowup_threshold=1e10)
     try:
-        tail = _integrate(field, np.array([g_switch]), sopts)
+        tail = _integrate(field._lane_fn, np.array([g_switch]), sopts)
     except DomainError:
         return None
 
@@ -479,11 +486,11 @@ def _probe_field(field: ReducedField) -> ConservativenessVerdict:
 
     def defined(start):  # start = -eps * 1
         with quiet_fp():
-            if _eval_or_none(field, start) is None:
+            if _eval_or_none(field._lane_fn, start) is None:
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
-        sols = _eps_ladder(field, np.zeros(m), m, _LADDER, sopts, check=defined)
+        sols = _eps_ladder(field._lane_fn, np.zeros(m), m, _LADDER, sopts, check=defined)
     except DomainError as exc:
         return _inconclusive(str(exc))
     sol = sols[-1]   # the finest run, or the one that missed the horizon
@@ -592,7 +599,7 @@ def _scalar_osgood(field: ReducedField) -> ConservativenessVerdict:
 def _forward_witness(field: ReducedField):
     """Forward trajectory from 0 (used when 0 is not an equilibrium)."""
     try:
-        sol = _integrate(field, np.zeros(field.m), _solve_options(_CHECKPOINT_TIME))
+        sol = _integrate(field._lane_fn, np.zeros(field.m), _solve_options(_CHECKPOINT_TIME))
     except DomainError:
         return None
     grid = _witness_grid(sol.t_end)
@@ -648,7 +655,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
                           "start at or after 0 and end after 0")
     m = model.shape.m
     uI = _real_finite(uI, "uI", m)
-    field = ReducedField.from_model(model)
+    field = ReducedField.from_model(model)._lane_fn
     sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
                        check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:

@@ -43,6 +43,7 @@ arrays (by raising) is evaluated row by row by ``ode_residual``.
 
 from __future__ import annotations
 
+import cmath
 import contextvars
 import math
 import warnings
@@ -351,7 +352,7 @@ class LevyMeasure:
                 if not (r < bound or closed and r == bound):
                     raise DomainError(_OUTSIDE_RANGE)
                 val = mgf(s)
-                if math.isinf(val.real) and val.imag == 0:  # overflow inside the range
+                if not cmath.isfinite(val):  # overflow inside the range, in either part
                     raise DomainError(_NOT_FINITE)
                 return val if chi is None else val - s * chi
         else:
@@ -694,7 +695,9 @@ class ExpTiltedMeasure(LevyMeasure):
     Used when a family is not closed under tilting.  Its exponential range
     is the base range shifted by theta.  Integrals carry the extra
     exponential factor and are evaluated by adaptive quadrature split at
-    xi = 1; values beyond the magnitude cap are reported as infinite.  Path
+    xi = 1, at a complex exponent as two real quadratures of the real and
+    imaginary parts; values beyond the magnitude cap are reported as
+    infinite.  Path
     sampling is not provided.
     """
 
@@ -716,10 +719,11 @@ class ExpTiltedMeasure(LevyMeasure):
         return self._weighted(xi, 0.0)
 
     def _mgf_integral(self, s):
-        return _quad_split(lambda x: self._weighted(x, s) - self._weighted(x, 0.0))
+        return _quad_split(lambda x: self._weighted(x, s) - self._weighted(x, 0.0),
+                           np.iscomplexobj(s))
 
     def _mgf_derivative(self, s):
-        return _quad_split(lambda x: x * self._weighted(x, s))
+        return _quad_split(lambda x: x * self._weighted(x, s), np.iscomplexobj(s))
 
     def tail_mass(self, eps: float) -> float:
         return _quad_interval(self.density, eps, _INF)
@@ -753,8 +757,17 @@ def _quad_interval(f, lo, hi):
     return val
 
 
-def _quad_split(f):
-    """Integral over (0, oo) split at 1 (mirrors the domain definition)."""
+def _quad_split(f, complex_valued=False):
+    """Integral over (0, oo) split at 1 (mirrors the domain definition).
+
+    quad integrates real functions only (it casts a complex value to real),
+    so a complex-valued f is integrated as two real quadratures, of its real
+    and of its imaginary part; infinite when either part is.
+    """
+    if complex_valued:
+        re = _quad_split(lambda x: f(x).real)
+        im = _quad_split(lambda x: f(x).imag)
+        return _INF if _INF in (re, im) else complex(re, im)
     inner = _quad_interval(f, 0.0, 1.0)
     outer = _quad_interval(f, 1.0, _INF)
     if inner == _INF or outer == _INF:

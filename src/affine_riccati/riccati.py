@@ -42,49 +42,47 @@ about what as many lone solves cost.
 
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
-array, against 0.1-0.3 us for an operation on a numpy scalar.  So the
-point evaluation of a lane (``_lane_values`` on the field, then
-``eval_R``/``eval_F``/``reduced_R`` on the 1-d row) runs the model's point
-closures (``AffineModel._point_fns``: one (R, F) pair per dtype kind, with
-every operand bound once) on numpy scalars (``u[i]``, np.float64,
-np.complex128).  It allocates only its results, enters no errstate inside
-``quiet_fp``, and reads the finiteness of the row's few entries as Python
-numbers.  A product of one term (every product of a d = 1 model) is
-``zero + y[0] * x[0]`` on numpy scalars, with the bits of the BLAS call
-x @ y: the call's sum starts from +0.0, so a bare product would keep a
--0.0 that the call drops.  Measured on numpy 2.4.6
-with OpenBLAS on x86-64 with AVX-512, it matched the call on 200,000
-random real and 50,000 random complex pairs, on every pair of real special
-entries (+-0, +-inf, +-NaN, +-1e300, +-5e-324), and on every pair of
-complex ones in which no part is NaN or x is a real coefficient.  So R, and
-F on a real row, have the call's bits everywhere; F on a complex row with a
-NaN part can differ only in the sign of a NaN.  A product of two or more
-terms keeps its BLAS call, whose fused multiply-adds round differently
-from a sum of scalar products.  On the ``perfbench`` ``transforms``
-workload (10 alternating pairs against the parent commit f46e5d9, 2-CPU
-x86_64), ``job_ms`` fell from 510 to 404 ms (0.79x, won 10 of 10; the
-parent's quartiles 489-522 ms).  The field's arithmetic does not move
-to Python numbers: Python's complex division rounds differently from
-numpy's, and a Python float's ``x ** 2`` raises OverflowError where numpy
-gives inf.
+array, against 0.1-0.3 us for an operation on a numpy scalar.  So each
+stage of a step makes one model call and little else.  The point
+evaluation of a lane (``_lane_values`` on the field, then the model on the
+1-d row) runs the model's point closures (``AffineModel._point_fns``: one
+(R, F) pair per dtype kind, with every operand bound once) on numpy scalars
+(``u[i]``, np.float64, np.complex128).  It allocates only its results,
+enters no errstate inside ``quiet_fp``, and reads the finiteness of the
+row's few entries as Python numbers.  A product of one term (every product
+of a d = 1 model) is ``zero + y[0] * x[0]`` on numpy scalars, with the bits
+of the BLAS call x @ y: the call's sum starts from +0.0, so a bare product
+would keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with
+OpenBLAS on x86-64 with AVX-512, it matched the call on 200,000 random real
+and 50,000 random complex pairs, on every pair of real special entries
+(+-0, +-inf, +-NaN, +-1e300, +-5e-324), and on every pair of complex ones
+in which no part is NaN or x is a real coefficient.  So R, and F on a real
+row, have the call's bits everywhere; F on a complex row with a NaN part
+can differ only in the sign of a NaN.  A product of two or more terms keeps
+its BLAS call, whose fused multiply-adds round differently from a sum of
+scalar products.  The field's arithmetic does not move to Python numbers:
+Python's complex division rounds differently from numpy's, and a Python
+float's ``x ** 2`` raises OverflowError where numpy gives inf.
 
 The stepper's own arithmetic does, in one form for real and complex lanes.
 ``_step`` reads the state and each stage derivative row once as Python
 numbers, with the ``tolist()`` that also serves a row's finiteness test,
-and forms the stage states, error norm and magnitudes on them.  A real
-lane has the bits of float arithmetic throughout; a complex lane's
-products, quotients and magnitudes round as Python's complex arithmetic
-and ``math.hypot`` do, which differ from numpy's at the rounding level,
-and the closed-form tests bound its trajectories.  On the ``perfbench``
-``transforms`` workload (10 alternating pairs against the parent commit
-17d8d63, 2-CPU x86_64), stage sums on Python numbers took ``job_ms`` from
-542 to 461 ms (0.85x, won 9 of 10; the parent's quartiles 487-607 ms).
+and forms the stage states, error norm and magnitudes on them; the stage
+states and error sums are generated code with the tableau's weights as
+literals (``_tableau``).  A real lane has the
+bits of float arithmetic throughout; a complex lane's products, quotients
+and magnitudes round as Python's complex arithmetic and ``math.hypot`` do,
+which differ from numpy's at the rounding level, and the closed-form tests
+bound its trajectories.
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
-Fields call ``eval_R``/``eval_F``/``reduced_R`` through this module's
-globals, and ``perfbench/tracing.py`` counts evaluations by wrapping them;
-each lane's call counts once.
+The model call of a field evaluation is ``eval_R`` (the full system) or
+``reduced_R`` (a model's reduced field, through ``diagnostics``' globals),
+called through the module globals, where ``perfbench/tracing.py`` counts
+evaluations by wrapping them; each lane's call counts once.  The full
+system takes F from the model's bound F closure, not from ``eval_F``: that
+is the ``eval_F`` of a run inside ``quiet_fp`` without its shape check.
 """
 
 from __future__ import annotations
@@ -93,12 +91,13 @@ import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import AffineModel, eval_F, eval_R, in_domain_Y, quiet_fp, reduced_R
+from .model import AffineModel, eval_R, in_domain_Y, quiet_fp, reduced_R
 
 __all__ = [
     "SolveOptions",
@@ -465,18 +464,18 @@ def _step(field, lane, dim, dtype, atol, rtol):
 
     Real and complex lanes run the same lines on Python numbers: the stage
     states component by component, with the sums term by term from zero in
-    the order of the tableau (``_tableau_sum``), and the squares of the
+    the order of the tableau (``_tableau``), and the squares of the
     error norm added from left to right as ``q.real * q.real + q.imag *
     q.imag``, which is ``q * q + 0.0`` on a float.  The kinds differ only in
     the zero of the sums and in ``_MAGNITUDE``.
     """
-    sums, mag = _TABLEAU_SUMS[dtype.kind], _MAGNITUDE[dtype.kind]
+    sums, mag = _tableau(dim, dtype.kind), _MAGNITUDE[dtype.kind]
     h = lane.h
     # the state and the stage derivatives, as Python numbers
     yv = np.asarray(lane.y, dtype).tolist()
     k = [np.asarray(lane.f, dtype).tolist()]
     for stage in range(1, 7):
-        ysv = [yc + h * a for yc, a in zip(yv, map(sums[stage], *k))]
+        ysv = sums[stage](yv, h, *k)
         ystage = np.array(ysv)
         fstage = _lane_values(field, ystage)
         if fstage.__class__ is not tuple:
@@ -497,7 +496,7 @@ def _step(field, lane, dim, dtype, atol, rtol):
     # stage 6 uses the b-row (FSAL): ystage is the new state
     abs_y = list(map(mag, ysv))
     sq = 0.0
-    for yc, b, ec in zip(yv, abs_y, map(sums[7], *k)):
+    for yc, b, ec in zip(yv, abs_y, sums[7](*k)):
         a = mag(yc)
         # |h * e / scale| ** 2, with the nan of np.maximum in the scale
         q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
@@ -505,28 +504,43 @@ def _step(field, lane, dim, dtype, atol, rtol):
     return ystage, f_new, sq, abs_y, list(map(mag, values))
 
 
-def _tableau_sum(weights, zero):
-    """The function of len(weights) numbers k_j that returns
-    zero + sum_j weights[j] * k_j, adding term by term.
+@cache
+def _tableau(dim, kind):
+    """The DP5(4) sums on states of dim entries of the dtype kind, as a tuple:
+    at index s = 1 to 6 the function of (y, h, k_0, ..., k_{s-1}) that
+    returns the stage state ``y[c] + h * (zero + sum_j a_sj * k_j[c])``, at
+    index 7 the function of (k_0, ..., k_6) that returns the error sum
+    ``zero + sum_j e_j * k_j[c]``, each as a list over the entries c, with
+    the sums adding term by term in the order of the tableau.
 
-    Its code is generated with the weights as literals: the unrolled sum
-    runs about twice as fast as a loop over the weights.  From ``0j`` on
-    Python complex numbers each part has the bits of the float sum of that
-    part: a float times a complex number (as complex numbers before Python
-    3.14, part by part since) differs from the per-part products at most in
-    the sign of a zero part, and the running sum, whose parts start from
-    0.0 and so are never -0.0, cannot see that sign.
+    Their code is generated with the weights as literals and the entries
+    unrolled: a stage state of two entries takes about 0.4 us, against
+    0.9 us for a map of one sum function over the entries.  From ``0j`` on
+    Python complex numbers each part of a sum has the bits of the float sum
+    of that part: a float times a complex number (as complex numbers before
+    Python 3.14, part by part since) differs from the per-part products at
+    most in the sign of a zero part, and the running sum, whose parts start
+    from 0.0 and so are never -0.0, cannot see that sign.  Built once per
+    (dim, kind) and kept.
     """
-    args = ", ".join(f"k{j}" for j in range(len(weights)))
-    terms = "".join(f" + {w!r} * k{j}" for j, w in enumerate(weights))
-    return eval(f"lambda {args}: {zero}{terms}")
+    zero = "0j" if kind == "c" else "0.0"
+
+    def terms(weights, c):
+        return zero + "".join(f" + {w!r} * k{j}[{c}]" for j, w in enumerate(weights))
+
+    def function(args, entries):
+        return eval(f"lambda {', '.join(args)}: [{', '.join(entries)}]")
+
+    fns = [None]
+    for row in _A[1:]:
+        w = row.tolist()
+        fns.append(function(["y", "h", *(f"k{j}" for j in range(len(w)))],
+                            (f"y[{c}] + h * ({terms(w, c)})" for c in range(dim))))
+    e = _E.tolist()
+    fns.append(function([f"k{j}" for j in range(len(e))], (terms(e, c) for c in range(dim))))
+    return tuple(fns)
 
 
-# By dtype kind, the stage sums of the tableau (stages 1 to 6) and its error
-# sum (index 7).
-_TABLEAU_SUMS = {kind: [None, *(_tableau_sum(row.tolist(), zero) for row in _A[1:]),
-                        _tableau_sum(_E.tolist(), zero)]
-                 for kind, zero in (("f", "0.0"), ("c", "0j"))}
 # By dtype kind, the magnitude of an entry.  On a complex number it is
 # math.hypot of the parts, which returns inf where the magnitude overflows,
 # as np.abs does; abs() raises OverflowError there.
@@ -629,18 +643,27 @@ def _check_start(model, u0):
 
 def _full_system(model, l, lam, dtype):
     """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l)
-    as a field of 1-d rows."""
-    d = model.shape.d
+    as a field of 1-d rows.
 
-    lams = tuple(lam)  # numpy scalars: the point path subtracts entry by entry
+    R comes from ``eval_R`` through this module's globals, F from the
+    model's bound F closure for the kind of dtype (the ``eval_F`` of a run
+    inside ``quiet_fp``, less its shape check).  A lambda of +0.0 entries
+    is not subtracted: ``x - 0.0`` keeps every bit of x.
+    """
+    d = model.shape.d
+    F = model._point_fns[np.dtype(dtype).kind == "c"][1]
+    # numpy scalars: the point path subtracts entry by entry; None when no
+    # subtraction moves a bit (x - (-0.0) would turn -0.0 into +0.0)
+    lams = tuple(enumerate(lam)) if lam.any() or np.signbit(lam).any() else None
 
     def field(z):
         psi = z[:d]
-        R = eval_R(model, psi, check_domain=False)
         out = np.empty(d + 1, dtype=dtype)
-        for i, lam_i in enumerate(lams):
-            out[i] = R[i] - lam_i
-        out[d] = eval_F(model, psi, check_domain=False) - l
+        out[:d] = eval_R(model, psi, check_domain=False)
+        if lams is not None:
+            for i, lam_i in lams:
+                out[i] -= lam_i
+        out[d] = F(psi) - l
         return out
 
     return field

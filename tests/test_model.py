@@ -577,6 +577,36 @@ class TestPointForms:
             with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
                 mu._point_form(compensated, False)(np.array([500.0]))
 
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_complex_overflow_is_a_domain_error(self, compensated):
+        # e^{750 + 0j} is inf+nanj and e^{750 + 1j} is inf+infj: either
+        # non-finite part refuses the point, as the real point 500 is refused
+        mu = CompoundPoissonPoint(rate=0.4, size=1.5, axis=0)
+        form = mu._point_form(compensated, True)
+        for s in (500 + 0j, 500 - 0j, 500 + 1j, 500 - 2j):
+            u = np.array([s])
+            with np.errstate(all="ignore"):
+                with pytest.raises(DomainError, match="not finite"):
+                    form(u)
+                with pytest.raises(DomainError, match="not finite"):
+                    mu.lk_integral(u, compensated)
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_quadrature_tilt_keeps_the_imaginary_part(self, compensated):
+        # the closed-form tilt of the same measure is the reference; no
+        # ComplexWarning may be raised on the way.  The real parts stay 0.05
+        # below the bound 0.8, as in TestQuadratureAgreement
+        base = TemperedStableHalf(0.3, 1.2, axis=0)
+        quad, closed = ExpTiltedMeasure(base, 0.4), base.tilted(0.4)
+        for s in (-0.5 + 1j, 0.3 - 2j, -3.0 + 0.5j, 0.7 + 0j, 0.75 + 4j, -1.0 + 10j):
+            u = np.array([s])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = quad.lk_integral(u, compensated)
+            want = closed.lk_integral(u, compensated)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= QUAD_AGREEMENT_RTOL * max(1.0, abs(want)), s
+
     def test_a_point_too_short_for_the_axis_is_a_config_error(self):
         mu = CompoundPoissonExp(1.0, 2.0, axis=2)
         for u in ([0.1], 0.1, np.array([0.1, 0.2])):

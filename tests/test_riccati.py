@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from affine_riccati import (
     AffineModel,
     CompoundPoissonExp,
+    CompoundPoissonPoint,
     ConfigError,
     DomainError,
     GammaLevy,
@@ -19,8 +20,10 @@ from affine_riccati import (
     StateShape,
     blowup_time,
     check_conservative,
+    cir_jump,
     eval_F,
     eval_R,
+    kr2014,
     reduced_R,
     solve_minimal,
     solve_reduced,
@@ -29,6 +32,7 @@ from affine_riccati import (
     tilt_model,
 )
 from affine_riccati import riccati
+from affine_riccati.model import quiet_fp
 from affine_riccati.riccati import _LADDER, _eps_ladder, _full_system, _integrate, _lanes
 
 # Closed forms used as oracles below.  Both are verified symbolically in
@@ -90,26 +94,33 @@ class TestStepper:
     def test_stage_combination_is_the_term_by_term_sum(self):
         # the tableau sums of the stepper must give the bits of a Python sum
         # over the stages, for real and complex states of dimension 1 to 3;
-        # they sum Python floats, or Python complex numbers for complex states
-        from affine_riccati.riccati import _A, _E, _TABLEAU_SUMS
+        # they sum Python floats, or Python complex numbers for complex
+        # states, and a stage state is y + h * sum, formed entry by entry
+        from affine_riccati.riccati import _A, _E, _tableau
 
         rng = np.random.default_rng(5)
         specials = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324])
         weights = [*_A[1:], _E]
         for _ in range(400):
             dim = int(rng.integers(1, 4))
-            parts = [rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-20, 20, size=(7, dim))
+            parts = [rng.normal(size=(8, dim)) * 10.0 ** rng.integers(-20, 20, size=(8, dim))
                      for _ in range(2)]
             for part in parts:
                 mask = rng.random(part.shape) < 0.2
                 part[mask] = rng.choice(specials, size=int(mask.sum()))
-            for k in (parts[0], parts[0] + 1j * parts[1]):
-                numbers = k.tolist()
-                sums = _TABLEAU_SUMS[k.dtype.kind][1:]
-                for w, tableau_sum in zip(weights, sums):
+            h = float(rng.uniform(1e-6, 0.2))
+            for z in (parts[0], parts[0] + 1j * parts[1]):
+                y, k = z[7], z[:7]
+                numbers, yv = k.tolist(), y.tolist()
+                sums = _tableau(dim, z.dtype.kind)[1:]
+                for stage, (w, tableau_sum) in enumerate(zip(weights, sums), 1):
                     ref = sum(wj * kj for wj, kj in zip(w, k))
-                    got = np.array(list(map(tableau_sum, *numbers[:len(w)])), k.dtype)
-                    assert got.tobytes() == ref.tobytes()
+                    if stage == 7:   # the error sum
+                        got = tableau_sum(*numbers)
+                    else:
+                        got = tableau_sum(yv, h, *numbers[:len(w)])
+                        ref = np.array([yc + h * a for yc, a in zip(yv, ref.tolist())])
+                    assert np.array(got, z.dtype).tobytes() == ref.tobytes()
 
     def test_quiet_flag_is_per_thread(self):
         import threading
@@ -653,6 +664,89 @@ class TestLanes:
         for a, b in zip(got[:3], want[:3]):
             assert a.tobytes() == b.tobytes()
         assert got[3] == want[3]
+
+
+class TestFullSystemField:
+    """The field of the full system, as the lane loop calls it: R from one
+    eval_R call through riccati's globals, F from the model's bound F
+    closure, and the discounts subtracted, with the bits of the public
+    evaluators."""
+
+    @staticmethod
+    def models(mixed_model):
+        # d = 2 with a J-block: an I-axis gamma measure in R, a J-axis point
+        # measure in F
+        j_block = AffineModel(shape=StateShape(1, 1), a=[[0.0, 0.0], [0.0, 0.3]],
+                              b=[0.2, -0.1], alpha=[0.5], beta_I=[[-0.7, 0.1]],
+                              beta_JJ=[[-0.5]], mu0=CompoundPoissonPoint(0.4, -0.8, axis=1),
+                              mus=(GammaLevy(c=0.3, rho=2.0, axis=0),))
+        return {"kr2014": kr2014(), "cir-jump": cir_jump(), "j-block": j_block,
+                "mixed": mixed_model}
+
+    def test_row_has_the_bits_of_eval_R_and_eval_F(self, mixed_model):
+        rng = np.random.default_rng(17)
+        for name, model in self.models(mixed_model).items():
+            d, m = model.shape.d, model.shape.m
+            discounts = [(0.0, np.zeros(d)), (0.0, np.full(d, -0.0)),
+                         (0.35, rng.normal(size=d)), (-1.5, np.zeros(d))]
+            for dtype in (np.dtype(float), np.dtype(complex)):
+                for l, lam in discounts:
+                    field = _full_system(model, l, lam, dtype)
+                    for k in range(25):
+                        z = np.zeros(d + 1, dtype)
+                        if k:   # the first row is the origin
+                            z[:m] = -rng.exponential(size=m) * 10.0 ** rng.integers(-3, 1)
+                            z[m:] = rng.normal(size=d + 1 - m)
+                            if dtype.kind == "c":
+                                z += 1j * rng.normal(size=d + 1)
+                        psi = z[:d].copy()
+                        with quiet_fp():
+                            got = field(z)
+                        R = eval_R(model, psi, check_domain=False)
+                        F = eval_F(model, psi, check_domain=False)
+                        want = np.array([*(R - lam), F - l], dtype)
+                        assert got.dtype == dtype and got.shape == (d + 1,), name
+                        assert got.tobytes() == want.tobytes(), (name, l, lam, z)
+
+    @pytest.mark.parametrize("run", ["solve_riccati", "solve_minimal", "check_conservative"])
+    def test_one_traced_model_call_per_field_evaluation(self, monkeypatch, kr2014_pair_model,
+                                                        run):
+        # counters on the names a tracer wraps, riccati.eval_R and
+        # diagnostics.reduced_R, see exactly one call per evaluation of a
+        # lane loop's field, and eval_F none there
+        from affine_riccati import diagnostics
+
+        depth, counts = [0], {"field": 0, "model": 0, "eval_F": 0}
+
+        def counted(fn, key):
+            def wrapped(*args, **kwargs):
+                if depth[0]:
+                    counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def lanes(field, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return _lanes(counted(field, "field"), *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(riccati, "_lanes", lanes)
+        monkeypatch.setattr(riccati, "eval_R", counted(riccati.eval_R, "model"))
+        monkeypatch.setattr(diagnostics, "reduced_R", counted(diagnostics.reduced_R, "model"))
+        for owner in (riccati, diagnostics):
+            if hasattr(owner, "eval_F"):
+                monkeypatch.setattr(owner, "eval_F", counted(owner.eval_F, "eval_F"))
+        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
+        if run == "solve_riccati":
+            solve_riccati(cir_jump(), [-0.5 + 1.0j], SolveOptions(T=2.0))
+        elif run == "solve_minimal":
+            solve_minimal(pair, [-0.1, -0.2], SolveOptions(T=1.0), l=0.1, lam=[0.2, 0.0])
+        else:
+            assert check_conservative(pair).witness.source == "probe-extrapolation"
+        assert counts["field"] > 6 and counts["model"] == counts["field"]
+        assert counts["eval_F"] == 0
 
 
 class TestEpsLadder:
