@@ -30,10 +30,7 @@ Each run is pinned to one CPU and records:
   of the ``verdicts`` workload, ``solve_minimal`` on kr2014 from 1 to T = 2,
   ``minimal_reduced_trajectory`` of tilted kr2014 on the comparison grid
   and ``check_conservative`` on the tilted kr2014 pair (the probe ladder),
-  with ``ladder_sha256``, a digest of what they return;
-* ``lane_us``: microseconds per lane of one run of the DP5(4) lane loop
-  (``riccati._lanes``) over N nearby starts of kr2014, for each N in
-  ``LANES``.
+  with ``ladder_sha256``, a digest of what they return.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
 times as many, shorter ones for ``eval_us``).  The records go to ``--out``
@@ -55,7 +52,6 @@ import pairs
 SEED = 1      # seed of the transforms cases
 ROUNDS = 15   # timing rounds per figure within one run
 PAIRS = 10    # parent/change pairs
-LANES = (1, 3, 4, 10, 100, 1000)   # lane counts of lane_us
 
 
 def _best(fn, rounds):
@@ -237,21 +233,6 @@ def ladder_costs(ar, rounds):
     return {name: 1e3 * _best(call, rounds) for name, call in calls.items()}, _digest(outputs)
 
 
-def lane_costs(ar, rounds):
-    """Microseconds per lane of one lane-loop run over N nearby kr2014 starts."""
-    from affine_riccati import riccati
-
-    field = riccati._full_system(ar.kr2014(), 0.0, np.zeros(1), np.dtype(float))
-    opts = ar.SolveOptions(T=2.0)
-    out = {}
-    for n in LANES:
-        starts = [np.array([u, 0.0]) for u in -0.5 - 1e-3 * np.linspace(0.0, 1.0, n)]
-        seconds = _best(lambda: riccati._lanes(field, starts, opts, 1),
-                        max(3, rounds // max(1, n // 100)))
-        out[str(n)] = 1e6 * seconds / n
-    return out
-
-
 def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
     ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
@@ -259,11 +240,11 @@ def measure(ar):
             "step_us": step_costs(ar, ROUNDS),
             "solve_ms": solve_ms, "sha256_real": sha["real"],
             "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
-            "ladder_sha256": ladder_sha, "lane_us": lane_costs(ar, ROUNDS)}
+            "ladder_sha256": ladder_sha}
 
 
 if __name__ == "__main__":
     sys.exit(pairs.main(__file__, {"measure": measure},
                         lambda r: {k: r[k] for k in ("sha256_real", "sha256_complex",
                                                      "ladder_sha256")},
-                        {"seed": SEED, "rounds": ROUNDS, "lanes": LANES}, PAIRS, pin=True))
+                        {"seed": SEED, "rounds": ROUNDS}, PAIRS, pin=True))

@@ -66,7 +66,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, eval_F, quiet_fp, reduced_R, validate_model
 from .riccati import (_FIELD_ERRORS, _LADDER, SolveOptions, _check_reduced_start, _eps_ladder,
-                      _eval_or_none, _integrate, _ladder_limit, _real_finite, _richardson,
+                      _field_values, _integrate, _ladder_limit, _real_finite, _richardson,
                       _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
@@ -224,9 +224,9 @@ class ReducedField:
         return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, _rows=fun)
 
     @property
-    def _lane_fn(self) -> Callable:
-        """The function the lane solves call on one (m,) row: ``_rows`` when
-        set (``reduced_R`` through this module's globals, whose values
+    def _solve_fn(self) -> Callable:
+        """The function the solves call on one (m,) row: ``_rows`` when set
+        (``reduced_R`` through this module's globals, whose values
         ``__call__`` returns as they are), else the field itself."""
         return self if self._rows is None else self._rows
 
@@ -346,7 +346,7 @@ def _osgood_scan_side(field: ReducedField, sign: int):
         vals = []
         with quiet_fp():
             for w in ws:
-                f = _eval_or_none(field, np.array([sign * w * w]))
+                f = _field_values(field, np.array([sign * w * w]))[0]
                 if f is None:
                     vals = None
                     break
@@ -370,7 +370,7 @@ def _time_density(field: ReducedField, sign: int) -> Callable:
     singularities; a zero or undefined field value gives +inf.
     """
     def density(w):
-        f = _eval_or_none(field, np.array([sign * w * w]))
+        f = _field_values(field, np.array([sign * w * w]))[0]
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -435,7 +435,7 @@ def _osgood_witness(field: ReducedField, sign: int) -> Optional[WitnessTrajector
     sopts = SolveOptions(T=tail_T, rtol=_RTOL, atol=_ATOL,
                          max_step=tail_T / 300.0, blowup_threshold=1e10)
     try:
-        tail = _integrate(field._lane_fn, np.array([g_switch]), sopts)
+        tail = _integrate(field._solve_fn, np.array([g_switch]), sopts)
     except DomainError:
         return None
 
@@ -486,11 +486,11 @@ def _probe_field(field: ReducedField) -> ConservativenessVerdict:
 
     def defined(start):  # start = -eps * 1
         with quiet_fp():
-            if _eval_or_none(field._lane_fn, start) is None:
+            if _field_values(field._solve_fn, start)[0] is None:
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
-        sols = _eps_ladder(field._lane_fn, np.zeros(m), m, _LADDER, sopts, check=defined)
+        sols = _eps_ladder(field._solve_fn, np.zeros(m), m, _LADDER, sopts, check=defined)
     except DomainError as exc:
         return _inconclusive(str(exc))
     sol = sols[-1]   # the finest run, or the one that missed the horizon
@@ -547,7 +547,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
     if abs(F0) > 1e-12:
         return _constant_killing(F0)
     with quiet_fp():
-        R0 = _eval_or_none(field, np.zeros(m))
+        R0 = _field_values(field, np.zeros(m))[0]
     if R0 is None:
         return _inconclusive("reduced field undefined at the origin")
     if float(np.max(np.abs(R0))) > 1e-12:
@@ -599,7 +599,7 @@ def _scalar_osgood(field: ReducedField) -> ConservativenessVerdict:
 def _forward_witness(field: ReducedField):
     """Forward trajectory from 0 (used when 0 is not an equilibrium)."""
     try:
-        sol = _integrate(field._lane_fn, np.zeros(field.m), _solve_options(_CHECKPOINT_TIME))
+        sol = _integrate(field._solve_fn, np.zeros(field.m), _solve_options(_CHECKPOINT_TIME))
     except DomainError:
         return None
     grid = _witness_grid(sol.t_end)
@@ -655,7 +655,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
                           "start at or after 0 and end after 0")
     m = model.shape.m
     uI = _real_finite(uI, "uI", m)
-    field = ReducedField.from_model(model)._lane_fn
+    field = ReducedField.from_model(model)._solve_fn
     sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
                        check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:

@@ -252,6 +252,12 @@ class LevyMeasure:
         """Violations of the family's parameter constraints; none by default."""
         return []
 
+    def _nonfinite(self, *names):
+        """A violation for each named parameter that is not finite; NaN
+        passes every order test, so a family states its parameters here."""
+        return [f"{name} must be finite" for name in names
+                if not math.isfinite(getattr(self, name))]
+
     # -- admissible exponential range --------------------------------------
 
     @property
@@ -443,7 +449,7 @@ class CompoundPoissonExp(LevyMeasure):
     bound_closed = False
 
     def validate(self):
-        out = []
+        out = self._nonfinite("rate", "jump_rate")
         if self.rate < 0:
             out.append("compound-Poisson rate must be >= 0")
         if self.jump_rate <= 0:
@@ -491,7 +497,7 @@ class CompoundPoissonPoint(LevyMeasure):
     bound_closed = True
 
     def validate(self):
-        out = []
+        out = self._nonfinite("rate", "size")
         if self.rate < 0:
             out.append("compound-Poisson rate must be >= 0")
         if self.size == 0:
@@ -550,7 +556,7 @@ class GammaLevy(LevyMeasure):
     bound_closed = False
 
     def validate(self):
-        out = []
+        out = self._nonfinite("c", "rho")
         if self.c <= 0:
             out.append("gamma family requires c > 0")
         if self.rho <= 0:
@@ -612,7 +618,7 @@ class TemperedStableHalf(LevyMeasure):
     bound_closed = True
 
     def validate(self):
-        out = []
+        out = self._nonfinite("scale", "tempering")
         if self.scale <= 0:
             out.append("tempered-stable family requires scale > 0")
         if self.tempering < 0:
@@ -710,6 +716,9 @@ class ExpTiltedMeasure(LevyMeasure):
         self.base = base
         self.theta = float(theta)
         self.axis = base.axis
+
+    def validate(self):
+        return self._nonfinite("theta") + self.base.validate()
 
     def _weighted(self, xi, w):
         xi = np.asarray(xi, dtype=float)
@@ -902,13 +911,16 @@ class ValidationReport:
 
 def validate_model(model: AffineModel) -> ValidationReport:
     """Check the parametric admissibility constraints; empty report on success."""
-    v = []
     shape = model.shape
     m, d = shape.m, shape.d
+    # NaN passes every order test below, so a non-finite entry is flagged here
+    v = [f"{name} must be finite" for name in ("a", "b", "c", "alpha", "beta_I", "gamma", "beta_JJ")
+         if not np.isfinite(getattr(model, name)).all()]
 
-    if not np.allclose(model.a, model.a.T, atol=1e-12):
+    a_finite = "a must be finite" not in v
+    if a_finite and not np.allclose(model.a, model.a.T, atol=1e-12):
         v.append("a must be symmetric")
-    else:
+    elif a_finite:
         w = np.linalg.eigvalsh(model.a)
         if w.min() < -1e-12:
             v.append(f"a must be positive semidefinite (min eigenvalue {w.min():.3e})")

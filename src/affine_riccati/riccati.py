@@ -26,26 +26,22 @@ Termination statuses:
                  that of the first point of that run of points (the start
                  included), where the equilibrium began.
 
-Cost of a step: one DP5(4) loop, ``_lanes``, advances N solves as lanes,
-and a plain solve (``_integrate``) is its case N = 1.  Each lane keeps its
-own t, step size, error control, equilibrium run and status in Python
-floats.  A pass of the loop tries one step (``_step``) in each running
-lane, and each stage of that step calls the field on the lane's own 1-d
-row.  So each lane's steps and bits are those of its lone solve; the three
-rungs of every epsilon ladder (``_eps_ladder``) run as three lanes of one
-call.  A stage where the field raises one of ``_FIELD_ERRORS`` or goes
-non-finite rejects that lane's step; an exception of another kind ends
-that lane alone.  The ladders, 2 or 3 lanes a pass, are the loop's only
-callers with more than one lane, and it has no path that batches the
-stages of many lanes into one call: a run of 100 or 1,000 lanes costs
-about what as many lone solves cost.
+Cost of a step: one DP5(4) loop, ``_integrate``, runs every solve.  It
+keeps the solve's t, step size, error control, equilibrium run and status
+as Python floats in locals, and each stage of a step (``_step``) calls the
+field on the state's 1-d row.  A stage where the field raises one of
+``_FIELD_ERRORS`` or goes non-finite rejects the step; an exception of
+another kind propagates at once.  An epsilon ladder (``_eps_ladder``)
+solves its three rungs one after another and stops after the first rung
+that misses the horizon.  No path batches the stages of many solves into
+one call: 100 or 1,000 starts cost about what as many lone solves cost.
 
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
 array, against 0.1-0.3 us for an operation on a numpy scalar.  So each
 stage of a step makes one model call and little else.  The point
-evaluation of a lane (``_lane_values`` on the field, then the model on the
-1-d row) runs the model's point closures (``AffineModel._point_fns``: one
+evaluation of a stage (``_field_values`` on the field, then the model on
+the 1-d row) runs the model's point closures (``AffineModel._point_fns``: one
 (R, F) pair per dtype kind, with every operand bound once) on numpy scalars
 (``u[i]``, np.float64, np.complex128).  It allocates only its results,
 enters no errstate inside ``quiet_fp``, and reads the finiteness of the
@@ -64,13 +60,13 @@ scalar products.  The field's arithmetic does not move to Python numbers:
 Python's complex division rounds differently from numpy's, and a Python
 float's ``x ** 2`` raises OverflowError where numpy gives inf.
 
-The stepper's own arithmetic does, in one form for real and complex lanes.
+The stepper's own arithmetic does, in one form for real and complex solves.
 ``_step`` reads the state and each stage derivative row once as Python
 numbers, with the ``tolist()`` that also serves a row's finiteness test,
 and forms the stage states, error norm and magnitudes on them; the stage
 states and error sums are generated code with the tableau's weights as
-literals (``_tableau``).  A real lane has the
-bits of float arithmetic throughout; a complex lane's products, quotients
+literals (``_tableau``).  A real solve has the
+bits of float arithmetic throughout; a complex solve's products, quotients
 and magnitudes round as Python's complex arithmetic and ``math.hypot`` do,
 which differ from numpy's at the rounding level, and the closed-form tests
 bound its trajectories.
@@ -80,7 +76,7 @@ One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 The model call of a field evaluation is ``eval_R`` (the full system) or
 ``reduced_R`` (a model's reduced field, through ``diagnostics``' globals),
 called through the module globals, where ``perfbench/tracing.py`` counts
-evaluations by wrapping them; each lane's call counts once.  The full
+evaluations by wrapping them; each stage's call counts once.  The full
 system takes F from the model's bound F closure, not from ``eval_F``: that
 is the ``eval_F`` of a run inside ``quiet_fp`` without its shape check.
 """
@@ -297,172 +293,137 @@ _E = _B5 - _B4
 _FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _lane_values(field, y):
+# the return of ``_field_values`` where the field is undefined
+_UNDEFINED = (None, None)
+
+
+def _field_values(field, y):
     """The field at the 1-d row y, with its entries read as Python numbers:
-    (f, f.tolist()); None when the field raises one of ``_FIELD_ERRORS`` or
-    is non-finite there (a rejected stage); or the exception of another kind
-    that it raised, which ends the lane.
+    (f, f.tolist()), or (None, None) when the field raises one of
+    ``_FIELD_ERRORS`` or is non-finite there (a rejected stage).  Other
+    exceptions propagate.
 
     The caller holds ``quiet_fp`` (or its own np.errstate).
     """
     try:
         f = np.asarray(field(y))
     except _FIELD_ERRORS:
-        return None
-    except Exception as exc:  # ends this lane only; raised by the caller
-        return exc
+        return _UNDEFINED
     # a 1-d row's entries read as Python numbers: cheaper than np.isfinite
     # and a reduction on the few entries of one point, and the one read the
     # stepper makes of a stage's derivatives
     values = f.tolist()
     if not (all(map(cmath.isfinite, values)) if f.ndim == 1 else np.isfinite(f).all()):
-        return None
+        return _UNDEFINED
     return f, values
 
 
-def _eval_or_none(field, y):
-    """The field at y, or None when it raises one of ``_FIELD_ERRORS`` or is
-    non-finite; other exceptions propagate.
-
-    The caller holds ``quiet_fp`` (or its own np.errstate).
-    """
-    fv = _lane_values(field, y)
-    if isinstance(fv, Exception):
-        raise fv
-    return None if fv is None else fv[0]
-
-
-class _Lane:
-    """The state of one solve in the lane loop."""
-
-    __slots__ = ("u0", "y", "f", "t", "h", "eq_run", "eq_t", "ts", "ys", "fs", "status",
-                 "error")
-
-    def __init__(self, u0, y, f, h):
-        self.u0, self.y, self.f = u0, y, f
-        # eq_run counts the accepted steps of the current run of points whose
-        # rate is below atol, and eq_t is the time of its first point (None
-        # while the last point is not in such a run)
-        self.t, self.h, self.eq_run, self.eq_t = 0.0, h, 0, None
-        self.ts, self.ys, self.fs = [0.0], [y], [f]
-        self.status = self.error = None
-
-
 @quiet_fp()
-def _lanes(field: Callable, starts, opts: SolveOptions, rate_dim: Optional[int] = None) -> list:
-    """Adaptive DP5(4) loop shared by all solvers, advancing one lane per start.
+def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
+               rate_dim: Optional[int] = None) -> RiccatiSolution:
+    """Adaptive DP5(4) solve of d y = field(y) from y0, the loop of every solver.
 
-    Each lane is the solve that ``_integrate`` would make from its start,
-    with the same steps and bits; a lane keeps its own t, step size, error
-    control, equilibrium run and status, in Python floats.  One pass of the
-    loop tries one step (``_step``) in every running lane, which calls the
-    field on the lane's own 1-d row.  Returns per start its RiccatiSolution,
-    or the exception that ended it (a DomainError when the field is
-    undefined at the start).  One ``quiet_fp`` covers the run.
+    The solve's t, step size, error control, equilibrium run and status are
+    locals in Python floats; each step (``_step``) calls the field on the
+    1-d row of each stage.  ``rate_dim``: number of leading components whose
+    rate decides equilibrium (and blow-up magnitude); defaults to all
+    components.  The whole state is returned as ``psi`` (with ``u0 = y0``),
+    no phi.  Raises DomainError when the field is undefined at y0; an
+    exception of the field outside ``_FIELD_ERRORS`` propagates at once.
+    One ``quiet_fp`` covers the run.
     """
-    Y0 = np.array(starts)
-    dim = Y0.shape[1]
+    y = np.array(y0)
+    dim = y.shape[0]
     nr = rate_dim if rate_dim is not None else dim
     T = opts.T
     t_stop = T - 1e-14 * T
     atol, rtol = opts.atol, opts.rtol
     hmax, hmin = opts.effective_max_step, _step_floor(T)
     safety, order_exp = 0.9, 0.2
+
+    f = _field_values(field, y)[0]
+    if f is None:
+        raise DomainError("vector field undefined at the initial condition")
+    dtype = np.result_type(y, f.dtype, float)
     # a first step below the step floor would read as a collapse at t = 0
-    h0 = min(hmax, max(T / 100.0, hmin))
+    t, h = 0.0, min(hmax, max(T / 100.0, hmin))
+    # eq_run counts the accepted steps of the current run of points whose
+    # rate is below atol, and eq_t is the time of its first point (None
+    # while the last point is not in such a run)
+    eq_run, eq_t = 0, (0.0 if np.abs(f[:nr]).max(initial=0.0) < atol else None)
+    ts, ys, fs = [0.0], [y], [f]
 
-    lanes, live = [], []
-    for u0, y in zip(starts, Y0):
-        fv = _lane_values(field, y)
-        lane = _Lane(u0, y, fv[0] if fv.__class__ is tuple else None, h0)
-        if lane.f is None:
-            lane.error = fv if fv is not None else \
-                DomainError("vector field undefined at the initial condition")
+    while True:
+        if t >= t_stop:
+            status = SolveStatus(SolveStatus.COMPLETED)
+            break
+        if h < hmin:
+            status = _classify_collapse(t, y, f, opts, nr, ts, ys)
+            break
+        # a last step shortened to the horizon may be below the floor
+        h = min(h, T - t, hmax)
+        step = _step(field, y, f, h, dim, dtype, atol, rtol)
+        if step is None:
+            h *= 0.3
+            continue
+        y_new, f_new, sq, abs_y, abs_f = step
+        en = math.sqrt(sq / dim)
+        if not math.isfinite(en):
+            h *= 0.3
+            continue
+        if en > 1.0:
+            h *= min(1.0, max(0.2, safety * en ** (-order_exp)))
+            continue
+
+        # accepted
+        t += h
+        y, f = y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        fs.append(f)
+
+        if max(abs_f[:nr], default=0.0) < atol:
+            eq_run += 1
+            if eq_t is None:
+                eq_t = t
         else:
-            if np.abs(lane.f[:nr]).max(initial=0.0) < atol:
-                lane.eq_t = 0.0
-            live.append(lane)
-        lanes.append(lane)
-    dtype = np.result_type(Y0, *{lane.f.dtype for lane in live}, float)
+            eq_run, eq_t = 0, None
+        if eq_run >= _EQUILIBRIUM_RUN and t < T:
+            # the equilibrium began at the first point of the run
+            status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=eq_t)
+            # analytic continuation: psi constant, phi linear at frozen rate
+            f_cont = f.copy()
+            f_cont[:nr] = 0.0
+            ts.append(T)
+            ys.append(y + (T - t) * f_cont)
+            fs.append(f_cont)
+            break
 
-    while live:
-        for lane in live:
-            if lane.t >= t_stop:
-                lane.status = SolveStatus(SolveStatus.COMPLETED)
-                continue
-            if lane.h < hmin:
-                lane.status = _classify_collapse(lane.t, lane.y, lane.f, opts, nr,
-                                                 lane.ts, lane.ys)
-                continue
-            # a last step shortened to the horizon may be below the floor
-            lane.h = min(lane.h, T - lane.t, hmax)
-            step = _step(field, lane, dim, dtype, atol, rtol)
-            if step is None:
-                continue
-            y, f, sq, abs_y, abs_f = step
-            en = math.sqrt(sq / dim)
-            if not math.isfinite(en):
-                lane.h *= 0.3
-                continue
-            if en > 1.0:
-                lane.h *= min(1.0, max(0.2, safety * en ** (-order_exp)))
-                continue
+        if max(abs_y[:nr], default=0.0) > opts.blowup_threshold:
+            radial = float(np.real(np.vdot(y[:nr], f[:nr])))
+            if radial > 0.0:
+                status = SolveStatus(SolveStatus.BLOWUP, t_event=_extrapolate_blowup(ts, ys, nr))
+                break
 
-            # accepted
-            lane.t += lane.h
-            lane.y, lane.f = y, f
-            lane.ts.append(lane.t)
-            lane.ys.append(y)
-            lane.fs.append(f)
+        if en == 0.0:
+            h = hmax
+        else:
+            h *= min(5.0, max(0.2, safety * en ** (-order_exp)))
 
-            if max(abs_f[:nr], default=0.0) < atol:
-                lane.eq_run += 1
-                if lane.eq_t is None:
-                    lane.eq_t = lane.t
-            else:
-                lane.eq_run, lane.eq_t = 0, None
-            if lane.eq_run >= _EQUILIBRIUM_RUN and lane.t < T:
-                # the equilibrium began at the first point of the run
-                lane.status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=lane.eq_t)
-                # analytic continuation: psi constant, phi linear at frozen rate
-                f_cont = f.copy()
-                f_cont[:nr] = 0.0
-                lane.ts.append(T)
-                lane.ys.append(y + (T - lane.t) * f_cont)
-                lane.fs.append(f_cont)
-                continue
-
-            if max(abs_y[:nr], default=0.0) > opts.blowup_threshold:
-                radial = float(np.real(np.vdot(y[:nr], f[:nr])))
-                if radial > 0.0:
-                    lane.status = SolveStatus(SolveStatus.BLOWUP,
-                                              t_event=_extrapolate_blowup(lane.ts, lane.ys, nr))
-                    continue
-
-            if en == 0.0:
-                lane.h = hmax
-            else:
-                lane.h *= min(5.0, max(0.2, safety * en ** (-order_exp)))
-        live = [lane for lane in live if lane.status is None and lane.error is None]
-
-    return [lane.error if lane.error is not None else
-            RiccatiSolution(ts=np.array(lane.ts), psi=np.array(lane.ys), phi=None,
-                            dpsi=np.array(lane.fs), dphi=None,
-                            status=lane.status or SolveStatus(SolveStatus.COMPLETED),
-                            u0=lane.u0, T=T)
-            for lane in lanes]
+    return RiccatiSolution(ts=np.array(ts), psi=np.array(ys), phi=None, dpsi=np.array(fs),
+                           dphi=None, status=status, u0=y0, T=T)
 
 
-def _step(field, lane, dim, dtype, atol, rtol):
-    """One DP5(4) step of a lane from (lane.y, lane.f) with its step lane.h.
+def _step(field, y, f, h, dim, dtype, atol, rtol):
+    """One DP5(4) step of size h from the state y with its derivative f.
 
     Returns the new state and its derivative, the sum of squares of the
     error scaled by atol + rtol * max(|y|, |y_new|), and the magnitudes of
     the new state's and derivative's entries as lists.  Returns None when a
-    stage failed: a rejected stage shrinks the lane's step, an exception of
-    another kind becomes the lane's error.
+    stage is rejected (``_field_values``); other exceptions of the field
+    propagate.
 
-    Real and complex lanes run the same lines on Python numbers: the stage
+    Real and complex solves run the same lines on Python numbers: the stage
     states component by component, with the sums term by term from zero in
     the order of the tableau (``_tableau``), and the squares of the
     error norm added from left to right as ``q.real * q.real + q.imag *
@@ -470,26 +431,20 @@ def _step(field, lane, dim, dtype, atol, rtol):
     the zero of the sums and in ``_MAGNITUDE``.
     """
     sums, mag = _tableau(dim, dtype.kind), _MAGNITUDE[dtype.kind]
-    h = lane.h
     # the state and the stage derivatives, as Python numbers
-    yv = np.asarray(lane.y, dtype).tolist()
-    k = [np.asarray(lane.f, dtype).tolist()]
+    yv = np.asarray(y, dtype).tolist()
+    k = [np.asarray(f, dtype).tolist()]
     for stage in range(1, 7):
         ysv = sums[stage](yv, h, *k)
         ystage = np.array(ysv)
-        fstage = _lane_values(field, ystage)
-        if fstage.__class__ is not tuple:
-            if fstage is None:
-                lane.h *= 0.3
-            else:
-                lane.error = fstage
-            return None
         # the one read of the row as Python numbers, made for its
         # finiteness test
-        f_new, values = fstage
+        f_new, values = _field_values(field, ystage)
+        if f_new is None:
+            return None
         if f_new.shape != (dim,) or f_new.dtype != dtype:
-            f_new = np.empty(dim, dtype)
-            f_new[...] = fstage[0]
+            row, f_new = f_new, np.empty(dim, dtype)
+            f_new[...] = row
             values = f_new.tolist()
         k.append(values)
 
@@ -545,20 +500,6 @@ def _tableau(dim, kind):
 # math.hypot of the parts, which returns inf where the magnitude overflows,
 # as np.abs does; abs() raises OverflowError there.
 _MAGNITUDE = {"f": abs, "c": lambda z: math.hypot(z.real, z.imag)}
-
-
-def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
-               rate_dim: Optional[int] = None) -> RiccatiSolution:
-    """One solve of d y = field(y) from y0: the lane loop with one lane.
-
-    ``rate_dim``: number of leading components whose rate decides
-    equilibrium (and blow-up magnitude); defaults to all components.
-    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
-    """
-    (sol,) = _lanes(field, [y0], opts, rate_dim)
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
 
 
 def _classify_collapse(t, y, f, opts, nr, ts, ys):
@@ -670,8 +611,14 @@ def _full_system(model, l, lam, dtype):
 
 
 def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution:
-    """Integrate the reduced I-block system d g = R_I((g, 0)); no phi."""
+    """Integrate the reduced I-block system d g = R_I((g, 0)); no phi.
+
+    Raises ConfigError for a model without an I-block (m = 0), whose reduced
+    system is empty.
+    """
     m = model.shape.m
+    if m == 0:
+        raise ConfigError("solve_reduced needs an I-block; the model has m = 0")
     g0 = _as_initial(g0, m, name="g0")
     _check_reduced_start(model, g0)
 
@@ -740,33 +687,22 @@ def solve_minimal(model: AffineModel, u0, opts: SolveOptions, l: float = 0.0, la
 def _eps_ladder(field: Callable, u0: np.ndarray, m: int, eps_ladder, opts: SolveOptions,
                 rate_dim: Optional[int] = None, check: Optional[Callable] = None) -> list:
     """Solves of d y = field(y) from u0 - eps on the first m coordinates, one
-    per eps, run as lanes of one ``_lanes`` call.
+    per eps, rung after rung through ``_integrate``.
 
-    ``check(start)`` may raise to refuse a start.  Returns the solutions in
-    ladder order up to and including the first one that misses the horizon.
-    A rung's exception is raised where a rung-by-rung ladder would raise it:
-    at that rung, once every earlier rung has reached the horizon.
+    ``check(start)``, called just before its rung is solved, may raise to
+    refuse a start.  Returns the solutions in ladder order up to and
+    including the first one that misses the horizon; the later rungs are
+    neither checked nor solved.  A rung's exception propagates from that
+    rung, once every earlier rung has reached the horizon.
     """
-    results, starts = [], []
+    sols = []
     for eps in eps_ladder:
         start = u0.copy()
         start[:m] -= eps
-        try:
-            if check is not None:
-                check(start)
-        except Exception as exc:
-            results.append(exc)
-        else:
-            results.append(len(starts))
-            starts.append(start)
-    solved = _lanes(field, starts, opts, rate_dim) if starts else []
-    sols = []
-    for result in results:
-        result = solved[result] if isinstance(result, int) else result
-        if isinstance(result, Exception):
-            raise result
-        sols.append(result)
-        if not result.status.reached_horizon:
+        if check is not None:
+            check(start)
+        sols.append(_integrate(field, start, opts, rate_dim))
+        if not sols[-1].status.reached_horizon:
             break
     return sols
 

@@ -129,6 +129,19 @@ class TestConservative:
     def test_ignored_tolerance_flags_are_rejected(self, tmp_path):
         assert run(tmp_path, "conservative", "--model", "kr2014", "--rtol", "1e-6") == 1
 
+    def test_nan_killing_rate_is_usage_error(self, tmp_path, capsys):
+        # NaN passes every order test; the model fails validation instead of
+        # reading Conservative
+        assert run(tmp_path, "export-model", "--model", "feller") == 0
+        path = tmp_path / "model.ini"
+        text = path.read_text()
+        assert "c = 0\n" in text
+        path.write_text(text.replace("c = 0\n", "c = nan\n"))
+        assert run(tmp_path, "conservative", "--model", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c must be finite" in err
+        assert "Traceback" not in err
+
 
 class TestMartingale:
     @pytest.mark.parametrize("argv", [

@@ -15,9 +15,11 @@ from affine_riccati import (
     ExpTiltedMeasure,
     GammaLevy,
     LevyMeasure,
+    SolverError,
     StateShape,
     TemperedStableHalf,
     ZeroJumps,
+    check_conservative,
     eval_F,
     eval_R,
     in_domain_Y,
@@ -163,6 +165,39 @@ class TestValidation:
     def test_violation_messages(self, kwargs, messages):
         model = AffineModel(**{"shape": StateShape(1, 0), "a": [[0.0]], "b": [0.0], **kwargs})
         assert list(validate_model(model)) == messages
+
+    @pytest.mark.parametrize("kwargs, messages", [
+        ({"c": math.nan}, ["c must be finite"]),
+        ({"b": [math.nan]}, ["b must be finite"]),
+        ({"a": [[math.inf]]}, ["a must be finite", "a row 1 must vanish: constant diffusion "
+                                                   "cannot load on the nonnegative block "
+                                                   "(only alpha_i does)"]),
+        ({"alpha": [math.nan], "beta_I": [[-math.inf]], "gamma": [math.nan]},
+         ["alpha must be finite", "beta_I must be finite", "gamma must be finite"]),
+        ({"shape": StateShape(0, 1), "a": [[0.5]], "b": [0.1], "alpha": None, "beta_I": None,
+          "beta_JJ": [[math.nan]]},
+         ["beta_JJ must be finite"]),
+        ({"mus": (CompoundPoissonExp(rate=1.0, jump_rate=math.inf),)},
+         ["mu_1: jump_rate must be finite"]),
+        ({"mu0": CompoundPoissonExp(rate=math.nan, jump_rate=2.0)}, ["mu0: rate must be finite"]),
+        ({"mus": (CompoundPoissonPoint(rate=0.4, size=math.nan),)},
+         ["mu_1: size must be finite"]),
+        ({"mus": (GammaLevy(c=math.nan, rho=2.0),)}, ["mu_1: c must be finite"]),
+        ({"mus": (TemperedStableHalf(scale=math.nan, tempering=1.0),)},
+         ["mu_1: scale must be finite"]),
+        ({"mus": (ExpTiltedMeasure(TemperedStableHalf(scale=0.3, tempering=math.inf), 0.5),)},
+         ["mu_1: tempering must be finite"]),
+    ], ids=["c", "b", "a", "alpha-beta-gamma", "beta_JJ", "exp-inf", "exp-nan", "point",
+            "gamma", "stable", "quadrature-tilt"])
+    def test_non_finite_entries_flagged(self, kwargs, messages):
+        # NaN passes every order test, so each entry and family parameter is
+        # tested for finiteness; the base model is feller's, Conservative
+        base = {"shape": StateShape(1, 0), "a": [[0.0]], "b": [0.5], "alpha": [0.5],
+                "beta_I": [[-1.0]]}
+        model = AffineModel(**{**base, **kwargs})
+        assert list(validate_model(model)) == messages
+        with pytest.raises(SolverError, match="fails validation"):
+            check_conservative(model)
 
     def test_range_must_admit_zero(self):
         # a measure without validate() whose range s < -1 leaves out 0

@@ -33,7 +33,7 @@ from affine_riccati import (
 )
 from affine_riccati import riccati
 from affine_riccati.model import quiet_fp
-from affine_riccati.riccati import _LADDER, _eps_ladder, _full_system, _integrate, _lanes
+from affine_riccati.riccati import _LADDER, _eps_ladder, _full_system, _integrate
 
 # Closed forms used as oracles below.  Both are verified symbolically in
 # TestOracleValidity before anything is asserted against them.
@@ -375,6 +375,13 @@ class TestRealInputs:
         with pytest.raises(ConfigError, match="g0 must be finite"):
             solve_reduced(feller_model, u0, SolveOptions(T=1.0))
 
+    def test_reduced_solve_without_an_i_block(self):
+        # m = 0: the reduced system is empty, and its error norm would
+        # divide by the state size
+        model = AffineModel(shape=StateShape(0, 1), a=[[0.5]], b=[0.1], beta_JJ=[[-1.0]])
+        with pytest.raises(ConfigError, match="m = 0"):
+            solve_reduced(model, [], SolveOptions(T=1.0))
+
     @pytest.mark.parametrize("u0", [[0.5j], [math.nan], [-math.inf]])
     def test_minimal_start(self, kr_model, u0):
         with pytest.raises(ConfigError, match="u0 must be"):
@@ -520,60 +527,44 @@ def assert_same_solution(got, want):
 
 
 class TestLanes:
-    """Every lane of a run of several lanes is the lone solve from its start, bit for bit."""
+    """The solve loop, ``_integrate``: every terminal status, rejected
+    stages, the exceptions of the field and its one-point calls."""
 
-    def lanes_match_lone_solves(self, model, us, opts=SolveOptions(T=2.0), l=0.0, lam=None):
+    @staticmethod
+    def kinds(model, us, opts=SolveOptions(T=2.0)):
+        """The status kinds of the full-system solves from each u."""
         d = model.shape.d
-        lam = np.zeros(d) if lam is None else np.asarray(lam, dtype=float)
         starts = full_starts(model, us)
-        field = _full_system(model, l, lam, starts.dtype)
-        got = _lanes(field, list(starts), opts, d)
-        want = [_integrate(field, start, opts, rate_dim=d) for start in starts]
-        for g, w in zip(got, want):
-            assert_same_solution(g, w)
-        return [g.status.kind for g in got]
-
-    @pytest.mark.parametrize("us", [[-1.0, 0.5, -2.0], [1j, -1 + 0.5j, 3j]])
-    def test_feller(self, feller_model, us):
-        self.lanes_match_lone_solves(feller_model, us)
-
-    @pytest.mark.parametrize("us", [[-1.0, 0.99, 1.0 - 1e-9], [0.4j, -1 + 1j]])
-    def test_kr2014(self, kr_model, us):
-        self.lanes_match_lone_solves(kr_model, us)
-
-    @pytest.mark.parametrize("us", [[-0.4, 0.3, -1.5], [2j, -0.5 - 1j, 0.1 + 0.1j]])
-    def test_cir_jump(self, cir_jump_model, us):
-        self.lanes_match_lone_solves(cir_jump_model, us)
-
-    def test_tilted_kr2014_pair(self, kr2014_pair_model):
-        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
-        us = [[-1e-5, -1e-5], [-1e-7, -0.3], [-0.5, -1e-9], [0.0, -0.2]]
-        self.lanes_match_lone_solves(pair, us, SolveOptions(T=1.0, rtol=1e-12, atol=1e-15))
-
-    @pytest.mark.parametrize("us", [[[-0.4, 0.3, -0.2], [0.1, -0.5, 0.4], [-1.0, 0.0, 0.0]],
-                                    [[-0.4 + 0.2j, 0.3, 1j], [0.1j, -0.5, 0.4 - 0.3j]]])
-    def test_mixed_model(self, mixed_model, us):
-        self.lanes_match_lone_solves(mixed_model, us)
+        field = _full_system(model, 0.0, np.zeros(d), starts.dtype)
+        return [_integrate(field, start, opts, rate_dim=d).status.kind for start in starts]
 
     def test_every_terminal_status(self, feller_model):
         # feller: u = 2 explodes at log 2, u = 0 sits at the equilibrium;
-        # the gamma OU coordinate leaves the domain while its neighbours step on
-        kinds = self.lanes_match_lone_solves(feller_model, [-1.0, 2.0, 0.0])
+        # the gamma OU coordinate leaves the domain from 0.5 and 0.3
+        kinds = self.kinds(feller_model, [-1.0, 2.0, 0.0])
         assert kinds == ["completed", "blowup", "equilibrium"]
-        kinds = self.lanes_match_lone_solves(gamma_ou_model(), [-0.5, 0.5, 0.0, 0.3],
-                                             SolveOptions(T=3.0))
+        kinds = self.kinds(gamma_ou_model(), [-0.5, 0.5, 0.0, 0.3], SolveOptions(T=3.0))
         assert kinds == ["completed", "left_domain", "equilibrium", "left_domain"]
 
     def test_failed_stage_drops_only_its_lane(self):
-        # near the open boundary the gamma lane's stages are rejected, and the
-        # lane alone shrinks its step
+        # near the open boundary the field raises at some stages: the solve
+        # rejects those steps and goes on with a shorter one
         model = gamma_ou_model()
         starts = full_starts(model, [0.9, -0.5])
         field = _full_system(model, 0.0, np.zeros(1), float)
         with pytest.raises(DomainError):
             field(np.array([1.2, 0.0]))
-        self.lanes_match_lone_solves(model, [0.9, -0.5], SolveOptions(T=1.0))
-        self.lanes_match_lone_solves(model, [0.9], SolveOptions(T=1.0))
+        raised = [0]
+
+        def counted(z):
+            try:
+                return field(z)
+            except DomainError:
+                raised[0] += 1
+                raise
+
+        edge = _integrate(counted, starts[0], SolveOptions(T=1.0), rate_dim=1)
+        assert raised[0] > 0 and edge.status.kind == "left_domain"
         calm = _integrate(field, starts[1], SolveOptions(T=1.0), rate_dim=1)
         assert calm.status.kind == "completed"
 
@@ -589,31 +580,19 @@ class TestLanes:
     def test_lane_undefined_at_its_start(self, kr_model):
         field = _full_system(kr_model, 0.0, np.zeros(1), float)
         starts = full_starts(kr_model, [-1.0, 1.5, 0.5])
-        got = _lanes(field, list(starts), SolveOptions(T=1.0), 1)
-        assert isinstance(got[1], DomainError)
-        assert "undefined at the initial condition" in str(got[1])
-        for k in (0, 2):
-            assert_same_solution(got[k], _integrate(field, starts[k], SolveOptions(T=1.0), 1))
-        with pytest.raises(DomainError, match="initial condition"):
+        with pytest.raises(DomainError, match="undefined at the initial condition"):
             _integrate(field, starts[1], SolveOptions(T=1.0), 1)
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_forty_lanes(self, feller_model, kr_model, kind):
-        rng = np.random.default_rng(11)
-        for model in (feller_model, kr_model):
-            us = rng.uniform(-2.0, 0.9, size=40)
-            if kind == "complex":
-                us = us + 1j * rng.uniform(0.5, 3.0, size=40)
-            self.lanes_match_lone_solves(model, list(us))
+        for k in (0, 2):
+            assert _integrate(field, starts[k], SolveOptions(T=1.0), 1).status.reached_horizon
 
     def test_lane_loop_calls_the_field_on_1d_rows(self, monkeypatch, kr2014_pair_model):
-        # the ladders of solve_minimal and of the probe evaluate each lane by
+        # the ladders of solve_minimal and of the probe evaluate each rung by
         # its own point call, never on a stack of rows
         from affine_riccati import diagnostics
 
         depth, ndims = [0], []
 
-        def in_lanes(fn):
+        def in_solves(fn):
             def wrapped(*args, **kwargs):
                 depth[0] += 1
                 try:
@@ -629,7 +608,7 @@ class TestLanes:
                 return fn(model, u, *args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(riccati, "_lanes", in_lanes(riccati._lanes))
+        monkeypatch.setattr(riccati, "_integrate", in_solves(riccati._integrate))
         for owner in (riccati, diagnostics):
             for name in ("eval_R", "eval_F", "reduced_R"):
                 if hasattr(owner, name):
@@ -641,14 +620,13 @@ class TestLanes:
         assert ndims and set(ndims) == {1}
 
     def test_ladder_on_a_family_without_rows(self):
-        # BareExpJumps rejects arrays; the lanes and rungs are the lone solves
+        # BareExpJumps rejects arrays; the rungs are the lone solves
         from test_model import BareExpJumps
 
         model = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
                             beta_I=[[-1.0]], mus=(BareExpJumps(0.5, 2.0),))
         with pytest.raises(ValueError):
             reduced_R(model, np.array([[-0.1], [-0.2]]))
-        self.lanes_match_lone_solves(model, [-0.1, -0.2, 0.5])
         field = _full_system(model, 0.0, np.zeros(1), float)
         opts = SolveOptions(T=2.0, rtol=1e-12, atol=1e-15)
         u0 = np.array([0.5, 0.0])
@@ -667,7 +645,7 @@ class TestLanes:
 
 
 class TestFullSystemField:
-    """The field of the full system, as the lane loop calls it: R from one
+    """The field of the full system, as the solve loop calls it: R from one
     eval_R call through riccati's globals, F from the model's bound F
     closure, and the discounts subtracted, with the bits of the public
     evaluators."""
@@ -713,7 +691,7 @@ class TestFullSystemField:
                                                         run):
         # counters on the names a tracer wraps, riccati.eval_R and
         # diagnostics.reduced_R, see exactly one call per evaluation of a
-        # lane loop's field, and eval_F none there
+        # solve's field, and eval_F none there
         from affine_riccati import diagnostics
 
         depth, counts = [0], {"field": 0, "model": 0, "eval_F": 0}
@@ -725,14 +703,14 @@ class TestFullSystemField:
                 return fn(*args, **kwargs)
             return wrapped
 
-        def lanes(field, *args, **kwargs):
+        def solves(field, *args, **kwargs):
             depth[0] += 1
             try:
-                return _lanes(counted(field, "field"), *args, **kwargs)
+                return _integrate(counted(field, "field"), *args, **kwargs)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(riccati, "_lanes", lanes)
+        monkeypatch.setattr(riccati, "_integrate", solves)
         monkeypatch.setattr(riccati, "eval_R", counted(riccati.eval_R, "model"))
         monkeypatch.setattr(diagnostics, "reduced_R", counted(diagnostics.reduced_R, "model"))
         for owner in (riccati, diagnostics):
@@ -784,6 +762,22 @@ class TestEpsLadder:
         # a rung after one that misses the horizon never raises
         sols = _eps_ladder(self.logistic, np.array([2.0]), 1, ladder, opts, check=refuse(2.0))
         assert [s.status.kind for s in sols] == ["completed", "blowup"]
+
+    def test_rungs_after_a_miss_are_neither_checked_nor_solved(self):
+        # the first rung, from 2.0, explodes at log 2 < T: the rungs from
+        # 1.9 and 1.5 are never checked, and the field never sees a value
+        # below 2.0, where their solves would start
+        checked, seen = [], []
+
+        def field(v):
+            seen.append(float(v[0]))
+            return self.logistic(v)
+
+        sols = _eps_ladder(field, np.array([2.0]), 1, (0.0, 0.1, 0.5), SolveOptions(T=1.0),
+                           check=lambda start: checked.append(float(start[0])))
+        assert [s.status.kind for s in sols] == ["blowup"]
+        assert checked == [2.0]
+        assert min(seen) == 2.0
 
     def test_field_exceptions_end_only_their_lane(self):
         # a field that raises an error outside the stage-rejecting ones below
