@@ -834,3 +834,50 @@ class TestTrajectoryPin:
         sols = self.solves(acceptance_models, -0.5 + 1.0j)
         assert [len(sol.ts) for sol in sols] == [56, 22, 56]
         assert self.digest([(sol.ts, sol.psi, sol.phi) for sol in sols]) == self.PINNED_COMPLEX
+
+    # Everything a solve returns, stored derivatives and event times
+    # included, over the solves above and a d = 3 model, a discount on a
+    # complex start, each terminal status, a reduced solve and a reduced
+    # ladder; one pin for the real solves and one for the complex ones.
+    PINNED_REAL_RECORDS = "b1a94c6a84b395403f9b6a42562064fb3f8656ca186ff7f8dadd1cf602a4e7fc"
+    PINNED_COMPLEX_RECORDS = "ca3543c8d4194e90f4fd6b196e04421b27df03da86a4cbe3658a29f54d82a431"
+
+    @staticmethod
+    def record(sol):
+        arrays = [sol.ts, sol.psi, sol.dpsi]
+        if sol.phi is not None:
+            arrays += [sol.phi, sol.dphi]
+        event = np.array([math.nan if sol.status.t_event is None else sol.status.t_event])
+        return (*arrays, event, np.frombuffer(sol.status.kind.encode(), np.uint8))
+
+    def test_real_records_keep_their_bits(self, acceptance_models, mixed_model):
+        from affine_riccati.diagnostics import minimal_reduced_trajectory
+
+        feller, kr = acceptance_models["feller"], acceptance_models["kr2014"]
+        sols = self.solves(acceptance_models, -1.0)
+        sols.append(solve_tilted(feller, 0.2, [0.3], [-0.8], SolveOptions(T=1.0)))
+        sols.append(solve_riccati(feller, [2.0], SolveOptions(T=1.0)))
+        sols.append(solve_riccati(mixed_model, [-0.5, 0.3, -0.2], SolveOptions(T=2.0)))
+        sols.append(solve_riccati(feller, [-0.5], SolveOptions(T=60.0)))
+        sols.append(solve_riccati(gamma_ou_model(), [0.5], SolveOptions(T=3.0)))
+        sols.append(solve_reduced(kr, [-1.0], SolveOptions(T=4.0)))
+        kinds = [sol.status.kind for sol in sols]
+        assert kinds == ["completed"] * 4 + ["blowup", "completed", "equilibrium",
+                                             "left_domain", "completed"]
+        runs = [self.record(sol) for sol in sols]
+        runs.append(solve_minimal(kr, [1.0], SolveOptions(T=2.0))[:3])
+        ts = 3.0 * np.linspace(0.0, 1.0, 301) ** 2
+        runs.append((minimal_reduced_trajectory(tilt_model(kr, [1.0]), [0.0], ts),))
+        assert self.digest(runs) == self.PINNED_REAL_RECORDS
+
+    def test_complex_records_keep_their_bits(self, acceptance_models, mixed_model):
+        feller = acceptance_models["feller"]
+        sols = self.solves(acceptance_models, -0.5 + 1.0j)
+        sols.append(solve_tilted(feller, 0.2, [0.3], [-0.8 + 0.5j], SolveOptions(T=1.0)))
+        sols.append(solve_riccati(mixed_model, [-0.5 + 0.4j, 0.3 - 0.2j, -0.2 + 0.1j],
+                                  SolveOptions(T=2.0)))
+        sols.append(solve_riccati(feller, [1.0 + 0.0j], SolveOptions(T=2.0)))
+        sols.append(solve_riccati(gamma_ou_model(), [0.5 + 0.1j], SolveOptions(T=3.0)))
+        kinds = [sol.status.kind for sol in sols]
+        assert kinds == ["completed"] * 5 + ["equilibrium", "left_domain"]
+        assert self.digest([self.record(sol) for sol in sols]) == self.PINNED_COMPLEX_RECORDS
