@@ -17,8 +17,9 @@ Each run is pinned to one CPU and records:
   of the ``verdicts`` workload's tilted kr2014 pair (m = 2);
 * ``field_us``: microseconds per call of the full-system field as the
   stepper makes it (``riccati._full_system`` with no discount, called on a
-  row of the solve's dtype inside one ``quiet_fp``), for feller at a real
-  and cir-jump at a complex u;
+  row of the solve's dtype inside one ``quiet_fp``; on a tree that has the
+  generated step, its value is a list of Python numbers), for feller at a
+  real and cir-jump at a complex u;
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``

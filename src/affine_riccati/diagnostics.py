@@ -207,9 +207,17 @@ class ReducedField:
             raise ConfigError(f"ReducedField.m must be a positive integer, got {self.m!r}")
 
     def __call__(self, v):
+        """The value at v as a float array of shape (m,); a bare fun's value
+        of any other shape raises ConfigError, except a scalar when m = 1."""
         if self._rows is not None:  # reduced_R, which returns float arrays already
             return self._rows(v)
-        return np.atleast_1d(np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float))
+        value = np.asarray(self.fun(np.asarray(v, dtype=float)), dtype=float)
+        if value.shape != (self.m,):
+            if value.shape or self.m != 1:
+                raise ConfigError(f"ReducedField.fun must return shape ({self.m},), "
+                                  f"got {value.shape}")
+            value = value.reshape(1)
+        return value
 
     @staticmethod
     def from_model(model: AffineModel) -> "ReducedField":
@@ -346,7 +354,7 @@ def _osgood_scan_side(field: ReducedField, sign: int):
         vals = []
         with quiet_fp():
             for w in ws:
-                f = _field_values(field, np.array([sign * w * w]))[0]
+                f = _field_values(field, np.array([sign * w * w]))
                 if f is None:
                     vals = None
                     break
@@ -370,7 +378,7 @@ def _time_density(field: ReducedField, sign: int) -> Callable:
     singularities; a zero or undefined field value gives +inf.
     """
     def density(w):
-        f = _field_values(field, np.array([sign * w * w]))[0]
+        f = _field_values(field, np.array([sign * w * w]))
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -486,7 +494,7 @@ def _probe_field(field: ReducedField) -> ConservativenessVerdict:
 
     def defined(start):  # start = -eps * 1
         with quiet_fp():
-            if _field_values(field._solve_fn, start)[0] is None:
+            if _field_values(field._solve_fn, start) is None:
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
@@ -547,7 +555,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
     if abs(F0) > 1e-12:
         return _constant_killing(F0)
     with quiet_fp():
-        R0 = _field_values(field, np.zeros(m))[0]
+        R0 = _field_values(field, np.zeros(m))
     if R0 is None:
         return _inconclusive("reduced field undefined at the origin")
     if float(np.max(np.abs(R0))) > 1e-12:

@@ -232,9 +232,19 @@ class LevyMeasure:
 
     def tilted(self, theta: float) -> "LevyMeasure":
         """The exponentially tilted measure e^{theta xi} mu(dxi)."""
-        if not self.admits(theta):
-            raise DomainError("tilt parameter outside the exponential range of the measure")
+        self._check_tilt(theta, "tilt parameter outside the exponential range of the measure")
         return self._tilted(theta)
+
+    def _check_tilt(self, theta: float, message: str) -> None:
+        """DomainError(message) unless theta lies in the exponential range.
+        A measure whose own parameters fail ``validate`` (a NaN one admits
+        no theta) raises ConfigError naming them instead."""
+        if self.admits(theta):
+            return
+        faults = self.validate()
+        if faults:
+            raise ConfigError(f"{type(self).__name__} fails validation: " + "; ".join(faults))
+        raise DomainError(message)
 
     def _tilted(self, theta: float) -> "LevyMeasure":
         """The family's closed form of the tilt, for an admitted theta."""
@@ -711,8 +721,7 @@ class ExpTiltedMeasure(LevyMeasure):
     bound_closed = property(lambda self: self.base.bound_closed)
 
     def __init__(self, base: LevyMeasure, theta: float):
-        if not base.admits(theta):
-            raise DomainError("tilt parameter outside the effective domain of the base measure")
+        base._check_tilt(theta, "tilt parameter outside the effective domain of the base measure")
         self.base = base
         self.theta = float(theta)
         self.axis = base.axis

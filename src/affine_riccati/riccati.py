@@ -28,10 +28,13 @@ Termination statuses:
 
 Cost of a step: one DP5(4) loop, ``_integrate``, runs every solve.  It
 keeps the solve's t, step size, error control, equilibrium run and status
-as Python floats in locals, and each stage of a step (``_step``) calls the
-field on the state's 1-d row.  A stage where the field raises one of
-``_FIELD_ERRORS`` or goes non-finite rejects the step; an exception of
-another kind propagates at once.  An epsilon ladder (``_eps_ladder``)
+as Python floats in locals, and the accepted states and derivatives as
+lists of Python numbers; each step is one call of a step function
+generated per state size and dtype kind (``_stepper``), whose stages each
+build one numpy row, call the field on it and read its value back as one
+list of Python numbers (``_field_values``).  A stage where the field raises
+one of ``_FIELD_ERRORS`` or goes non-finite rejects the step; an exception
+of another kind propagates at once.  An epsilon ladder (``_eps_ladder``)
 solves its three rungs one after another and stops after the first rung
 that misses the horizon.  No path batches the stages of many solves into
 one call: 100 or 1,000 starts cost about what as many lone solves cost.
@@ -60,16 +63,16 @@ scalar products.  The field's arithmetic does not move to Python numbers:
 Python's complex division rounds differently from numpy's, and a Python
 float's ``x ** 2`` raises OverflowError where numpy gives inf.
 
-The stepper's own arithmetic does, in one form for real and complex solves.
-``_step`` reads the state and each stage derivative row once as Python
-numbers, with the ``tolist()`` that also serves a row's finiteness test,
-and forms the stage states, error norm and magnitudes on them; the stage
-states and error sums are generated code with the tableau's weights as
-literals (``_tableau``).  A real solve has the
-bits of float arithmetic throughout; a complex solve's products, quotients
-and magnitudes round as Python's complex arithmetic and ``math.hypot`` do,
-which differ from numpy's at the rounding level, and the closed-form tests
-bound its trajectories.
+The stepper's own arithmetic does, in one form for real and complex solves:
+the six stages and the error norm are unrolled, with the tableau's weights
+as literals, on the Python numbers of the state and stage derivatives.  The
+full-system field returns its entries as such numbers (``_full_system``),
+and an array value is read once with the ``tolist()`` that also serves its
+finiteness test.  A real solve has the bits of float arithmetic
+throughout; a complex solve's products, quotients and magnitudes round as
+Python's complex arithmetic and ``math.hypot`` do, which differ from
+numpy's at the rounding level, and the closed-form tests bound its
+trajectories.
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
@@ -275,47 +278,40 @@ def _hermite_eval(ts, ys, fs, t):
     return out[0] if scalar else out
 
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+# Dormand-Prince 5(4) tableau (FSAL): the weights of stages 1 to 6, the last
+# row being the fifth-order weights, and the error weights b5 - b4.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip((*_A[-1], 0.0), _B4))
 # errors of a field evaluation that reject the stage (the field is undefined
 # there)
 _FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError)
 
 
-# the return of ``_field_values`` where the field is undefined
-_UNDEFINED = (None, None)
-
-
 def _field_values(field, y):
-    """The field at the 1-d row y, with its entries read as Python numbers:
-    (f, f.tolist()), or (None, None) when the field raises one of
-    ``_FIELD_ERRORS`` or is non-finite there (a rejected stage).  Other
-    exceptions propagate.
+    """The field at the 1-d row y as a list of Python numbers, or None when
+    the field raises one of ``_FIELD_ERRORS`` or is non-finite there (a
+    rejected stage).  Other exceptions propagate.
 
-    The caller holds ``quiet_fp`` (or its own np.errstate).
+    The one value protocol of a field: it returns that list itself, or a
+    numpy array of the row's length, which is read with ``tolist()``.  The
+    caller holds ``quiet_fp`` (or its own np.errstate).
     """
     try:
-        f = np.asarray(field(y))
+        values = field(y)
     except _FIELD_ERRORS:
-        return _UNDEFINED
-    # a 1-d row's entries read as Python numbers: cheaper than np.isfinite
-    # and a reduction on the few entries of one point, and the one read the
-    # stepper makes of a stage's derivatives
-    values = f.tolist()
-    if not (all(map(cmath.isfinite, values)) if f.ndim == 1 else np.isfinite(f).all()):
-        return _UNDEFINED
-    return f, values
+        return None
+    if type(values) is not list:
+        values = values.tolist()
+    # on the few entries of one point, cheaper than np.isfinite and a reduction
+    return values if all(map(cmath.isfinite, values)) else None
 
 
 @quiet_fp()
@@ -324,13 +320,17 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     """Adaptive DP5(4) solve of d y = field(y) from y0, the loop of every solver.
 
     The solve's t, step size, error control, equilibrium run and status are
-    locals in Python floats; each step (``_step``) calls the field on the
-    1-d row of each stage.  ``rate_dim``: number of leading components whose
-    rate decides equilibrium (and blow-up magnitude); defaults to all
-    components.  The whole state is returned as ``psi`` (with ``u0 = y0``),
-    no phi.  Raises DomainError when the field is undefined at y0; an
-    exception of the field outside ``_FIELD_ERRORS`` propagates at once.
-    One ``quiet_fp`` covers the run.
+    locals in Python floats, and the accepted states and derivatives are
+    lists of Python numbers of the solve's kind (complex when y0 or the
+    field's value there is), kept in ``ys``/``fs`` and turned into the
+    ``psi``/``dpsi`` arrays once, at the end.  Each step is one call of the
+    generated step (``_stepper``), which calls the field on the 1-d row of
+    each stage.  ``rate_dim``: number of leading components whose rate
+    decides equilibrium (and blow-up magnitude); defaults to all components.
+    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
+    Raises DomainError when the field is undefined at y0; an exception of
+    the field outside ``_FIELD_ERRORS`` propagates at once.  One
+    ``quiet_fp`` covers the run.
     """
     y = np.array(y0)
     dim = y.shape[0]
@@ -341,10 +341,13 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     hmax, hmin = opts.effective_max_step, _step_floor(T)
     safety, order_exp = 0.9, 0.2
 
-    f = _field_values(field, y)[0]
+    f = _field_values(field, y)
     if f is None:
         raise DomainError("vector field undefined at the initial condition")
-    dtype = np.result_type(y, f.dtype, float)
+    f = np.array(f)
+    dtype = np.result_type(y, f, float)
+    y, f = y.astype(dtype).tolist(), f.astype(dtype).tolist()
+    step = _stepper(dim, dtype.kind)
     # a first step below the step floor would read as a collapse at t = 0
     t, h = 0.0, min(hmax, max(T / 100.0, hmin))
     # eq_run counts the accepted steps of the current run of points whose
@@ -362,11 +365,11 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
             break
         # a last step shortened to the horizon may be below the floor
         h = min(h, T - t, hmax)
-        step = _step(field, y, f, h, dim, dtype, atol, rtol)
-        if step is None:
+        out = step(field, y, f, h, atol, rtol)
+        if out is None:
             h *= 0.3
             continue
-        y_new, f_new, sq, abs_y, abs_f = step
+        y_new, f_new, sq, abs_y, abs_f = out
         en = math.sqrt(sq / dim)
         if not math.isfinite(en):
             h *= 0.3
@@ -392,10 +395,10 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
             # the equilibrium began at the first point of the run
             status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=eq_t)
             # analytic continuation: psi constant, phi linear at frozen rate
-            f_cont = f.copy()
+            f_cont = np.array(f)
             f_cont[:nr] = 0.0
             ts.append(T)
-            ys.append(y + (T - t) * f_cont)
+            ys.append(np.array(y) + (T - t) * f_cont)
             fs.append(f_cont)
             break
 
@@ -414,92 +417,76 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
                            dphi=None, status=status, u0=y0, T=T)
 
 
-def _step(field, y, f, h, dim, dtype, atol, rtol):
-    """One DP5(4) step of size h from the state y with its derivative f.
-
-    Returns the new state and its derivative, the sum of squares of the
-    error scaled by atol + rtol * max(|y|, |y_new|), and the magnitudes of
-    the new state's and derivative's entries as lists.  Returns None when a
-    stage is rejected (``_field_values``); other exceptions of the field
-    propagate.
-
-    Real and complex solves run the same lines on Python numbers: the stage
-    states component by component, with the sums term by term from zero in
-    the order of the tableau (``_tableau``), and the squares of the
-    error norm added from left to right as ``q.real * q.real + q.imag *
-    q.imag``, which is ``q * q + 0.0`` on a float.  The kinds differ only in
-    the zero of the sums and in ``_MAGNITUDE``.
-    """
-    sums, mag = _tableau(dim, dtype.kind), _MAGNITUDE[dtype.kind]
-    # the state and the stage derivatives, as Python numbers
-    yv = np.asarray(y, dtype).tolist()
-    k = [np.asarray(f, dtype).tolist()]
-    for stage in range(1, 7):
-        ysv = sums[stage](yv, h, *k)
-        ystage = np.array(ysv)
-        # the one read of the row as Python numbers, made for its
-        # finiteness test
-        f_new, values = _field_values(field, ystage)
-        if f_new is None:
-            return None
-        if f_new.shape != (dim,) or f_new.dtype != dtype:
-            row, f_new = f_new, np.empty(dim, dtype)
-            f_new[...] = row
-            values = f_new.tolist()
-        k.append(values)
-
-    # stage 6 uses the b-row (FSAL): ystage is the new state
-    abs_y = list(map(mag, ysv))
-    sq = 0.0
-    for yc, b, ec in zip(yv, abs_y, sums[7](*k)):
-        a = mag(yc)
-        # |h * e / scale| ** 2, with the nan of np.maximum in the scale
-        q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
-        sq += q.real * q.real + q.imag * q.imag
-    return ystage, f_new, sq, abs_y, list(map(mag, values))
-
-
 @cache
-def _tableau(dim, kind):
-    """The DP5(4) sums on states of dim entries of the dtype kind, as a tuple:
-    at index s = 1 to 6 the function of (y, h, k_0, ..., k_{s-1}) that
-    returns the stage state ``y[c] + h * (zero + sum_j a_sj * k_j[c])``, at
-    index 7 the function of (k_0, ..., k_6) that returns the error sum
-    ``zero + sum_j e_j * k_j[c]``, each as a list over the entries c, with
-    the sums adding term by term in the order of the tableau.
+def _stepper(dim, kind):
+    """One DP5(4) step on states of dim entries of the dtype kind ("f" or
+    "c"), generated once per (dim, kind) and kept.
 
-    Their code is generated with the weights as literals and the entries
-    unrolled: a stage state of two entries takes about 0.4 us, against
-    0.9 us for a map of one sum function over the entries.  From ``0j`` on
-    Python complex numbers each part of a sum has the bits of the float sum
-    of that part: a float times a complex number (as complex numbers before
-    Python 3.14, part by part since) differs from the per-part products at
-    most in the sign of a zero part, and the running sum, whose parts start
-    from 0.0 and so are never -0.0, cannot see that sign.  Built once per
-    (dim, kind) and kept.
+    ``step(field, y, k0, h, atol, rtol)`` takes the state y and its
+    derivative k0 as lists of Python numbers and returns the new state and
+    its derivative as such lists, the sum of squares of the error scaled by
+    atol + rtol * max(|y|, |y_new|), and the magnitudes of the new state's
+    and derivative's entries as lists; or None when a stage is rejected
+    (``_field_values``).  Other exceptions of the field propagate.  Each
+    stage builds one numpy row, the field's argument, from its state and
+    reads the field's value back as Python numbers; the stage state of
+    stage 6 is the new state (FSAL).
+
+    The six stages and the error norm are unrolled, with the tableau's
+    weights as literals.  A stage state entry is ``y + h * (zero + sum_j
+    a_j * k_j)``, the sum adding term by term in the order of the tableau,
+    and the squares of the error norm add from left to right as ``q.real *
+    q.real + q.imag * q.imag`` per entry, which is ``q * q`` on a float.
+    Real and complex solves differ only in the zero, ``0.0`` or ``0j``, and
+    in the magnitude, ``abs`` or ``math.hypot`` of the parts (which returns
+    inf where the magnitude overflows, as np.abs does; abs() raises
+    OverflowError there).  From ``0j`` on Python complex numbers each part
+    of a sum has the bits of the float sum of that part: a float times a
+    complex number (as complex numbers before Python 3.14, part by part
+    since) differs from the per-part products at most in the sign of a zero
+    part, and the running sum, whose parts start from 0.0 and so are never
+    -0.0, cannot see that sign.  For the same reason a term of weight 0.0 is
+    left out: on the finite derivatives of accepted stages it adds a zero
+    that changes no bit.
     """
     zero = "0j" if kind == "c" else "0.0"
 
-    def terms(weights, c):
-        return zero + "".join(f" + {w!r} * k{j}[{c}]" for j, w in enumerate(weights))
+    def magnitude(x):
+        return f"hypot({x}.real, {x}.imag)" if kind == "c" else f"abs({x})"
 
-    def function(args, entries):
-        return eval(f"lambda {', '.join(args)}: [{', '.join(entries)}]")
+    def entries(pattern):
+        return ", ".join(pattern.format(c=c) for c in range(dim))
 
-    fns = [None]
-    for row in _A[1:]:
-        w = row.tolist()
-        fns.append(function(["y", "h", *(f"k{j}" for j in range(len(w)))],
-                            (f"y[{c}] + h * ({terms(w, c)})" for c in range(dim))))
-    e = _E.tolist()
-    fns.append(function([f"k{j}" for j in range(len(e))], (terms(e, c) for c in range(dim))))
-    return tuple(fns)
+    def weighted(weights):
+        """The pattern of an entry's sum ``zero + w_0 * k0_c + ...``."""
+        return zero + "".join(f" + {w!r} * k{j}_{{c}}" for j, w in enumerate(weights) if w)
 
-
-# By dtype kind, the magnitude of an entry.  On a complex number it is
-# math.hypot of the parts, which returns inf where the magnitude overflows,
-# as np.abs does; abs() raises OverflowError there.
-_MAGNITUDE = {"f": abs, "c": lambda z: math.hypot(z.real, z.imag)}
+    code = ["def step(field, y, k0, h, atol, rtol):",
+            f"    {entries('y{c}')}, = y",
+            f"    {entries('k0_{c}')}, = k0"]
+    for s, row in enumerate(_A, 1):
+        state = f"[{entries('y{c} + h * (' + weighted(row) + ')')}]"
+        if s == len(_A):
+            code.append(f"    z = {state}")
+            state = "z"
+        code += [f"    k{s} = values(field, array({state}))",
+                 f"    if k{s} is None:",
+                 "        return None",
+                 f"    {entries(f'k{s}_{{c}}')}, = k{s}"]
+    code.append(f"    {entries('z{c}')}, = z")
+    squares = []
+    for c in range(dim):
+        code += [f"    a{c}, b{c} = {magnitude(f'y{c}')}, {magnitude(f'z{c}')}",
+                 # h * e / scale, with the nan of np.maximum in the scale
+                 f"    q{c} = h * ({weighted(_E).format(c=c)})"
+                 f" / (atol + rtol * (a{c} if a{c} >= b{c} or a{c} != a{c} else b{c}))"]
+        squares.append(f"(q{c}.real * q{c}.real + q{c}.imag * q{c}.imag)" if kind == "c"
+                       else f"q{c} * q{c}")
+    code.append(f"    return z, k{len(_A)}, {' + '.join(squares)}, [{entries('b{c}')}], "
+                f"[{entries(magnitude(f'k{len(_A)}_{{c}}'))}]")
+    namespace = {"values": _field_values, "array": np.array, "hypot": math.hypot}
+    exec("\n".join(code), namespace)
+    return namespace["step"]
 
 
 def _classify_collapse(t, y, f, opts, nr, ts, ys):
@@ -584,28 +571,26 @@ def _check_start(model, u0):
 
 def _full_system(model, l, lam, dtype):
     """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l)
-    as a field of 1-d rows.
+    as a field of 1-d rows, whose value is a list of Python numbers.
 
-    R comes from ``eval_R`` through this module's globals, F from the
-    model's bound F closure for the kind of dtype (the ``eval_F`` of a run
-    inside ``quiet_fp``, less its shape check).  A lambda of +0.0 entries
-    is not subtracted: ``x - 0.0`` keeps every bit of x.
+    R comes from one ``eval_R`` call through this module's globals, F from
+    the model's bound F closure for the kind of dtype (the ``eval_F`` of a
+    run inside ``quiet_fp``, less its shape check), which returns a Python
+    number.  Only the entries of lambda that move a bit are subtracted:
+    ``x - 0.0`` keeps every bit of x, ``x - (-0.0)`` turns -0.0 into +0.0.
     """
     d = model.shape.d
     F = model._point_fns[np.dtype(dtype).kind == "c"][1]
-    # numpy scalars: the point path subtracts entry by entry; None when no
-    # subtraction moves a bit (x - (-0.0) would turn -0.0 into +0.0)
-    lams = tuple(enumerate(lam)) if lam.any() or np.signbit(lam).any() else None
+    lams = tuple((i, lam_i) for i, lam_i in enumerate(lam.tolist())
+                 if lam_i or math.copysign(1.0, lam_i) < 0.0)
 
     def field(z):
         psi = z[:d]
-        out = np.empty(d + 1, dtype=dtype)
-        out[:d] = eval_R(model, psi, check_domain=False)
-        if lams is not None:
-            for i, lam_i in lams:
-                out[i] -= lam_i
-        out[d] = F(psi) - l
-        return out
+        values = eval_R(model, psi, check_domain=False).tolist()
+        for i, lam_i in lams:
+            values[i] -= lam_i
+        values.append(F(psi) - l)
+        return values
 
     return field
 

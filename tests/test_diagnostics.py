@@ -196,6 +196,22 @@ class TestRoutes:
         with pytest.raises(ConfigError, match="ReducedField.m must be a positive integer"):
             ReducedField(fun=lambda v: v, m=0)
 
+    @pytest.mark.parametrize("m, fun", [(1, lambda v: np.array([v[0] ** 2, 0.0])),
+                                        (1, lambda v: np.array([[v[0] ** 2]])),
+                                        (1, lambda v: np.zeros(0)),
+                                        (2, lambda v: v[:1])],
+                             ids=["too-long", "column", "empty", "too-short"])
+    def test_a_value_of_the_wrong_shape_is_a_config_error(self, m, fun):
+        # a bare field's value must have shape (m,), not be cut to it or
+        # broadcast from it
+        with pytest.raises(ConfigError, match=rf"ReducedField.fun must return shape \({m},\)"):
+            check_reduced_uniqueness(ReducedField(fun=fun, m=m))
+
+    def test_a_scalar_is_the_value_of_a_field_with_one_entry(self):
+        field = ReducedField(fun=lambda v: -v[0], m=1)
+        assert field(np.array([0.5])).tolist() == [-0.5]
+        assert check_reduced_uniqueness(field).kind == "Conservative"
+
     def test_field_undefined_at_origin(self):
         verdict = check_reduced_uniqueness(ReducedField(fun=np.log, m=1))
         assert verdict.kind == "Inconclusive"

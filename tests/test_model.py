@@ -199,6 +199,23 @@ class TestValidation:
         with pytest.raises(SolverError, match="fails validation"):
             check_conservative(model)
 
+    @pytest.mark.parametrize("tilt", [
+        lambda: ExpTiltedMeasure(TemperedStableHalf(0.3, math.nan), 0.0),
+        lambda: CompoundPoissonExp(1.0, math.nan).tilted(0.5),
+        lambda: GammaLevy(c=0.5, rho=math.nan).tilted(0.1),
+    ], ids=["quadrature-tilt", "exp", "gamma"])
+    def test_a_tilt_names_the_fault_of_its_base(self, tilt):
+        # a NaN parameter admits no tilt; the fault is the base's, as
+        # validate_model names it, not the tilt's
+        with pytest.raises(ConfigError, match=r"fails validation: \w+ must be finite"):
+            tilt()
+
+    def test_a_tilt_outside_a_valid_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="tilt parameter outside the effective domain"):
+            ExpTiltedMeasure(TemperedStableHalf(0.3, 1.0), 2.0)
+        with pytest.raises(DomainError, match="tilt parameter outside the exponential range"):
+            CompoundPoissonExp(1.0, 1.0).tilted(1.5)
+
     def test_range_must_admit_zero(self):
         # a measure without validate() whose range s < -1 leaves out 0
         m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.0],

@@ -92,15 +92,20 @@ class TestOracleValidity:
 
 class TestStepper:
     def test_stage_combination_is_the_term_by_term_sum(self):
-        # the tableau sums of the stepper must give the bits of a Python sum
-        # over the stages, for real and complex states of dimension 1 to 3;
-        # they sum Python floats, or Python complex numbers for complex
-        # states, and a stage state is y + h * sum, formed entry by entry
-        from affine_riccati.riccati import _A, _E, _tableau
+        # the generated step must give the bits of Python sums over the
+        # stages, for real and complex states of dimension 1 to 3: the row of
+        # stage s is y + h * sum_j a_sj k_j, formed entry by entry with the
+        # sum term by term from zero in the order of the tableau, weights of
+        # 0.0 included; the error norm sums the squares of h * e / scale,
+        # with e the error weights' sum and the magnitudes abs() on a float
+        # and math.hypot of the parts on a complex number
+        from affine_riccati.riccati import _A, _E, _stepper
+
+        def magnitude(x):
+            return math.hypot(x.real, x.imag)
 
         rng = np.random.default_rng(5)
         specials = np.array([0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324])
-        weights = [*_A[1:], _E]
         for _ in range(400):
             dim = int(rng.integers(1, 4))
             parts = [rng.normal(size=(8, dim)) * 10.0 ** rng.integers(-20, 20, size=(8, dim))
@@ -109,18 +114,51 @@ class TestStepper:
                 mask = rng.random(part.shape) < 0.2
                 part[mask] = rng.choice(specials, size=int(mask.sum()))
             h = float(rng.uniform(1e-6, 0.2))
+            atol, rtol = (10.0 ** rng.uniform(-15, -6, size=2)).tolist()
             for z in (parts[0], parts[0] + 1j * parts[1]):
                 y, k = z[7], z[:7]
-                numbers, yv = k.tolist(), y.tolist()
-                sums = _tableau(dim, z.dtype.kind)[1:]
-                for stage, (w, tableau_sum) in enumerate(zip(weights, sums), 1):
+                rows = []
+
+                def field(row):
+                    rows.append(row)
+                    return k[len(rows)]
+
+                step = _stepper(dim, z.dtype.kind)
+                new, k6, sq, abs_y, abs_f = step(field, y.tolist(), k[0].tolist(), h, atol, rtol)
+                assert len(rows) == 6
+                for row, w in zip(rows, _A):
                     ref = sum(wj * kj for wj, kj in zip(w, k))
-                    if stage == 7:   # the error sum
-                        got = tableau_sum(*numbers)
-                    else:
-                        got = tableau_sum(yv, h, *numbers[:len(w)])
-                        ref = np.array([yc + h * a for yc, a in zip(yv, ref.tolist())])
-                    assert np.array(got, z.dtype).tobytes() == ref.tobytes()
+                    ref = np.array([yc + h * a for yc, a in zip(y.tolist(), ref.tolist())])
+                    assert row.dtype == z.dtype and row.tobytes() == ref.tobytes()
+                assert np.array(new).tobytes() == rows[-1].tobytes() and k6 == k[6].tolist()
+                errors = sum(wj * kj for wj, kj in zip(_E, k)).tolist()
+                want = 0.0
+                for yc, zc, ec in zip(y.tolist(), new, errors):
+                    a, b = magnitude(yc), magnitude(zc)
+                    q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
+                    want += q.real * q.real + q.imag * q.imag
+                assert np.float64(sq).tobytes() == np.float64(want).tobytes()
+                assert abs_y == list(map(magnitude, new))
+                assert abs_f == list(map(magnitude, k6))
+
+    def test_a_rejected_stage_ends_the_step(self):
+        # a stage whose value is not finite, or where the field raises one
+        # of the stage-rejecting errors, ends the step there
+        from affine_riccati.riccati import _stepper
+
+        for bad in (math.nan, math.inf, DomainError("outside")):
+            calls = []
+
+            def field(row):
+                calls.append(row)
+                if len(calls) == 3:
+                    if isinstance(bad, Exception):
+                        raise bad
+                    return [bad, 0.0]
+                return [-row[0], 0.5]
+
+            assert _stepper(2, "f")(field, [1.0, 0.0], [-1.0, 0.5], 0.1, 1e-12, 1e-9) is None
+            assert len(calls) == 3
 
     def test_quiet_flag_is_per_thread(self):
         import threading
@@ -683,6 +721,10 @@ class TestFullSystemField:
                         R = eval_R(model, psi, check_domain=False)
                         F = eval_F(model, psi, check_domain=False)
                         want = np.array([*(R - lam), F - l], dtype)
+                        # a list of Python numbers of the row's kind
+                        kind = complex if dtype.kind == "c" else float
+                        assert type(got) is list and {type(v) for v in got} == {kind}, name
+                        got = np.array(got)
                         assert got.dtype == dtype and got.shape == (d + 1,), name
                         assert got.tobytes() == want.tobytes(), (name, l, lam, z)
 
