@@ -4,9 +4,13 @@ parent against change.
     python3 bench/stepper.py --parent ../parent/src --commit <sha>
 
 Measures two source trees, ``--src`` (the change, default ``src``) and
-``--parent`` (a ``git archive`` copy of the parent commit), in fresh
-interpreters that alternate as ``bench/pairs.py`` sets out, ``PAIRS`` pairs.
-Each run is pinned to one CPU and records:
+``--parent`` (a ``git archive`` copy of the parent commit), ``PAIRS``
+pairs, as ``bench/pairs.py`` sets out.  Each pair runs one interpreter per
+tree for the solves, ladders and digests, and one interleaved interpreter
+that imports both trees under separate package names and times the
+``eval_us``, ``field_us`` and ``step_us`` rows of the two in turns, round
+by round; costs of a few microseconds do not resolve between fresh
+interpreters.  Every run is pinned to one CPU and records:
 
 * ``eval_us``: microseconds per ``eval_R`` + ``eval_F`` pair, called with
   the stepper's ``check_domain=False`` but directly, so each call enters
@@ -14,12 +18,11 @@ Each run is pinned to one CPU and records:
   carries it in both F and R, at a real and at a complex u; and per call of
   the verdict pipeline's reduced fields at a real v,
   ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1) and that
-  of the ``verdicts`` workload's tilted kr2014 pair (m = 2);
+  of the ``verdicts`` workload's tilted kr2014 pair (m = 2, ``_kr2014_pair``);
 * ``field_us``: microseconds per call of the full-system field as the
   stepper makes it (``riccati._full_system`` with no discount, called on a
-  row of the solve's dtype inside one ``quiet_fp``; on a tree that has the
-  generated step, its value is a list of Python numbers), for feller at a
-  real and cir-jump at a complex u;
+  row of the solve's dtype inside one ``quiet_fp``; its value is a list of
+  Python numbers), for feller at a real and cir-jump at a complex u;
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
@@ -34,7 +37,9 @@ Each run is pinned to one CPU and records:
   with ``ladder_sha256``, a digest of what they return.
 
 Within one run every time is the minimum over ``ROUNDS`` rounds (four
-times as many, shorter ones for ``eval_us``).  The records go to ``--out``
+times as many, shorter ones for ``eval_us`` and ``field_us``).  The
+interleaved run alone, ``--child interleaved --src <change> --parent
+<parent>``, prints its two sides' rows.  The records go to ``--out``
 with each side's medians over the pairs, the change/parent ratios of those
 medians, the pairs the change won, and, digest by digest, whether it is
 the same in every run.
@@ -43,6 +48,7 @@ the same in every run.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import time
 
@@ -78,7 +84,26 @@ def _families(ar):
     }
 
 
-def eval_costs(ar, rounds):
+def _kr2014_pair(ar):
+    """The two independent kr2014 coordinates of the ``verdicts`` workload
+    (``perfbench/workloads.py``), built from the package ar."""
+    scale = 0.5 / math.sqrt(math.pi)
+    mus = tuple(ar.TemperedStableHalf(scale=scale, tempering=1.0, axis=k) for k in range(2))
+    beta = mus[0].chi_integral() - 1.0
+    return ar.AffineModel(shape=ar.StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
+                          alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)
+
+
+def _repeated(call, n):
+    """A function that makes n calls of call."""
+    def run():
+        for _ in range(n):
+            call()
+    return run
+
+
+def eval_calls(ar):
+    """{name: (run, calls per run)} of the ``eval_us`` rows."""
     out = {}
     for name, (mu, complex_ok) in _families(ar).items():
         model = ar.AffineModel(shape=ar.StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
@@ -89,63 +114,68 @@ def eval_costs(ar, rounds):
         for kind, u in us.items():
             n = 5 if name.startswith("exp-tilted") else 500
 
-            def run():
-                for _ in range(n):
-                    ar.eval_R(model, u, check_domain=False)
-                    ar.eval_F(model, u, check_domain=False)
+            def pair(model=model, u=u):
+                ar.eval_R(model, u, check_domain=False)
+                ar.eval_F(model, u, check_domain=False)
 
-            out[f"{name} {kind}"] = _call_us(run, n, rounds)
+            out[f"{name} {kind}"] = (_repeated(pair, n), n)
     fields = {"tilted-kr2014": (ar.tilt_model(ar.kr2014(), [1.0]), [-0.5]),
-              "tilted-kr2014-pair": (ar.tilt_model(_workloads().kr2014_pair(), [1.0, 1.0]),
-                                     [-0.5, -0.3])}
+              "tilted-kr2014-pair": (ar.tilt_model(_kr2014_pair(ar), [1.0, 1.0]), [-0.5, -0.3])}
     for name, (model, v) in fields.items():
         field, v = ar.diagnostics.ReducedField.from_model(model), np.array(v)
-        n = 1000
-
-        def run():
-            for _ in range(n):
-                field(v)
-
-        out[f"reduced-field {name} real"] = _call_us(run, n, rounds)
+        out[f"reduced-field {name} real"] = (_repeated(lambda field=field, v=v: field(v), 1000),
+                                             1000)
     return out
 
 
-def _call_us(run, n, rounds):
-    """Microseconds per call of a run of n calls."""
-    run()  # warm caches and imports
-    # many short rounds: the minimum then misses the machine's slow spells
-    return 1e6 * _best(run, 4 * rounds) / n
-
-
-def field_costs(ar, rounds):
-    from affine_riccati import riccati
-    from affine_riccati.model import quiet_fp
-
+def field_calls(ar):
+    """{name: (run, calls per run)} of the ``field_us`` rows."""
     out = {}
     for name, kind, u in (("feller", "real", -0.5), ("cir-jump", "complex", -0.5 + 1.0j)):
         model = ar.builtin_model(name)
         z = np.array([u, 0.0])
-        field = riccati._full_system(model, 0.0, np.zeros(1), z.dtype)
-        n = 1000
+        field = ar.riccati._full_system(model, 0.0, np.zeros(1), z.dtype)
+        calls = _repeated(lambda field=field, z=z: field(z), 1000)
 
-        def run():
-            with quiet_fp():
-                for _ in range(n):
-                    field(z)
+        def run(calls=calls):
+            with ar.model.quiet_fp():
+                calls()
 
-        out[f"{name} {kind}"] = _call_us(run, n, rounds)
+        out[f"{name} {kind}"] = (run, 1000)
     return out
 
 
-def step_costs(ar, rounds):
+def step_calls(ar):
+    """{name: (run, accepted steps per run)} of the ``step_us`` rows."""
     out = {}
     for name in ("feller", "kr2014", "cir-jump"):
         model = ar.builtin_model(name)
         for kind, u in (("real", -1.0), ("complex", 1.0j)):
             opts = ar.SolveOptions(T=2.0)
             steps = len(ar.solve_riccati(model, [u], opts).ts) - 1
-            seconds = _best(lambda: ar.solve_riccati(model, [u], opts), rounds)
-            out[f"{name} {kind}"] = 1e6 * seconds / steps
+            out[f"{name} {kind}"] = (
+                lambda model=model, u=u, opts=opts: ar.solve_riccati(model, [u], opts), steps)
+    return out
+
+
+def interleaved(packages):
+    """``eval_us``, ``field_us`` and ``step_us`` of both trees, timed in
+    turns in one interpreter: per row, the minimum over its rounds of each
+    side's run (four times as many rounds for the short ``eval_us`` and
+    ``field_us`` runs), in microseconds per call or step."""
+    out = {side: {} for side in packages}
+    for figure, calls, rounds in (("eval_us", eval_calls, 4 * ROUNDS),
+                                  ("field_us", field_calls, 4 * ROUNDS),
+                                  ("step_us", step_calls, ROUNDS)):
+        rows = {side: calls(ar) for side, ar in packages.items()}
+        for side in packages:
+            out[side][figure] = {}
+        for name in rows["change"]:
+            for side in packages:
+                rows[side][name][0]()  # warm caches and imports
+            best = pairs.alternate({side: rows[side][name][0] for side in packages}, rounds)
+            for side in packages:
+                out[side][figure][name] = 1e6 * best[side] / rows[side][name][1]
     return out
 
 
@@ -176,8 +206,8 @@ def _digest(values):
 
 
 def _workloads():
-    """perfbench/workloads.py, which builds the cases of the transforms and
-    verdicts workloads."""
+    """perfbench/workloads.py, which builds the cases of the transforms
+    workload."""
     if str(pairs.REPO / "perfbench") not in sys.path:
         sys.path.insert(1, str(pairs.REPO / "perfbench"))
     import workloads
@@ -206,7 +236,7 @@ def solve_costs(ar, seed, rounds):
 def _ladder_calls(ar):
     kr = ar.kr2014()
     tilted = ar.tilt_model(kr, [1.0])
-    pair = ar.tilt_model(_workloads().kr2014_pair(), [1.0, 1.0])
+    pair = ar.tilt_model(_kr2014_pair(ar), [1.0, 1.0])
     grid = 3.0 * np.linspace(0.0, 1.0, 1201) ** 2   # the verdicts comparison grid
 
     def minimal():
@@ -237,9 +267,7 @@ def ladder_costs(ar, rounds):
 def measure(ar):
     solve_ms, sha = solve_costs(ar, SEED, ROUNDS)
     ladder_ms, ladder_sha = ladder_costs(ar, ROUNDS)
-    return {"eval_us": eval_costs(ar, ROUNDS), "field_us": field_costs(ar, ROUNDS),
-            "step_us": step_costs(ar, ROUNDS),
-            "solve_ms": solve_ms, "sha256_real": sha["real"],
+    return {"solve_ms": solve_ms, "sha256_real": sha["real"],
             "sha256_complex": sha["complex"], "ladder_ms": ladder_ms,
             "ladder_sha256": ladder_sha}
 
@@ -248,4 +276,5 @@ if __name__ == "__main__":
     sys.exit(pairs.main(__file__, {"measure": measure},
                         lambda r: {k: r[k] for k in ("sha256_real", "sha256_complex",
                                                      "ladder_sha256")},
-                        {"seed": SEED, "rounds": ROUNDS}, PAIRS, pin=True))
+                        {"seed": SEED, "rounds": ROUNDS}, PAIRS, pin=True,
+                        interleaved=interleaved))

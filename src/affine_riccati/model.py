@@ -49,7 +49,7 @@ import math
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -192,8 +192,11 @@ class LevyMeasure:
     ``lk_integral`` and the model's point closures share one point form per
     (compensated, dtype kind), ``_point_form``: the range test, the family's
     ``_point_mgf`` and the overflow test, with the axis, the range and CHI
-    bound.  A family's ``_point_mgf`` binds its closed form with the bits of
-    ``_mgf_integral``; without one the form calls ``_mgf_integral``.
+    bound.  The real form is ``_axis_form`` on the row's axis entry; the
+    model's real closures call ``_axis_form`` on that entry as a Python
+    float.  A family's ``_point_mgf`` binds its closed form with the bits of
+    ``_mgf_integral``, on a numpy scalar or a Python float alike; without
+    one the form calls ``_mgf_integral``.
 
     Measures are immutable after construction: derived constants such as
     CHI and the point forms are computed once and kept on the instance, so
@@ -348,20 +351,19 @@ class LevyMeasure:
         ``complex_kind``: the range test of the axis value (of its real
         part), the family's ``_point_mgf`` and the overflow test, then the
         compensation when it applies, with the axis, the range and CHI
-        bound.  Built on first use and kept on the instance, but not
-        pickled."""
-        forms = self.__dict__.get("_point_forms")
-        if forms is None:
-            forms = {}
-            object.__setattr__(self, "_point_forms", forms)  # families are frozen dataclasses
+        bound.  The real form reads the axis value and calls
+        ``_axis_form``.  Built on first use and kept on the instance, but
+        not pickled."""
+        forms = self._forms()
         form = forms.get((compensated, complex_kind))
         if form is not None:
             return form
-        axis, bound, closed = self.axis, self.exp_bound, self.bound_closed
-        mgf = self._point_mgf(complex_kind)
-        chi = self.chi_integral() if compensated else None
-
+        axis = self.axis
         if complex_kind:
+            bound, closed = self.exp_bound, self.bound_closed
+            mgf = self._point_mgf(True)
+            chi = self.chi_integral() if compensated else None
+
             def form(u):
                 s = u[axis]
                 r = s.real
@@ -372,22 +374,55 @@ class LevyMeasure:
                     raise DomainError(_NOT_FINITE)
                 return val if chi is None else val - s * chi
         else:
+            value = self._axis_form(compensated)
+
             def form(u):
-                s = u[axis]
-                if not (s < bound or closed and s == bound):
-                    raise DomainError(_OUTSIDE_RANGE)
-                val = mgf(s)
-                if math.isinf(val):  # overflow inside the range
-                    raise DomainError(_NOT_FINITE)
-                return val if chi is None else val - s * chi
+                return value(u[axis])
         forms[compensated, complex_kind] = form
         return form
 
+    def _axis_form(self, compensated):
+        """s -> lk_integral(u, compensated) at a point u whose axis value is
+        the real s, a Python float or a numpy scalar: the range test, the
+        family's real ``_point_mgf`` and the overflow test, then the
+        compensation.  The real point form calls it on the row's entry, the
+        model's real closures on the Python float of the row."""
+        forms = self._forms()
+        form = forms.get((compensated, "axis"))
+        if form is not None:
+            return form
+        bound, closed = self.exp_bound, self.bound_closed
+        mgf = self._point_mgf(False)
+        chi = self.chi_integral() if compensated else None
+
+        def form(s):
+            if not (s < bound or closed and s == bound):
+                raise DomainError(_OUTSIDE_RANGE)
+            val = mgf(s)
+            if math.isinf(val):  # overflow inside the range
+                raise DomainError(_NOT_FINITE)
+            return val if chi is None else val - s * chi
+        forms[compensated, "axis"] = form
+        return form
+
+    def _forms(self):
+        """The instance's dict of built point forms."""
+        forms = self.__dict__.get("_point_forms")
+        if forms is None:
+            forms = {}
+            object.__setattr__(self, "_point_forms", forms)  # families are frozen dataclasses
+        return forms
+
     def _point_mgf(self, complex_kind):
         """s -> _mgf_integral(s) on one axis value of the kind, with the same
-        bits; a family binds its closed form here, the default calls
-        ``_mgf_integral``."""
-        return self._mgf_integral
+        bits; a family binds its closed form here.  The default calls
+        ``_mgf_integral``, on a real s as np.float64, the type a float64
+        row's entry has, so that a family without a closed form sees the
+        operand of the row whether s comes as a Python float or not."""
+        if complex_kind:
+            return self._mgf_integral
+        integral, float64 = self._mgf_integral, np.float64
+        return lambda s: integral(float64(s))
 
     def __getstate__(self):
         # closures do not pickle; an unpickled measure builds its own on first use
@@ -579,6 +614,10 @@ class GammaLevy(LevyMeasure):
 
     def _point_mgf(self, complex_kind):
         neg_c, rho, log1p = -self.c, self.rho, np.log1p
+        if not (rho or complex_kind):
+            # a real s may be a Python float, whose quotient by zero raises
+            # ZeroDivisionError; numpy's is inf, as _mgf_integral's
+            rho = np.float64(rho)
         return lambda s: neg_c * log1p(-s / rho)
 
     def _mgf_derivative(self, s):
@@ -890,7 +929,7 @@ class AffineModel:
     def _point_fns(self) -> tuple:
         """The (R, F) closures of ``eval_R``/``eval_F`` on one 1-d row, for
         real u ([0]) and complex u ([1]); see ``_point_closures``."""
-        return _point_closures(self, float), _point_closures(self, complex)
+        return _point_closures(self)
 
     def measure_compensated(self, i: int) -> bool:
         """Whether chi_i acts on the axis of mu_i (axis in J u {i})."""
@@ -979,41 +1018,160 @@ def _own_errstate():
     return nullcontext() if _FP_QUIET.get() else np.errstate(invalid="ignore", over="ignore")
 
 
-def _point_closures(model, dtype):
-    """The (R, F) pair that ``eval_R`` and ``eval_F`` call on one 1-d row:
-    for dtype complex on a complex row, for float on a real row of any dtype.
+def _point_closures(model):
+    """The (R, F) pairs that ``eval_R`` and ``eval_F`` call on one 1-d row,
+    for a real float64 row ([0]) and a complex one ([1]).
 
-    Every operand is bound once: alpha_i and gamma_i as numpy scalars, the
-    rows of the casts of a, b and beta_I to dtype (the casts a matmul with a
-    complex row makes), each non-zero measure's point form for the dtype
-    kind and its compensation flag (``LevyMeasure._point_form``: its range
-    test, closed form and overflow test), and c.  An I-row is numpy scalar
-    arithmetic on u[i] (whose ** 2 is pow()) around <beta_i, u>, F is
-    <u, a u> + <b, u> - c and mu_0's integral, and the J-rows are
-    beta_JJ^T u_J.  A null measure adds no term: the 0.0 it would add keeps
-    every bit, because neither part of the sum it would be added to is ever
-    -0.0, as <beta_i, u> and <b, u> start from +0.0 (see below).
+    Both pairs form R and F in one order of operations on the same
+    operands: alpha_i, gamma_i, the rows of a, b and beta_I, each non-zero
+    measure's point form for the kind and its compensation flag
+    (``LevyMeasure._point_form``: its range test, closed form and overflow
+    test), and c.  An I-row is alpha_i u_i^2 + <beta_i, u> - gamma_i plus
+    mu_i's integral, F is <u, a u> + <b, u> - c plus mu_0's integral, and
+    the J-rows are beta_JJ^T u_J.  A null measure adds no term: the 0.0 it
+    would add keeps every bit, because neither part of the sum it would be
+    added to is ever -0.0, as <beta_i, u> and <b, u> start from +0.0 (see
+    below).
 
     A product with one term, x @ y with x and y of length one, is formed as
-    ``zero + y[0] * x[0]`` on numpy scalars of dtype.  It has the bits of the
-    BLAS call, whose sum starts from +0.0: a bare product would keep a -0.0
-    that the sum drops.  The reversed operands propagate a NaN of u as the
-    call does when x is a real coefficient; only u @ (a @ u) on a complex u
-    with a NaN part can end in a NaN of the other sign.  That covers every
-    product of a d = 1 model.  Products of two or more terms keep their BLAS
-    call, whose fused multiply-adds round differently from a sum of scalar
-    products, and so do the J-rows.
+    ``zero + y[0] * x[0]``.  It has the bits of the BLAS call, whose sum
+    starts from +0.0: a bare product would keep a -0.0 that the sum drops.
+    The reversed operands propagate a NaN of u as the call does when x is a
+    real coefficient; only u @ (a @ u) on a complex u with a NaN part can
+    end in a NaN of the other sign.  That covers every product of a d = 1
+    model.  Products of two or more terms keep their BLAS call on the row,
+    and so do the J-rows: a ddot of two terms uses a fused multiply-add,
+    which rounded differently from the plain sum of the two products on
+    24,912 of 100,000 pairs of normal deviates (numpy 2.4.6, OpenBLAS,
+    x86-64).
+
+    The real pair (``_real_closures``) reads the row once with ``tolist()``
+    and forms every other term on Python floats, whose +, -, * and / round
+    as numpy's float64 scalars do; only a quotient by zero differs (it
+    raises), and no term divides by a zero that numpy would not refuse
+    first (see ``GammaLevy._point_mgf``).  The square u_i ** 2 is Python's
+    pow(): it had the bits of numpy's scalar ** 2 on 200,000 random entries
+    (normal deviates times 10^k, k from -8 to 8) and on every special entry
+    once its OverflowError is read as +inf, where a plain x * x differed on
+    165 of them.  The families' closed forms run on the Python float too,
+    keeping the np.exp, np.log1p and math.sqrt calls they make on numpy
+    scalars: np.exp and np.log1p of a Python float run the loop they run
+    on an np.float64, with its bits, also with numpy's AVX-512 kernels off.
+    The complex pair (``_complex_closures``) stays on numpy scalars:
+    Python's complex squares and quotients round differently from numpy's,
+    and its square raises OverflowError where numpy's is inf.
+    ``TestRealPointSweep`` checks the real pair against a numpy-scalar
+    reference.
     """
+    return _real_closures(model), _complex_closures(model)
+
+
+def _square(x):
+    """x ** 2 of a Python float, +inf where it overflows (numpy's value)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return _INF
+
+
+def _real_closures(model):
+    """The real (R, F) pair of ``_point_closures``: the code generated for
+    the model's structure (``_real_code``) with the model's operands bound;
+    a new model of a known structure compiles nothing."""
+    shape = model.shape
+    m, d = shape.m, shape.d
+    jumps = tuple(None if mu.is_zero else mu._axis_form(compensated)
+                  for mu, compensated in zip(model.mus, model._compensated))
+    jump = None if model.mu0.is_zero else model.mu0._axis_form(True)
+    make = _real_code(m, shape.n, tuple(None if form is None else mu.axis
+                                        for mu, form in zip(model.mus, jumps)),
+                      None if jump is None else model.mu0.axis)
+    if d == 1:  # one-term products take the coefficients as Python floats
+        a, b, beta = model.a[0, 0].item(), model.b[0].item(), model.beta_I[:, 0].tolist()
+    else:
+        a, b, beta = model.a, model.b, tuple(model.beta_I)
+    return make(a, b, model.c, model.alpha.tolist(), beta, model.gamma.tolist(), jumps, jump,
+                model.beta_JJ.T)
+
+
+@cache
+def _real_code(m, n, axes, axis0):
+    """The maker ``make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T)
+    -> (R, F)`` of the real point closures for one model structure: the
+    state shape, the axis of each non-null mu_i (None for a null one) and
+    that of a non-null mu_0 (None).  Generated as straight-line code once
+    per structure and kept.
+
+    ``R(u)`` and ``F(u)`` read the row as Python floats x0, x1, ... once.
+    On a model with d = 1, a and b are the floats a_00 and b_0 and beta
+    holds the floats beta_i0; otherwise they are the arrays, and the
+    products of their rows with u are BLAS calls on the row.
+    """
+    d = m + n
+    xs = "".join(f"x{k}, " for k in range(d))
+
+    def product(coef):
+        """The term coef @ u of a 1-d coefficient and the row u."""
+        return f"(0.0 + x0 * {coef})" if d == 1 else f"({coef} @ u)"
+
+    def jump_term(name, axis):
+        return "" if axis is None else f" + {name}(x{axis})"
+
+    code = ["def make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T):"]
+    if m:
+        code += [f"    {''.join(f'{name}{i}, ' for i in range(m))}= {names}"
+                 for name, names in (("alpha", "alpha"), ("beta", "beta"),
+                                     ("gamma", "gamma"), ("jump", "jumps"))]
+    code += ["    def R(u):"]
+    if m:
+        squares = ", ".join(f"q{i}" for i in range(m))
+        code += [f"        {xs}= u.tolist()",
+                 "        try:",
+                 *(f"            q{i} = x{i} ** 2" for i in range(m)),
+                 "        except OverflowError:",
+                 f"            {squares}, = {', '.join(f'square(x{i})' for i in range(m))},"]
+    code.append(f"        out = empty({d})")
+    for i, axis in enumerate(axes):
+        code.append(f"        out[{i}] = alpha{i} * q{i} + {product(f'beta{i}')}"
+                    f" - gamma{i}{jump_term(f'jump{i}', axis)}")
+    if n:
+        code.append(f"        out[{m}:] = beta_JJ_T @ u[{m}:]")
+    code += ["        return out",
+             "    def F(u):"]
+    if d == 1:
+        quad = "(0.0 + (0.0 + x0 * a) * x0)"
+    else:
+        quad = "u @ (a @ u)"
+    if d == 1 or axis0 is not None:
+        code.append(f"        {xs}= u.tolist()")
+    code += [f"        return float({quad} + {product('b')} - c{jump_term('jump', axis0)})",
+             "    return R, F"]
+    # in this module's name, so that its warnings are the module's, and
+    # under a file name per structure: profiles key functions by file, line
+    # and name, and would merge the closures of two structures
+    namespace = {"__name__": __name__, "empty": np.empty, "square": _square}
+    exec(compile("\n".join(code), f"<real point closures {(m, n, axes, axis0)}>", "exec"),
+         namespace)
+    return namespace["make"]
+
+
+def _complex_closures(model):
+    """The complex (R, F) pair of ``_point_closures``, on numpy scalars.
+
+    Every operand is bound once: alpha_i and gamma_i as numpy scalars, the
+    rows of the complex casts of a, b and beta_I (the casts a matmul with a
+    complex row makes) and c.  An I-row is numpy scalar arithmetic on u[i]
+    (whose ** 2 is pow()) around <beta_i, u>.
+    """
+    dtype = complex
     shape = model.shape
     m, n, d = shape.m, shape.n, shape.d
     zero = np.zeros((), dtype)[()]
     c = model.c
-    scalar = complex if dtype is complex else float
-    complex_kind = dtype is complex
 
     def jumps(mu, compensated):
         """mu's point form; None for the null measure."""
-        return None if mu.is_zero else mu._point_form(compensated, complex_kind)
+        return None if mu.is_zero else mu._point_form(compensated, True)
 
     def dot(x):
         """y -> x @ y for the 1-d x."""
@@ -1037,10 +1195,10 @@ def _point_closures(model, dtype):
     lk0 = jumps(model.mu0, True)
     if lk0 is None:
         def F(u):
-            return scalar(quad(u) + lin(u) - c)
+            return complex(quad(u) + lin(u) - c)
     else:
         def F(u):
-            return scalar(quad(u) + lin(u) - c + lk0(u))
+            return complex(quad(u) + lin(u) - c + lk0(u))
 
     rows = tuple(zip(range(m), model.alpha, map(dot, model.beta_I.astype(dtype, copy=False)),
                      model.gamma, map(jumps, model.mus, model._compensated)))
@@ -1070,13 +1228,17 @@ def _as_row(u, size):
 
 
 def eval_F(model: AffineModel, u, check_domain: bool = True):
-    """The constant functional characteristic F(u) at the point u."""
+    """The constant functional characteristic F(u) at the point u; an
+    integer or bool u is evaluated as its float64 row."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
         u = _as_row(u, model.shape.d)
+    kind = u.dtype.kind
+    if kind in "biu":
+        u = u.astype(float)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    F = model._point_fns[u.dtype.kind == "c"][1]
+    F = model._point_fns[kind == "c"][1]
     if _FP_QUIET.get():
         return F(u)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -1085,13 +1247,17 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
     """The state-linear functional characteristic R(u) at the point u, as a
-    d-vector."""
+    d-vector; an integer or bool u is evaluated as its float64 row, whose
+    square cannot wrap around."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
         u = _as_row(u, model.shape.d)
+    kind = u.dtype.kind
+    if kind in "biu":
+        u = u.astype(float)
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    R = model._point_fns[u.dtype.kind == "c"][0]
+    R = model._point_fns[kind == "c"][0]
     if _FP_QUIET.get():
         return R(u)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -41,27 +41,36 @@ one call: 100 or 1,000 starts cost about what as many lone solves cost.
 
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
-array, against 0.1-0.3 us for an operation on a numpy scalar.  So each
-stage of a step makes one model call and little else.  The point
-evaluation of a stage (``_field_values`` on the field, then the model on
-the 1-d row) runs the model's point closures (``AffineModel._point_fns``: one
-(R, F) pair per dtype kind, with every operand bound once) on numpy scalars
-(``u[i]``, np.float64, np.complex128).  It allocates only its results,
-enters no errstate inside ``quiet_fp``, and reads the finiteness of the
-row's few entries as Python numbers.  A product of one term (every product
-of a d = 1 model) is ``zero + y[0] * x[0]`` on numpy scalars, with the bits
-of the BLAS call x @ y: the call's sum starts from +0.0, so a bare product
-would keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with
-OpenBLAS on x86-64 with AVX-512, it matched the call on 200,000 random real
-and 50,000 random complex pairs, on every pair of real special entries
-(+-0, +-inf, +-NaN, +-1e300, +-5e-324), and on every pair of complex ones
-in which no part is NaN or x is a real coefficient.  So R, and F on a real
-row, have the call's bits everywhere; F on a complex row with a NaN part
-can differ only in the sign of a NaN.  A product of two or more terms keeps
-its BLAS call, whose fused multiply-adds round differently from a sum of
-scalar products.  The field's arithmetic does not move to Python numbers:
-Python's complex division rounds differently from numpy's, and a Python
-float's ``x ** 2`` raises OverflowError where numpy gives inf.
+array, 0.1-0.3 us for an operation on a numpy scalar, and a few tens of
+nanoseconds for one on a Python float.  So each stage of a step makes one
+model call and little else.  The point evaluation of a stage
+(``_field_values`` on the field, then the model on the 1-d row) runs the
+model's point closures (``AffineModel._point_fns``: one (R, F) pair per
+dtype kind, with every operand bound once).  It allocates only its
+results, enters no errstate inside ``quiet_fp``, and reads the finiteness
+of the row's few entries as Python numbers.  A product of one term (every
+product of a d = 1 model) is ``zero + y[0] * x[0]``, with the bits of the
+BLAS call x @ y: the call's sum starts from +0.0, so a bare product would
+keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with OpenBLAS on
+x86-64 with AVX-512, it matched the call on 200,000 random real and 50,000
+random complex pairs, on every pair of real special entries (+-0, +-inf,
++-NaN, +-1e300, +-5e-324), and on every pair of complex ones in which no
+part is NaN or x is a real coefficient.  So R, and F on a real row, have
+the call's bits everywhere; F on a complex row with a NaN part can differ
+only in the sign of a NaN.  A product of two or more terms keeps its BLAS
+call on the row, whose fused multiply-adds round differently from a sum of
+scalar products.
+
+The real closures do the rest of their arithmetic on Python floats: they
+read the row once with ``tolist()`` and form each square as Python's
+``x ** 2`` (pow(), with numpy's bits; its OverflowError is read as inf),
+each one-term product as ``0.0 + x * c`` and each family's closed form on
+the float, keeping the np.exp, np.log1p and math.sqrt calls of the
+families.  They are generated once per model structure
+(``model._real_code``), so a tilted model compiles nothing.  Complex
+closures stay on numpy scalars (np.complex128): Python's complex squares
+and quotients round differently from numpy's.  ``model._point_closures``
+states the measurements behind both choices.
 
 The stepper's own arithmetic does, in one form for real and complex solves:
 the six stages and the error norm are unrolled, with the tableau's weights

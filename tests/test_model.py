@@ -1,5 +1,7 @@
 """Model parametrization: characteristics, domain, validation."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -265,6 +267,24 @@ class TestCustomMeasure:
         assert ens.survived.all()
 
 
+    def test_a_family_without_a_closed_form_sees_float64_operands(self):
+        seen = []
+
+        class Recording(BareExpJumps):
+            def _mgf_integral(self, s):
+                seen.append(type(s))
+                return super()._mgf_integral(s)
+
+        mu = Recording(0.5, 2.0)
+        m = AffineModel(shape=StateShape(1, 0), a=[[0.0]], b=[0.5], alpha=[1.0],
+                        beta_I=[[-1.0]], mu0=mu, mus=(mu,))
+        eval_R(m, [-0.5])
+        eval_F(m, [-0.5])
+        reduced_R(m, [-0.5])
+        mu.lk_integral(np.array([-0.5]))
+        assert seen == [np.float64] * 4
+
+
 class TestEvalF:
     def test_zero_at_origin_without_killing(self, cir_jump_model):
         assert eval_F(cir_jump_model, [0.0]) == 0.0
@@ -304,6 +324,20 @@ class TestEvalR:
         out = eval_R(mixed_model, u)
         expected_J = mixed_model.beta_JJ.T @ u[1:]
         assert np.allclose(out[1:], expected_J, atol=1e-14)
+
+    def test_integer_rows_are_evaluated_as_float_rows(self, feller_model, mixed_model):
+        # an int64 square wraps around: 4e9 ** 2 read -2.4e18 before
+        rows = [(feller_model, ([4000000000], np.array([4000000000]), np.int64(4000000000),
+                                [True], np.array([3], dtype=np.uint8))),
+                (mixed_model, ([-1, 2, 3], np.array([0, -4000000000, 3]), [False, True, True]))]
+        for model, us in rows:
+            for u in us:
+                want = np.asarray(u, dtype=float)
+                for call in (eval_R, eval_F):
+                    got, expected = call(model, u), call(model, want)
+                    assert type(got) is type(expected), (call, u)
+                    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (call, u)
+        assert eval_R(feller_model, [4000000000])[0] == pytest.approx(1.6e19)
 
 
 class TestDomain:
@@ -667,6 +701,199 @@ class TestPointForms:
                     call(u)
         # a measure does not know d: a longer row is read at its axis
         assert mu.lk_integral([0.0, 0.0, 0.1]) == mu.lk_integral([0.0, 0.0, 0.1, 0.9])
+
+
+def reference_lk(mu, u, compensated):
+    """lk_integral at the float64 row u on numpy scalars: CHI (which a point
+    form binds when it is built), the range test, the family's
+    _mgf_integral and the overflow test, then the compensation."""
+    chi = mu.chi_integral() if compensated else None
+    s = u[mu.axis]
+    if not (s < mu.exp_bound or mu.bound_closed and s == mu.exp_bound):
+        raise DomainError("outside the range")
+    val = mu._mgf_integral(s)
+    if math.isinf(val):
+        raise DomainError("not finite")
+    return val if chi is None else val - s * chi
+
+
+def reference_R(model, u):
+    """R at the float64 row u on numpy scalars, in the order of operations of
+    the point closures: each product of one term as the BLAS call's sum from
+    +0.0, the others as BLAS calls, the square as the scalar ** 2."""
+    m, d = model.shape.m, model.shape.d
+    zero = np.float64(0.0)
+
+    def dot(x):
+        return zero + u[0] * x[0] if len(x) == 1 else x @ u
+
+    out = np.empty(d)
+    for i in range(m):
+        val = model.alpha[i] * u[i] ** 2 + dot(model.beta_I[i]) - model.gamma[i]
+        if not model.mus[i].is_zero:
+            val = val + reference_lk(model.mus[i], u, model.measure_compensated(i))
+        out[i] = val
+    out[m:] = model.beta_JJ.T @ u[m:]
+    return out
+
+
+def reference_F(model, u):
+    """F at the float64 row u on numpy scalars (see reference_R)."""
+    zero = np.float64(0.0)
+    if model.shape.d == 1:
+        quad = zero + (zero + u[0] * model.a[0, 0]) * u[0]
+        lin = zero + u[0] * model.b[0]
+    else:
+        quad, lin = u @ (model.a @ u), model.b @ u
+    val = quad + lin - model.c
+    if not model.mu0.is_zero:
+        val = val + reference_lk(model.mu0, u, True)
+    return float(val)
+
+
+class TestRealPointSweep:
+    """The real point path (eval_R, eval_F, reduced_R and lk_integral) has
+    the bits of the numpy-scalar reference above on random rows and on
+    special entries, for every built-in family and the quadrature tilt with
+    both compensation flags, d = 1 models, m = 2 models and the mixed model
+    with its J-block.  A NaN reads as one NaN, as the sign a NaN keeps may
+    differ between numpy's and Python's float arithmetic."""
+
+    # +-0, +-inf, +-NaN, near-overflow and the smallest subnormals, and
+    # magnitudes past 1.35e154, where x ** 2 overflows a float
+    SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 5e-324,
+               -5e-324, 1.3407807929942596e154, 1.3407807929942597e154, -1.4e154, 2.5e200)
+
+    @staticmethod
+    def measures(analytic_measures):
+        out = dict(analytic_measures)
+        out["quadrature-tilt"] = ExpTiltedMeasure(TemperedStableHalf(0.3, 1.2, axis=0), 0.4)
+        # validate_model flags a zero rho, but such a model can be built; a
+        # Python float's quotient by zero would raise where numpy's is inf
+        out["gamma rho=0"] = GammaLevy(c=0.5, rho=0.0, axis=0)
+        return out
+
+    @staticmethod
+    def on_axis(mu, axis):
+        """mu moved to the axis."""
+        if isinstance(mu, ExpTiltedMeasure):
+            return ExpTiltedMeasure(TemperedStableHalf(mu.base.scale, mu.base.tempering, axis),
+                                    mu.theta)
+        return type(mu)(*[getattr(mu, f.name) for f in dataclasses.fields(mu)][:-1], axis)
+
+    def models(self, analytic_measures, acceptance_models, mixed_model, kr2014_pair_model):
+        out = dict(acceptance_models, mixed=mixed_model, pair=kr2014_pair_model)
+        for name, mu in self.measures(analytic_measures).items():
+            # compensated: mu_0 and mu_1 on axis 0 of a d = 1 model
+            out[f"{name} d=1"] = AffineModel(
+                shape=StateShape(1, 0), a=[[0.3]], b=[0.5], c=0.1, alpha=[1.0],
+                beta_I=[[-1.0]], gamma=[0.2], mu0=mu, mus=(mu,))
+            # uncompensated: mu_1 on axis 1 and mu_2 on axis 0 of an m = 2 model
+            out[f"{name} m=2"] = AffineModel(
+                shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.5, 0.25], c=0.1,
+                alpha=[1.0, 0.5], beta_I=[[-1.0, 0.3], [0.2, -0.7]], gamma=[0.2, 0.0],
+                mus=(self.on_axis(mu, 1), mu))
+        # coefficients of -0.0, whose one-term products could carry a sign
+        out["signed zeros"] = AffineModel(shape=StateShape(1, 0), a=[[-0.0]], b=[-0.0],
+                                          alpha=[-0.0], beta_I=[[-0.0]])
+        # no I-block: R is the J-block alone
+        out["n=1"] = AffineModel(shape=StateShape(0, 1), a=[[0.5]], b=[0.1], c=0.2,
+                                 beta_JJ=[[-1.0]], mu0=analytic_measures["point"])
+        out["n=2"] = AffineModel(shape=StateShape(0, 2), a=[[0.5, 0.1], [0.1, 0.3]],
+                                 b=[0.1, -0.2], beta_JJ=[[-1.0, 0.2], [0.0, -0.5]],
+                                 mu0=CompoundPoissonPoint(rate=0.4, size=-0.8, axis=1))
+        return out
+
+    @staticmethod
+    def quadrature(model):
+        return any(isinstance(mu, ExpTiltedMeasure) for mu in (model.mu0, *model.mus))
+
+    @staticmethod
+    def outcome(fun, u):
+        """The type and bits of fun(u), a NaN read as one NaN, or the class
+        of what it raised."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fun(u)
+        except Exception as exc:  # noqa: BLE001 - the class is the outcome
+            return type(exc)
+        bits = np.array(got, dtype=float)
+        bits[np.isnan(bits)] = math.nan
+        return type(got), bits.tobytes()
+
+    def rows(self, model, rng):
+        """Random rows, some of them past 1.35e154, and rows of special
+        entries: every entry in SPECIAL and each measure's bound and the next
+        float past it, in every pair of coordinates, the others 0.25.  A
+        model with a quadrature tilt, whose evaluations take milliseconds,
+        gets them one coordinate at a time and fewer random rows."""
+        d = model.shape.d
+        values = list(self.SPECIAL)
+        for mu in (model.mu0, *model.mus):
+            if not mu.is_zero and math.isfinite(mu.exp_bound):
+                values += [mu.exp_bound, float(np.nextafter(mu.exp_bound, math.inf))]
+        quadrature = self.quadrature(model)
+        count = 8 if quadrature else 200
+        rows = list(rng.normal(size=(count, d)) * 10.0 ** rng.integers(-8, 4, (count, d)))
+        huge = (count // 4, d)
+        rows += list(rng.normal(size=huge) * 10.0 ** rng.integers(150, 160, huge))
+        width = 1 if quadrature or d == 1 else 2
+        for coords in itertools.combinations(range(d), width):
+            for entries in itertools.product(values, repeat=width):
+                row = np.full(d, 0.25)
+                row[list(coords)] = entries
+                rows.append(row)
+        return rows
+
+    @staticmethod
+    def quiet(fun):
+        """fun in the np.errstate of a direct evaluation of eval_R."""
+        def call(u):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return fun(u)
+        return call
+
+    def test_point_calls_have_the_bits_of_the_reference(self, analytic_measures,
+                                                        acceptance_models, mixed_model,
+                                                        kr2014_pair_model):
+        rng = np.random.default_rng(23)
+        models = self.models(analytic_measures, acceptance_models, mixed_model,
+                             kr2014_pair_model)
+        for name, model in models.items():
+            m = model.shape.m
+            pairs = {
+                "eval_R": (lambda u: eval_R(model, u, check_domain=False),
+                           self.quiet(lambda u: reference_R(model, u))),
+                "eval_F": (lambda u: eval_F(model, u, check_domain=False),
+                           self.quiet(lambda u: reference_F(model, u))),
+            }
+            for row in self.rows(model, rng):
+                for call, (fun, reference) in pairs.items():
+                    assert self.outcome(fun, row) == self.outcome(reference, row), \
+                        (name, call, row)
+                # with n = 0, reduced_R calls the R closure just compared, which
+                # costs milliseconds for a quadrature tilt
+                if m and not (model.shape.n == 0 and self.quadrature(model)):
+                    v = row[:m].copy()
+                    u = np.zeros(model.shape.d)
+                    u[:m] = v
+                    got = self.outcome(lambda v: reduced_R(model, v, check_domain=False), v)
+                    want = self.outcome(self.quiet(lambda u: reference_R(model, u)[:m]), u)
+                    assert got == want, (name, "reduced_R", v)
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_lk_integral_has_the_bits_of_the_reference(self, analytic_measures, compensated):
+        rng = np.random.default_rng(29)
+        for name, mu in self.measures(analytic_measures).items():
+            values = [*self.SPECIAL, *(rng.normal(size=10) * 10.0 ** rng.integers(-8, 4, 10))]
+            if math.isfinite(mu.exp_bound):
+                values += [mu.exp_bound, float(np.nextafter(mu.exp_bound, math.inf))]
+            for x in values:
+                row = np.array([x, 0.7])
+                got = self.outcome(self.quiet(lambda u: mu.lk_integral(u, compensated)), row)
+                want = self.outcome(self.quiet(lambda u: reference_lk(mu, u, compensated)), row)
+                assert got == want, (name, x)
 
 
 class TestQuadratureAgreement:
