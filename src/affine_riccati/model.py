@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import contextvars
+import linecache
 import math
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -139,6 +140,18 @@ def _is_complex(x) -> bool:
         return isinstance(x, complex)
 
 
+def _double(u):
+    """The array u with bool, integer and float entries as float64 and
+    complex ones as complex128, the rows the point evaluations compute on;
+    other dtypes as they are.  A float32 or complex64 row would otherwise
+    be evaluated partly in single precision: numpy keeps a Python number's
+    operations on its entries in their width."""
+    kind = u.dtype.kind
+    if u.dtype.char in "dD" or kind not in "biufc":
+        return u
+    return u.astype(complex if kind == "c" else float)
+
+
 @dataclass(frozen=True)
 class StateShape:
     """Coordinate split of the canonical state space R_+^m x R^n."""
@@ -189,17 +202,18 @@ class LevyMeasure:
     ``lk_derivative`` and the admissibility of ``tilted`` all follow from the
     range; the scalar primitives see only admitted s.
 
-    ``lk_integral`` and the model's point closures share one point form per
-    (compensated, dtype kind), ``_point_form``: the range test, the family's
-    ``_point_mgf`` and the overflow test, with the axis, the range and CHI
-    bound.  The real form is ``_axis_form`` on the row's axis entry; the
-    model's real closures call ``_axis_form`` on that entry as a Python
-    float.  A family's ``_point_mgf`` binds its closed form with the bits of
-    ``_mgf_integral``, on a numpy scalar or a Python float alike; without
-    one the form calls ``_mgf_integral``.
+    ``lk_integral`` and the model's point closures share one axis form per
+    (compensated, dtype kind), ``_axis_form``: the range test, the family's
+    ``_point_mgf`` and the overflow test, with the range and CHI bound.
+    ``lk_integral`` calls it on the row's axis entry (``_point_form``); the
+    model's real closures call it on that entry as a Python float, the
+    complex ones on the row's np.complex128 entry.  A family's
+    ``_point_mgf`` binds its closed form with the bits of ``_mgf_integral``,
+    on a numpy scalar or a Python float alike; without one the form calls
+    ``_mgf_integral``.
 
     Measures are immutable after construction: derived constants such as
-    CHI and the point forms are computed once and kept on the instance, so
+    CHI and the axis forms are computed once and kept on the instance, so
     a subclass must not change its parameters after it is built.
     """
 
@@ -323,10 +337,11 @@ class LevyMeasure:
     # -- d-vector wrappers ---------------------------------------------------
 
     def _row(self, u):
-        """u as a 1-d row that holds the axis coordinate (a 0-d u is a row of
-        one entry); ConfigError for more dimensions or too few entries.  A
-        measure does not know d, so a longer row is not an error here."""
-        u = np.asarray(u)
+        """u as a 1-d float64 or complex128 row that holds the axis
+        coordinate (a 0-d u is a row of one entry, see ``_double``);
+        ConfigError for more dimensions or too few entries.  A measure does
+        not know d, so a longer row is not an error here."""
+        u = _double(np.asarray(u))
         if u.ndim == 0:
             u = u.reshape(1)
         elif u.ndim > 1:
@@ -347,25 +362,28 @@ class LevyMeasure:
         return self._point_form(compensated, u.dtype.kind == "c")(u)
 
     def _point_form(self, compensated, complex_kind):
-        """u -> lk_integral(u, compensated) on a 1-d row, real or complex by
-        ``complex_kind``: the range test of the axis value (of its real
-        part), the family's ``_point_mgf`` and the overflow test, then the
-        compensation when it applies, with the axis, the range and CHI
-        bound.  The real form reads the axis value and calls
-        ``_axis_form``.  Built on first use and kept on the instance, but
-        not pickled."""
+        """u -> lk_integral(u, compensated) on a 1-d row of the kind: the
+        axis form (``_axis_form``) on the row's axis entry."""
+        form, axis = self._axis_form(compensated, complex_kind), self.axis
+        return lambda u: form(u[axis])
+
+    def _axis_form(self, compensated, complex_kind):
+        """s -> lk_integral(u, compensated) at a point u whose axis value is
+        s, of the kind: the range test of s (of its real part), the family's
+        ``_point_mgf`` and the overflow test, then the compensation, with
+        the range and CHI bound.  A real s may be a Python float or a numpy
+        scalar; the overflow test of a real value refuses an infinity, that
+        of a complex one a non-finite part.  Built on first use and kept on
+        the instance, but not pickled."""
         forms = self._forms()
         form = forms.get((compensated, complex_kind))
         if form is not None:
             return form
-        axis = self.axis
+        bound, closed = self.exp_bound, self.bound_closed
+        mgf = self._point_mgf(complex_kind)
+        chi = self.chi_integral() if compensated else None
         if complex_kind:
-            bound, closed = self.exp_bound, self.bound_closed
-            mgf = self._point_mgf(True)
-            chi = self.chi_integral() if compensated else None
-
-            def form(u):
-                s = u[axis]
+            def form(s):
                 r = s.real
                 if not (r < bound or closed and r == bound):
                     raise DomainError(_OUTSIDE_RANGE)
@@ -374,39 +392,18 @@ class LevyMeasure:
                     raise DomainError(_NOT_FINITE)
                 return val if chi is None else val - s * chi
         else:
-            value = self._axis_form(compensated)
-
-            def form(u):
-                return value(u[axis])
+            def form(s):
+                if not (s < bound or closed and s == bound):
+                    raise DomainError(_OUTSIDE_RANGE)
+                val = mgf(s)
+                if math.isinf(val):  # overflow inside the range
+                    raise DomainError(_NOT_FINITE)
+                return val if chi is None else val - s * chi
         forms[compensated, complex_kind] = form
         return form
 
-    def _axis_form(self, compensated):
-        """s -> lk_integral(u, compensated) at a point u whose axis value is
-        the real s, a Python float or a numpy scalar: the range test, the
-        family's real ``_point_mgf`` and the overflow test, then the
-        compensation.  The real point form calls it on the row's entry, the
-        model's real closures on the Python float of the row."""
-        forms = self._forms()
-        form = forms.get((compensated, "axis"))
-        if form is not None:
-            return form
-        bound, closed = self.exp_bound, self.bound_closed
-        mgf = self._point_mgf(False)
-        chi = self.chi_integral() if compensated else None
-
-        def form(s):
-            if not (s < bound or closed and s == bound):
-                raise DomainError(_OUTSIDE_RANGE)
-            val = mgf(s)
-            if math.isinf(val):  # overflow inside the range
-                raise DomainError(_NOT_FINITE)
-            return val if chi is None else val - s * chi
-        forms[compensated, "axis"] = form
-        return form
-
     def _forms(self):
-        """The instance's dict of built point forms."""
+        """The instance's dict of built axis forms."""
         forms = self.__dict__.get("_point_forms")
         if forms is None:
             forms = {}
@@ -1020,12 +1017,15 @@ def _own_errstate():
 
 def _point_closures(model):
     """The (R, F) pairs that ``eval_R`` and ``eval_F`` call on one 1-d row,
-    for a real float64 row ([0]) and a complex one ([1]).
+    for a float64 row ([0]) and a complex128 one ([1]): the code generated
+    for the model's structure and the kind (``_point_code``) with the
+    model's operands bound; a new model of a known structure compiles
+    nothing.
 
     Both pairs form R and F in one order of operations on the same
     operands: alpha_i, gamma_i, the rows of a, b and beta_I, each non-zero
-    measure's point form for the kind and its compensation flag
-    (``LevyMeasure._point_form``: its range test, closed form and overflow
+    measure's axis form for the kind and its compensation flag
+    (``LevyMeasure._axis_form``: its range test, closed form and overflow
     test), and c.  An I-row is alpha_i u_i^2 + <beta_i, u> - gamma_i plus
     mu_i's integral, F is <u, a u> + <b, u> - c plus mu_0's integral, and
     the J-rows are beta_JJ^T u_J.  A null measure adds no term: the 0.0 it
@@ -1040,30 +1040,62 @@ def _point_closures(model):
     real coefficient; only u @ (a @ u) on a complex u with a NaN part can
     end in a NaN of the other sign.  That covers every product of a d = 1
     model.  Products of two or more terms keep their BLAS call on the row,
-    and so do the J-rows: a ddot of two terms uses a fused multiply-add,
-    which rounded differently from the plain sum of the two products on
-    24,912 of 100,000 pairs of normal deviates (numpy 2.4.6, OpenBLAS,
-    x86-64).
+    with the complex casts of a, b and beta_I bound for a complex row, and
+    so do the J-rows: a ddot of two terms uses a fused multiply-add, which
+    rounded differently from the plain sum of the two products on 24,912 of
+    100,000 pairs of normal deviates (numpy 2.4.6, OpenBLAS, x86-64).
 
-    The real pair (``_real_closures``) reads the row once with ``tolist()``
-    and forms every other term on Python floats, whose +, -, * and / round
-    as numpy's float64 scalars do; only a quotient by zero differs (it
-    raises), and no term divides by a zero that numpy would not refuse
-    first (see ``GammaLevy._point_mgf``).  The square u_i ** 2 is Python's
-    pow(): it had the bits of numpy's scalar ** 2 on 200,000 random entries
+    Each pair reads the row once with ``tolist()`` and forms every other
+    term on Python numbers.  Python floats' +, -, * and / round as numpy's
+    float64 scalars do; only a quotient by zero differs (it raises), and no
+    term divides by a zero that numpy would not refuse first (see
+    ``GammaLevy._point_mgf``).  The real square u_i ** 2 is Python's pow():
+    it had the bits of numpy's scalar ** 2 on 200,000 random entries
     (normal deviates times 10^k, k from -8 to 8) and on every special entry
     once its OverflowError is read as +inf, where a plain x * x differed on
-    165 of them.  The families' closed forms run on the Python float too,
+    165 of them.  The families' real forms run on the Python float too,
     keeping the np.exp, np.log1p and math.sqrt calls they make on numpy
     scalars: np.exp and np.log1p of a Python float run the loop they run
     on an np.float64, with its bits, also with numpy's AVX-512 kernels off.
-    The complex pair (``_complex_closures``) stays on numpy scalars:
-    Python's complex squares and quotients round differently from numpy's,
-    and its square raises OverflowError where numpy's is inf.
-    ``TestRealPointSweep`` checks the real pair against a numpy-scalar
-    reference.
+
+    The complex pair binds alpha, gamma, c and the coefficients of a d = 1
+    model as Python complex numbers, so that every product is the full
+    complex product numpy forms of a float64 and a complex128 scalar;
+    Python 3.14 multiplies a float by a complex number part by part, which
+    changes signed zeros and NaNs.  Its square is ``x * x``, which had the
+    bits of numpy's complex128 scalar ** 2 on 100,000 random entries and on
+    every entry whose parts are +-0, +-inf, +-NaN or +-1e300, up to the sign
+    of a NaN and of a zero part of a zero entry (numpy's square of a zero
+    is +0j).  The sum the square enters, whose other term starts from +0j,
+    cannot see that sign.  Python's ``x ** 2`` multiplies by 1 after
+    squaring, which gives nan+nanj at infj against numpy's -inf+nanj, and
+    it raises OverflowError at 1e300j.  The families' complex forms still
+    take the row's np.complex128 entry u[axis]: Python's complex quotient
+    rounds differently from numpy's, which multiplies by a reciprocal, and
+    ``CompoundPoissonExp`` and ``GammaLevy`` divide.  ``TestRealPointSweep``
+    checks both pairs against a numpy-scalar reference.
     """
-    return _real_closures(model), _complex_closures(model)
+    shape = model.shape
+    m, d = shape.m, shape.d
+    axes = tuple(None if mu.is_zero else mu.axis for mu in model.mus)
+    axis0 = None if model.mu0.is_zero else model.mu0.axis
+    pairs = []
+    for complex_kind in (False, True):
+        number = complex if complex_kind else float
+        jumps = tuple(None if mu.is_zero else mu._axis_form(compensated, complex_kind)
+                      for mu, compensated in zip(model.mus, model._compensated))
+        jump = None if model.mu0.is_zero else model.mu0._axis_form(True, complex_kind)
+        if d == 1:  # one-term products take the coefficients as Python numbers
+            a, b = number(model.a[0, 0]), number(model.b[0])
+            beta = [number(x) for x in model.beta_I[:, 0].tolist()]
+        else:  # the arrays as a matmul with a row of the kind casts them
+            a, b = model.a.astype(number, copy=False), model.b.astype(number, copy=False)
+            beta = tuple(model.beta_I.astype(number, copy=False))
+        make = _point_code(m, shape.n, axes, axis0, complex_kind)
+        pairs.append(make(a, b, number(model.c), [number(x) for x in model.alpha.tolist()], beta,
+                          [number(x) for x in model.gamma.tolist()], jumps, jump,
+                          model.beta_JJ.T))
+    return tuple(pairs)
 
 
 def _square(x):
@@ -1074,48 +1106,51 @@ def _square(x):
         return _INF
 
 
-def _real_closures(model):
-    """The real (R, F) pair of ``_point_closures``: the code generated for
-    the model's structure (``_real_code``) with the model's operands bound;
-    a new model of a known structure compiles nothing."""
-    shape = model.shape
-    m, d = shape.m, shape.d
-    jumps = tuple(None if mu.is_zero else mu._axis_form(compensated)
-                  for mu, compensated in zip(model.mus, model._compensated))
-    jump = None if model.mu0.is_zero else model.mu0._axis_form(True)
-    make = _real_code(m, shape.n, tuple(None if form is None else mu.axis
-                                        for mu, form in zip(model.mus, jumps)),
-                      None if jump is None else model.mu0.axis)
-    if d == 1:  # one-term products take the coefficients as Python floats
-        a, b, beta = model.a[0, 0].item(), model.b[0].item(), model.beta_I[:, 0].tolist()
-    else:
-        a, b, beta = model.a, model.b, tuple(model.beta_I)
-    return make(a, b, model.c, model.alpha.tolist(), beta, model.gamma.tolist(), jumps, jump,
-                model.beta_JJ.T)
+def _compile(lines, key, namespace):
+    """Run the generated source ``lines`` in ``namespace`` and return it.
+
+    The code is compiled under the file name ``<key>``, one per generated
+    function, and its source is kept in ``linecache``, so that tracebacks
+    show the generated lines and profiles, which key functions by file,
+    line and name, keep the functions of two keys apart.  It runs in the
+    module the namespace's ``__name__`` names, this one by default, whose
+    warnings its warnings are.
+    """
+    source = "\n".join(lines) + "\n"
+    filename = f"<{key}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace.setdefault("__name__", __name__)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 @cache
-def _real_code(m, n, axes, axis0):
+def _point_code(m, n, axes, axis0, complex_kind):
     """The maker ``make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T)
-    -> (R, F)`` of the real point closures for one model structure: the
-    state shape, the axis of each non-null mu_i (None for a null one) and
-    that of a non-null mu_0 (None).  Generated as straight-line code once
-    per structure and kept.
+    -> (R, F)`` of the point closures of the kind for one model structure:
+    the state shape, the axis of each non-null mu_i (None for a null one)
+    and that of a non-null mu_0 (None).  Generated as straight-line code
+    once per structure and kind and kept.
 
-    ``R(u)`` and ``F(u)`` read the row as Python floats x0, x1, ... once.
-    On a model with d = 1, a and b are the floats a_00 and b_0 and beta
-    holds the floats beta_i0; otherwise they are the arrays, and the
-    products of their rows with u are BLAS calls on the row.
+    ``R(u)`` and ``F(u)`` read the row as Python numbers x0, x1, ... once.
+    On a model with d = 1, a and b are the numbers a_00 and b_0 and beta
+    holds the numbers beta_i0; otherwise they are the arrays, and the
+    products of their rows with u are BLAS calls on the row.  A real
+    measure's form takes the Python float of its axis, a complex one the
+    row's entry.
     """
     d = m + n
     xs = "".join(f"x{k}, " for k in range(d))
+    zero, number = ("0j", "complex") if complex_kind else ("0.0", "float")
 
     def product(coef):
         """The term coef @ u of a 1-d coefficient and the row u."""
-        return f"(0.0 + x0 * {coef})" if d == 1 else f"({coef} @ u)"
+        return f"({zero} + x0 * {coef})" if d == 1 else f"({coef} @ u)"
+
+    entry = "u[{}]" if complex_kind else "x{}"  # the argument of a measure's form
 
     def jump_term(name, axis):
-        return "" if axis is None else f" + {name}(x{axis})"
+        return "" if axis is None else f" + {name}({entry.format(axis)})"
 
     code = ["def make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T):"]
     if m:
@@ -1124,13 +1159,16 @@ def _real_code(m, n, axes, axis0):
                                      ("gamma", "gamma"), ("jump", "jumps"))]
     code += ["    def R(u):"]
     if m:
-        squares = ", ".join(f"q{i}" for i in range(m))
-        code += [f"        {xs}= u.tolist()",
-                 "        try:",
-                 *(f"            q{i} = x{i} ** 2" for i in range(m)),
-                 "        except OverflowError:",
-                 f"            {squares}, = {', '.join(f'square(x{i})' for i in range(m))},"]
-    code.append(f"        out = empty({d})")
+        code.append(f"        {xs}= u.tolist()")
+        if complex_kind:
+            code += [f"        q{i} = x{i} * x{i}" for i in range(m)]
+        else:
+            squares = ", ".join(f"q{i}" for i in range(m))
+            code += ["        try:",
+                     *(f"            q{i} = x{i} ** 2" for i in range(m)),
+                     "        except OverflowError:",
+                     f"            {squares}, = {', '.join(f'square(x{i})' for i in range(m))},"]
+    code.append(f"        out = empty({d}{', complex' if complex_kind else ''})")
     for i, axis in enumerate(axes):
         code.append(f"        out[{i}] = alpha{i} * q{i} + {product(f'beta{i}')}"
                     f" - gamma{i}{jump_term(f'jump{i}', axis)}")
@@ -1139,84 +1177,16 @@ def _real_code(m, n, axes, axis0):
     code += ["        return out",
              "    def F(u):"]
     if d == 1:
-        quad = "(0.0 + (0.0 + x0 * a) * x0)"
+        quad = f"({zero} + ({zero} + x0 * a) * x0)"
     else:
         quad = "u @ (a @ u)"
-    if d == 1 or axis0 is not None:
+    if d == 1 or (axis0 is not None and not complex_kind):
         code.append(f"        {xs}= u.tolist()")
-    code += [f"        return float({quad} + {product('b')} - c{jump_term('jump', axis0)})",
+    code += [f"        return {number}({quad} + {product('b')} - c{jump_term('jump', axis0)})",
              "    return R, F"]
-    # in this module's name, so that its warnings are the module's, and
-    # under a file name per structure: profiles key functions by file, line
-    # and name, and would merge the closures of two structures
-    namespace = {"__name__": __name__, "empty": np.empty, "square": _square}
-    exec(compile("\n".join(code), f"<real point closures {(m, n, axes, axis0)}>", "exec"),
-         namespace)
+    namespace = _compile(code, f"{number} point closures {(m, n, axes, axis0)}",
+                         {"empty": np.empty, "square": _square})
     return namespace["make"]
-
-
-def _complex_closures(model):
-    """The complex (R, F) pair of ``_point_closures``, on numpy scalars.
-
-    Every operand is bound once: alpha_i and gamma_i as numpy scalars, the
-    rows of the complex casts of a, b and beta_I (the casts a matmul with a
-    complex row makes) and c.  An I-row is numpy scalar arithmetic on u[i]
-    (whose ** 2 is pow()) around <beta_i, u>.
-    """
-    dtype = complex
-    shape = model.shape
-    m, n, d = shape.m, shape.n, shape.d
-    zero = np.zeros((), dtype)[()]
-    c = model.c
-
-    def jumps(mu, compensated):
-        """mu's point form; None for the null measure."""
-        return None if mu.is_zero else mu._point_form(compensated, True)
-
-    def dot(x):
-        """y -> x @ y for the 1-d x."""
-        if len(x) > 1:
-            return x.__matmul__
-        x0 = x[0]
-        return lambda y: zero + y[0] * x0
-
-    a = model.a.astype(dtype, copy=False)
-    if d == 1:
-        a00 = a[0, 0]
-
-        def quad(u):
-            u0 = u[0]
-            return zero + (zero + u0 * a00) * u0
-    else:
-        def quad(u):
-            return u @ (a @ u)
-    lin = dot(model.b.astype(dtype, copy=False))
-
-    lk0 = jumps(model.mu0, True)
-    if lk0 is None:
-        def F(u):
-            return complex(quad(u) + lin(u) - c)
-    else:
-        def F(u):
-            return complex(quad(u) + lin(u) - c + lk0(u))
-
-    rows = tuple(zip(range(m), model.alpha, map(dot, model.beta_I.astype(dtype, copy=False)),
-                     model.gamma, map(jumps, model.mus, model._compensated)))
-    plain = tuple(row[:4] for row in rows if row[4] is None)
-    with_jumps = tuple(row for row in rows if row[4] is not None)
-    beta_JJ_T = model.beta_JJ.T  # matmul casts it to the dtype of u
-
-    def R(u):
-        out = np.empty(d, dtype)
-        for i, alpha, lin_i, gamma in plain:
-            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma
-        for i, alpha, lin_i, gamma, lk in with_jumps:
-            out[i] = alpha * u[i] ** 2 + lin_i(u) - gamma + lk(u)
-        if n:
-            out[m:] = beta_JJ_T @ u[m:]
-        return out
-
-    return R, F
 
 
 def _as_row(u, size):
@@ -1228,17 +1198,19 @@ def _as_row(u, size):
 
 
 def eval_F(model: AffineModel, u, check_domain: bool = True):
-    """The constant functional characteristic F(u) at the point u; an
-    integer or bool u is evaluated as its float64 row."""
+    """The constant functional characteristic F(u) at the point u; a bool,
+    integer or float u of another width is evaluated as its float64 row, a
+    complex one as its complex128 row (``_double``)."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
         u = _as_row(u, model.shape.d)
-    kind = u.dtype.kind
-    if kind in "biu":
-        u = u.astype(float)
+    char = u.dtype.char
+    if char not in "dD":
+        u = _double(u)
+        char = u.dtype.char
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    F = model._point_fns[kind == "c"][1]
+    F = model._point_fns[char == "D"][1]
     if _FP_QUIET.get():
         return F(u)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -1247,17 +1219,19 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
     """The state-linear functional characteristic R(u) at the point u, as a
-    d-vector; an integer or bool u is evaluated as its float64 row, whose
-    square cannot wrap around."""
+    d-vector; a bool, integer or float u of another width is evaluated as
+    its float64 row, whose square cannot wrap around, and a complex one as
+    its complex128 row (``_double``)."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
         u = _as_row(u, model.shape.d)
-    kind = u.dtype.kind
-    if kind in "biu":
-        u = u.astype(float)
+    char = u.dtype.char
+    if char not in "dD":
+        u = _double(u)
+        char = u.dtype.char
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    R = model._point_fns[kind == "c"][0]
+    R = model._point_fns[char == "D"][0]
     if _FP_QUIET.get():
         return R(u)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -61,16 +61,16 @@ only in the sign of a NaN.  A product of two or more terms keeps its BLAS
 call on the row, whose fused multiply-adds round differently from a sum of
 scalar products.
 
-The real closures do the rest of their arithmetic on Python floats: they
-read the row once with ``tolist()`` and form each square as Python's
-``x ** 2`` (pow(), with numpy's bits; its OverflowError is read as inf),
-each one-term product as ``0.0 + x * c`` and each family's closed form on
-the float, keeping the np.exp, np.log1p and math.sqrt calls of the
-families.  They are generated once per model structure
-(``model._real_code``), so a tilted model compiles nothing.  Complex
-closures stay on numpy scalars (np.complex128): Python's complex squares
-and quotients round differently from numpy's.  ``model._point_closures``
-states the measurements behind both choices.
+The closures do the rest of their arithmetic on Python numbers: they read
+the row once with ``tolist()`` and form each square (``x ** 2`` on a
+float, pow(), whose OverflowError is read as inf; ``x * x`` on a complex
+number), each one-term product as ``zero + x * c`` and each family's real
+closed form on the float, keeping the np.exp, np.log1p and math.sqrt calls
+of the families; a family's complex form still takes the row's
+np.complex128 entry, as Python's complex quotient rounds differently from
+numpy's.  They are generated once per model structure and kind
+(``model._point_code``), so a tilted model compiles nothing.
+``model._point_closures`` states the measurements behind these choices.
 
 The stepper's own arithmetic does, in one form for real and complex solves:
 the six stages and the error norm are unrolled, with the tableau's weights
@@ -105,7 +105,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import AffineModel, eval_R, in_domain_Y, quiet_fp, reduced_R
+from .model import AffineModel, _compile, eval_R, in_domain_Y, quiet_fp, reduced_R
 
 __all__ = [
     "SolveOptions",
@@ -429,7 +429,8 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
 @cache
 def _stepper(dim, kind):
     """One DP5(4) step on states of dim entries of the dtype kind ("f" or
-    "c"), generated once per (dim, kind) and kept.
+    "c"), generated once per (dim, kind) and kept, under a file name of its
+    own (``model._compile``).
 
     ``step(field, y, k0, h, atol, rtol)`` takes the state y and its
     derivative k0 as lists of Python numbers and returns the new state and
@@ -493,8 +494,9 @@ def _stepper(dim, kind):
                        else f"q{c} * q{c}")
     code.append(f"    return z, k{len(_A)}, {' + '.join(squares)}, [{entries('b{c}')}], "
                 f"[{entries(magnitude(f'k{len(_A)}_{{c}}'))}]")
-    namespace = {"values": _field_values, "array": np.array, "hypot": math.hypot}
-    exec("\n".join(code), namespace)
+    namespace = _compile(code, f"DP5(4) step {(dim, kind)}",
+                         {"__name__": __name__, "values": _field_values, "array": np.array,
+                          "hypot": math.hypot})
     return namespace["step"]
 
 

@@ -1,5 +1,6 @@
 """Model parametrization: characteristics, domain, validation."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -338,6 +339,36 @@ class TestEvalR:
                     assert type(got) is type(expected), (call, u)
                     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (call, u)
         assert eval_R(feller_model, [4000000000])[0] == pytest.approx(1.6e19)
+
+    def test_single_precision_rows_are_evaluated_as_double_rows(self, acceptance_models,
+                                                                 mixed_model):
+        # float32 and complex64 rows (and the other widths) have the type
+        # and bits of their float64 and complex128 casts; a float32 row read
+        # 0.0028195046 (single precision) for this integral before
+        mu = CompoundPoissonExp(0.3, 2.0)
+        assert mu.lk_integral(np.array([0.1], np.float32)) == pytest.approx(0.0028195029871568,
+                                                                            rel=1e-14)
+        rows = [(0.1, -0.25), (0.3 - 0.2j, -1.5 + 0.7j)]
+        models = dict(acceptance_models, mixed=mixed_model, exp=_scalar_model(mu))
+        for name, model in models.items():
+            d = model.shape.d
+            for entries in rows:
+                for dtype in (np.float32, np.float16, np.longdouble, np.complex64,
+                              np.clongdouble):
+                    if np.dtype(dtype).kind == "f" and isinstance(entries[0], complex):
+                        continue
+                    u = np.resize(np.array(entries, dtype), d)
+                    want = u.astype(complex if u.dtype.kind == "c" else float)
+                    calls = [eval_R, eval_F]
+                    calls += [lambda model, u, fun=getattr(mu, method), c=c: fun(u, c)
+                              for mu, c in zip((model.mu0, *model.mus),
+                                               (True, *model._compensated))
+                              if not mu.is_zero for method in ("lk_integral", "lk_derivative")]
+                    for call in calls:
+                        got, expected = call(model, u), call(model, want)
+                        assert type(got) is type(expected), (name, call, u)
+                        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), \
+                            (name, call, u)
 
 
 class TestDomain:
@@ -704,32 +735,39 @@ class TestPointForms:
 
 
 def reference_lk(mu, u, compensated):
-    """lk_integral at the float64 row u on numpy scalars: CHI (which a point
-    form binds when it is built), the range test, the family's
-    _mgf_integral and the overflow test, then the compensation."""
+    """lk_integral at the float64 or complex128 row u on numpy scalars: CHI
+    (which an axis form binds when it is built), the range test of the
+    axis value's real part, the family's _mgf_integral and the overflow
+    test (an infinity of a real value, a non-finite part of a complex one),
+    then the compensation."""
     chi = mu.chi_integral() if compensated else None
     s = u[mu.axis]
-    if not (s < mu.exp_bound or mu.bound_closed and s == mu.exp_bound):
+    r = s.real
+    if not (r < mu.exp_bound or mu.bound_closed and r == mu.exp_bound):
         raise DomainError("outside the range")
     val = mu._mgf_integral(s)
-    if math.isinf(val):
+    overflow = not cmath.isfinite(val) if isinstance(s, complex) else math.isinf(val)
+    if overflow:
         raise DomainError("not finite")
     return val if chi is None else val - s * chi
 
 
 def reference_R(model, u):
-    """R at the float64 row u on numpy scalars, in the order of operations of
-    the point closures: each product of one term as the BLAS call's sum from
-    +0.0, the others as BLAS calls, the square as the scalar ** 2."""
+    """R at the float64 or complex128 row u on numpy scalars, in the order of
+    operations of the point closures: each product of one term as the BLAS
+    call's sum from +0 (of the row's dtype), the others as BLAS calls, with
+    the coefficients cast to the row's dtype as a matmul casts them, and the
+    square as the scalar ** 2."""
     m, d = model.shape.m, model.shape.d
-    zero = np.float64(0.0)
+    zero = u.dtype.type(0)
+    beta_I = model.beta_I.astype(u.dtype)
 
     def dot(x):
         return zero + u[0] * x[0] if len(x) == 1 else x @ u
 
-    out = np.empty(d)
+    out = np.empty(d, u.dtype)
     for i in range(m):
-        val = model.alpha[i] * u[i] ** 2 + dot(model.beta_I[i]) - model.gamma[i]
+        val = model.alpha[i] * u[i] ** 2 + dot(beta_I[i]) - model.gamma[i]
         if not model.mus[i].is_zero:
             val = val + reference_lk(model.mus[i], u, model.measure_compensated(i))
         out[i] = val
@@ -738,31 +776,46 @@ def reference_R(model, u):
 
 
 def reference_F(model, u):
-    """F at the float64 row u on numpy scalars (see reference_R)."""
-    zero = np.float64(0.0)
+    """F at the float64 or complex128 row u on numpy scalars (see
+    reference_R), as a Python number of the row's kind."""
+    zero = u.dtype.type(0)
+    a, b = model.a.astype(u.dtype), model.b.astype(u.dtype)
     if model.shape.d == 1:
-        quad = zero + (zero + u[0] * model.a[0, 0]) * u[0]
-        lin = zero + u[0] * model.b[0]
+        quad = zero + (zero + u[0] * a[0, 0]) * u[0]
+        lin = zero + u[0] * b[0]
     else:
-        quad, lin = u @ (model.a @ u), model.b @ u
+        quad, lin = u @ (a @ u), b @ u
     val = quad + lin - model.c
     if not model.mu0.is_zero:
         val = val + reference_lk(model.mu0, u, True)
-    return float(val)
+    return complex(val) if u.dtype.kind == "c" else float(val)
 
 
 class TestRealPointSweep:
-    """The real point path (eval_R, eval_F, reduced_R and lk_integral) has
-    the bits of the numpy-scalar reference above on random rows and on
-    special entries, for every built-in family and the quadrature tilt with
-    both compensation flags, d = 1 models, m = 2 models and the mixed model
-    with its J-block.  A NaN reads as one NaN, as the sign a NaN keeps may
-    differ between numpy's and Python's float arithmetic."""
+    """The point path (eval_R, eval_F, reduced_R and lk_integral) has the
+    bits of the numpy-scalar reference above on random rows and on special
+    entries, real and complex, for every built-in family and the quadrature
+    tilt with both compensation flags, d = 1 models, m = 2 models and the
+    mixed model with its J-block.  A NaN reads as one NaN, as the sign a NaN
+    keeps may differ between numpy's and Python's arithmetic."""
 
     # +-0, +-inf, +-NaN, near-overflow and the smallest subnormals, and
     # magnitudes past 1.35e154, where x ** 2 overflows a float
     SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 5e-324,
                -5e-324, 1.3407807929942596e154, 1.3407807929942597e154, -1.4e154, 2.5e200)
+
+    # parts of complex special entries: +-0, +-inf, +-NaN, near-overflow,
+    # the smallest subnormal, a part past 1.35e154, where a square
+    # overflows, and an ordinary one
+    SPECIAL_PARTS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300,
+                     5e-324, 1.4e154, 0.5)
+    # the parts of pairs of complex special entries
+    FEW_PARTS = (0.0, -0.0, math.inf, math.nan, 0.5)
+    # the complex entries of a quadrature tilt, whose evaluations take up to
+    # 50 ms: a signed zero, a refused real part of each kind and an
+    # admitted point
+    QUADRATURE_ENTRIES = (complex(-0.0, 0.0), complex(math.nan, 0.5), complex(math.inf, 0.5),
+                          -3 + 0.5j)
 
     @staticmethod
     def measures(analytic_measures):
@@ -818,9 +871,10 @@ class TestRealPointSweep:
                 got = fun(u)
         except Exception as exc:  # noqa: BLE001 - the class is the outcome
             return type(exc)
-        bits = np.array(got, dtype=float)
-        bits[np.isnan(bits)] = math.nan
-        return type(got), bits.tobytes()
+        bits = np.array(got, dtype=complex if np.iscomplexobj(got) else float).reshape(-1)
+        parts = bits.view(float)
+        parts[np.isnan(parts)] = math.nan
+        return type(got), parts.tobytes()
 
     def rows(self, model, rng):
         """Random rows, some of them past 1.35e154, and rows of special
@@ -843,6 +897,41 @@ class TestRealPointSweep:
             for entries in itertools.product(values, repeat=width):
                 row = np.full(d, 0.25)
                 row[list(coords)] = entries
+                rows.append(row)
+        return rows
+
+    def complex_rows(self, model, rng):
+        """Random complex rows and rows of special complex entries: every
+        pair of SPECIAL_PARTS (1e300j, whose square overflows, among them),
+        500+0j, where a CompoundPoissonPoint integral overflows, and each
+        measure's bound and the next float past it as a real part, in every
+        coordinate, the others 0.25+0.1j; and every pair of entries with
+        parts in FEW_PARTS in every pair of coordinates.  A model with a
+        quadrature tilt gets only its QUADRATURE_ENTRIES, one coordinate at
+        a time."""
+        d = model.shape.d
+        if self.quadrature(model):
+            entries, rows = self.QUADRATURE_ENTRIES, []
+        else:
+            entries = [complex(x, y) for x, y in itertools.product(self.SPECIAL_PARTS, repeat=2)]
+            entries += [500 + 0j, 500 - 1j]
+            for mu in (model.mu0, *model.mus):
+                if not mu.is_zero and math.isfinite(mu.exp_bound):
+                    for x in (mu.exp_bound, float(np.nextafter(mu.exp_bound, math.inf))):
+                        entries += [complex(x, 0.0), complex(x, -0.0), complex(x, 1.0)]
+            shape = (200, d)
+            rows = list(rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, shape)
+                        + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, shape))
+            few = [complex(x, y) for x, y in itertools.product(self.FEW_PARTS, repeat=2)]
+            for coords in itertools.combinations(range(d), 2):
+                for pair in itertools.product(few, repeat=2):
+                    row = np.full(d, 0.25 + 0.1j)
+                    row[list(coords)] = pair
+                    rows.append(row)
+        for k in range(d):
+            for entry in entries:
+                row = np.full(d, 0.25 + 0.1j)
+                row[k] = entry
                 rows.append(row)
         return rows
 
@@ -881,6 +970,45 @@ class TestRealPointSweep:
                     got = self.outcome(lambda v: reduced_R(model, v, check_domain=False), v)
                     want = self.outcome(self.quiet(lambda u: reference_R(model, u)[:m]), u)
                     assert got == want, (name, "reduced_R", v)
+
+    def test_complex_point_calls_have_the_bits_of_the_reference(self, analytic_measures,
+                                                                acceptance_models, mixed_model,
+                                                                kr2014_pair_model):
+        rng = np.random.default_rng(31)
+        models = self.models(analytic_measures, acceptance_models, mixed_model,
+                             kr2014_pair_model)
+        for name, model in models.items():
+            pairs = {
+                "eval_R": (lambda u: eval_R(model, u, check_domain=False),
+                           self.quiet(lambda u: reference_R(model, u))),
+                "eval_F": (lambda u: eval_F(model, u, check_domain=False),
+                           self.quiet(lambda u: reference_F(model, u))),
+            }
+            for row in self.complex_rows(model, rng):
+                for call, (fun, reference) in pairs.items():
+                    assert self.outcome(fun, row) == self.outcome(reference, row), \
+                        (name, call, row)
+
+    @pytest.mark.parametrize("compensated", [True, False])
+    def test_complex_lk_integral_has_the_bits_of_the_reference(self, analytic_measures,
+                                                               compensated):
+        rng = np.random.default_rng(37)
+        for name, mu in self.measures(analytic_measures).items():
+            if isinstance(mu, ExpTiltedMeasure):
+                values = list(self.QUADRATURE_ENTRIES)
+            else:
+                values = [complex(x, y) for x, y in itertools.product(self.SPECIAL_PARTS, repeat=2)]
+                values += [500 + 0j, 500 - 1j]
+                values += list(rng.normal(size=10) * 10.0 ** rng.integers(-8, 4, 10)
+                               + 1j * rng.normal(size=10) * 10.0 ** rng.integers(-8, 4, 10))
+            if math.isfinite(mu.exp_bound):
+                values += [complex(mu.exp_bound, 1.0),
+                           complex(float(np.nextafter(mu.exp_bound, math.inf)), 1.0)]
+            for x in values:
+                row = np.array([x, 0.7])
+                got = self.outcome(self.quiet(lambda u: mu.lk_integral(u, compensated)), row)
+                want = self.outcome(self.quiet(lambda u: reference_lk(mu, u, compensated)), row)
+                assert got == want, (name, x)
 
     @pytest.mark.parametrize("compensated", [True, False])
     def test_lk_integral_has_the_bits_of_the_reference(self, analytic_measures, compensated):

@@ -160,6 +160,24 @@ class TestStepper:
             assert _stepper(2, "f")(field, [1.0, 0.0], [-1.0, 0.5], 0.1, 1e-12, 1e-9) is None
             assert len(calls) == 3
 
+    def test_generated_code_is_named_per_key(self, cir_jump_model):
+        # every generated function compiles under a file name of its own,
+        # whose source linecache holds: profiles key functions by file, line
+        # and name, and would merge two steps or closures of one file
+        import linecache
+
+        from affine_riccati.riccati import _stepper
+
+        real, complex_ = cir_jump_model._point_fns
+        functions = {"step": [_stepper(1, "f"), _stepper(2, "c")],
+                     "R": [real[0], complex_[0]], "F": [real[1], complex_[1]]}
+        codes = [(name, fn.__code__) for name, fns in functions.items() for fn in fns]
+        assert len({code.co_filename for _, code in codes}) == 4
+        for name, code in codes:
+            line = linecache.getline(code.co_filename, code.co_firstlineno)
+            assert line.lstrip().startswith(f"def {name}("), (code.co_filename, line)
+        assert riccati._stepper(2, "c").__module__ == riccati.__name__
+
     def test_quiet_flag_is_per_thread(self):
         import threading
 
