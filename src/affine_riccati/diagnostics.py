@@ -66,8 +66,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, SolverError
 from .model import AffineModel, eval_F, quiet_fp, reduced_R, validate_model
 from .riccati import (_FIELD_ERRORS, _LADDER, SolveOptions, _check_reduced_start, _eps_ladder,
-                      _field_values, _integrate, _ladder_limit, _real_finite, _richardson,
-                      _write_csv)
+                      _field_values, _integrate, _ladder_limit, _real_finite, _reduced_field,
+                      _richardson, _write_csv)
 from .riccati import solve_reduced  # noqa: F401  (perfbench/tracing.py wraps this name here)
 
 __all__ = [
@@ -194,13 +194,15 @@ class ReducedField:
 
     ``_rows``, set by ``from_model``, maps (N, m) rows to their (N, m)
     values in one call.  A bare callable's (m,) contract says nothing about
-    stacks, so its rows are evaluated one at a time.
+    stacks, so its rows are evaluated one at a time.  ``_model``, also set
+    by ``from_model``, is the model whose reduced field this is.
     """
 
     fun: Callable
     m: int
     jacobian_bound: Optional[Callable] = None
     _rows: Optional[Callable] = _dataclass_field(default=None, repr=False, compare=False)
+    _model: Optional[AffineModel] = _dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
@@ -229,14 +231,18 @@ class ReducedField:
         def jac_bound(rho):
             return _model_jacobian_bound(model, rho)
 
-        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, _rows=fun)
+        return ReducedField(fun=fun, m=m, jacobian_bound=jac_bound, _rows=fun, _model=model)
 
     @property
     def _solve_fn(self) -> Callable:
-        """The function the solves call on one (m,) row: ``_rows`` when set
-        (``reduced_R`` through this module's globals, whose values
-        ``__call__`` returns as they are), else the field itself."""
-        return self if self._rows is None else self._rows
+        """The function a solve calls on a list of m floats, taken once per
+        solve: for a model's field, its generated reduced field, or calls of
+        this module's ``reduced_R`` where a tracer has rebound it
+        (``riccati._reduced_field``); else the field itself, whose
+        ``__call__`` takes any sequence."""
+        if self._model is None:
+            return self
+        return _reduced_field(self._model, reduced_R)
 
 
 def _model_jacobian_bound(model: AffineModel, rho: float):
@@ -494,7 +500,7 @@ def _probe_field(field: ReducedField) -> ConservativenessVerdict:
 
     def defined(start):  # start = -eps * 1
         with quiet_fp():
-            if _field_values(field._solve_fn, start) is None:
+            if _field_values(field._solve_fn, start.tolist()) is None:
                 raise DomainError(f"probe at eps={-start[0]:g} started outside the field domain")
 
     try:
@@ -663,8 +669,8 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
                           "start at or after 0 and end after 0")
     m = model.shape.m
     uI = _real_finite(uI, "uI", m)
-    field = ReducedField.from_model(model)._solve_fn
-    sols = _eps_ladder(field, uI, m, _LADDER, _solve_options(float(ts[-1])),
+    sols = _eps_ladder(_reduced_field(model, reduced_R), uI, m, _LADDER,
+                       _solve_options(float(ts[-1])),
                        check=lambda start: _check_reduced_start(model, start))
     if not sols[-1].status.reached_horizon:
         raise SolverError(f"minimal-branch probe terminated with {sols[-1].status.label()}")

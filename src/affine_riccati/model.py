@@ -207,10 +207,9 @@ class LevyMeasure:
     ``_point_mgf`` and the overflow test, with the range and CHI bound.
     ``lk_integral`` calls it on the row's axis entry (``_point_form``); the
     model's real closures call it on that entry as a Python float, the
-    complex ones on the row's np.complex128 entry.  A family's
-    ``_point_mgf`` binds its closed form with the bits of ``_mgf_integral``,
-    on a numpy scalar or a Python float alike; without one the form calls
-    ``_mgf_integral``.
+    complex ones on np.complex128 of it.  A family's ``_point_mgf`` binds
+    its closed form with the bits of ``_mgf_integral``, on a numpy scalar or
+    a Python float alike; without one the form calls ``_mgf_integral``.
 
     Measures are immutable after construction: derived constants such as
     CHI and the axis forms are computed once and kept on the instance, so
@@ -773,8 +772,13 @@ class ExpTiltedMeasure(LevyMeasure):
         return self._weighted(xi, 0.0)
 
     def _mgf_integral(self, s):
+        complex_valued = np.iscomplexobj(s)
+        if complex_valued and math.isfinite(s.real) and not math.isfinite(s.imag):
+            # the integrand is NaN everywhere, so the quadrature would report
+            # the infinite value it gives here, after tens of milliseconds
+            return _INF
         return _quad_split(lambda x: self._weighted(x, s) - self._weighted(x, 0.0),
-                           np.iscomplexobj(s))
+                           complex_valued)
 
     def _mgf_derivative(self, s):
         return _quad_split(lambda x: x * self._weighted(x, s), np.iscomplexobj(s))
@@ -924,8 +928,9 @@ class AffineModel:
 
     @cached_property
     def _point_fns(self) -> tuple:
-        """The (R, F) closures of ``eval_R``/``eval_F`` on one 1-d row, for
-        real u ([0]) and complex u ([1]); see ``_point_closures``."""
+        """The point closures (R, F, reduced, full) on lists of Python
+        numbers, of the real kind ([0]) and the complex kind ([1]); see
+        ``_point_closures``."""
         return _point_closures(self)
 
     def measure_compensated(self, i: int) -> bool:
@@ -1016,13 +1021,17 @@ def _own_errstate():
 
 
 def _point_closures(model):
-    """The (R, F) pairs that ``eval_R`` and ``eval_F`` call on one 1-d row,
-    for a float64 row ([0]) and a complex128 one ([1]): the code generated
-    for the model's structure and the kind (``_point_code``) with the
-    model's operands bound; a new model of a known structure compiles
-    nothing.
+    """The closures ``(R, F, reduced, full)`` of the real kind ([0]) and the
+    complex kind ([1]): the code generated for the model's structure and the
+    kind (``_point_code``) with the model's operands bound; a new model of a
+    known structure compiles nothing.  Each takes a list of Python numbers
+    and returns Python numbers.  ``eval_R``, ``eval_F`` and ``reduced_R``
+    call R, F and reduced on the list of their checked row; the solves call
+    reduced and the discounted field that ``full`` binds on the lists of
+    their stages, once the row's shape and kind are checked at the start
+    of the solve.
 
-    Both pairs form R and F in one order of operations on the same
+    Both kinds form R and F in one order of operations on the same
     operands: alpha_i, gamma_i, the rows of a, b and beta_I, each non-zero
     measure's axis form for the kind and its compensation flag
     (``LevyMeasure._axis_form``: its range test, closed form and overflow
@@ -1039,26 +1048,28 @@ def _point_closures(model):
     The reversed operands propagate a NaN of u as the call does when x is a
     real coefficient; only u @ (a @ u) on a complex u with a NaN part can
     end in a NaN of the other sign.  That covers every product of a d = 1
-    model.  Products of two or more terms keep their BLAS call on the row,
-    with the complex casts of a, b and beta_I bound for a complex row, and
-    so do the J-rows: a ddot of two terms uses a fused multiply-add, which
-    rounded differently from the plain sum of the two products on 24,912 of
-    100,000 pairs of normal deviates (numpy 2.4.6, OpenBLAS, x86-64).
+    model.  Products of two or more terms keep their BLAS call, on one
+    array of the row that the closure builds, with the complex casts of a,
+    b and beta_I bound for the complex kind, and so do the J-rows: a ddot
+    of two terms uses a fused multiply-add, which rounded differently from
+    the plain sum of the two products on 24,912 of 100,000 pairs of normal
+    deviates (numpy 2.4.6, OpenBLAS, x86-64).
 
-    Each pair reads the row once with ``tolist()`` and forms every other
-    term on Python numbers.  Python floats' +, -, * and / round as numpy's
-    float64 scalars do; only a quotient by zero differs (it raises), and no
-    term divides by a zero that numpy would not refuse first (see
-    ``GammaLevy._point_mgf``).  The real square u_i ** 2 is Python's pow():
-    it had the bits of numpy's scalar ** 2 on 200,000 random entries
-    (normal deviates times 10^k, k from -8 to 8) and on every special entry
-    once its OverflowError is read as +inf, where a plain x * x differed on
-    165 of them.  The families' real forms run on the Python float too,
+    Each closure unpacks its list once and forms every other term on Python
+    numbers; a term that is a numpy scalar, a family form's value or a BLAS
+    product, is converted to a Python number first.  Python floats' +, -, *
+    and / round as numpy's float64 scalars do; only a quotient by zero
+    differs (it raises), and no term divides by a zero that numpy would not
+    refuse first (see ``GammaLevy._point_mgf``).  The real square u_i ** 2
+    is Python's pow(): it had the bits of numpy's scalar ** 2 on 200,000
+    random entries (normal deviates times 10^k, k from -8 to 8) and on
+    every special entry once its OverflowError is read as +inf, where a
+    plain x * x differed on 165 of them.  The families' real forms run on the Python float too,
     keeping the np.exp, np.log1p and math.sqrt calls they make on numpy
     scalars: np.exp and np.log1p of a Python float run the loop they run
     on an np.float64, with its bits, also with numpy's AVX-512 kernels off.
 
-    The complex pair binds alpha, gamma, c and the coefficients of a d = 1
+    The complex kind binds alpha, gamma, c and the coefficients of a d = 1
     model as Python complex numbers, so that every product is the full
     complex product numpy forms of a float64 and a complex128 scalar;
     Python 3.14 multiplies a float by a complex number part by part, which
@@ -1070,16 +1081,16 @@ def _point_closures(model):
     cannot see that sign.  Python's ``x ** 2`` multiplies by 1 after
     squaring, which gives nan+nanj at infj against numpy's -inf+nanj, and
     it raises OverflowError at 1e300j.  The families' complex forms still
-    take the row's np.complex128 entry u[axis]: Python's complex quotient
-    rounds differently from numpy's, which multiplies by a reciprocal, and
+    take np.complex128 of the axis entry: Python's complex quotient rounds
+    differently from numpy's, which multiplies by a reciprocal, and
     ``CompoundPoissonExp`` and ``GammaLevy`` divide.  ``TestRealPointSweep``
-    checks both pairs against a numpy-scalar reference.
+    checks both kinds against a numpy-scalar reference.
     """
     shape = model.shape
     m, d = shape.m, shape.d
     axes = tuple(None if mu.is_zero else mu.axis for mu in model.mus)
     axis0 = None if model.mu0.is_zero else model.mu0.axis
-    pairs = []
+    kinds = []
     for complex_kind in (False, True):
         number = complex if complex_kind else float
         jumps = tuple(None if mu.is_zero else mu._axis_form(compensated, complex_kind)
@@ -1092,10 +1103,10 @@ def _point_closures(model):
             a, b = model.a.astype(number, copy=False), model.b.astype(number, copy=False)
             beta = tuple(model.beta_I.astype(number, copy=False))
         make = _point_code(m, shape.n, axes, axis0, complex_kind)
-        pairs.append(make(a, b, number(model.c), [number(x) for x in model.alpha.tolist()], beta,
+        kinds.append(make(a, b, number(model.c), [number(x) for x in model.alpha.tolist()], beta,
                           [number(x) for x in model.gamma.tolist()], jumps, jump,
                           model.beta_JJ.T))
-    return tuple(pairs)
+    return tuple(kinds)
 
 
 def _square(x):
@@ -1127,65 +1138,104 @@ def _compile(lines, key, namespace):
 @cache
 def _point_code(m, n, axes, axis0, complex_kind):
     """The maker ``make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T)
-    -> (R, F)`` of the point closures of the kind for one model structure:
-    the state shape, the axis of each non-null mu_i (None for a null one)
-    and that of a non-null mu_0 (None).  Generated as straight-line code
-    once per structure and kind and kept.
+    -> (R, F, reduced, full)`` of the point closures of the kind for one
+    model structure: the state shape, the axis of each non-null mu_i (None
+    for a null one) and that of a non-null mu_0 (None).  Generated as
+    straight-line code once per structure and kind and kept.
 
-    ``R(u)`` and ``F(u)`` read the row as Python numbers x0, x1, ... once.
+    Each closure takes a list (or tuple) of Python numbers of the kind and
+    unpacks it into x0, x1, ... once; every entry it returns is a Python
+    number of the kind.  ``R(u)`` returns the d entries of R at u and
+    ``F(u)`` the number F(u).  ``reduced(v)``, on the real kind only (None
+    on the complex one), returns the m I-rows of R at (v, 0).
+    ``full(l, lam)`` binds the discounts, l and the list of the d entries of
+    lambda, and returns the discounted full-system field ``z -> [R(psi) -
+    lambda, F(psi) - l]`` of z = (psi, phi), whose R and F are the code of
+    ``R`` and ``F``.  Subtracting every entry of lambda keeps the bits of
+    the undiscounted system where an entry is +0.0: ``x - 0.0`` is x.
+
     On a model with d = 1, a and b are the numbers a_00 and b_0 and beta
     holds the numbers beta_i0; otherwise they are the arrays, and the
-    products of their rows with u are BLAS calls on the row.  A real
-    measure's form takes the Python float of its axis, a complex one the
-    row's entry.
+    products of their rows with u are BLAS calls on one array of the row,
+    built in the closure, as is the J-block.  A real measure's form takes
+    the Python float of its axis, a complex one np.complex128 of it.  A
+    term that is a numpy scalar (a form's value or a BLAS product) is
+    converted to a Python number before it enters a sum: every sum and
+    difference then runs on Python numbers, with the bits numpy's scalars
+    would give, as both add part by part.
     """
     d = m + n
-    xs = "".join(f"x{k}, " for k in range(d))
     zero, number = ("0j", "complex") if complex_kind else ("0.0", "float")
+
+    def names(prefix, ks):
+        """The unpacking targets ``p0, p1, `` of the indices ks."""
+        return "".join(f"{prefix}{k}, " for k in ks)
+
+    xs = names("x", range(d))
 
     def product(coef):
         """The term coef @ u of a 1-d coefficient and the row u."""
-        return f"({zero} + x0 * {coef})" if d == 1 else f"({coef} @ u)"
-
-    entry = "u[{}]" if complex_kind else "x{}"  # the argument of a measure's form
+        return f"({zero} + x0 * {coef})" if d == 1 else f"{number}({coef} @ u)"
 
     def jump_term(name, axis):
-        return "" if axis is None else f" + {name}({entry.format(axis)})"
+        if axis is None:
+            return ""
+        entry = f"complex128(x{axis})" if complex_kind else f"x{axis}"
+        return f" + {number}({name}({entry}))"
+
+    def i_rows():
+        """The lines that form the I-rows r0, r1, ... of R at x0, x1, ...
+        (and the row u)."""
+        if not m:
+            return []
+        if complex_kind:
+            squares = [f"q{i} = x{i} * x{i}" for i in range(m)]
+        else:
+            overflowed = "".join(f"square(x{i}), " for i in range(m))
+            squares = ["try:", *(f"    q{i} = x{i} ** 2" for i in range(m)),
+                       "except OverflowError:", f"    {names('q', range(m))}= {overflowed}"]
+        return squares + [f"r{i} = alpha{i} * q{i} + {product(f'beta{i}')}"
+                          f" - gamma{i}{jump_term(f'jump{i}', axis)}"
+                          for i, axis in enumerate(axes)]
+
+    def row(needed):
+        """The line that builds the array u of the row, which the BLAS calls
+        take, when needed."""
+        return [f"u = array([{', '.join(f'x{k}' for k in range(d))}])"] if needed else []
+
+    j_rows = [f"{names('j', range(n))}= (beta_JJ_T @ u[{m}:]).tolist()"] if n else []
+    r_entries = [f"r{i}" for i in range(m)] + [f"j{k}" for k in range(n)]
+    quad = f"({zero} + ({zero} + x0 * a) * x0)" if d == 1 else f"{number}(u @ (a @ u))"
+    f_value = f"{quad} + {product('b')} - c{jump_term('jump', axis0)}"
+
+    def function(signature, lines, indent="    "):
+        return [f"{indent}def {signature}:", *(f"{indent}    {line}".rstrip() for line in lines)]
 
     code = ["def make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T):"]
     if m:
-        code += [f"    {''.join(f'{name}{i}, ' for i in range(m))}= {names}"
-                 for name, names in (("alpha", "alpha"), ("beta", "beta"),
+        code += [f"    {names(name, range(m))}= {given}"
+                 for name, given in (("alpha", "alpha"), ("beta", "beta"),
                                      ("gamma", "gamma"), ("jump", "jumps"))]
-    code += ["    def R(u):"]
-    if m:
-        code.append(f"        {xs}= u.tolist()")
-        if complex_kind:
-            code += [f"        q{i} = x{i} * x{i}" for i in range(m)]
-        else:
-            squares = ", ".join(f"q{i}" for i in range(m))
-            code += ["        try:",
-                     *(f"            q{i} = x{i} ** 2" for i in range(m)),
-                     "        except OverflowError:",
-                     f"            {squares}, = {', '.join(f'square(x{i})' for i in range(m))},"]
-    code.append(f"        out = empty({d}{', complex' if complex_kind else ''})")
-    for i, axis in enumerate(axes):
-        code.append(f"        out[{i}] = alpha{i} * q{i} + {product(f'beta{i}')}"
-                    f" - gamma{i}{jump_term(f'jump{i}', axis)}")
-    if n:
-        code.append(f"        out[{m}:] = beta_JJ_T @ u[{m}:]")
-    code += ["        return out",
-             "    def F(u):"]
-    if d == 1:
-        quad = f"({zero} + ({zero} + x0 * a) * x0)"
+    code += function("R(u)", [f"{xs}= u", *row(d > 1 or n), *i_rows(), *j_rows,
+                              f"return [{', '.join(r_entries)}]"])
+    code += function("F(u)", [f"{xs}= u", *row(d > 1), f"return {f_value}"])
+    if complex_kind:
+        code.append("    reduced = None")
+    elif not m:
+        code += function("reduced(v)", ["return []"])
     else:
-        quad = "u @ (a @ u)"
-    if d == 1 or (axis0 is not None and not complex_kind):
-        code.append(f"        {xs}= u.tolist()")
-    code += [f"        return {number}({quad} + {product('b')} - c{jump_term('jump', axis0)})",
-             "    return R, F"]
+        # at (v, 0), whose J-coordinates are +0.0
+        zeros = [f"{names('x', range(m, d))}= {'0.0, ' * n}"] if n else []
+        code += function("reduced(v)", [f"{names('x', range(m))}= v", *zeros, *row(d > 1),
+                                        *i_rows(), f"return [{', '.join(r_entries[:m])}]"])
+    code += function("full(l, lam)", [f"{names('lam', range(d))}= lam"])
+    discounted = "".join(f"{r} - lam{k}, " for k, r in enumerate(r_entries))
+    code += function("field(z)", [f"{xs}_ = z", *row(d > 1 or n), *i_rows(), *j_rows,
+                                  f"return [{discounted}{f_value} - l]"], indent="        ")
+    code += ["        return field",
+             "    return R, F, reduced, full"]
     namespace = _compile(code, f"{number} point closures {(m, n, axes, axis0)}",
-                         {"empty": np.empty, "square": _square})
+                         {"array": np.array, "complex128": np.complex128, "square": _square})
     return namespace["make"]
 
 
@@ -1201,20 +1251,12 @@ def eval_F(model: AffineModel, u, check_domain: bool = True):
     """The constant functional characteristic F(u) at the point u; a bool,
     integer or float u of another width is evaluated as its float64 row, a
     complex one as its complex128 row (``_double``)."""
-    u = np.asarray(u)
-    if u.shape != (model.shape.d,):
-        u = _as_row(u, model.shape.d)
-    char = u.dtype.char
-    if char not in "dD":
-        u = _double(u)
-        char = u.dtype.char
-    if check_domain and not in_domain_Y(model, u):
-        raise DomainError("u outside the effective domain Y")
-    F = model._point_fns[char == "D"][1]
+    u = _point_row(model, u, check_domain)
+    F = model._point_fns[u.dtype.char == "D"][1]
     if _FP_QUIET.get():
-        return F(u)
+        return F(u.tolist())
     with np.errstate(invalid="ignore", over="ignore"):
-        return F(u)
+        return F(u.tolist())
 
 
 def eval_R(model: AffineModel, u, check_domain: bool = True):
@@ -1222,20 +1264,25 @@ def eval_R(model: AffineModel, u, check_domain: bool = True):
     d-vector; a bool, integer or float u of another width is evaluated as
     its float64 row, whose square cannot wrap around, and a complex one as
     its complex128 row (``_double``)."""
+    u = _point_row(model, u, check_domain)
+    R = model._point_fns[u.dtype.char == "D"][0]
+    if _FP_QUIET.get():
+        return np.array(R(u.tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.array(R(u.tolist()))
+
+
+def _point_row(model, u, check_domain):
+    """u as the float64 or complex128 row of d entries the point closures
+    read, after the domain test when check_domain is set."""
     u = np.asarray(u)
     if u.shape != (model.shape.d,):
         u = _as_row(u, model.shape.d)
-    char = u.dtype.char
-    if char not in "dD":
+    if u.dtype.char not in "dD":
         u = _double(u)
-        char = u.dtype.char
     if check_domain and not in_domain_Y(model, u):
         raise DomainError("u outside the effective domain Y")
-    R = model._point_fns[char == "D"][0]
-    if _FP_QUIET.get():
-        return R(u)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return R(u)
+    return u
 
 
 def _reduced_rows(model, v, check_domain):
@@ -1278,16 +1325,13 @@ def reduced_R(model: AffineModel, v, check_domain: bool = True) -> np.ndarray:
         return _reduced_rows(model, v, check_domain)
     if v.shape != (m,):
         v = _as_row(v, m)
-    if not shape.n and v.flags.c_contiguous:
-        # (v, 0) is v itself, on which eval_R would call the real R closure;
-        # a strided v would take a strided BLAS dot
-        if check_domain and not in_domain_Y(model, v):
+    if check_domain:
+        u = np.zeros(shape.d)
+        u[:m] = v
+        if not in_domain_Y(model, u):
             raise DomainError("u outside the effective domain Y")
-        R = model._point_fns[0][0]
-        if _FP_QUIET.get():
-            return R(v)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return R(v)
-    u = np.zeros(shape.d)
-    u[:m] = v
-    return eval_R(model, u, check_domain=check_domain)[:m]
+    reduced = model._point_fns[0][2]
+    if _FP_QUIET.get():
+        return np.array(reduced(v.tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.array(reduced(v.tolist()))

@@ -31,8 +31,8 @@ keeps the solve's t, step size, error control, equilibrium run and status
 as Python floats in locals, and the accepted states and derivatives as
 lists of Python numbers; each step is one call of a step function
 generated per state size and dtype kind (``_stepper``), whose stages each
-build one numpy row, call the field on it and read its value back as one
-list of Python numbers (``_field_values``).  A stage where the field raises
+pass their state to the field as a list of Python numbers and read its
+value back as one (``_field_values``).  A stage where the field raises
 one of ``_FIELD_ERRORS`` or goes non-finite rejects the step; an exception
 of another kind propagates at once.  An epsilon ladder (``_eps_ladder``)
 solves its three rungs one after another and stops after the first rung
@@ -42,55 +42,59 @@ one call: 100 or 1,000 starts cost about what as many lone solves cost.
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
 array, 0.1-0.3 us for an operation on a numpy scalar, and a few tens of
-nanoseconds for one on a Python float.  So each stage of a step makes one
-model call and little else.  The point evaluation of a stage
-(``_field_values`` on the field, then the model on the 1-d row) runs the
-model's point closures (``AffineModel._point_fns``: one (R, F) pair per
-dtype kind, with every operand bound once).  It allocates only its
-results, enters no errstate inside ``quiet_fp``, and reads the finiteness
-of the row's few entries as Python numbers.  A product of one term (every
-product of a d = 1 model) is ``zero + y[0] * x[0]``, with the bits of the
-BLAS call x @ y: the call's sum starts from +0.0, so a bare product would
-keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with OpenBLAS on
-x86-64 with AVX-512, it matched the call on 200,000 random real and 50,000
-random complex pairs, on every pair of real special entries (+-0, +-inf,
-+-NaN, +-1e300, +-5e-324), and on every pair of complex ones in which no
-part is NaN or x is a real coefficient.  So R, and F on a real row, have
-the call's bits everywhere; F on a complex row with a NaN part can differ
-only in the sign of a NaN.  A product of two or more terms keeps its BLAS
-call on the row, whose fused multiply-adds round differently from a sum of
-scalar products.
+nanoseconds for one on a Python float.  So a solve checks its start's
+shape, kind and realness once, when it begins, and takes its field then:
+the model's generated field on lists (``AffineModel._point_fns``), the
+discounted full system with l and lambda bound (``_full_system``) or the
+reduced field (``_reduced_field``).  A stage then makes that one call and
+builds no numpy row: the field unpacks the list, forms its terms on
+Python numbers, enters no errstate (``quiet_fp`` covers the run) and
+returns a list, whose finiteness the stage reads on its few entries.
+Only a product of two or more terms and the J-block keep a BLAS call, on
+one array of the row built inside the field, whose fused multiply-adds
+round differently from a sum of scalar products.  A product of one term
+(every product of a d = 1 model) is ``zero + y[0] * x[0]``, with the bits
+of the BLAS call x @ y: the call's sum starts from +0.0, so a bare product
+would keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with
+OpenBLAS on x86-64 with AVX-512, it matched the call on 200,000 random
+real and 50,000 random complex pairs, on every pair of real special
+entries (+-0, +-inf, +-NaN, +-1e300, +-5e-324), and on every pair of
+complex ones in which no part is NaN or x is a real coefficient.  So R,
+and F on a real row, have the call's bits everywhere; F on a complex row
+with a NaN part can differ only in the sign of a NaN.
 
-The closures do the rest of their arithmetic on Python numbers: they read
-the row once with ``tolist()`` and form each square (``x ** 2`` on a
-float, pow(), whose OverflowError is read as inf; ``x * x`` on a complex
-number), each one-term product as ``zero + x * c`` and each family's real
-closed form on the float, keeping the np.exp, np.log1p and math.sqrt calls
-of the families; a family's complex form still takes the row's
-np.complex128 entry, as Python's complex quotient rounds differently from
-numpy's.  They are generated once per model structure and kind
+The fields form each square (``x ** 2`` on a float, pow(), whose
+OverflowError is read as inf; ``x * x`` on a complex number), each
+one-term product as ``zero + x * c`` and each family's real closed form on
+the float, keeping the np.exp, np.log1p and math.sqrt calls of the
+families; a family's complex form still takes np.complex128 of its entry,
+as Python's complex quotient rounds differently from numpy's.  A term that
+is a numpy scalar is converted to a Python number before it enters a sum.
+They are generated once per model structure and kind
 (``model._point_code``), so a tilted model compiles nothing.
 ``model._point_closures`` states the measurements behind these choices.
 
 The stepper's own arithmetic does, in one form for real and complex solves:
 the six stages and the error norm are unrolled, with the tableau's weights
-as literals, on the Python numbers of the state and stage derivatives.  The
-full-system field returns its entries as such numbers (``_full_system``),
-and an array value is read once with the ``tolist()`` that also serves its
-finiteness test.  A real solve has the bits of float arithmetic
-throughout; a complex solve's products, quotients and magnitudes round as
-Python's complex arithmetic and ``math.hypot`` do, which differ from
-numpy's at the rounding level, and the closed-form tests bound its
-trajectories.
+as literals, on the Python numbers of the state and stage derivatives.  A
+field may also return a numpy array, which is read once with the
+``tolist()`` that also serves its finiteness test.  A real solve has the
+bits of float arithmetic throughout; a complex solve's products, quotients
+and magnitudes round as Python's complex arithmetic and ``math.hypot`` do,
+which differ from numpy's at the rounding level, and the closed-form tests
+bound its trajectories.
 
 One ``model.quiet_fp`` (an np.errstate plus a flag that tells
 ``eval_R``/``eval_F``/``reduced_R`` to skip their own) covers the whole run.
-The model call of a field evaluation is ``eval_R`` (the full system) or
-``reduced_R`` (a model's reduced field, through ``diagnostics``' globals),
-called through the module globals, where ``perfbench/tracing.py`` counts
-evaluations by wrapping them; each stage's call counts once.  The full
-system takes F from the model's bound F closure, not from ``eval_F``: that
-is the ``eval_F`` of a run inside ``quiet_fp`` without its shape check.
+The public evaluators call the same generated closures on the list of
+their checked row, so a solve's field has their bits.
+``perfbench/tracing.py`` counts evaluations by rebinding ``eval_R`` in
+this module and ``reduced_R`` in this module and in ``diagnostics``.  A
+solve that finds such a name rebound when it takes its field calls the
+rebound name once per stage on the numpy row instead (with F from the
+generated F closure), through the same stepper and with the same bits;
+so a traced run counts every stage, and times this path rather than the
+generated field.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from . import model as _model
 from .model import AffineModel, _compile, eval_R, in_domain_Y, quiet_fp, reduced_R
 
 __all__ = [
@@ -305,13 +310,14 @@ _FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError,
 
 
 def _field_values(field, y):
-    """The field at the 1-d row y as a list of Python numbers, or None when
-    the field raises one of ``_FIELD_ERRORS`` or is non-finite there (a
-    rejected stage).  Other exceptions propagate.
+    """The field's value at the point y (a list of Python numbers) as a list
+    of Python numbers, or None when the field raises one of
+    ``_FIELD_ERRORS`` or is non-finite there (a rejected stage).  Other
+    exceptions propagate.
 
-    The one value protocol of a field: it returns that list itself, or a
-    numpy array of the row's length, which is read with ``tolist()``.  The
-    caller holds ``quiet_fp`` (or its own np.errstate).
+    The one protocol of a field: it takes that list and returns such a list
+    itself, or a numpy array of the point's length, which is read with
+    ``tolist()``.  The caller holds ``quiet_fp`` (or its own np.errstate).
     """
     try:
         values = field(y)
@@ -332,16 +338,18 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     locals in Python floats, and the accepted states and derivatives are
     lists of Python numbers of the solve's kind (complex when y0 or the
     field's value there is), kept in ``ys``/``fs`` and turned into the
-    ``psi``/``dpsi`` arrays once, at the end.  Each step is one call of the
-    generated step (``_stepper``), which calls the field on the 1-d row of
-    each stage.  ``rate_dim``: number of leading components whose rate
-    decides equilibrium (and blow-up magnitude); defaults to all components.
+    ``psi``/``dpsi`` arrays once, at the end.  The field takes and returns
+    lists of Python numbers (``_field_values``): the first call is on
+    ``y0.tolist()``, and each step is one call of the generated step
+    (``_stepper``), which calls the field on the list of each stage.
+    ``rate_dim``: number of leading components whose rate decides
+    equilibrium (and blow-up magnitude); defaults to all components.
     The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
     Raises DomainError when the field is undefined at y0; an exception of
     the field outside ``_FIELD_ERRORS`` propagates at once.  One
     ``quiet_fp`` covers the run.
     """
-    y = np.array(y0)
+    y = np.asarray(y0)
     dim = y.shape[0]
     nr = rate_dim if rate_dim is not None else dim
     T = opts.T
@@ -350,7 +358,7 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     hmax, hmin = opts.effective_max_step, _step_floor(T)
     safety, order_exp = 0.9, 0.2
 
-    f = _field_values(field, y)
+    f = _field_values(field, y.tolist())
     if f is None:
         raise DomainError("vector field undefined at the initial condition")
     f = np.array(f)
@@ -438,9 +446,9 @@ def _stepper(dim, kind):
     atol + rtol * max(|y|, |y_new|), and the magnitudes of the new state's
     and derivative's entries as lists; or None when a stage is rejected
     (``_field_values``).  Other exceptions of the field propagate.  Each
-    stage builds one numpy row, the field's argument, from its state and
-    reads the field's value back as Python numbers; the stage state of
-    stage 6 is the new state (FSAL).
+    stage passes its state to the field as a list of Python numbers and
+    reads the field's value back as such numbers; the stage state of stage
+    6 is the new state (FSAL).
 
     The six stages and the error norm are unrolled, with the tableau's
     weights as literals.  A stage state entry is ``y + h * (zero + sum_j
@@ -479,7 +487,7 @@ def _stepper(dim, kind):
         if s == len(_A):
             code.append(f"    z = {state}")
             state = "z"
-        code += [f"    k{s} = values(field, array({state}))",
+        code += [f"    k{s} = values(field, {state})",
                  f"    if k{s} is None:",
                  "        return None",
                  f"    {entries(f'k{s}_{{c}}')}, = k{s}"]
@@ -495,8 +503,7 @@ def _stepper(dim, kind):
     code.append(f"    return z, k{len(_A)}, {' + '.join(squares)}, [{entries('b{c}')}], "
                 f"[{entries(magnitude(f'k{len(_A)}_{{c}}'))}]")
     namespace = _compile(code, f"DP5(4) step {(dim, kind)}",
-                         {"__name__": __name__, "values": _field_values, "array": np.array,
-                          "hypot": math.hypot})
+                         {"__name__": __name__, "values": _field_values, "hypot": math.hypot})
     return namespace["step"]
 
 
@@ -582,26 +589,24 @@ def _check_start(model, u0):
 
 def _full_system(model, l, lam, dtype):
     """The discounted system z = (psi, phi) -> (R(psi) - lambda, F(psi) - l)
-    as a field of 1-d rows, whose value is a list of Python numbers.
+    of the kind of dtype, as a field of lists of Python numbers: the
+    model's generated field with l and lambda bound (``full`` of
+    ``AffineModel._point_fns``), which the solve calls with no check.
 
-    R comes from one ``eval_R`` call through this module's globals, F from
-    the model's bound F closure for the kind of dtype (the ``eval_F`` of a
-    run inside ``quiet_fp``, less its shape check), which returns a Python
-    number.  Only the entries of lambda that move a bit are subtracted:
-    ``x - 0.0`` keeps every bit of x, ``x - (-0.0)`` turns -0.0 into +0.0.
+    Where this module's ``eval_R`` is not the model module's, as when
+    ``perfbench/tracing.py`` wraps it to count evaluations, each call makes
+    one ``eval_R`` call on the numpy row of psi instead, and takes F from
+    the generated F closure, with the same bits.
     """
+    lam = lam.tolist()
+    _, F, _, full = model._point_fns[np.dtype(dtype).kind == "c"]
+    if eval_R is _model.eval_R:
+        return full(l, lam)
     d = model.shape.d
-    F = model._point_fns[np.dtype(dtype).kind == "c"][1]
-    lams = tuple((i, lam_i) for i, lam_i in enumerate(lam.tolist())
-                 if lam_i or math.copysign(1.0, lam_i) < 0.0)
 
     def field(z):
-        psi = z[:d]
-        values = eval_R(model, psi, check_domain=False).tolist()
-        for i, lam_i in lams:
-            values[i] -= lam_i
-        values.append(F(psi) - l)
-        return values
+        values = eval_R(model, np.array(z[:d]), check_domain=False).tolist()
+        return [r - lam_i for r, lam_i in zip(values, lam)] + [F(z[:d]) - l]
 
     return field
 
@@ -610,23 +615,31 @@ def solve_reduced(model: AffineModel, g0, opts: SolveOptions) -> RiccatiSolution
     """Integrate the reduced I-block system d g = R_I((g, 0)); no phi.
 
     Raises ConfigError for a model without an I-block (m = 0), whose reduced
-    system is empty.
+    system is empty, and when g0 is complex, not finite or not of length m.
     """
     m = model.shape.m
     if m == 0:
         raise ConfigError("solve_reduced needs an I-block; the model has m = 0")
-    g0 = _as_initial(g0, m, name="g0")
+    g0 = _real_finite(_as_initial(g0, m, name="g0"), "g0", m)
     _check_reduced_start(model, g0)
+    return _integrate(_reduced_field(model, reduced_R), g0, opts)
 
-    def field(v):
-        return reduced_R(model, v, check_domain=False)
 
-    return _integrate(field, g0, opts)
+def _reduced_field(model, rebound):
+    """The reduced field of the model as a solve calls it, on a list of m
+    Python floats: the generated ``reduced`` closure of
+    ``AffineModel._point_fns``.  Where ``rebound``, the caller module's
+    ``reduced_R``, is not the model module's, as when
+    ``perfbench/tracing.py`` wraps it to count evaluations, each call is
+    one call of ``rebound`` on the numpy row instead, with the same bits."""
+    if rebound is _model.reduced_R:
+        return model._point_fns[0][2]
+    return lambda v: rebound(model, np.array(v), check_domain=False)
 
 
 def _check_reduced_start(model, g0):
     probe = np.zeros(model.shape.d)
-    probe[:model.shape.m] = np.real(g0)
+    probe[:model.shape.m] = g0
     if not in_domain_Y(model, probe):
         raise DomainError("(g0, 0) outside the effective domain Y")
 

@@ -724,6 +724,24 @@ class TestPointForms:
             assert isinstance(got, complex)
             assert abs(got - want) <= QUAD_AGREEMENT_RTOL * max(1.0, abs(want)), s
 
+    def test_quadrature_tilt_refuses_a_non_finite_imaginary_part_at_once(self, monkeypatch):
+        # its integrand is NaN everywhere: the point is refused as the
+        # quadrature would refuse it, without running one
+        from scipy import integrate
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quad called")
+
+        mu = ExpTiltedMeasure(TemperedStableHalf(0.3, 1.2, axis=0), 0.4)
+        mu.chi_integral()  # a quadrature of its own, made once per measure
+        monkeypatch.setattr(integrate, "quad", no_quadrature)
+        for s in (complex(0.0, math.nan), complex(0.5, math.inf), complex(-3.0, -math.inf)):
+            for compensated in (True, False):
+                with pytest.raises(DomainError, match="not finite"):
+                    mu.lk_integral(np.array([s]), compensated)
+        with pytest.raises(AssertionError, match="quad called"):
+            mu.lk_integral(np.array([0.5 + 1j]))
+
     def test_a_point_too_short_for_the_axis_is_a_config_error(self):
         mu = CompoundPoissonExp(1.0, 2.0, axis=2)
         for u in ([0.1], 0.1, np.array([0.1, 0.2])):
@@ -988,6 +1006,68 @@ class TestRealPointSweep:
                 for call, (fun, reference) in pairs.items():
                     assert self.outcome(fun, row) == self.outcome(reference, row), \
                         (name, call, row)
+
+    @staticmethod
+    def bits(outcome):
+        """The bits of an outcome, or the class of what was raised: a list
+        closure's value and its reference's differ in type."""
+        return outcome if isinstance(outcome, type) else outcome[1]
+
+    @staticmethod
+    def listed(fun, kind):
+        """fun called on the list of a row; its value, a Python number of
+        the kind or a list of them, as an array."""
+        def call(u):
+            got = fun(u.tolist())
+            values = got if type(got) is list else [got]
+            if {type(x) for x in values} - {kind}:
+                raise TypeError(f"entries of types {[type(x) for x in values]}")
+            return np.array(got, dtype=kind)
+        return call
+
+    @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+    def test_list_closures_have_the_bits_of_the_reference(self, analytic_measures,
+                                                          acceptance_models, mixed_model,
+                                                          kr2014_pair_model, complex_kind):
+        # the closures the solves call on the lists of their stages: R, F,
+        # the discounted full-system field and (real rows) the reduced
+        # field, on the rows of the sweeps above
+        rng = np.random.default_rng(41 if complex_kind else 43)
+        models = self.models(analytic_measures, acceptance_models, mixed_model,
+                             kr2014_pair_model)
+        kind = complex if complex_kind else float
+        for name, model in models.items():
+            m, d = model.shape.m, model.shape.d
+            lam = np.resize([0.2, -0.0, -1.5], d)
+
+            def closure(index, model=model):
+                # built inside the call: a model whose CHI is not finite
+                # raises there, as its reference does
+                return lambda u: model._point_fns[complex_kind][index](u)
+
+            def full(u, model=model, lam=lam):
+                # the discounted field at (u, phi)
+                return model._point_fns[complex_kind][3](0.35, lam.tolist())(u + [0.7])
+
+            pairs = {
+                "R": (closure(0), lambda u: reference_R(model, u)),
+                "F": (closure(1), lambda u: reference_F(model, u)),
+                "full": (full,
+                         lambda u: np.array([*(reference_R(model, u) - lam),
+                                             reference_F(model, u) - 0.35], u.dtype)),
+            }
+            rows = self.complex_rows(model, rng) if complex_kind else self.rows(model, rng)
+            for row in rows:
+                for call, (fun, reference) in pairs.items():
+                    got = self.outcome(self.quiet(self.listed(fun, kind)), row)
+                    want = self.outcome(self.quiet(reference), row)
+                    assert self.bits(got) == self.bits(want), (name, call, row, got)
+                if m and not complex_kind and not (model.shape.n == 0 and self.quadrature(model)):
+                    u = np.zeros(d)
+                    u[:m] = row[:m]
+                    got = self.outcome(self.quiet(self.listed(closure(2), kind)), row[:m].copy())
+                    want = self.outcome(self.quiet(lambda u: reference_R(model, u)[:m]), u)
+                    assert self.bits(got) == self.bits(want), (name, "reduced", row, got)
 
     @pytest.mark.parametrize("compensated", [True, False])
     def test_complex_lk_integral_has_the_bits_of_the_reference(self, analytic_measures,

@@ -1,5 +1,6 @@
 """Riccati solvers against closed-form oracles and flow invariants."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -96,9 +97,10 @@ class TestStepper:
         # stages, for real and complex states of dimension 1 to 3: the row of
         # stage s is y + h * sum_j a_sj k_j, formed entry by entry with the
         # sum term by term from zero in the order of the tableau, weights of
-        # 0.0 included; the error norm sums the squares of h * e / scale,
-        # with e the error weights' sum and the magnitudes abs() on a float
-        # and math.hypot of the parts on a complex number
+        # 0.0 included, and passed to the field as a list of Python numbers
+        # of the state's kind; the error norm sums the squares of h * e /
+        # scale, with e the error weights' sum and the magnitudes abs() on a
+        # float and math.hypot of the parts on a complex number
         from affine_riccati.riccati import _A, _E, _stepper
 
         def magnitude(x):
@@ -126,11 +128,13 @@ class TestStepper:
                 step = _stepper(dim, z.dtype.kind)
                 new, k6, sq, abs_y, abs_f = step(field, y.tolist(), k[0].tolist(), h, atol, rtol)
                 assert len(rows) == 6
+                kind = complex if z.dtype.kind == "c" else float
                 for row, w in zip(rows, _A):
                     ref = sum(wj * kj for wj, kj in zip(w, k))
                     ref = np.array([yc + h * a for yc, a in zip(y.tolist(), ref.tolist())])
-                    assert row.dtype == z.dtype and row.tobytes() == ref.tobytes()
-                assert np.array(new).tobytes() == rows[-1].tobytes() and k6 == k[6].tolist()
+                    assert type(row) is list and {type(x) for x in row} == {kind}
+                    assert np.array(row).tobytes() == ref.tobytes()
+                assert new is rows[-1] and k6 == k[6].tolist()
                 errors = sum(wj * kj for wj, kj in zip(_E, k)).tolist()
                 want = 0.0
                 for yc, zc, ec in zip(y.tolist(), new, errors):
@@ -431,6 +435,13 @@ class TestRealInputs:
         with pytest.raises(ConfigError, match="g0 must be finite"):
             solve_reduced(feller_model, u0, SolveOptions(T=1.0))
 
+    @pytest.mark.parametrize("g0", [[0.5j], [0.5 + 0j], np.array([-0.2 + 1e-300j])])
+    def test_complex_reduced_start(self, feller_model, g0):
+        # refused before any field evaluation, which would otherwise run a
+        # complex solve of the real reduced field
+        with pytest.raises(ConfigError, match="g0 must be real"):
+            solve_reduced(feller_model, g0, SolveOptions(T=1.0))
+
     def test_reduced_solve_without_an_i_block(self):
         # m = 0: the reduced system is empty, and its error norm would
         # divide by the state size
@@ -627,7 +638,7 @@ class TestLanes:
     def test_complex_lane_beyond_float_range(self):
         # |y| overflows: its magnitude must read inf, as np.abs gives, and
         # not raise OverflowError as abs() of a complex number does
-        sol = _integrate(lambda z: -1e-3 * z, np.array([1.5e308 + 1.5e308j]),
+        sol = _integrate(lambda z: [-1e-3 * x for x in z], np.array([1.5e308 + 1.5e308j]),
                          SolveOptions(T=1.0, blowup_threshold=1e300))
         assert sol.status.kind == "completed"
         assert len(sol.ts) == 22 and sol.t_end == 1.0
@@ -701,10 +712,9 @@ class TestLanes:
 
 
 class TestFullSystemField:
-    """The field of the full system, as the solve loop calls it: R from one
-    eval_R call through riccati's globals, F from the model's bound F
-    closure, and the discounts subtracted, with the bits of the public
-    evaluators."""
+    """The field of the full system, as the solve loop calls it on the list
+    of a stage: the model's generated field with the discounts bound, with
+    the bits of the public evaluators."""
 
     @staticmethod
     def models(mixed_model):
@@ -735,7 +745,7 @@ class TestFullSystemField:
                                 z += 1j * rng.normal(size=d + 1)
                         psi = z[:d].copy()
                         with quiet_fp():
-                            got = field(z)
+                            got = field(z.tolist())
                         R = eval_R(model, psi, check_domain=False)
                         F = eval_F(model, psi, check_domain=False)
                         want = np.array([*(R - lam), F - l], dtype)
@@ -787,12 +797,102 @@ class TestFullSystemField:
         assert counts["eval_F"] == 0
 
 
+class TestTracerSeam:
+    """A solve takes its field once, at its start: the model's generated
+    field, or, where riccati.eval_R, riccati.reduced_R or
+    diagnostics.reduced_R is rebound (as perfbench/tracing.py rebinds them
+    to count evaluations), a field that calls the rebound name once per
+    stage on a numpy row.  Both give every bit of every solve."""
+
+    @staticmethod
+    def runs(mixed_model, kr2014_pair_model):
+        opts = SolveOptions(T=2.0)
+        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
+        return {
+            "real": lambda: solve_riccati(cir_jump(), [-0.5], opts),
+            "complex": lambda: solve_riccati(cir_jump(), [-0.5 + 1.0j], opts),
+            "discounted": lambda: solve_tilted(kr2014(), 0.1, [0.2], [0.5], opts),
+            "j-block": lambda: solve_riccati(mixed_model, [-0.3, 0.2, -0.1], opts),
+            "j-block complex": lambda: solve_riccati(mixed_model, [-0.3, 0.2j, -0.1 + 0.5j],
+                                                     opts),
+            "minimal": lambda: solve_minimal(pair, [-0.1, -0.2], SolveOptions(T=1.0), l=0.1,
+                                             lam=[0.2, 0.0]),
+            "reduced": lambda: solve_reduced(kr2014(), [-0.5], opts),
+            "probe ladder": lambda: check_conservative(pair),
+        }
+
+    @staticmethod
+    def bits(value):
+        """Every array's dtype and bytes and every other value's repr, of a
+        result and the dataclasses and tuples it holds."""
+        if isinstance(value, np.ndarray):
+            return str(value.dtype), value.tobytes()
+        if dataclasses.is_dataclass(value):
+            return tuple(TestTracerSeam.bits(getattr(value, f.name))
+                         for f in dataclasses.fields(value))
+        if isinstance(value, tuple):
+            return tuple(TestTracerSeam.bits(v) for v in value)
+        return repr(value)
+
+    @staticmethod
+    def counting(monkeypatch, wrap_model):
+        """Count, inside the solves, the stage calls of each solve's field
+        and (with wrap_model) the calls of the names a tracer wraps; record
+        each field a solve takes."""
+        from affine_riccati import diagnostics
+
+        depth, counts, fields = [0], {"stage": 0, "model": 0}, []
+
+        def counted(fn, key):
+            def wrapped(*args, **kwargs):
+                if depth[0]:
+                    counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def solves(integrate):
+            def wrapped(field, *args, **kwargs):
+                fields.append(field)
+                depth[0] += 1
+                try:
+                    return integrate(counted(field, "stage"), *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        monkeypatch.setattr(riccati, "_integrate", solves(riccati._integrate))
+        monkeypatch.setattr(diagnostics, "_integrate", solves(diagnostics._integrate))
+        if wrap_model:
+            for owner, name in ((riccati, "eval_R"), (riccati, "reduced_R"),
+                                (diagnostics, "reduced_R")):
+                monkeypatch.setattr(owner, name, counted(getattr(owner, name), "model"))
+        return counts, fields
+
+    def test_rebound_names_see_every_stage_and_keep_the_bits(self, monkeypatch, mixed_model,
+                                                             kr2014_pair_model):
+        runs = self.runs(mixed_model, kr2014_pair_model)
+        for name, run in runs.items():
+            with monkeypatch.context() as patch:
+                counts, fields = self.counting(patch, wrap_model=False)
+                want = self.bits(run())
+                stages = counts["stage"]
+                # the generated closures, which call no public evaluator
+                assert fields and all(f.__code__.co_filename.startswith("<") for f in fields), \
+                    name
+            with monkeypatch.context() as patch:
+                counts, fields = self.counting(patch, wrap_model=True)
+                got = self.bits(run())
+            assert got == want, name
+            assert counts["stage"] == stages > 6, name
+            assert counts["model"] == counts["stage"], name
+
+
 class TestEpsLadder:
     """The ladder returns and raises as a rung-by-rung ladder would."""
 
     @staticmethod
     def logistic(v):
-        return v * v - v  # explodes from v > 1 at log(v / (v - 1))
+        return [x * x - x for x in v]  # explodes from v > 1 at log(v / (v - 1))
 
     def test_stops_at_the_first_rung_that_misses_the_horizon(self):
         opts = SolveOptions(T=1.0)
@@ -845,7 +945,7 @@ class TestEpsLadder:
         def field(v):
             if v[0] < -0.25:
                 raise KeyError("below")
-            return -v * v
+            return [-x * x for x in v]
 
         opts = SolveOptions(T=1.0)
         with pytest.raises(KeyError):
