@@ -19,13 +19,14 @@ interpreters.  Every run is pinned to one CPU and records:
   the verdict pipeline's reduced fields at a real v,
   ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1) and that
   of the ``verdicts`` workload's tilted kr2014 pair (m = 2, ``_kr2014_pair``);
-* ``field_us``: microseconds per stage of a DP5(4) step as the tree's step
-  makes it: ``riccati._field_values`` of the full-system field
-  (``riccati._full_system`` with no discount) inside one ``quiet_fp``, on
-  the stage's list of Python numbers, or on the numpy row built from that
-  list where the tree's step builds one (its namespace binds ``array``),
-  with the value a list of Python numbers, for feller at a real and
-  cir-jump at a complex u;
+* ``field_us``: microseconds per call of ``riccati._field_values`` of the
+  full-system field (``riccati._full_system`` with no discount) inside one
+  ``quiet_fp``, for feller at a real and cir-jump at a complex u, on a
+  stage's list of Python numbers, or on the numpy row built from that list
+  where the tree's generated step builds one (its namespace binds
+  ``array``).  On a tree without ``riccati._stepper``, whose solve loop
+  calls and checks the field inline, the call runs on the list and prices
+  the field and the check, not the loop's stage (``step_us`` does);
 * ``step_us``: microseconds per accepted DP5(4) step, for a real and a
   complex solve of each built-in model;
 * ``solve_ms``: milliseconds per solve over the cases of the ``transforms``
@@ -135,12 +136,13 @@ def field_calls(ar):
     """{name: (run, calls per run)} of the ``field_us`` rows."""
     out = {}
     values = ar.riccati._field_values
+    stepper = getattr(ar.riccati, "_stepper", None)
     for name, kind, u in (("feller", "real", -0.5), ("cir-jump", "complex", -0.5 + 1.0j)):
         model = ar.builtin_model(name)
         z = np.array([u, 0.0])
         field = ar.riccati._full_system(model, 0.0, np.zeros(1), z.dtype)
         row = z.tolist()
-        if "array" in ar.riccati._stepper(len(row), z.dtype.kind).__globals__:
+        if stepper is not None and "array" in stepper(len(row), z.dtype.kind).__globals__:
             def stage(field=field, row=row):
                 return values(field, np.array(row))
         else:

@@ -355,12 +355,13 @@ def _osgood_scan_side(field: ReducedField, sign: int):
     Returns (status, delta_used): status in {"escape", "inward", "undefined",
     "mixed"}.  Escape means the field points away from 0 on the whole side.
     """
+    fn = field._solve_fn
     for dl in (_OSGOOD_DELTA, _OSGOOD_DELTA / 4.0, _OSGOOD_DELTA / 16.0):
         ws = np.geomspace(1e-7, math.sqrt(dl), 40)
         vals = []
         with quiet_fp():
-            for w in ws:
-                f = _field_values(field, np.array([sign * w * w]))
+            for w in ws.tolist():
+                f = _field_values(fn, [sign * w * w])
                 if f is None:
                     vals = None
                     break
@@ -381,10 +382,13 @@ def _time_density(field: ReducedField, sign: int) -> Callable:
     """w -> 2w / |f(sign w^2)|, the Osgood time density in w = sqrt|v|.
 
     The substitution v = sign * w^2 removes square-root-type endpoint
-    singularities; a zero or undefined field value gives +inf.
+    singularities; a zero or undefined field value gives +inf.  The caller
+    holds ``quiet_fp``.
     """
+    fn = field._solve_fn
+
     def density(w):
-        f = _field_values(field, np.array([sign * w * w]))
+        f = _field_values(fn, [sign * w * w])
         if f is None or f[0] == 0.0:
             return math.inf
         return 2.0 * w / abs(f[0])
@@ -561,7 +565,7 @@ def check_reduced_uniqueness(field: ReducedField, F0: float = 0.0) -> Conservati
     if abs(F0) > 1e-12:
         return _constant_killing(F0)
     with quiet_fp():
-        R0 = _field_values(field, np.zeros(m))
+        R0 = _field_values(field._solve_fn, [0.0] * m)
     if R0 is None:
         return _inconclusive("reduced field undefined at the origin")
     if float(np.max(np.abs(R0))) > 1e-12:

@@ -79,6 +79,13 @@ __all__ = [
 ]
 
 _INF = math.inf
+# the complex closures pass a family's form czero + x, np.complex128 of the
+# Python complex x with its bits: -0.0 + a is a for every part a
+_CZERO = np.complex128(complex(-0.0, -0.0))
+# np.complex128 takes __complex__ from Python's complex, which has it from
+# Python 3.11 on; where it has none, the complex closures convert their
+# numpy scalars with complex(), which gives the same bits
+_HAS_COMPLEX = hasattr(np.complex128, "__complex__")
 
 # Quadrature of the wrapper measure (ExpTiltedMeasure).  Improper
 # integrals are split at xi = 1 to mirror the definition of Y; integrals
@@ -1158,11 +1165,18 @@ def _point_code(m, n, axes, axis0, complex_kind):
     holds the numbers beta_i0; otherwise they are the arrays, and the
     products of their rows with u are BLAS calls on one array of the row,
     built in the closure, as is the J-block.  A real measure's form takes
-    the Python float of its axis, a complex one np.complex128 of it.  A
-    term that is a numpy scalar (a form's value or a BLAS product) is
-    converted to a Python number before it enters a sum: every sum and
-    difference then runs on Python numbers, with the bits numpy's scalars
-    would give, as both add part by part.
+    the Python float of its axis, a complex one np.complex128 of it, made
+    as ``czero + x`` (``_CZERO``), which has the bits of np.complex128(x)
+    in about a quarter of its time.  A term that is a numpy scalar (a
+    form's value or a BLAS product) is converted to a Python number before
+    it enters a sum: every sum and difference then runs on Python numbers,
+    with the bits numpy's scalars would give, as both add part by part.
+    The complex kind converts with ``__complex__()``, a quarter of the time
+    of ``complex()`` on an np.complex128, and falls back to ``complex()``
+    for a form whose value has none (a custom form may return a Python
+    float or an np.float64).  Where np.complex128 has no ``__complex__``
+    (before Python 3.11, ``_HAS_COMPLEX``), it converts with ``complex()``
+    alone.
     """
     d = m + n
     zero, number = ("0j", "complex") if complex_kind else ("0.0", "float")
@@ -1173,15 +1187,29 @@ def _point_code(m, n, axes, axis0, complex_kind):
 
     xs = names("x", range(d))
 
+    def blas(call):
+        """A BLAS product (a numpy scalar) as a Python number of the kind."""
+        if not complex_kind:
+            return f"float({call})"
+        return f"({call}).__complex__()" if _HAS_COMPLEX else f"complex({call})"
+
     def product(coef):
         """The term coef @ u of a 1-d coefficient and the row u."""
-        return f"({zero} + x0 * {coef})" if d == 1 else f"{number}({coef} @ u)"
+        return f"({zero} + x0 * {coef})" if d == 1 else blas(f"{coef} @ u")
 
     def jump_term(name, axis):
+        """The lines that form the jump term p_name of the form name at the
+        entry of the axis, and the term's text in a sum."""
         if axis is None:
-            return ""
-        entry = f"complex128(x{axis})" if complex_kind else f"x{axis}"
-        return f" + {number}({name}({entry}))"
+            return [], ""
+        if not complex_kind:
+            return [], f" + float({name}(x{axis}))"
+        if not _HAS_COMPLEX:
+            return [f"p_{name} = complex({name}(czero + x{axis}))"], f" + p_{name}"
+        # a custom form may return a number without __complex__
+        return [f"p_{name} = {name}(czero + x{axis})", "try:",
+                f"    p_{name} = p_{name}.__complex__()", "except AttributeError:",
+                f"    p_{name} = complex(p_{name})"], f" + p_{name}"
 
     def i_rows():
         """The lines that form the I-rows r0, r1, ... of R at x0, x1, ...
@@ -1189,14 +1217,16 @@ def _point_code(m, n, axes, axis0, complex_kind):
         if not m:
             return []
         if complex_kind:
-            squares = [f"q{i} = x{i} * x{i}" for i in range(m)]
+            lines = [f"q{i} = x{i} * x{i}" for i in range(m)]
         else:
             overflowed = "".join(f"square(x{i}), " for i in range(m))
-            squares = ["try:", *(f"    q{i} = x{i} ** 2" for i in range(m)),
-                       "except OverflowError:", f"    {names('q', range(m))}= {overflowed}"]
-        return squares + [f"r{i} = alpha{i} * q{i} + {product(f'beta{i}')}"
-                          f" - gamma{i}{jump_term(f'jump{i}', axis)}"
-                          for i, axis in enumerate(axes)]
+            lines = ["try:", *(f"    q{i} = x{i} ** 2" for i in range(m)),
+                     "except OverflowError:", f"    {names('q', range(m))}= {overflowed}"]
+        for i, axis in enumerate(axes):
+            jump_lines, term = jump_term(f"jump{i}", axis)
+            lines += [*jump_lines,
+                      f"r{i} = alpha{i} * q{i} + {product(f'beta{i}')} - gamma{i}{term}"]
+        return lines
 
     def row(needed):
         """The line that builds the array u of the row, which the BLAS calls
@@ -1205,8 +1235,9 @@ def _point_code(m, n, axes, axis0, complex_kind):
 
     j_rows = [f"{names('j', range(n))}= (beta_JJ_T @ u[{m}:]).tolist()"] if n else []
     r_entries = [f"r{i}" for i in range(m)] + [f"j{k}" for k in range(n)]
-    quad = f"({zero} + ({zero} + x0 * a) * x0)" if d == 1 else f"{number}(u @ (a @ u))"
-    f_value = f"{quad} + {product('b')} - c{jump_term('jump', axis0)}"
+    quad = f"({zero} + ({zero} + x0 * a) * x0)" if d == 1 else blas("u @ (a @ u)")
+    f_jump, term = jump_term("jump", axis0)
+    f_value = f"{quad} + {product('b')} - c{term}"
 
     def function(signature, lines, indent="    "):
         return [f"{indent}def {signature}:", *(f"{indent}    {line}".rstrip() for line in lines)]
@@ -1218,7 +1249,7 @@ def _point_code(m, n, axes, axis0, complex_kind):
                                      ("gamma", "gamma"), ("jump", "jumps"))]
     code += function("R(u)", [f"{xs}= u", *row(d > 1 or n), *i_rows(), *j_rows,
                               f"return [{', '.join(r_entries)}]"])
-    code += function("F(u)", [f"{xs}= u", *row(d > 1), f"return {f_value}"])
+    code += function("F(u)", [f"{xs}= u", *row(d > 1), *f_jump, f"return {f_value}"])
     if complex_kind:
         code.append("    reduced = None")
     elif not m:
@@ -1230,12 +1261,12 @@ def _point_code(m, n, axes, axis0, complex_kind):
                                         *i_rows(), f"return [{', '.join(r_entries[:m])}]"])
     code += function("full(l, lam)", [f"{names('lam', range(d))}= lam"])
     discounted = "".join(f"{r} - lam{k}, " for k, r in enumerate(r_entries))
-    code += function("field(z)", [f"{xs}_ = z", *row(d > 1 or n), *i_rows(), *j_rows,
+    code += function("field(z)", [f"{xs}_ = z", *row(d > 1 or n), *i_rows(), *j_rows, *f_jump,
                                   f"return [{discounted}{f_value} - l]"], indent="        ")
     code += ["        return field",
              "    return R, F, reduced, full"]
     namespace = _compile(code, f"{number} point closures {(m, n, axes, axis0)}",
-                         {"array": np.array, "complex128": np.complex128, "square": _square})
+                         {"array": np.array, "czero": _CZERO, "square": _square})
     return namespace["make"]
 
 

@@ -26,18 +26,20 @@ Termination statuses:
                  that of the first point of that run of points (the start
                  included), where the equilibrium began.
 
-Cost of a step: one DP5(4) loop, ``_integrate``, runs every solve.  It
-keeps the solve's t, step size, error control, equilibrium run and status
-as Python floats in locals, and the accepted states and derivatives as
-lists of Python numbers; each step is one call of a step function
-generated per state size and dtype kind (``_stepper``), whose stages each
-pass their state to the field as a list of Python numbers and read its
-value back as one (``_field_values``).  A stage where the field raises
-one of ``_FIELD_ERRORS`` or goes non-finite rejects the step; an exception
-of another kind propagates at once.  An epsilon ladder (``_eps_ladder``)
-solves its three rungs one after another and stops after the first rung
-that misses the horizon.  No path batches the stages of many solves into
-one call: 100 or 1,000 starts cost about what as many lone solves cost.
+Cost of a step: one DP5(4) loop runs every solve, generated once per state
+size, dtype kind and rate size (``_solver``) and called by ``_integrate``,
+which sets it up and finishes the status.  The loop keeps t, the step
+size, the state and derivative entries and the equilibrium run as Python
+numbers in locals, and appends the accepted states and derivatives as
+lists of Python numbers.  Its six stages are unrolled: each makes one call
+of the field on the list of its state and reads the value back as such
+numbers, with no step call and no helper per stage.  A stage where the
+field raises one of ``_FIELD_ERRORS`` or goes non-finite rejects the step;
+an exception of another kind propagates at once.  An epsilon ladder
+(``_eps_ladder``) solves its three rungs one after another and stops after
+the first rung that misses the horizon.  No path batches the stages of
+many solves into one call: 100 or 1,000 starts cost about what as many
+lone solves cost.
 
 On the small systems the library meets, a step is bound by per-call cost,
 not by arithmetic: about 1 us for a numpy ufunc or a matmul on a tiny
@@ -74,11 +76,11 @@ They are generated once per model structure and kind
 (``model._point_code``), so a tilted model compiles nothing.
 ``model._point_closures`` states the measurements behind these choices.
 
-The stepper's own arithmetic does, in one form for real and complex solves:
+The loop's own arithmetic does, in one form for real and complex solves:
 the six stages and the error norm are unrolled, with the tableau's weights
 as literals, on the Python numbers of the state and stage derivatives.  A
-field may also return a numpy array, which is read once with the
-``tolist()`` that also serves its finiteness test.  A real solve has the
+field may also return a numpy array, which is read once with ``tolist()``
+before its entries are unpacked and tested.  A real solve has the
 bits of float arithmetic throughout; a complex solve's products, quotients
 and magnitudes round as Python's complex arithmetic and ``math.hypot`` do,
 which differ from numpy's at the rounding level, and the closed-form tests
@@ -92,9 +94,9 @@ their checked row, so a solve's field has their bits.
 this module and ``reduced_R`` in this module and in ``diagnostics``.  A
 solve that finds such a name rebound when it takes its field calls the
 rebound name once per stage on the numpy row instead (with F from the
-generated F closure), through the same stepper and with the same bits;
-so a traced run counts every stage, and times this path rather than the
-generated field.
+generated F closure), through the same generated loop and with the same
+bits; so a traced run counts every stage, and times this path rather than
+the generated field.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ __all__ = [
 ]
 
 _EQUILIBRIUM_RUN = 10  # consecutive accepted steps with ||R(psi)|| < atol
+_COLLAPSE = "collapse"  # the end of a solve loop whose step size fell below the floor
 
 # start shifts of the minimal-branch ladder; three rungs, as its limit is a
 # three-point Richardson extrapolation
@@ -312,8 +315,10 @@ _FIELD_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError,
 def _field_values(field, y):
     """The field's value at the point y (a list of Python numbers) as a list
     of Python numbers, or None when the field raises one of
-    ``_FIELD_ERRORS`` or is non-finite there (a rejected stage).  Other
-    exceptions propagate.
+    ``_FIELD_ERRORS`` or is non-finite there.  Other exceptions propagate.
+    For the one-off calls: a solve's first evaluation, at its start, and
+    the diagnostics' samples of a reduced field; the stages of the solve
+    loop (``_solver``) make the same test inline.
 
     The one protocol of a field: it takes that list and returns such a list
     itself, or a numpy array of the point's length, which is read with
@@ -334,29 +339,29 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
                rate_dim: Optional[int] = None) -> RiccatiSolution:
     """Adaptive DP5(4) solve of d y = field(y) from y0, the loop of every solver.
 
-    The solve's t, step size, error control, equilibrium run and status are
-    locals in Python floats, and the accepted states and derivatives are
-    lists of Python numbers of the solve's kind (complex when y0 or the
-    field's value there is), kept in ``ys``/``fs`` and turned into the
-    ``psi``/``dpsi`` arrays once, at the end.  The field takes and returns
-    lists of Python numbers (``_field_values``): the first call is on
-    ``y0.tolist()``, and each step is one call of the generated step
-    (``_stepper``), which calls the field on the list of each stage.
-    ``rate_dim``: number of leading components whose rate decides
-    equilibrium (and blow-up magnitude); defaults to all components.
-    The whole state is returned as ``psi`` (with ``u0 = y0``), no phi.
-    Raises DomainError when the field is undefined at y0; an exception of
-    the field outside ``_FIELD_ERRORS`` propagates at once.  One
-    ``quiet_fp`` covers the run.
+    The field takes and returns lists of Python numbers (``_field_values``
+    states the protocol).  This function calls it once on ``y0.tolist()``
+    to fix the solve's kind (complex when y0 or the field's value there
+    is), then runs the loop generated for the state size, the kind and the
+    rate size (``_solver``), which keeps t, the step size, the state and
+    the derivative as Python numbers in locals and appends the accepted
+    times, states and derivatives to ``ts``/``ys``/``fs``; they are turned
+    into the ``psi``/``dpsi`` arrays once, at the end.  When the loop
+    returns, this function finishes its status: it classifies a step
+    collapse, continues an equilibrium to T and extrapolates the time of a
+    blow-up.  ``rate_dim``: number of leading components whose rate
+    decides equilibrium (and blow-up magnitude); defaults to all
+    components.  The whole state is returned as ``psi`` (with ``u0 =
+    y0``), no phi.  Raises DomainError when the field is undefined at y0;
+    an exception of the field outside ``_FIELD_ERRORS`` propagates at once.
+    One ``quiet_fp`` covers the run.
     """
     y = np.asarray(y0)
     dim = y.shape[0]
     nr = rate_dim if rate_dim is not None else dim
     T = opts.T
-    t_stop = T - 1e-14 * T
-    atol, rtol = opts.atol, opts.rtol
+    atol = opts.atol
     hmax, hmin = opts.effective_max_step, _step_floor(T)
-    safety, order_exp = 0.9, 0.2
 
     f = _field_values(field, y.tolist())
     if f is None:
@@ -364,147 +369,175 @@ def _integrate(field: Callable, y0: np.ndarray, opts: SolveOptions,
     f = np.array(f)
     dtype = np.result_type(y, f, float)
     y, f = y.astype(dtype).tolist(), f.astype(dtype).tolist()
-    step = _stepper(dim, dtype.kind)
-    # a first step below the step floor would read as a collapse at t = 0
-    t, h = 0.0, min(hmax, max(T / 100.0, hmin))
-    # eq_run counts the accepted steps of the current run of points whose
-    # rate is below atol, and eq_t is the time of its first point (None
-    # while the last point is not in such a run)
-    eq_run, eq_t = 0, (0.0 if np.abs(f[:nr]).max(initial=0.0) < atol else None)
+    # a first step below the step floor would read as a collapse at t = 0;
+    # eq_t is the time of the first point of the current run of points whose
+    # rate is below atol (None while the last point is not in such a run)
+    h = min(hmax, max(T / 100.0, hmin))
+    eq_t = 0.0 if np.abs(f[:nr]).max(initial=0.0) < atol else None
     ts, ys, fs = [0.0], [y], [f]
+    end, t, y, f, eq_t = _solver(dim, dtype.kind, nr)(
+        field, y, f, h, eq_t, ts, ys, fs, T, T - 1e-14 * T, hmax, hmin, atol, opts.rtol,
+        opts.blowup_threshold)
 
-    while True:
-        if t >= t_stop:
-            status = SolveStatus(SolveStatus.COMPLETED)
-            break
-        if h < hmin:
-            status = _classify_collapse(t, y, f, opts, nr, ts, ys)
-            break
-        # a last step shortened to the horizon may be below the floor
-        h = min(h, T - t, hmax)
-        out = step(field, y, f, h, atol, rtol)
-        if out is None:
-            h *= 0.3
-            continue
-        y_new, f_new, sq, abs_y, abs_f = out
-        en = math.sqrt(sq / dim)
-        if not math.isfinite(en):
-            h *= 0.3
-            continue
-        if en > 1.0:
-            h *= min(1.0, max(0.2, safety * en ** (-order_exp)))
-            continue
-
-        # accepted
-        t += h
-        y, f = y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        fs.append(f)
-
-        if max(abs_f[:nr], default=0.0) < atol:
-            eq_run += 1
-            if eq_t is None:
-                eq_t = t
-        else:
-            eq_run, eq_t = 0, None
-        if eq_run >= _EQUILIBRIUM_RUN and t < T:
-            # the equilibrium began at the first point of the run
-            status = SolveStatus(SolveStatus.EQUILIBRIUM, t_event=eq_t)
-            # analytic continuation: psi constant, phi linear at frozen rate
-            f_cont = np.array(f)
-            f_cont[:nr] = 0.0
-            ts.append(T)
-            ys.append(np.array(y) + (T - t) * f_cont)
-            fs.append(f_cont)
-            break
-
-        if max(abs_y[:nr], default=0.0) > opts.blowup_threshold:
-            radial = float(np.real(np.vdot(y[:nr], f[:nr])))
-            if radial > 0.0:
-                status = SolveStatus(SolveStatus.BLOWUP, t_event=_extrapolate_blowup(ts, ys, nr))
-                break
-
-        if en == 0.0:
-            h = hmax
-        else:
-            h *= min(5.0, max(0.2, safety * en ** (-order_exp)))
-
+    if end == _COLLAPSE:
+        status = _classify_collapse(t, y, f, opts, nr, ts, ys)
+    elif end == SolveStatus.EQUILIBRIUM:
+        # the equilibrium began at the first point of the run
+        status = SolveStatus(end, t_event=eq_t)
+        # analytic continuation: psi constant, phi linear at frozen rate
+        f_cont = np.array(f)
+        f_cont[:nr] = 0.0
+        ts.append(T)
+        ys.append(np.array(y) + (T - t) * f_cont)
+        fs.append(f_cont)
+    elif end == SolveStatus.BLOWUP:
+        status = SolveStatus(end, t_event=_extrapolate_blowup(ts, ys, nr))
+    else:
+        status = SolveStatus(end)
     return RiccatiSolution(ts=np.array(ts), psi=np.array(ys), phi=None, dpsi=np.array(fs),
                            dphi=None, status=status, u0=y0, T=T)
 
 
 @cache
-def _stepper(dim, kind):
-    """One DP5(4) step on states of dim entries of the dtype kind ("f" or
-    "c"), generated once per (dim, kind) and kept, under a file name of its
-    own (``model._compile``).
+def _solver(dim, kind, nr):
+    """The adaptive DP5(4) loop on states of dim entries of the dtype kind
+    ("f" or "c") whose first nr entries are the rates, generated once per
+    (dim, kind, nr) and kept, under a file name of its own
+    (``model._compile``).
 
-    ``step(field, y, k0, h, atol, rtol)`` takes the state y and its
-    derivative k0 as lists of Python numbers and returns the new state and
-    its derivative as such lists, the sum of squares of the error scaled by
-    atol + rtol * max(|y|, |y_new|), and the magnitudes of the new state's
-    and derivative's entries as lists; or None when a stage is rejected
-    (``_field_values``).  Other exceptions of the field propagate.  Each
-    stage passes its state to the field as a list of Python numbers and
-    reads the field's value back as such numbers; the stage state of stage
-    6 is the new state (FSAL).
+    ``solve(field, y, f, h, eq_t, ts, ys, fs, T, t_stop, hmax, hmin, atol,
+    rtol, blowup)`` runs from t = 0, the state y and its derivative f
+    (lists of Python numbers) and the first step size h, appending each
+    accepted time, state and derivative to ts, ys and fs.  It returns
+    ``(end, t, y, f, eq_t)``: ``end`` is "completed" once t reaches
+    t_stop, "collapse" once the step size is below hmin, "equilibrium"
+    after ``_EQUILIBRIUM_RUN`` accepted steps in a row whose rates are all
+    below atol (with eq_t the time of the first point of that run), and
+    "blowup" after an accepted step whose rate entries' magnitudes pass
+    ``blowup`` while the state grows radially; y and f are then the last
+    accepted state and derivative and t their time.
 
-    The six stages and the error norm are unrolled, with the tableau's
-    weights as literals.  A stage state entry is ``y + h * (zero + sum_j
-    a_j * k_j)``, the sum adding term by term in the order of the tableau,
-    and the squares of the error norm add from left to right as ``q.real *
-    q.real + q.imag * q.imag`` per entry, which is ``q * q`` on a float.
-    Real and complex solves differ only in the zero, ``0.0`` or ``0j``, and
-    in the magnitude, ``abs`` or ``math.hypot`` of the parts (which returns
-    inf where the magnitude overflows, as np.abs does; abs() raises
-    OverflowError there).  From ``0j`` on Python complex numbers each part
-    of a sum has the bits of the float sum of that part: a float times a
-    complex number (as complex numbers before Python 3.14, part by part
-    since) differs from the per-part products at most in the sign of a zero
-    part, and the running sum, whose parts start from 0.0 and so are never
-    -0.0, cannot see that sign.  For the same reason a term of weight 0.0 is
-    left out: on the finite derivatives of accepted stages it adds a zero
-    that changes no bit.
+    t, h, the state entries y0, y1, ... and the derivative entries k0_0,
+    k0_1, ... are locals.  The six stages are unrolled.  Each makes one
+    call of the field on the list of its state, inside a ``try`` whose
+    ``except _FIELD_ERRORS`` rejects the step; a numpy value is read with
+    ``tolist()``; the entries are unpacked (a value of another length
+    raises ValueError) and each is tested with ``cmath.isfinite``, a
+    non-finite one rejecting the step.  A rejected step retries with
+    ``h *= 0.3``.  Other exceptions of the field propagate.  The stage
+    state of stage 6 is the new state (FSAL), the list the field got.  With
+    the error norm en, a non-finite en rejects the step as a stage does; an
+    en above 1 rejects it with h scaled by ``min(1, max(0.2, 0.9 *
+    en ** -0.2))``, and an accepted step scales h by ``min(5, max(0.2,
+    ...))`` of the same factor, or sets it to hmax where en is 0.
+
+    A stage state entry is ``y + h * (zero + sum_j a_j * k_j)``, the sum
+    adding term by term in the order of the tableau, with the tableau's
+    weights as literals, and the squares of the error norm add from left
+    to right as ``q.real * q.real + q.imag * q.imag`` per entry, which is
+    ``q * q`` on a float, where q is h * e / (atol + rtol * max(|y|,
+    |y_new|)).  Real and complex solves differ only in the zero, ``0.0`` or
+    ``0j``, and in the magnitude, ``abs`` or ``math.hypot`` of the parts
+    (which returns inf where the magnitude overflows, as np.abs does;
+    abs() raises OverflowError there).  From ``0j`` on Python complex
+    numbers each part of a sum has the bits of the float sum of that part:
+    a float times a complex number (as complex numbers before Python 3.14,
+    part by part since) differs from the per-part products at most in the
+    sign of a zero part, and the running sum, whose parts start from 0.0
+    and so are never -0.0, cannot see that sign.  For the same reason a
+    term of weight 0.0 is left out: on the finite derivatives of accepted
+    stages it adds a zero that changes no bit.
     """
     zero = "0j" if kind == "c" else "0.0"
 
     def magnitude(x):
         return f"hypot({x}.real, {x}.imag)" if kind == "c" else f"abs({x})"
 
-    def entries(pattern):
-        return ", ".join(pattern.format(c=c) for c in range(dim))
+    def entries(pattern, count=dim):
+        return ", ".join(pattern.format(c=c) for c in range(count))
 
     def weighted(weights):
         """The pattern of an entry's sum ``zero + w_0 * k0_c + ...``."""
         return zero + "".join(f" + {w!r} * k{j}_{{c}}" for j, w in enumerate(weights) if w)
 
-    code = ["def step(field, y, k0, h, atol, rtol):",
-            f"    {entries('y{c}')}, = y",
-            f"    {entries('k0_{c}')}, = k0"]
+    def largest(pattern):
+        """max() of the rate entries of the pattern, 0.0 when there are none."""
+        if nr <= 1:
+            return pattern.format(c=0) if nr else "0.0"
+        return f"max({entries(pattern, nr)})"
+
+    reject = ["h *= 0.3", "continue"]
+    body = ["if t >= t_stop:",
+            f"    return {SolveStatus.COMPLETED!r}, t, y, f, eq_t",
+            "if h < hmin:",
+            f"    return {_COLLAPSE!r}, t, y, f, eq_t",
+            # a last step shortened to the horizon may be below the floor
+            "h = min(h, T - t, hmax)"]
     for s, row in enumerate(_A, 1):
         state = f"[{entries('y{c} + h * (' + weighted(row) + ')')}]"
         if s == len(_A):
-            code.append(f"    z = {state}")
+            body.append(f"z = {state}")
             state = "z"
-        code += [f"    k{s} = values(field, {state})",
-                 f"    if k{s} is None:",
-                 "        return None",
-                 f"    {entries(f'k{s}_{{c}}')}, = k{s}"]
-    code.append(f"    {entries('z{c}')}, = z")
+        finite = " and ".join(f"isfinite(k{s}_{c})" for c in range(dim))
+        body += ["try:",
+                 f"    k{s} = field({state})",
+                 "except field_errors:",
+                 *(f"    {line}" for line in reject),
+                 f"if type(k{s}) is not list:",
+                 f"    k{s} = k{s}.tolist()",
+                 f"{entries(f'k{s}_{{c}}')}, = k{s}",
+                 f"if not ({finite}):",
+                 *(f"    {line}" for line in reject)]
+    body.append(f"{entries('z{c}')}, = z")
     squares = []
     for c in range(dim):
-        code += [f"    a{c}, b{c} = {magnitude(f'y{c}')}, {magnitude(f'z{c}')}",
+        body += [f"a{c}, b{c} = {magnitude(f'y{c}')}, {magnitude(f'z{c}')}",
                  # h * e / scale, with the nan of np.maximum in the scale
-                 f"    q{c} = h * ({weighted(_E).format(c=c)})"
+                 f"q{c} = h * ({weighted(_E).format(c=c)})"
                  f" / (atol + rtol * (a{c} if a{c} >= b{c} or a{c} != a{c} else b{c}))"]
         squares.append(f"(q{c}.real * q{c}.real + q{c}.imag * q{c}.imag)" if kind == "c"
                        else f"q{c} * q{c}")
-    code.append(f"    return z, k{len(_A)}, {' + '.join(squares)}, [{entries('b{c}')}], "
-                f"[{entries(magnitude(f'k{len(_A)}_{{c}}'))}]")
-    namespace = _compile(code, f"DP5(4) step {(dim, kind)}",
-                         {"__name__": __name__, "values": _field_values, "hypot": math.hypot})
-    return namespace["step"]
+    last = len(_A)
+    body += [f"en = math.sqrt(({' + '.join(squares)}) / {dim})",
+             "if not math.isfinite(en):",
+             *(f"    {line}" for line in reject),
+             "if en > 1.0:",
+             "    h *= min(1.0, max(0.2, 0.9 * en ** -0.2))",
+             "    continue",
+             # accepted
+             "t += h",
+             f"y, f = z, k{last}",
+             f"{entries('y{c}')}, = {entries('z{c}')},",
+             f"{entries('k0_{c}')}, = {entries(f'k{last}_{{c}}')},",
+             "ts.append(t)",
+             "ys.append(y)",
+             "fs.append(f)",
+             f"if {largest(magnitude(f'k{last}_{{c}}'))} < atol:",
+             "    eq_run += 1",
+             "    if eq_t is None:",
+             "        eq_t = t",
+             "else:",
+             "    eq_run, eq_t = 0, None",
+             f"if eq_run >= {_EQUILIBRIUM_RUN} and t < T:",
+             f"    return {SolveStatus.EQUILIBRIUM!r}, t, y, f, eq_t",
+             f"if {largest('b{c}')} > blowup and float(real(vdot(y[:{nr}], f[:{nr}]))) > 0.0:",
+             f"    return {SolveStatus.BLOWUP!r}, t, y, f, eq_t",
+             "if en == 0.0:",
+             "    h = hmax",
+             "else:",
+             "    h *= min(5.0, max(0.2, 0.9 * en ** -0.2))"]
+    code = ["def solve(field, y, f, h, eq_t, ts, ys, fs, T, t_stop, hmax, hmin, atol, rtol,",
+            "          blowup):",
+            f"    {entries('y{c}')}, = y",
+            f"    {entries('k0_{c}')}, = f",
+            "    t, eq_run = 0.0, 0",
+            "    while True:",
+            *(f"        {line}" for line in body)]
+    namespace = _compile(code, f"DP5(4) solve {(dim, kind, nr)}",
+                         {"__name__": __name__, "field_errors": _FIELD_ERRORS,
+                          "isfinite": cmath.isfinite, "math": math, "hypot": math.hypot,
+                          "real": np.real, "vdot": np.vdot})
+    return namespace["solve"]
 
 
 def _classify_collapse(t, y, f, opts, nr, ts, ys):

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import itertools
+import linecache
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from affine_riccati import (
     reduced_R,
     validate_model,
 )
+from affine_riccati import model as model_module
 from affine_riccati.model import _exp_weighted, _quad_interval, _quad_split, _rate_exp
 
 QUAD_AGREEMENT_RTOL = 1e-8
@@ -255,6 +257,30 @@ class BareExpJumps(LevyMeasure):
 
     def tail_proposal(self, eps, u):
         return eps - np.log1p(-u[:, 0]) / self.jump_rate
+
+
+@dataclasses.dataclass(frozen=True)
+class CmathPointJumps(LevyMeasure):
+    """Jumps of one size written with cmath: its integral is a Python
+    number, a Python float wherever its value is real (on a complex point
+    too), as a custom family may return."""
+
+    rate: float = 0.4
+    size: float = 0.6
+    axis: int = 0
+
+    exp_bound = math.inf
+    bound_closed = True
+
+    def _mgf_integral(self, s):
+        value = self.rate * (cmath.exp(self.size * s) - 1.0)
+        return value.real if value.imag == 0.0 else value
+
+    def tail_mass(self, eps):
+        return self.rate if eps <= self.size else 0.0
+
+    def mean_below(self, eps):
+        return self.rate * self.size if self.size < eps else 0.0
 
 
 class TestCustomMeasure:
@@ -842,6 +868,9 @@ class TestRealPointSweep:
         # validate_model flags a zero rho, but such a model can be built; a
         # Python float's quotient by zero would raise where numpy's is inf
         out["gamma rho=0"] = GammaLevy(c=0.5, rho=0.0, axis=0)
+        # a custom family whose value is a Python float at a complex point
+        # with a real value, which has no __complex__
+        out["cmath point"] = CmathPointJumps()
         return out
 
     @staticmethod
@@ -1068,6 +1097,24 @@ class TestRealPointSweep:
                     got = self.outcome(self.quiet(self.listed(closure(2), kind)), row[:m].copy())
                     want = self.outcome(self.quiet(lambda u: reference_R(model, u)[:m]), u)
                     assert self.bits(got) == self.bits(want), (name, "reduced", row, got)
+
+    def test_complex_closures_converting_with_complex_have_the_bits(
+            self, monkeypatch, analytic_measures, acceptance_models, mixed_model,
+            kr2014_pair_model):
+        # where np.complex128 has no __complex__ (Python 3.10), the complex
+        # closures convert with complex(); generated here on fresh models,
+        # with the closures of the native conversion dropped before and after
+        fresh = {name: dataclasses.replace(model) for name, model in acceptance_models.items()}
+        monkeypatch.setattr(model_module, "_HAS_COMPLEX", False)
+        model_module._point_code.cache_clear()
+        try:
+            mixed = dataclasses.replace(mixed_model)
+            source = "".join(linecache.getlines(mixed._point_fns[1][1].__code__.co_filename))
+            assert "__complex__" not in source and "complex(u @ (a @ u))" in source
+            self.test_list_closures_have_the_bits_of_the_reference(
+                analytic_measures, fresh, mixed, dataclasses.replace(kr2014_pair_model), True)
+        finally:
+            model_module._point_code.cache_clear()
 
     @pytest.mark.parametrize("compensated", [True, False])
     def test_complex_lk_integral_has_the_bits_of_the_reference(self, analytic_measures,

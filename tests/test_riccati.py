@@ -1,9 +1,11 @@
 """Riccati solvers against closed-form oracles and flow invariants."""
 
+import cmath
 import dataclasses
 import hashlib
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -91,17 +93,44 @@ class TestOracleValidity:
             assert v == pytest.approx(kr_psi(2.0, u0), abs=1e-10)
 
 
+class _Stop(Exception):
+    """Raised by a test field to end a run of the generated loop."""
+
+
+def _run_loop(field, y, f, h, atol, rtol, nr=None, T=10.0):
+    """Run the generated DP5(4) loop of y's size and kind from t = 0, y and
+    its derivative f (lists) and the step size h until the field raises
+    _Stop; returns the accepted times, states and derivatives."""
+    from affine_riccati.riccati import _solver
+
+    kind = "c" if isinstance(y[0], complex) else "f"
+    ts, ys, fs = [0.0], [y], [f]
+    solve = _solver(len(y), kind, len(y) if nr is None else nr)
+    with pytest.raises(_Stop), quiet_fp():
+        solve(field, y, f, h, None, ts, ys, fs, T, T - 1e-14 * T, T, 1e-13 * T, atol, rtol,
+              math.inf)
+    return ts, ys, fs
+
+
+def _retry_row(y, f, h):
+    """The row of stage 1 after a rejected step of size h: y + 0.3 h (zero +
+    0.2 f), entry by entry."""
+    zero = 0j if isinstance(y[0], complex) else 0.0
+    return [yc + (h * 0.3) * (zero + 0.2 * fc) for yc, fc in zip(y, f)]
+
+
 class TestStepper:
-    def test_stage_combination_is_the_term_by_term_sum(self):
-        # the generated step must give the bits of Python sums over the
+    def test_stage_combination_is_the_term_by_term_sum(self, monkeypatch):
+        # the generated loop must give the bits of Python sums over the
         # stages, for real and complex states of dimension 1 to 3: the row of
         # stage s is y + h * sum_j a_sj k_j, formed entry by entry with the
         # sum term by term from zero in the order of the tableau, weights of
         # 0.0 included, and passed to the field as a list of Python numbers
         # of the state's kind; the error norm sums the squares of h * e /
         # scale, with e the error weights' sum and the magnitudes abs() on a
-        # float and math.hypot of the parts on a complex number
-        from affine_riccati.riccati import _A, _E, _stepper
+        # float and math.hypot of the parts on a complex number, and takes
+        # the square root of that sum over dim, which is recorded here
+        from affine_riccati.riccati import _A, _E, _solver
 
         def magnitude(x):
             return math.hypot(x.real, x.imag)
@@ -119,37 +148,47 @@ class TestStepper:
             atol, rtol = (10.0 ** rng.uniform(-15, -6, size=2)).tolist()
             for z in (parts[0], parts[0] + 1j * parts[1]):
                 y, k = z[7], z[:7]
-                rows = []
+                rows, norms = [], []
 
                 def field(row):
                     rows.append(row)
+                    if len(rows) == 7:
+                        raise _Stop
                     return k[len(rows)]
 
-                step = _stepper(dim, z.dtype.kind)
-                new, k6, sq, abs_y, abs_f = step(field, y.tolist(), k[0].tolist(), h, atol, rtol)
-                assert len(rows) == 6
+                def sqrt(x):
+                    norms.append(x)
+                    return math.sqrt(x)
+
+                solve = _solver(dim, z.dtype.kind, dim)
+                monkeypatch.setitem(solve.__globals__, "math",
+                                    types.SimpleNamespace(sqrt=sqrt, isfinite=math.isfinite))
+                ts, ys, fs = _run_loop(field, y.tolist(), k[0].tolist(), h, atol, rtol)
+                monkeypatch.undo()
                 kind = complex if z.dtype.kind == "c" else float
                 for row, w in zip(rows, _A):
                     ref = sum(wj * kj for wj, kj in zip(w, k))
                     ref = np.array([yc + h * a for yc, a in zip(y.tolist(), ref.tolist())])
                     assert type(row) is list and {type(x) for x in row} == {kind}
                     assert np.array(row).tobytes() == ref.tobytes()
-                assert new is rows[-1] and k6 == k[6].tolist()
                 errors = sum(wj * kj for wj, kj in zip(_E, k)).tolist()
                 want = 0.0
-                for yc, zc, ec in zip(y.tolist(), new, errors):
+                for yc, zc, ec in zip(y.tolist(), rows[5], errors):
                     a, b = magnitude(yc), magnitude(zc)
                     q = h * ec / (atol + rtol * (a if a >= b or a != a else b))
                     want += q.real * q.real + q.imag * q.imag
-                assert np.float64(sq).tobytes() == np.float64(want).tobytes()
-                assert abs_y == list(map(magnitude, new))
-                assert abs_f == list(map(magnitude, k6))
+                assert len(norms) == 1
+                assert np.float64(norms[0]).tobytes() == np.float64(want / dim).tobytes()
+                # an accepted step keeps the sixth stage's list and value
+                if math.sqrt(want / dim) <= 1.0:
+                    assert ts == [0.0, h] and ys[-1] is rows[5] and fs[-1] == k[6].tolist()
+                else:
+                    assert ts == [0.0]
 
     def test_a_rejected_stage_ends_the_step(self):
         # a stage whose value is not finite, or where the field raises one
-        # of the stage-rejecting errors, ends the step there
-        from affine_riccati.riccati import _stepper
-
+        # of the stage-rejecting errors, ends the step there: the next call
+        # is stage 1 of the retry at 0.3 h
         for bad in (math.nan, math.inf, DomainError("outside")):
             calls = []
 
@@ -159,28 +198,97 @@ class TestStepper:
                     if isinstance(bad, Exception):
                         raise bad
                     return [bad, 0.0]
+                if len(calls) == 4:
+                    raise _Stop
                 return [-row[0], 0.5]
 
-            assert _stepper(2, "f")(field, [1.0, 0.0], [-1.0, 0.5], 0.1, 1e-12, 1e-9) is None
-            assert len(calls) == 3
+            ts, _, _ = _run_loop(field, [1.0, 0.0], [-1.0, 0.5], 0.1, 1e-12, 1e-9)
+            assert len(calls) == 4 and ts == [0.0]
+            assert calls[3] == _retry_row([1.0, 0.0], [-1.0, 0.5], 0.1)
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_a_stage_is_rejected_exactly_where_field_values_rejects_it(self, kind):
+        # at each of the six stages: every error of _FIELD_ERRORS, NaN and
+        # +-inf in each entry position, and numpy values reject the stage
+        # where _field_values reads None; a finite numpy value does not; an
+        # exception of another kind propagates from that stage, and a value
+        # of another length raises ValueError there, a value _field_values
+        # reads as a list
+        from affine_riccati.riccati import _FIELD_ERRORS, _field_values
+
+        dim = 3
+        y = [kind(1.0), kind(0.5), kind(-0.25)]
+        f = [-x for x in y]
+        nonfinite = [math.nan, math.inf, -math.inf]
+        if kind is complex:
+            nonfinite += [complex(0.0, math.nan), complex(1.0, -math.inf)]
+        values = []
+        for bad in nonfinite:
+            for c in range(dim):
+                value = [kind(-0.5)] * dim
+                value[c] = kind(bad)
+                values += [value, np.array(value)]
+        values += [np.array([kind(-0.5)] * dim)]
+        for stage in range(1, 7):
+            for bad in [*(error("bad") for error in _FIELD_ERRORS), *values]:
+                calls = []
+
+                def value(row):
+                    if isinstance(bad, Exception):
+                        raise bad
+                    return bad
+
+                def field(row):
+                    calls.append(row)
+                    if len(calls) == stage:
+                        return value(row)
+                    if len(calls) > stage:
+                        raise _Stop
+                    return [-x for x in row]
+
+                rejected = _field_values(value, y) is None
+                _run_loop(field, y, f, 0.01, 1e-6, 1e-3)
+                assert len(calls) == stage + 1
+                assert (calls[stage] == _retry_row(y, f, 0.01)) == rejected, (stage, bad)
+                assert rejected == (isinstance(bad, Exception)
+                                    or not all(map(cmath.isfinite, np.asarray(bad).tolist())))
+            for bad in (KeyError("other"), [kind(-0.5)] * (dim + 1), [kind(-0.5)] * (dim - 1)):
+                calls = []
+
+                def field(row):
+                    calls.append(row)
+                    if len(calls) == stage:
+                        if isinstance(bad, Exception):
+                            raise bad
+                        return bad
+                    return [-x for x in row]
+
+                if not isinstance(bad, Exception):
+                    assert _field_values(lambda row: bad, y) == bad
+                with pytest.raises(KeyError if isinstance(bad, Exception) else ValueError), \
+                        quiet_fp():
+                    riccati._solver(dim, "c" if kind is complex else "f", dim)(
+                        field, y, f, 0.01, None, [0.0], [y], [f], 10.0, 10.0, 10.0, 1e-12,
+                        1e-6, 1e-3, math.inf)
+                assert len(calls) == stage
 
     def test_generated_code_is_named_per_key(self, cir_jump_model):
         # every generated function compiles under a file name of its own,
         # whose source linecache holds: profiles key functions by file, line
-        # and name, and would merge two steps or closures of one file
+        # and name, and would merge two loops or closures of one file
         import linecache
 
-        from affine_riccati.riccati import _stepper
+        from affine_riccati.riccati import _solver
 
         real, complex_ = cir_jump_model._point_fns
-        functions = {"step": [_stepper(1, "f"), _stepper(2, "c")],
+        functions = {"solve": [_solver(1, "f", 1), _solver(2, "c", 1)],
                      "R": [real[0], complex_[0]], "F": [real[1], complex_[1]]}
         codes = [(name, fn.__code__) for name, fns in functions.items() for fn in fns]
         assert len({code.co_filename for _, code in codes}) == 4
         for name, code in codes:
             line = linecache.getline(code.co_filename, code.co_firstlineno)
             assert line.lstrip().startswith(f"def {name}("), (code.co_filename, line)
-        assert riccati._stepper(2, "c").__module__ == riccati.__name__
+        assert riccati._solver(2, "c", 1).__module__ == riccati.__name__
 
     def test_quiet_flag_is_per_thread(self):
         import threading
