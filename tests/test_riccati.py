@@ -1149,3 +1149,15 @@ class TestTrajectoryPin:
         kinds = [sol.status.kind for sol in sols]
         assert kinds == ["completed"] * 5 + ["equilibrium", "left_domain"]
         assert self.digest([self.record(sol) for sol in sols]) == self.PINNED_COMPLEX_RECORDS
+
+    # The probe witness of the kr2014 pair tilted at (1, 1), an m = 2
+    # reduced field whose beta_I has one nonzero entry in each row: its
+    # grid, its values and its residual.
+    PINNED_PAIR_WITNESS = "8b72a79cb8557ebb2cd081b3ce5d9293cf5e800fd25474ddf74825cfe2c74511"
+
+    def test_pair_probe_witness_keeps_its_bits(self, kr2014_pair_model):
+        verdict = check_conservative(tilt_model(kr2014_pair_model, [1.0, 1.0]))
+        w = verdict.witness
+        assert (verdict.kind, w.source) == ("NonConservative", "probe-extrapolation")
+        assert w.values.shape == (1201, 2)
+        assert self.digest([(w.ts, w.values, np.array([w.residual]))]) == self.PINNED_PAIR_WITNESS
