@@ -17,8 +17,11 @@ interpreters.  Every run is pinned to one CPU and records:
   its own np.errstate, for each built-in jump family on a scalar model that
   carries it in both F and R, at a real and at a complex u; and per call of
   the verdict pipeline's reduced fields at a real v,
-  ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1) and that
-  of the ``verdicts`` workload's tilted kr2014 pair (m = 2, ``_kr2014_pair``);
+  ``ReducedField.from_model(tilt_model(kr2014(), [1.0]))`` (m = 1), that
+  of the ``verdicts`` workload's tilted kr2014 pair (m = 2, ``_kr2014_pair``),
+  whose rows of beta_I have one nonzero entry each, and that of the pair
+  coupled by off-diagonal entries 0.2, a dense m = 2 field whose products
+  keep their BLAS calls;
 * ``field_us``: microseconds per call of ``riccati._field_values`` of the
   full-system field (``riccati._full_system`` with no discount) inside one
   ``quiet_fp``, for feller at a real and cir-jump at a complex u, on a
@@ -88,14 +91,16 @@ def _families(ar):
     }
 
 
-def _kr2014_pair(ar):
+def _kr2014_pair(ar, coupling=0.0):
     """The two independent kr2014 coordinates of the ``verdicts`` workload
-    (``perfbench/workloads.py``), built from the package ar."""
+    (``perfbench/workloads.py``), built from the package ar; with a nonzero
+    coupling, the off-diagonal entries of beta_I."""
     scale = 0.5 / math.sqrt(math.pi)
     mus = tuple(ar.TemperedStableHalf(scale=scale, tempering=1.0, axis=k) for k in range(2))
     beta = mus[0].chi_integral() - 1.0
     return ar.AffineModel(shape=ar.StateShape(2, 0), a=np.zeros((2, 2)), b=[0.0, 0.0],
-                          alpha=[0.0, 0.0], beta_I=[[beta, 0.0], [0.0, beta]], mus=mus)
+                          alpha=[0.0, 0.0], beta_I=[[beta, coupling], [coupling, beta]],
+                          mus=mus)
 
 
 def _repeated(call, n):
@@ -124,7 +129,9 @@ def eval_calls(ar):
 
             out[f"{name} {kind}"] = (_repeated(pair, n), n)
     fields = {"tilted-kr2014": (ar.tilt_model(ar.kr2014(), [1.0]), [-0.5]),
-              "tilted-kr2014-pair": (ar.tilt_model(_kr2014_pair(ar), [1.0, 1.0]), [-0.5, -0.3])}
+              "tilted-kr2014-pair": (ar.tilt_model(_kr2014_pair(ar), [1.0, 1.0]), [-0.5, -0.3]),
+              "tilted-kr2014-pair-coupled": (ar.tilt_model(_kr2014_pair(ar, 0.2), [1.0, 1.0]),
+                                             [-0.5, -0.3])}
     for name, (model, v) in fields.items():
         field, v = ar.diagnostics.ReducedField.from_model(model), np.array(v)
         out[f"reduced-field {name} real"] = (_repeated(lambda field=field, v=v: field(v), 1000),

@@ -656,6 +656,17 @@ def check_conservative(model: AffineModel) -> ConservativenessVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _time_grid(ts) -> np.ndarray:
+    """ts as a float array; ConfigError unless it is finite and
+    nondecreasing, starts at or after 0 and ends after 0."""
+    ts = np.asarray(ts, dtype=float)
+    if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
+            and ts[-1] > 0.0 and (np.diff(ts) >= 0.0).all()):
+        raise ConfigError("the time grid ts must be finite and nondecreasing, "
+                          "start at or after 0 and end after 0")
+    return ts
+
+
 def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
     """Minimal solution of the reduced system from uI, on the given grid.
 
@@ -666,11 +677,7 @@ def minimal_reduced_trajectory(model: AffineModel, uI, ts) -> np.ndarray:
     ts must be finite and nondecreasing, start at or after 0 and end after
     0.  Other inputs raise ConfigError.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0.0
-            and ts[-1] > 0.0 and (np.diff(ts) >= 0.0).all()):
-        raise ConfigError("the time grid ts must be finite and nondecreasing, "
-                          "start at or after 0 and end after 0")
+    ts = _time_grid(ts)
     m = model.shape.m
     uI = _real_finite(uI, "uI", m)
     sols = _eps_ladder(_reduced_field(model, reduced_R), uI, m, _LADDER,
@@ -685,12 +692,28 @@ def comparison_check(model: AffineModel, uI, g_ts, g_values):
     """Check the comparison property g(t) >= psi_I(t, (uI, 0)) on the grid.
 
     ``g_values`` must be a verified solution of the reduced system from uI
-    (ODE residual strictly below 1e-6).  Returns (ok, max_violation).
+    (ODE residual strictly below 1e-6), on a grid ``g_ts`` as
+    ``minimal_reduced_trajectory`` takes that starts at 0.  Its inputs are
+    checked before the residual: a grid or values that are not finite, a
+    first time other than 0, a first value further than 1e-7 from uI, or
+    values that do not fit the grid and m raise ConfigError.  Returns (ok,
+    max_violation).
     """
-    g_ts = np.asarray(g_ts, dtype=float)
+    g_ts = _time_grid(g_ts)
+    m = model.shape.m
+    uI = _real_finite(uI, "uI", m)
     g_values = np.atleast_2d(np.asarray(g_values, dtype=float))
     if g_values.shape[0] != g_ts.size:
         g_values = g_values.T
+    if g_values.shape != (g_ts.size, m):
+        raise ConfigError("values must be (k, m) rows, or (m, k) columns, on the k times of ts")
+    if not np.isfinite(g_values).all():
+        raise ConfigError("the trajectory g_values must be finite")
+    if g_ts[0] != 0.0:
+        raise ConfigError(f"the trajectory must start at time 0, not {g_ts[0]!r}")
+    gap = float(np.max(np.abs(g_values[0] - uI)))
+    if gap > _COMPARISON_TOL:
+        raise ConfigError(f"the trajectory must start at uI: its first value is {gap:.3g} away")
     field = ReducedField.from_model(model)
     res = ode_residual(g_ts, g_values, field)
     if not _verified(res):

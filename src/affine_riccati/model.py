@@ -1049,17 +1049,28 @@ def _point_closures(model):
     added to is ever -0.0, as <beta_i, u> and <b, u> start from +0.0 (see
     below).
 
-    A product with one term, x @ y with x and y of length one, is formed as
-    ``zero + y[0] * x[0]``.  It has the bits of the BLAS call, whose sum
-    starts from +0.0: a bare product would keep a -0.0 that the sum drops.
-    The reversed operands propagate a NaN of u as the call does when x is a
-    real coefficient; only u @ (a @ u) on a complex u with a NaN part can
-    end in a NaN of the other sign.  That covers every product of a d = 1
-    model.  Products of two or more terms keep their BLAS call, on one
-    array of the row that the closure builds, with the complex casts of a,
-    b and beta_I bound for the complex kind, and so do the J-rows: a ddot
-    of two terms uses a fused multiply-add, which rounded differently from
-    the plain sum of the two products on 24,912 of 100,000 pairs of normal
+    A product runs on Python numbers, in index order, where every sum it
+    forms has at most one product that can round (``_on_floats``): beta_i @
+    u and b @ u where the row has at most one nonzero entry, the J-block
+    where every row of beta_JJ^T has, and u @ (a @ u) where a has.  The
+    term is ``(zero + x0 * c_0 + x1 * c_1 + ...)``, and u @ (a @ u) is that
+    sum over the terms (a_i @ u) * x_i.  The products of zero coefficients
+    stay in the sum, so that a NaN or an infinity of u propagates as it
+    does in the BLAS call.  A sum of exact zeros and one rounded product is
+    that product under any order of summation, with or without a fused
+    multiply-add, up to the sign of a zero.  So the term has the bits of the
+    call on any CPU, whose sum starts from +0.0 as the term's does (a bare
+    product would keep a -0.0 that the sum drops), up to the sign of a zero
+    and of a NaN.  Every product of a d = 1 model has one term and runs so.
+    On the complex kind a product of two or more terms keeps its call:
+    OpenBLAS's zdotu of two terms turned an infinite part into NaN where a
+    one-term call and Python's complex product keep it ((0, 0.3) @
+    (0.25+0.1j, -inf+0j) is nan+nanj, (0.3,) @ (-inf+0j,) is -inf+nanj).
+    Every other product keeps its BLAS call, on one array of the row that a
+    closure builds only where it makes such a call, with the complex casts
+    of a, b and beta_I bound for the complex kind: a ddot of two nonzero
+    terms uses a fused multiply-add, which rounded differently from the
+    plain sum of the two products on 24,912 of 100,000 pairs of normal
     deviates (numpy 2.4.6, OpenBLAS, x86-64).
 
     Each closure unpacks its list once and forms every other term on Python
@@ -1076,11 +1087,11 @@ def _point_closures(model):
     scalars: np.exp and np.log1p of a Python float run the loop they run
     on an np.float64, with its bits, also with numpy's AVX-512 kernels off.
 
-    The complex kind binds alpha, gamma, c and the coefficients of a d = 1
-    model as Python complex numbers, so that every product is the full
-    complex product numpy forms of a float64 and a complex128 scalar;
-    Python 3.14 multiplies a float by a complex number part by part, which
-    changes signed zeros and NaNs.  Its square is ``x * x``, which had the
+    The complex kind binds alpha, gamma, c and the coefficients of its
+    products on Python numbers as Python complex numbers, so that every
+    product is the full complex product numpy forms of a float64 and a
+    complex128 scalar; Python 3.14 multiplies a float by a complex number
+    part by part, which changes signed zeros and NaNs.  Its square is ``x * x``, which had the
     bits of numpy's complex128 scalar ** 2 on 100,000 random entries and on
     every entry whose parts are +-0, +-inf, +-NaN or +-1e300, up to the sign
     of a NaN and of a zero part of a zero entry (numpy's square of a zero
@@ -1094,26 +1105,47 @@ def _point_closures(model):
     checks both kinds against a numpy-scalar reference.
     """
     shape = model.shape
-    m, d = shape.m, shape.d
     axes = tuple(None if mu.is_zero else mu.axis for mu in model.mus)
     axis0 = None if model.mu0.is_zero else model.mu0.axis
     kinds = []
     for complex_kind in (False, True):
         number = complex if complex_kind else float
+        on_floats = _on_floats(model, complex_kind)
+        rows, on_b, on_a, on_j = on_floats
+
+        def bound(x, listed):
+            """The coefficients x as (nested) lists of Python numbers of the
+            kind where their products run on them, else as the array a
+            matmul with a row of the kind casts them to."""
+            if not listed:
+                return x.astype(number, copy=False)
+            return [number(v) for v in x] if x.ndim == 1 else [bound(v, True) for v in x]
+
         jumps = tuple(None if mu.is_zero else mu._axis_form(compensated, complex_kind)
                       for mu, compensated in zip(model.mus, model._compensated))
         jump = None if model.mu0.is_zero else model.mu0._axis_form(True, complex_kind)
-        if d == 1:  # one-term products take the coefficients as Python numbers
-            a, b = number(model.a[0, 0]), number(model.b[0])
-            beta = [number(x) for x in model.beta_I[:, 0].tolist()]
-        else:  # the arrays as a matmul with a row of the kind casts them
-            a, b = model.a.astype(number, copy=False), model.b.astype(number, copy=False)
-            beta = tuple(model.beta_I.astype(number, copy=False))
-        make = _point_code(m, shape.n, axes, axis0, complex_kind)
-        kinds.append(make(a, b, number(model.c), [number(x) for x in model.alpha.tolist()], beta,
-                          [number(x) for x in model.gamma.tolist()], jumps, jump,
-                          model.beta_JJ.T))
+        make = _point_code(shape.m, shape.n, axes, axis0, complex_kind, on_floats)
+        kinds.append(make(bound(model.a, on_a), bound(model.b, on_b), number(model.c),
+                          bound(model.alpha, True),
+                          tuple(bound(row, listed) for row, listed in zip(model.beta_I, rows)),
+                          bound(model.gamma, True), jumps, jump,
+                          bound(model.beta_JJ.T, True) if on_j else model.beta_JJ.T))
     return tuple(kinds)
+
+
+def _on_floats(model, complex_kind):
+    """The flags ``(rows, b, a, J)`` of the products of the kind that run on
+    Python numbers (``_point_closures``), one per row of beta_I: those whose
+    every sum has at most one nonzero coefficient, and on the complex kind
+    only those of one term."""
+    m, n = model.shape.m, model.shape.n
+
+    def listed(coefficients, terms):
+        return bool((np.count_nonzero(coefficients, axis=-1) <= 1).all()) \
+            and (terms == 1 or not complex_kind)
+
+    return (tuple(listed(row, m + n) for row in model.beta_I), listed(model.b, m + n),
+            listed(model.a.reshape(-1), m + n), listed(model.beta_JJ.T, n))
 
 
 def _square(x):
@@ -1143,12 +1175,14 @@ def _compile(lines, key, namespace):
 
 
 @cache
-def _point_code(m, n, axes, axis0, complex_kind):
+def _point_code(m, n, axes, axis0, complex_kind, on_floats):
     """The maker ``make(a, b, c, alpha, beta, gamma, jumps, jump, beta_JJ_T)
     -> (R, F, reduced, full)`` of the point closures of the kind for one
     model structure: the state shape, the axis of each non-null mu_i (None
-    for a null one) and that of a non-null mu_0 (None).  Generated as
-    straight-line code once per structure and kind and kept.
+    for a null one), that of a non-null mu_0 (None), and which products run
+    on Python numbers, ``on_floats = (rows, b, a, J)`` with one flag per row
+    of beta_I (see ``_point_closures``).  Generated as straight-line code
+    once per structure and kind and kept.
 
     Each closure takes a list (or tuple) of Python numbers of the kind and
     unpacks it into x0, x1, ... once; every entry it returns is a Python
@@ -1161,10 +1195,14 @@ def _point_code(m, n, axes, axis0, complex_kind):
     ``R`` and ``F``.  Subtracting every entry of lambda keeps the bits of
     the undiscounted system where an entry is +0.0: ``x - 0.0`` is x.
 
-    On a model with d = 1, a and b are the numbers a_00 and b_0 and beta
-    holds the numbers beta_i0; otherwise they are the arrays, and the
-    products of their rows with u are BLAS calls on one array of the row,
-    built in the closure, as is the J-block.  A real measure's form takes
+    A product whose flag is set takes its coefficients as (nested) lists of
+    Python numbers, unpacked once into c_0, c_1, ... (beta_i's into
+    beta{i}_0, ..., a's rows into a{i}_0, ..., the rows of beta_JJ^T into
+    bt{k}_0, ...), and is the sum ``(zero + x0 * c_0 + x1 * c_1 + ...)`` in
+    index order, every term kept; u @ (a @ u) is the same sum over the
+    terms (a_i @ u) * x_i.  Every other product is a BLAS call on one array
+    u of the row, which a closure builds only where it makes such a call,
+    as is a J-block whose flag is clear.  A real measure's form takes
     the Python float of its axis, a complex one np.complex128 of it, made
     as ``czero + x`` (``_CZERO``), which has the bits of np.complex128(x)
     in about a quarter of its time.  A term that is a numpy scalar (a
@@ -1179,6 +1217,7 @@ def _point_code(m, n, axes, axis0, complex_kind):
     alone.
     """
     d = m + n
+    rows, on_b, on_a, on_j = on_floats
     zero, number = ("0j", "complex") if complex_kind else ("0.0", "float")
 
     def names(prefix, ks):
@@ -1193,9 +1232,16 @@ def _point_code(m, n, axes, axis0, complex_kind):
             return f"float({call})"
         return f"({call}).__complex__()" if _HAS_COMPLEX else f"complex({call})"
 
-    def product(coef):
-        """The term coef @ u of a 1-d coefficient and the row u."""
-        return f"({zero} + x0 * {coef})" if d == 1 else blas(f"{coef} @ u")
+    def dot(coef, ks=range(d)):
+        """The sum coef @ u over the row's entries ks, on Python numbers in
+        index order, with the coefficients coef_0, coef_1, ..."""
+        terms = "".join(f" + x{k} * {coef}_{i}" for i, k in enumerate(ks))
+        return f"({zero}{terms})"
+
+    def product(coef, listed):
+        """The term coef @ u of a 1-d coefficient and the row u: its sum on
+        Python numbers where listed, else its BLAS call."""
+        return dot(coef) if listed else blas(f"{coef} @ u")
 
     def jump_term(name, axis):
         """The lines that form the jump term p_name of the form name at the
@@ -1225,7 +1271,7 @@ def _point_code(m, n, axes, axis0, complex_kind):
         for i, axis in enumerate(axes):
             jump_lines, term = jump_term(f"jump{i}", axis)
             lines += [*jump_lines,
-                      f"r{i} = alpha{i} * q{i} + {product(f'beta{i}')} - gamma{i}{term}"]
+                      f"r{i} = alpha{i} * q{i} + {product(f'beta{i}', rows[i])} - gamma{i}{term}"]
         return lines
 
     def row(needed):
@@ -1233,11 +1279,23 @@ def _point_code(m, n, axes, axis0, complex_kind):
         take, when needed."""
         return [f"u = array([{', '.join(f'x{k}' for k in range(d))}])"] if needed else []
 
-    j_rows = [f"{names('j', range(n))}= (beta_JJ_T @ u[{m}:]).tolist()"] if n else []
+    blas_i = not all(rows)
+    blas_r = blas_i or (n and not on_j)
+    blas_f = not (on_a and on_b)
+    if not n:
+        j_rows = []
+    elif on_j:
+        j_rows = [f"j{k} = {dot(f'bt{k}', range(m, d))}" for k in range(n)]
+    else:
+        j_rows = [f"{names('j', range(n))}= (beta_JJ_T @ u[{m}:]).tolist()"]
     r_entries = [f"r{i}" for i in range(m)] + [f"j{k}" for k in range(n)]
-    quad = f"({zero} + ({zero} + x0 * a) * x0)" if d == 1 else blas("u @ (a @ u)")
+    if on_a:
+        terms = "".join(f" + {dot(f'a{i}')} * x{i}" for i in range(d))
+        quad = f"({zero}{terms})"
+    else:
+        quad = blas("u @ (a @ u)")
     f_jump, term = jump_term("jump", axis0)
-    f_value = f"{quad} + {product('b')} - c{term}"
+    f_value = f"{quad} + {product('b', on_b)} - c{term}"
 
     def function(signature, lines, indent="    "):
         return [f"{indent}def {signature}:", *(f"{indent}    {line}".rstrip() for line in lines)]
@@ -1247,9 +1305,19 @@ def _point_code(m, n, axes, axis0, complex_kind):
         code += [f"    {names(name, range(m))}= {given}"
                  for name, given in (("alpha", "alpha"), ("beta", "beta"),
                                      ("gamma", "gamma"), ("jump", "jumps"))]
-    code += function("R(u)", [f"{xs}= u", *row(d > 1 or n), *i_rows(), *j_rows,
+    # the coefficients of the products on Python numbers
+    code += [f"    {names(f'beta{i}_', range(d))}= beta{i}" for i in range(m) if rows[i]]
+    if on_a:
+        code += [f"    {names('a', range(d))}= a",
+                 *(f"    {names(f'a{i}_', range(d))}= a{i}" for i in range(d))]
+    if on_b:
+        code.append(f"    {names('b_', range(d))}= b")
+    if n and on_j:
+        code += [f"    {names('bt', range(n))}= beta_JJ_T",
+                 *(f"    {names(f'bt{k}_', range(n))}= bt{k}" for k in range(n))]
+    code += function("R(u)", [f"{xs}= u", *row(blas_r), *i_rows(), *j_rows,
                               f"return [{', '.join(r_entries)}]"])
-    code += function("F(u)", [f"{xs}= u", *row(d > 1), *f_jump, f"return {f_value}"])
+    code += function("F(u)", [f"{xs}= u", *row(blas_f), *f_jump, f"return {f_value}"])
     if complex_kind:
         code.append("    reduced = None")
     elif not m:
@@ -1257,15 +1325,16 @@ def _point_code(m, n, axes, axis0, complex_kind):
     else:
         # at (v, 0), whose J-coordinates are +0.0
         zeros = [f"{names('x', range(m, d))}= {'0.0, ' * n}"] if n else []
-        code += function("reduced(v)", [f"{names('x', range(m))}= v", *zeros, *row(d > 1),
+        code += function("reduced(v)", [f"{names('x', range(m))}= v", *zeros, *row(blas_i),
                                         *i_rows(), f"return [{', '.join(r_entries[:m])}]"])
     code += function("full(l, lam)", [f"{names('lam', range(d))}= lam"])
     discounted = "".join(f"{r} - lam{k}, " for k, r in enumerate(r_entries))
-    code += function("field(z)", [f"{xs}_ = z", *row(d > 1 or n), *i_rows(), *j_rows, *f_jump,
-                                  f"return [{discounted}{f_value} - l]"], indent="        ")
+    code += function("field(z)", [f"{xs}_ = z", *row(blas_r or blas_f), *i_rows(), *j_rows,
+                                  *f_jump, f"return [{discounted}{f_value} - l]"],
+                     indent="        ")
     code += ["        return field",
              "    return R, F, reduced, full"]
-    namespace = _compile(code, f"{number} point closures {(m, n, axes, axis0)}",
+    namespace = _compile(code, f"{number} point closures {(m, n, axes, axis0, on_floats)}",
                          {"array": np.array, "czero": _CZERO, "square": _square})
     return namespace["make"]
 
@@ -1320,11 +1389,13 @@ def _reduced_rows(model, v, check_domain):
     """reduced_R on real (N, m) rows, with the bits of N point calls.
 
     Only the I-rows of R are formed, at the (N, d) rows (v, 0).  The
-    products go through matmul's stacked loop, which makes the BLAS call of
-    the point path for each row: one ddot per row and I-row for
-    beta_I[i] @ u.  The square is float_power, as the point path's scalar
-    u[i] ** 2 is pow(); an array's ** 2 is a plain square, which rounds
-    differently.
+    products go through matmul's stacked loop, which makes one ddot per row
+    and I-row for beta_I[i] @ u: the BLAS call of the point path, or, where
+    beta_I[i] has at most one nonzero entry and the point path sums on
+    Python floats, a call with the same bits, as a sum of exact zeros and
+    one rounded product is that product in any order (``_point_closures``).
+    The square is float_power, as the point path's scalar u[i] ** 2 is
+    pow(); an array's ** 2 is a plain square, which rounds differently.
     """
     m = model.shape.m
     u = np.zeros((len(v), model.shape.d))

@@ -52,28 +52,37 @@ reduced field (``_reduced_field``).  A stage then makes that one call and
 builds no numpy row: the field unpacks the list, forms its terms on
 Python numbers, enters no errstate (``quiet_fp`` covers the run) and
 returns a list, whose finiteness the stage reads on its few entries.
-Only a product of two or more terms and the J-block keep a BLAS call, on
-one array of the row built inside the field, whose fused multiply-adds
-round differently from a sum of scalar products.  A product of one term
-(every product of a d = 1 model) is ``zero + y[0] * x[0]``, with the bits
-of the BLAS call x @ y: the call's sum starts from +0.0, so a bare product
-would keep a -0.0 that the call drops.  Measured on numpy 2.4.6 with
-OpenBLAS on x86-64 with AVX-512, it matched the call on 200,000 random
-real and 50,000 random complex pairs, on every pair of real special
-entries (+-0, +-inf, +-NaN, +-1e300, +-5e-324), and on every pair of
-complex ones in which no part is NaN or x is a real coefficient.  So R,
-and F on a real row, have the call's bits everywhere; F on a complex row
-with a NaN part can differ only in the sign of a NaN.
+A product each of whose sums has at most one product that can round (a
+row of beta_I, or b, with at most one nonzero entry; a J-block each of
+whose rows has at most one; an a with at most one) is summed on Python
+numbers in index order, ``zero + x0 * c_0 + x1 * c_1 + ...``, with every
+term kept, so that a NaN or an infinity of the row propagates.  A sum of
+exact zeros and one rounded product is that product in any order, with or
+without a fused multiply-add, so the sum has the bits of the BLAS call on
+any CPU, up to the sign of a zero and of a NaN: it starts from +0.0 as the
+call's does, where a bare product would keep a -0.0 that the call drops.
+On a complex row only such products of one term run so (every product of
+a d = 1 model has one term); a two-term zdotu turned an infinite part into
+NaN where Python's complex product keeps it.  Every other product keeps a
+BLAS call, on one array of the row built inside the field, whose fused
+multiply-adds round differently from a sum of scalar products.  The
+one-term sum, measured on numpy 2.4.6 with OpenBLAS on x86-64 with
+AVX-512, matched the call on 200,000 random real and 50,000 random complex
+pairs, on every pair of real special entries (+-0, +-inf, +-NaN, +-1e300,
++-5e-324), and on every pair of complex ones in which no part is NaN or x
+is a real coefficient.
 
 The fields form each square (``x ** 2`` on a float, pow(), whose
 OverflowError is read as inf; ``x * x`` on a complex number), each
-one-term product as ``zero + x * c`` and each family's real closed form on
+product above as its sum from ``zero`` and each family's real closed form on
 the float, keeping the np.exp, np.log1p and math.sqrt calls of the
 families; a family's complex form still takes np.complex128 of its entry,
 as Python's complex quotient rounds differently from numpy's.  A term that
 is a numpy scalar is converted to a Python number before it enters a sum.
-They are generated once per model structure and kind
-(``model._point_code``), so a tilted model compiles nothing.
+They are generated once per model structure (the shape, the measures'
+axes and which products run on Python numbers) and kind
+(``model._point_code``), so a tilted model of the same structure compiles
+nothing.
 ``model._point_closures`` states the measurements behind these choices.
 
 The loop's own arithmetic does, in one form for real and complex solves:

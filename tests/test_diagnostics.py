@@ -503,7 +503,8 @@ class TestWitnessValidity:
         # verified solution, or must report a violation
         tilted = tilt_model(kr_model, [1.0])
         ts = np.linspace(0.0, 1.0, 400)
-        bad = minimal_reduced_trajectory(tilted, [0.0], ts) - 1e-5
+        # from uI, which comparison_check requires, then below
+        bad = minimal_reduced_trajectory(tilted, [0.0], ts) - 1e-5 * ts[:, None]
         try:
             ok, violation = comparison_check(tilted, [0.0], ts, bad)
         except SolverError:
@@ -549,6 +550,27 @@ class TestMinimalTrajectory:
             ode_residual([0.0, 1.0, 2.0], np.zeros((2, 1)), field)
         with pytest.raises(ConfigError, match="on the k times of ts"):
             comparison_check(kr_model, [0.0], [0.0, 1.0, 2.0], np.zeros((2, 1)))
+
+    def test_comparison_inputs_are_checked_before_the_residual(self, kr_model):
+        # a verified solution from -0.5 is no trajectory from uI = 0; nor is
+        # one on a grid that does not start at 0, and a grid ending at inf or
+        # a NaN value is refused as such, not by the residual or the field
+        tilted = tilt_model(kr_model, [1.0])
+        ts = np.linspace(0.0, 1.0, 41)
+        g = minimal_reduced_trajectory(tilted, [-0.5], ts)
+        assert comparison_check(tilted, [-0.5], ts, g)[0]
+        with pytest.raises(ConfigError, match="must start at uI"):
+            comparison_check(tilted, [0.0], ts, g)
+        with pytest.raises(ConfigError, match="must start at time 0"):
+            comparison_check(tilted, [-0.5], ts[1:], g[1:])
+        with pytest.raises(ConfigError, match="time grid ts"):
+            comparison_check(tilted, [-0.5], np.append(ts[:-1], math.inf), g)
+        nan = g.copy()
+        nan[5] = math.nan
+        with pytest.raises(ConfigError, match="must be finite"):
+            comparison_check(tilted, [-0.5], ts, nan)
+        with pytest.raises(ConfigError, match="on the k times of ts"):
+            comparison_check(tilted, [-0.5], ts, np.hstack([g, g]))
 
     def test_ladder_missing_the_horizon_raises(self, feller_model):
         # every rung from 2 - eps explodes near log 2 < 1

@@ -28,6 +28,7 @@ from affine_riccati import (
     eval_R,
     in_domain_Y,
     reduced_R,
+    tilt_model,
     validate_model,
 )
 from affine_riccati import model as model_module
@@ -902,6 +903,31 @@ class TestRealPointSweep:
         out["n=2"] = AffineModel(shape=StateShape(0, 2), a=[[0.5, 0.1], [0.1, 0.3]],
                                  b=[0.1, -0.2], beta_JJ=[[-1.0, 0.2], [0.0, -0.5]],
                                  mu0=CompoundPoissonPoint(rate=0.4, size=-0.8, axis=1))
+        # products with at most one nonzero coefficient, which run on Python
+        # numbers, beside BLAS calls: single entries off the diagonal, a
+        # -0.0 coefficient beside the nonzero one, an all-zero row, one
+        # sparse row and one dense row, and an a and a b with one nonzero
+        # entry each
+        gamma = GammaLevy(c=0.5, rho=2.0, axis=0)
+        point = CompoundPoissonPoint(rate=0.4, size=0.6, axis=1)
+        for name, beta_I in (("off-diagonal", [[0.0, 0.3], [0.2, 0.0]]),
+                             ("signed zero beside", [[-0.0, -0.7], [0.4, -0.0]]),
+                             ("zero row", [[0.0, 0.0], [0.0, -0.5]]),
+                             ("sparse and dense rows", [[-1.0, 0.0], [0.2, -0.7]])):
+            out[f"{name} m=2"] = AffineModel(
+                shape=StateShape(2, 0), a=np.zeros((2, 2)), b=[0.5, 0.25], c=0.1,
+                alpha=[1.0, 0.5], beta_I=beta_I, gamma=[0.2, 0.0], mus=(gamma, point))
+        for name, a in (("one-entry a and b", [[0.0, 0.0], [0.0, 0.3]]),
+                        ("off-diagonal a and b", [[0.0, -0.4], [0.0, 0.0]])):
+            out[f"{name} m=2"] = AffineModel(
+                shape=StateShape(2, 0), a=a, b=[0.0, -0.5], c=0.1, alpha=[1.0, 0.5],
+                beta_I=[[-1.0, 0.3], [0.0, -0.7]], mu0=point, mus=(point, gamma))
+        # every real product on Python numbers, the J-block's rows included
+        out["sparse m=1 n=2"] = AffineModel(
+            shape=StateShape(1, 2), a=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.2]],
+            b=[0.0, 0.3, -0.0], alpha=[0.5], beta_I=[[-0.7, 0.0, -0.0]],
+            beta_JJ=[[0.0, 0.4], [-0.6, 0.0]], mu0=CompoundPoissonPoint(0.4, -0.8, axis=2),
+            mus=(gamma,))
         return out
 
     @staticmethod
@@ -1115,6 +1141,20 @@ class TestRealPointSweep:
                 analytic_measures, fresh, mixed, dataclasses.replace(kr2014_pair_model), True)
         finally:
             model_module._point_code.cache_clear()
+
+    def test_products_of_one_nonzero_coefficient_make_no_blas_call(self, kr2014_pair_model):
+        # each product of the tilted pair has at most one nonzero
+        # coefficient: its real closures make no BLAS call and build no row,
+        # where a dense m = 2 model keeps its calls on the row; complex
+        # products of two or more terms keep theirs
+        pair = tilt_model(kr2014_pair_model, [1.0, 1.0])
+        dense = AffineModel(shape=StateShape(2, 0), a=[[0.2, 0.05], [0.05, 0.3]],
+                            b=[0.5, 0.25], alpha=[1.0, 0.5], beta_I=[[-1.0, 0.3], [0.2, -0.7]])
+        for model, complex_kind, blas in ((pair, False, False), (dense, False, True),
+                                          (pair, True, True)):
+            filename = model._point_fns[complex_kind][0].__code__.co_filename
+            source = "".join(linecache.getlines(filename))
+            assert ("@" in source, "array(" in source) == (blas, blas), source
 
     @pytest.mark.parametrize("compensated", [True, False])
     def test_complex_lk_integral_has_the_bits_of_the_reference(self, analytic_measures,
